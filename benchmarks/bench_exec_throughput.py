@@ -1,7 +1,7 @@
-"""Experiment E10 — execution-backend throughput: interpreted vs compiled vs columnar.
+"""Experiment E10 — execution-backend throughput: interpreted vs compiled.
 
 Runs the k=5 chain-join workload (the paper's Section 3 SPJ example) through
-every execution backend and reports rows/second for
+both execution backends and reports rows/second for
 
 * **full evaluation** — ``evaluate(view, db)`` from scratch;
 * **delta propagation** — batched modifications pushed through the join
@@ -15,25 +15,18 @@ Two layers of measurement:
 1. **Baseline** (single scale, preserved from the original E10): the
    compiled-vs-interpreted comparison with its historical floors (≥3× full
    eval, ≥2× delta propagation).
-2. **Scale sweep** (3k / 30k / 100k rows × all backends): per-scale
+2. **Scale sweep** (3k / 30k / 100k rows × both backends): per-scale
    rows/sec recorded into ``BENCH_exec.json`` so the speedup-vs-scale
-   curve is tracked. At the top tier the columnar backend must clear ≥10×
-   over compiled on full evaluation and ≥5× on delta propagation.
+   curve is tracked.
 
-Columnar timed units produce the backend's *native* result (a
-``ColumnSet``) — that is what a columnar consumer (the spine, the next
-kernel) receives; the Python-dict decode at the array→multiset boundary is
-an irreducible tuple-construction floor that is timed and recorded
-separately (``decode_s``) rather than smeared into kernel throughput.
-Correctness and cost transparency are asserted on the *decoded* results:
-all backends must produce bit-identical multisets and identical IOCounter
-charges. Those assertions run even under ``REPRO_BENCH_SMOKE=1``, which
-shrinks the data so CI can run this as a divergence smoke test.
+Correctness and cost transparency are asserted throughout: both backends
+must produce bit-identical multisets and identical IOCounter charges.
+Those assertions run even under ``REPRO_BENCH_SMOKE=1``, which shrinks the
+data so CI can run this as a divergence smoke test.
 
-Timing protocol: one untimed warmup pass per backend (compilation and
-conversion-cache population are first-transaction costs by design), then
-interleaved rounds alternating backend order, scoring each backend by its
-best round — which is how you measure a constant-factor difference on a
+Timing protocol: one untimed warmup pass per backend (compilation is a
+first-transaction cost by design), then interleaved rounds alternating
+backend order, scoring each backend by its best round — which is how you measure a constant-factor difference on a
 noisy shared machine.
 """
 
@@ -45,7 +38,7 @@ from pathlib import Path
 
 from conftest import emit, format_table
 
-from repro.algebra.compile import BACKENDS, columnar_available, set_default_backend
+from repro.algebra.compile import BACKENDS, set_default_backend
 from repro.algebra.evaluate import evaluate
 from repro.algebra.operators import Join
 from repro.core.optimizer import evaluate_view_set
@@ -61,10 +54,6 @@ from repro.workload.generators import chain_view, load_chain_database
 from repro.workload.transactions import Transaction, TransactionType, UpdateSpec
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-HAS_COLUMNAR = columnar_available()
-ACTIVE_BACKENDS = tuple(
-    b for b in BACKENDS if b != "columnar" or HAS_COLUMNAR
-)
 
 K = 5
 ROWS = 300 if SMOKE else 3000  # rows per chain relation (baseline scale)
@@ -82,8 +71,6 @@ SWEEP_TXNS = 2
 
 EVAL_SPEEDUP_FLOOR = 3.0  # compiled over interpreted (baseline scale)
 DELTA_SPEEDUP_FLOOR = 2.0
-COLUMNAR_EVAL_FLOOR = 10.0  # columnar over compiled (top sweep scale)
-COLUMNAR_DELTA_FLOOR = 5.0
 
 _RESULTS_FILE = Path(__file__).parent / "BENCH_exec.json"
 
@@ -101,8 +88,7 @@ def join_spine(view: Join) -> list[Join]:
 
 def right_fetch(db, join: Join):
     """Indexed semijoin fetch on the (base) right input of a spine join,
-    with the bucket-grained fast path the maintainer also exposes and the
-    relation handle the columnar backend probes through."""
+    with the bucket-grained fast path the maintainer also exposes."""
     cols = sorted(join.join_columns)
     rel = db.relation(join.right.name)
 
@@ -110,7 +96,6 @@ def right_fetch(db, join: Join):
         return rel.lookup_many(cols, keys)
 
     fetch.buckets = lambda keys: rel.lookup_buckets(cols, keys)
-    fetch.columnar_rel = rel
     return fetch
 
 
@@ -134,50 +119,42 @@ def make_deltas(db, rng: random.Random, batch: int, n_txns: int) -> list[Delta]:
     return deltas
 
 
-def interleaved_best(units, rounds=None) -> dict[str, float]:
-    """Per-backend wall time for a list of work units, interleaving backend
-    order across rounds and scoring each unit by its best round (finer-
-    grained minima absorb scheduler noise better than whole-round totals)."""
-    rounds = ROUNDS if rounds is None else rounds
-    times: dict[str, list[list[float]]] = {
-        b: [[] for _ in units] for b in ACTIVE_BACKENDS
-    }
-    for r in range(rounds):
-        order = ACTIVE_BACKENDS if r % 2 == 0 else ACTIVE_BACKENDS[::-1]
-        for backend in order:
-            set_default_backend(backend)
-            for i, unit in enumerate(units):
-                started = time.perf_counter()
-                unit()
-                times[backend][i].append(time.perf_counter() - started)
+def _best_per_backend(units, schedule) -> dict[str, float]:
+    """Run ``units`` under each backend of ``schedule`` in turn, scoring
+    each unit by its best run (finer-grained minima absorb scheduler noise
+    better than whole-round totals)."""
+    times = {b: [[] for _ in units] for b in BACKENDS}
+    for backend in schedule:
+        set_default_backend(backend)
+        for i, unit in enumerate(units):
+            started = time.perf_counter()
+            unit()
+            times[backend][i].append(time.perf_counter() - started)
     set_default_backend("compiled")
     return {b: sum(min(ts) for ts in per_unit) for b, per_unit in times.items()}
 
 
-def block_best_per_backend(units_by_backend, rounds) -> dict[str, float]:
-    """Like :func:`interleaved_best`, but each backend brings its own unit
-    list (native result types differ across backends in the sweep) and
-    runs its rounds as one consecutive block: the interpreted units churn
+def interleaved_best(units) -> dict[str, float]:
+    """Per-backend wall time, alternating backend order across rounds."""
+    return _best_per_backend(
+        units,
+        [b for r in range(ROUNDS) for b in (BACKENDS if r % 2 == 0 else BACKENDS[::-1])],
+    )
+
+
+def block_best(units) -> dict[str, float]:
+    """Like :func:`interleaved_best`, but each backend runs its rounds as
+    one consecutive block: at sweep scale the interpreted units churn
     through hundreds of MB of per-row dicts, so round-interleaving would
-    charge every other backend a CPU-cache repopulation that best-of-rounds
+    charge the other backend a CPU-cache repopulation that best-of-rounds
     scoring is meant to exclude. Each block's first round absorbs the cold
     start; the minimum is equally warm for every backend."""
-    backends = tuple(units_by_backend)
-    times = {b: [[] for _ in units_by_backend[b]] for b in backends}
-    for backend in backends:
-        set_default_backend(backend)
-        for _ in range(rounds):
-            for i, unit in enumerate(units_by_backend[backend]):
-                started = time.perf_counter()
-                unit()
-                times[backend][i].append(time.perf_counter() - started)
-    set_default_backend("compiled")
-    return {b: sum(min(ts) for ts in per_unit) for b, per_unit in times.items()}
+    return _best_per_backend(units, [b for b in BACKENDS for _ in range(SWEEP_ROUNDS)])
 
 
 def measure_full_eval(db, view):
     results = {}
-    for backend in ACTIVE_BACKENDS:
+    for backend in BACKENDS:
         set_default_backend(backend)
         results[backend] = evaluate(view, db)  # warmup (compiles the plan)
     set_default_backend("compiled")
@@ -194,13 +171,13 @@ def measure_delta_propagation(db, view, deltas):
         return [propagate_spine(spine, fetches, d, view.schema) for d in deltas]
 
     results, stats = {}, {}
-    for backend in ACTIVE_BACKENDS:  # warmup + cost-transparency check
+    for backend in BACKENDS:  # warmup + cost-transparency check
         set_default_backend(backend)
         before = db.counter.snapshot()
         results[backend] = run_all()
         stats[backend] = db.counter.snapshot() - before
     set_default_backend("compiled")
-    for backend in ACTIVE_BACKENDS:
+    for backend in BACKENDS:
         assert stats[backend] == stats["interpreted"], (
             f"{backend} charges different I/O"
         )
@@ -275,92 +252,41 @@ def run_maintainer(backend: str, rows=None, batch=None, txns=None, seed=11):
 
 
 def sweep_full_eval(db, view):
-    """Per-backend full evaluation at native result granularity: the
-    columnar unit returns its ColumnSet (what a columnar consumer sees);
-    its dict decode is timed separately as ``decode_s``."""
-    units = {
-        "interpreted": [lambda: evaluate(view, db, backend="interpreted")],
-        "compiled": [lambda: evaluate(view, db, backend="compiled")],
-    }
-    decode_s = None
-    if HAS_COLUMNAR:
-        from repro.algebra import columnar
-
-        units["columnar"] = [lambda: columnar.columnar_evaluate_native(view, db)]
-        native = columnar.columnar_evaluate_native(view, db)  # warmup/cache
-        started = time.perf_counter()
-        decoded = native.to_multiset()
-        decode_s = time.perf_counter() - started
-        assert decoded == evaluate(view, db, backend="compiled"), (
-            "columnar diverges on full eval"
-        )
-    times = block_best_per_backend(units, SWEEP_ROUNDS)
-    return times, decode_s
+    assert evaluate(view, db, backend="compiled") == evaluate(
+        view, db, backend="interpreted"
+    ), "compiled diverges on full eval"
+    return block_best([lambda: evaluate(view, db)])
 
 
 def sweep_delta(db, view, deltas):
-    """Per-backend spine propagation to the backend-native net. The input
-    nets are precomputed once (signed-delta arithmetic is backend-
-    independent input prep). All backends are asserted to identical
-    decoded deltas and identical I/O charges; the columnar decode tail is
-    recorded separately."""
+    """Per-backend spine propagation, net to net. The input nets are
+    precomputed once (signed-delta arithmetic is backend-independent input
+    prep). Both backends are asserted to identical deltas and identical
+    I/O charges."""
     spine = join_spine(view)
     fetches = [right_fetch(db, j) for j in spine]
-    relations = [f.columnar_rel for f in fetches]
     in_nets = [d.net() for d in deltas]
 
-    def row_net(net, backend):
-        set_default_backend(backend)
-        try:
-            return propagate_join_spine_net(spine, net, fetches)
-        finally:
-            set_default_backend("compiled")
-
     nets, stats = {}, {}
-    for backend in ("interpreted", "compiled"):
+    for backend in BACKENDS:
+        set_default_backend(backend)
         before = db.counter.snapshot()
-        nets[backend] = [row_net(n, backend) for n in in_nets]
+        nets[backend] = [propagate_join_spine_net(spine, n, fetches) for n in in_nets]
         stats[backend] = db.counter.snapshot() - before
-    units = {
-        "interpreted": [
-            (lambda n=n: row_net(n, "interpreted")) for n in in_nets
-        ],
-        "compiled": [(lambda n=n: row_net(n, "compiled")) for n in in_nets],
-    }
-    decode_s = None
-    if HAS_COLUMNAR:
-        from repro.algebra import columnar
-
-        def native_net(net):
-            return columnar.spine_net_native(spine, net, relations)
-
-        before = db.counter.snapshot()
-        native = [native_net(n) for n in in_nets]  # warmup + parity charge
-        stats["columnar"] = db.counter.snapshot() - before
-        started = time.perf_counter()
-        decoded = [cs.to_multiset() for cs in native]
-        decode_s = (time.perf_counter() - started) / len(deltas)
-        for got, want in zip(decoded, nets["compiled"]):
-            assert got == want, "columnar diverges on delta propagation"
-        units["columnar"] = [(lambda n=n: native_net(n)) for n in in_nets]
-    for backend, stat in stats.items():
-        assert stat == stats["interpreted"], f"{backend} charges different I/O"
+    set_default_backend("compiled")
+    assert stats["compiled"] == stats["interpreted"], "compiled charges different I/O"
     for got, want in zip(nets["compiled"], nets["interpreted"]):
         assert got == want, "compiled diverges on delta propagation"
-    times = block_best_per_backend(units, SWEEP_ROUNDS)
-    return times, stats["compiled"], decode_s
+    units = [(lambda n=n: propagate_join_spine_net(spine, n, fetches)) for n in in_nets]
+    return block_best(units), stats["compiled"]
 
 
-def summarize_sweep(times: dict[str, float], rows: int, decode_s=None) -> dict:
+def summarize_sweep(times: dict[str, float], rows: int) -> dict:
     out = {f"{b}_s": t for b, t in times.items()}
     out.update({f"{b}_rows_per_s": rows / t for b, t in times.items()})
     out["speedup_compiled_vs_interpreted"] = (
         times["interpreted"] / times["compiled"]
     )
-    if "columnar" in times:
-        out["speedup_columnar_vs_compiled"] = times["compiled"] / times["columnar"]
-        if decode_s is not None:
-            out["decode_s"] = decode_s
     return out
 
 
@@ -372,12 +298,12 @@ def run_sweep() -> dict:
         batch = max(scale // 10, 10)
         deltas = make_deltas(db, random.Random(5), batch, SWEEP_TXNS)
 
-        eval_times, eval_decode = sweep_full_eval(db, view)
-        delta_times, delta_io, delta_decode = sweep_delta(db, view, deltas)
+        eval_times = sweep_full_eval(db, view)
+        delta_times, delta_io = sweep_delta(db, view, deltas)
 
         e2e = {
             b: run_maintainer(b, rows=scale, batch=batch, txns=SWEEP_TXNS)
-            for b in ACTIVE_BACKENDS
+            for b in BACKENDS
         }
         for backend, (_, io) in e2e.items():
             assert io == e2e["interpreted"][1], (
@@ -386,11 +312,9 @@ def run_sweep() -> dict:
 
         sweep[str(scale)] = {
             "batch": batch,
-            "full_eval": summarize_sweep(eval_times, scale, eval_decode),
+            "full_eval": summarize_sweep(eval_times, scale),
             "delta_propagation": {
-                **summarize_sweep(
-                    delta_times, SWEEP_TXNS * batch, delta_decode
-                ),
+                **summarize_sweep(delta_times, SWEEP_TXNS * batch),
                 "io_per_txn": delta_io.total / SWEEP_TXNS,
             },
             "maintainer_end_to_end": {
@@ -410,7 +334,7 @@ def run_throughput():
 
     eval_times, out_rows = measure_full_eval(db, view)
     delta_times, delta_io = measure_delta_propagation(db, view, deltas)
-    e2e = {b: run_maintainer(b) for b in ACTIVE_BACKENDS}
+    e2e = {b: run_maintainer(b) for b in BACKENDS}
     for backend, (_, io) in e2e.items():
         assert io == e2e["interpreted"][1], (
             f"maintainer charges different I/O under {backend}"
@@ -428,7 +352,6 @@ def run_throughput():
             "rounds": ROUNDS,
             "view_rows": out_rows,
             "smoke": SMOKE,
-            "columnar_available": HAS_COLUMNAR,
         },
         "full_eval": summarize(eval_times, eval_rows),
         "delta_propagation": {
@@ -444,17 +367,13 @@ def run_throughput():
 
 
 def summarize(times: dict[str, float], rows: int) -> dict:
-    out = {
+    return {
         "interpreted_s": times["interpreted"],
         "compiled_s": times["compiled"],
         "speedup": times["interpreted"] / times["compiled"],
         "interpreted_rows_per_s": rows / times["interpreted"],
         "compiled_rows_per_s": rows / times["compiled"],
     }
-    if "columnar" in times:
-        out["columnar_s"] = times["columnar"]
-        out["columnar_rows_per_s"] = rows / times["columnar"]
-    return out
 
 
 def test_exec_throughput(benchmark):
@@ -478,32 +397,20 @@ def test_exec_throughput(benchmark):
             for name, s in stages
         ],
     ))
-    if HAS_COLUMNAR:
-        emit(format_table(
-            "E10 sweep — columnar vs compiled (native-result units)",
-            ["scale", "eval x", "delta x", "columnar eval rows/s", "columnar delta rows/s"],
+    emit(format_table(
+        "E10 sweep — compiled vs interpreted by scale",
+        ["scale", "eval x", "delta x", "maintainer x"],
+        [
             [
-                [
-                    scale,
-                    f"{s['full_eval']['speedup_columnar_vs_compiled']:.1f}x",
-                    f"{s['delta_propagation']['speedup_columnar_vs_compiled']:.1f}x",
-                    f"{s['full_eval']['columnar_rows_per_s']:,.0f}",
-                    f"{s['delta_propagation']['columnar_rows_per_s']:,.0f}",
-                ]
-                for scale, s in report["sweep"].items()
-            ],
-        ))
+                scale,
+                f"{s['full_eval']['speedup_compiled_vs_interpreted']:.2f}x",
+                f"{s['delta_propagation']['speedup_compiled_vs_interpreted']:.2f}x",
+                f"{s['maintainer_end_to_end']['speedup_compiled_vs_interpreted']:.2f}x",
+            ]
+            for scale, s in report["sweep"].items()
+        ],
+    ))
     if not SMOKE:
         _RESULTS_FILE.write_text(json.dumps(report, indent=2) + "\n")
         assert report["full_eval"]["speedup"] >= EVAL_SPEEDUP_FLOOR
         assert report["delta_propagation"]["speedup"] >= DELTA_SPEEDUP_FLOOR
-        if HAS_COLUMNAR:
-            top = report["sweep"][str(max(SCALES))]
-            assert (
-                top["full_eval"]["speedup_columnar_vs_compiled"]
-                >= COLUMNAR_EVAL_FLOOR
-            )
-            assert (
-                top["delta_propagation"]["speedup_columnar_vs_compiled"]
-                >= COLUMNAR_DELTA_FLOOR
-            )

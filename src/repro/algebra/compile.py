@@ -63,40 +63,7 @@ class CompileError(Exception):
 
 # -- backend selection ---------------------------------------------------------------
 
-BACKENDS = ("compiled", "interpreted", "columnar")
-
-_columnar_available: bool | None = None
-
-
-def columnar_available() -> bool:
-    """True when the columnar backend's numpy dependency is present.
-
-    Checked via ``find_spec`` (not by importing the backend): the session
-    backend is resolved while this module itself is still initializing, so
-    importing :mod:`repro.algebra.columnar` here would re-enter the
-    package's partially-initialized import chain. The real import happens
-    lazily at first dispatch."""
-    global _columnar_available
-    if _columnar_available is None:
-        import importlib.util
-
-        _columnar_available = importlib.util.find_spec("numpy") is not None
-    return _columnar_available
-
-
-def _resolve_backend_choice(name: str, origin: str) -> str:
-    """Degrade a ``columnar`` selection gracefully when numpy is missing:
-    warn and run compiled instead of crashing the session."""
-    if name == "columnar" and not columnar_available():
-        warnings.warn(
-            f"{origin} requested the columnar backend but numpy is not "
-            "installed (pip install repro[columnar]); falling back to the "
-            "compiled backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "compiled"
-    return name
+BACKENDS = ("compiled", "interpreted")
 
 
 def _backend_from_env() -> str:
@@ -111,7 +78,7 @@ def _backend_from_env() -> str:
             stacklevel=2,
         )
         return "compiled"
-    return _resolve_backend_choice(value, "REPRO_EXEC_BACKEND")
+    return value
 
 
 _default_backend = _backend_from_env()
@@ -126,7 +93,7 @@ def set_default_backend(name: str) -> None:
     global _default_backend
     if name not in BACKENDS:
         raise ValueError(f"unknown execution backend {name!r}; expected one of {BACKENDS}")
-    _default_backend = _resolve_backend_choice(name, "set_default_backend")
+    _default_backend = name
 
 
 # -- plan cache ----------------------------------------------------------------------
@@ -919,21 +886,12 @@ def _build_select_kernel(expr: Select) -> Kernel:
     return _compile_rowloop([expr], expr.input.schema.names)
 
 
-def compiled_apply_select(expr: Select, input_: Multiset) -> Multiset:
-    """The compiled select kernel, unconditionally (columnar falls back here)."""
-    return _SESSION_CACHE.get(("select", expr), lambda: _build_select_kernel(expr))(input_)
-
-
 def apply_select(expr: Select, input_: Multiset) -> Multiset:
     if _default_backend == "interpreted":
         from repro.algebra.evaluate import eval_select
 
         return eval_select(expr, input_)
-    if _default_backend == "columnar":
-        from repro.algebra import columnar
-
-        return columnar.apply_select_ms(expr, input_)
-    return compiled_apply_select(expr, input_)
+    return _SESSION_CACHE.get(("select", expr), lambda: _build_select_kernel(expr))(input_)
 
 
 def _build_project_kernel(expr: Project) -> Kernel:
@@ -946,27 +904,12 @@ def _build_project_kernel(expr: Project) -> Kernel:
     return plain
 
 
-def compiled_apply_project(expr: Project, input_: Multiset) -> Multiset:
-    """The compiled project kernel, unconditionally (columnar falls back here)."""
-    return _SESSION_CACHE.get(("project", expr), lambda: _build_project_kernel(expr))(input_)
-
-
 def apply_project(expr: Project, input_: Multiset) -> Multiset:
     if _default_backend == "interpreted":
         from repro.algebra.evaluate import eval_project
 
         return eval_project(expr, input_)
-    if _default_backend == "columnar":
-        from repro.algebra import columnar
-
-        return columnar.apply_project_ms(expr, input_)
-    return compiled_apply_project(expr, input_)
-
-
-def compiled_apply_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
-    """The compiled join kernel, unconditionally (columnar falls back here)."""
-    kernel = _SESSION_CACHE.get(("join", expr), lambda: _compile_join(expr, ()))
-    return kernel(left, right)
+    return _SESSION_CACHE.get(("project", expr), lambda: _build_project_kernel(expr))(input_)
 
 
 def apply_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
@@ -974,11 +917,8 @@ def apply_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
         from repro.algebra.evaluate import eval_join
 
         return eval_join(expr, left, right)
-    if _default_backend == "columnar":
-        from repro.algebra import columnar
-
-        return columnar.apply_join_ms(expr, left, right)
-    return compiled_apply_join(expr, left, right)
+    kernel = _SESSION_CACHE.get(("join", expr), lambda: _compile_join(expr, ()))
+    return kernel(left, right)
 
 
 def apply_join_fetched(
@@ -1007,26 +947,12 @@ def apply_join_fetched(
     return kernel(left, right_buckets)
 
 
-def compiled_apply_group_aggregate(expr: GroupAggregate, input_: Multiset) -> Multiset:
-    """The compiled aggregate kernel, unconditionally (columnar falls back here)."""
-    return _SESSION_CACHE.get(("aggregate", expr), lambda: _compile_aggregate(expr))(input_)
-
-
 def apply_group_aggregate(expr: GroupAggregate, input_: Multiset) -> Multiset:
     if _default_backend == "interpreted":
         from repro.algebra.evaluate import eval_group_aggregate
 
         return eval_group_aggregate(expr, input_)
-    if _default_backend == "columnar":
-        from repro.algebra import columnar
-
-        return columnar.apply_group_aggregate_ms(expr, input_)
-    return compiled_apply_group_aggregate(expr, input_)
-
-
-def compiled_apply_dedup(input_: Multiset) -> Multiset:
-    """The compiled dedup kernel, unconditionally (columnar falls back here)."""
-    return _dedup_ms(input_)
+    return _SESSION_CACHE.get(("aggregate", expr), lambda: _compile_aggregate(expr))(input_)
 
 
 def apply_dedup(input_: Multiset) -> Multiset:
@@ -1034,10 +960,6 @@ def apply_dedup(input_: Multiset) -> Multiset:
         from repro.algebra.evaluate import eval_dedup
 
         return eval_dedup(input_)
-    if _default_backend == "columnar":
-        from repro.algebra import columnar
-
-        return columnar.apply_dedup_ms(input_)
     return _dedup_ms(input_)
 
 

@@ -5,20 +5,17 @@ This interpreter defines the *meaning* of the algebra. The IVM runtime
 maintained state equals re-evaluation from scratch. Property tests enforce
 exactly that.
 
-Three execution backends share these semantics:
+Two execution backends share these semantics:
 
 * ``interpreted`` — the reference implementation in this module: an
   expression-tree walk with a ``dict(zip(names, row))`` per row;
 * ``compiled`` (the default) — :mod:`repro.algebra.compile` turns each
   expression shape into specialized closures reading tuple positions
-  directly, with fused Select→Project→Join pipelines, cached per session;
-* ``columnar`` (requires numpy) — :mod:`repro.algebra.columnar` batches
-  whole multisets through struct-of-arrays kernels, falling back to the
-  compiled backend per node for anything it can't represent.
+  directly, with fused Select→Project→Join pipelines, cached per session.
 
 ``evaluate(..., backend=...)`` selects per call;
 :func:`repro.algebra.compile.set_default_backend` (or the
-``REPRO_EXEC_BACKEND`` environment variable) selects session-wide. All
+``REPRO_EXEC_BACKEND`` environment variable) selects session-wide. Both
 backends produce bit-identical multisets and identical I/O charges — a
 hypothesis property (``tests/property/test_compile_equivalence.py``)
 enforces it.
@@ -82,12 +79,6 @@ def evaluate(
         return _eval(expr, source)
     if backend == "compiled":
         return _compile.compiled_evaluate(expr, source)
-    if backend == "columnar":
-        # ImportError (numpy missing) propagates with install guidance;
-        # session-wide selection degrades earlier via set_default_backend.
-        from repro.algebra import columnar
-
-        return columnar.columnar_evaluate(expr, source)
     raise ValueError(
         f"unknown execution backend {backend!r}; expected one of {_compile.BACKENDS}"
     )

@@ -180,8 +180,6 @@ def run_stream(
     seed: int = 0,
     trace_path: str | None = None,
     durable_path: str | None = None,
-    shards: int | None = None,
-    parallel: bool = False,
     clients: int = 0,
     max_batch: int = 32,
 ) -> str:
@@ -203,17 +201,6 @@ def run_stream(
     unchanged — the paper's simulated accounting is durable-neutral — and
     a trailing ``durable:`` line reports the actual pager traffic.
 
-    ``shards`` (``run --shards N`` / ``REPRO_SHARDS``) stores Emp, Dept
-    and every materialized view hash-partitioned on DName — the workload's
-    join and grouping key, so co-partitioned tracks stay shard-local — and
-    ``parallel`` (``run --parallel`` / ``REPRO_SHARD_PARALLEL``) runs
-    co-partitioned prefixes in a worker pool. Either way the report's
-    results and page-I/O accounting are bit-identical to an unsharded run.
-    Combining ``parallel`` with ``durable_path`` warns: durable journaling
-    is fork-unsafe, so the maintainer quietly falls back to sequential
-    shard execution (a ``parallel: suppressed (durable)`` report line
-    says so out loud).
-
     ``clients`` ≥ 2 splits the stream across that many concurrent client
     threads over a shared group committer
     (:func:`~repro.workload.runner.run_concurrent_transactions`): each
@@ -222,7 +209,6 @@ def run_stream(
     the report counts the drained batches.
     """
     import random
-    import warnings
 
     from repro.constraints.assertions import AssertionSystem
     from repro.engine import DeferredPolicy, Engine
@@ -241,22 +227,7 @@ def run_stream(
         raise ValueError(
             f"unknown maintenance policy {policy!r}; expected one of {POLICIES}"
         )
-    if parallel and durable_path is not None:
-        # The maintainer forks shard workers, and durable journaling is
-        # fork-unsafe (two processes appending one WAL), so PR 8 made it
-        # silently fall back to sequential execution. Say so.
-        warnings.warn(
-            "--parallel is suppressed when --durable is set: durable "
-            "journaling is fork-unsafe, so shard maintenance runs "
-            "sequentially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    db = Database(
-        durable_path=durable_path,
-        shards=shards,
-        partition_keys={"Emp": ("DName",), "Dept": ("DName",)},
-    )
+    db = Database(durable_path=durable_path)
     if "Emp" not in db:
         # A recovered durable directory keeps its relations; otherwise
         # seed the corporate database as usual.
@@ -270,7 +241,6 @@ def run_stream(
         [DEPT_CONSTRAINT],
         paper_transactions(),
         enforce=(policy == "enforce"),
-        parallel_shards=parallel or None,
     )
     if policy == "deferred":
         engine = Engine(
@@ -350,11 +320,6 @@ def run_stream(
             f"clients: {clients} (max_batch {max_batch}, "
             f"{report.batches} batches)",
         )
-    if db.shards:
-        mode = "parallel" if system.maintainer.parallel_shards else "sequential"
-        lines.append(f"shards: {db.shards} ({mode})")
-    if parallel and db.durable is not None:
-        lines.append("parallel: suppressed (durable)")
     if db.durable is not None:
         lines.append(f"durable: {db.durable.stats.describe()}")
         db.close()
@@ -413,8 +378,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             trace_path=args.trace,
             durable_path=args.durable,
-            shards=args.shards,
-            parallel=args.parallel,
             clients=args.clients,
             max_batch=args.max_batch,
         )
@@ -530,14 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     run.add_argument(
         "--durable", metavar="DIR", default=None,
         help="WAL-protected page storage at DIR (recovers a previous run)",
-    )
-    run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="hash-partition storage across N shards (default: REPRO_SHARDS)",
-    )
-    run.add_argument(
-        "--parallel", action="store_true",
-        help="run co-partitioned track prefixes in a shard worker pool",
     )
     run.add_argument(
         "--clients", type=int, default=0, metavar="N",

@@ -64,7 +64,6 @@ class AssertionSystem:
         enforce: bool = False,
         commit_cache: bool | None = None,
         plan_cache: int | None = None,
-        parallel_shards: bool | None = None,
     ) -> None:
         self.db = db
         self.enforce = enforce
@@ -107,7 +106,6 @@ class AssertionSystem:
             charge_root_update=True,
             commit_cache=commit_cache,
             plan_cache=plan_cache,
-            parallel_shards=parallel_shards,
         )
         self.maintainer.materialize()
         self._roots = {

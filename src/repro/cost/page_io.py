@@ -248,31 +248,6 @@ class PageIOCostModel(CostModel):
         self._index_cols[gid] = result
         return result
 
-    def shard_costs(
-        self,
-        track,
-        txn: TransactionType,
-        marking: frozenset[int],
-        seed_alignments,
-        n_shards: int,
-    ):
-        """Advisory co-partitioned vs broadcast costing of one update track
-        under a shard layout (see :mod:`repro.cost.sharding`). Never
-        consulted by the single-track plan search — the bit-exact §3.6
-        accounting is independent of sharding by construction."""
-        from repro.cost.sharding import shard_track_costs
-
-        return shard_track_costs(
-            self._memo,
-            self._estimator,
-            self,
-            marking,
-            track,
-            txn,
-            seed_alignments,
-            n_shards,
-        )
-
     def update_cost(self, group_id: int, txn: TransactionType) -> float:
         gid = self._memo.find(group_id)
         group = self._memo.group(gid)

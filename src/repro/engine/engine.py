@@ -343,12 +343,6 @@ class Engine:
                 if key in ("pool_hits", "pool_misses"):
                     continue
                 m.gauge(f"durable.{key}").set(value)
-        # Sharded storage: shard count and track-routing counters are kept
-        # by the maintainer; surface the layout here so a report shows it
-        # even for streams whose tracks all broadcast.
-        shards = getattr(self.db, "shards", 0)
-        if shards:
-            m.gauge("shard.count").set(shards)
 
     @property
     def pending(self) -> int:

@@ -75,13 +75,9 @@ from repro.ivm.propagate import (
     propagate_union,
     repair_modifications,
 )
-from repro.cost.sharding import ShardTrackPlan, plan_track_sharding
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import NULL_TRACER
 from repro.storage.database import Database
-from repro.storage.partition import env_shard_parallel
 from repro.storage.relation import StoredRelation
-from repro.storage.sharded import ShardedRelation, split_delta_by_shard
 from repro.workload.transactions import Transaction, TransactionType
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -123,7 +119,6 @@ class ViewMaintainer:
         charge_root_update: bool = False,
         commit_cache: bool | None = None,
         plan_cache: int | None = None,
-        parallel_shards: bool | None = None,
     ) -> None:
         self.db = db
         self.memo = dag.memo
@@ -156,16 +151,6 @@ class ViewMaintainer:
         # DagEstimator._deltas memos. The counter increment is atomic
         # under this lock, so every caller draws a distinct N.
         self._adhoc_lock = threading.Lock()
-        # Sharded propagation (see repro.cost.sharding and docs/
-        # architecture.md): when the database is sharded, each commit's
-        # co-partitioned track prefix runs once per shard — optionally in a
-        # fork-based worker pool — and the suffix runs once on the merged
-        # deltas. Sequential or parallel, the result is bit-identical to
-        # unsharded execution.
-        self.parallel_shards = (
-            env_shard_parallel() if parallel_shards is None else bool(parallel_shards)
-        )
-        self.last_shard_plan: ShardTrackPlan | None = None
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
@@ -188,15 +173,9 @@ class ViewMaintainer:
             name = self.view_name(gid)
             if name in self.db:
                 self.db.drop_relation(name)
-            index_cols = self.cost_model.index_columns(gid)
-            # Sharded databases partition each view on its index columns —
-            # the columns its maintenance queries probe — so co-partitioned
-            # probes stay shard-local.
-            partition_on = sorted(index_cols) if index_cols else None
-            relation = self.db.create_relation(
-                name, group.schema, indexes=(), partition_on=partition_on
-            )
+            relation = self.db.create_relation(name, group.schema, indexes=())
             relation.load_multiset(contents)
+            index_cols = self.cost_model.index_columns(gid)
             if index_cols:
                 relation.create_index(sorted(index_cols))
             self._views[gid] = relation
@@ -279,13 +258,11 @@ class ViewMaintainer:
         return cache.scan(gid, lambda: self._scan_group(gid))
 
     def _bucket_fetch(self, gid: int, columns: frozenset[str]):
-        """A ``(probe_buckets, relation)`` pair for group ``gid`` on
-        ``columns``, or ``None`` when the group cannot answer key lookups
-        directly from one hash index (see :meth:`HashIndex.probe_buckets`).
-        Only direct storage — a base relation or a materialized view —
-        qualifies; key reduction or operator decomposition falls back to
-        plain fetches. The relation rides along so the columnar backend can
-        probe its cached column encoding instead (identical charges).
+        """A bucket-grained fetch callable for group ``gid`` on ``columns``,
+        or ``None`` when the group cannot answer key lookups directly from
+        one hash index (see :meth:`HashIndex.probe_buckets`). Only direct
+        storage — a base relation or a materialized view — qualifies; key
+        reduction or operator decomposition falls back to plain fetches.
         """
         gid = self.memo.find(gid)
         if not columns or self.estimator.info(gid).reduce(columns) != columns:
@@ -301,7 +278,7 @@ class ViewMaintainer:
         index = relation.index_on(cols)
         if index is None:
             index = relation.create_index(cols)
-        return index.probe_buckets, relation
+        return index.probe_buckets
 
     def _indexed_fetch(
         self, relation: StoredRelation, columns: Iterable[str], keys: set[tuple]
@@ -617,12 +594,7 @@ class ViewMaintainer:
         cache = CommitCache(self.db.counter) if self._commit_cache_enabled else None
         self._commit_cache = cache
         try:
-            order = self._topological(track)
-            sharded = self._shard_context(track, order, txn, txn_type)
-            if sharded is None:
-                self._run_ops(track, order, deltas, txn_type, tracer)
-            else:
-                self._propagate_sharded(track, deltas, txn_type, tracer, sharded)
+            self._run_ops(track, self._topological(track), deltas, txn_type, tracer)
         finally:
             self._commit_cache = None
             if cache is not None:
@@ -678,8 +650,6 @@ class ViewMaintainer:
                     stack.pop()
         return order
 
-    # -- sharded propagation -----------------------------------------------------------
-
     def _run_ops(
         self,
         track: UpdateTrack,
@@ -693,223 +663,6 @@ class ViewMaintainer:
             op = track[gid]
             with tracer.span("track_op", node=gid, op=op.id):
                 deltas[gid] = self._propagate_op(gid, op, deltas, txn_type, tracer)
-
-    def _shard_context(
-        self,
-        track: UpdateTrack,
-        order: list[int],
-        txn: Transaction,
-        txn_type: TransactionType,
-    ) -> tuple[ShardTrackPlan, list[dict[int, Delta]], int] | None:
-        """Decide whether this commit propagates per-shard.
-
-        Returns ``(plan, per-shard seed deltas, n_shards)`` when every
-        updated base relation is sharded under one compatible partitioner,
-        the track has a non-empty co-partitioned prefix, and each seed
-        delta splits cleanly by shard; ``None`` falls back to the ordinary
-        (broadcast) path — which is also the unsharded path, so the
-        fallback is always correct.
-        """
-        self.last_shard_plan = None
-        if not track or not order:
-            return None
-        leaf_seeds: list[tuple[int, ShardedRelation, Delta]] = []
-        seed_alignments: dict[int, tuple[str, ...]] = {}
-        any_rows = False
-        for rel, delta in txn.deltas.items():
-            if rel not in self.memo.leaf_relations:
-                continue
-            relation = self.db.relation(rel)
-            if not isinstance(relation, ShardedRelation):
-                return None
-            gid = self.memo.leaf_group_id(rel)
-            leaf_seeds.append((gid, relation, delta))
-            seed_alignments[gid] = relation.partition_columns
-            if not delta.is_empty:
-                any_rows = True
-        if not leaf_seeds or not any_rows:
-            return None
-        n_shards = leaf_seeds[0][1].n_shards
-        if n_shards < 2:
-            return None
-        first = leaf_seeds[0][1].partitioner
-        for _, relation, _ in leaf_seeds[1:]:
-            if not first.compatible(relation.partitioner):
-                return None
-        metrics = get_metrics()
-        metrics.gauge("shard.count").set(n_shards)
-        plan = plan_track_sharding(
-            self.memo,
-            self.estimator,
-            self.marking,
-            track,
-            txn_type,
-            seed_alignments,
-            order=order,
-        )
-        self.last_shard_plan = plan
-        if not plan.prefix:
-            metrics.counter("shard.tracks_broadcast").inc()
-            return None
-        per_shard: list[dict[int, Delta]] = [{} for _ in range(n_shards)]
-        for gid, relation, delta in leaf_seeds:
-            if delta.is_empty:
-                continue
-            split = split_delta_by_shard(relation, delta)
-            if split is None:
-                # A modification pair (or a re-pairable delete/insert pair)
-                # crosses shards: run the whole track globally.
-                self.last_shard_plan = ShardTrackPlan(
-                    prefix=(),
-                    suffix=tuple(order),
-                    alignments=dict(plan.alignments),
-                    gather_reason="seed delta crosses shards",
-                )
-                metrics.counter("shard.tracks_broadcast").inc()
-                return None
-            for sid, part in enumerate(split):
-                if not part.is_empty:
-                    per_shard[sid][gid] = part
-        metrics.counter("shard.tracks_co_partitioned").inc()
-        return plan, per_shard, n_shards
-
-    def _propagate_sharded(
-        self,
-        track: UpdateTrack,
-        deltas: dict[int, Delta],
-        txn_type: TransactionType,
-        tracer: "Tracer | NullTracer",
-        ctx: tuple[ShardTrackPlan, list[dict[int, Delta]], int],
-    ) -> None:
-        """Run the co-partitioned prefix once per shard (optionally in a
-        worker pool), merge the per-shard deltas deterministically, then
-        run the gathered suffix once on the merged state."""
-        plan, per_shard, n_shards = ctx
-        prefix = list(plan.prefix)
-        active = [sid for sid in range(n_shards) if per_shard[sid]]
-        parallel = (
-            self.parallel_shards
-            and len(active) > 1
-            # The durable journal's file handles must not be shared with
-            # forked writers; sequential sharding composes with durability,
-            # the worker pool does not.
-            and self.db.durable is None
-            and _fork_available()
-        )
-        if parallel:
-            outputs = self._run_prefix_parallel(
-                track, prefix, per_shard, active, txn_type, tracer, plan
-            )
-        else:
-            outputs = []
-            for sid in active:
-                local = dict(per_shard[sid])
-                with tracer.span("shard_track", shard=sid, mode=plan.mode):
-                    self._run_ops(track, prefix, local, txn_type, tracer)
-                outputs.append({g: local[g] for g in prefix if g in local})
-        for gid in prefix:
-            merged = Delta()
-            for out in outputs:
-                part = out.get(gid)
-                if part is None:
-                    continue
-                merged.inserts.update(part.inserts)
-                merged.deletes.update(part.deletes)
-                merged.modifies.extend(part.modifies)
-            op = track[gid]
-            if op.projection is not None or isinstance(
-                op.template, (Join, GroupAggregate)
-            ):
-                # These ops end in repair_modifications when run globally;
-                # re-pairing the merged delta recovers modification pairs
-                # whose delete and insert landed on different shards.
-                merged = repair_modifications(self.memo.group(gid).schema, merged)
-            deltas[gid] = merged
-        self._run_ops(track, list(plan.suffix), deltas, txn_type, tracer)
-
-    def _run_prefix_parallel(
-        self,
-        track: UpdateTrack,
-        prefix: list[int],
-        per_shard: list[dict[int, Delta]],
-        active: list[int],
-        txn_type: TransactionType,
-        tracer: "Tracer | NullTracer",
-        plan: ShardTrackPlan,
-    ) -> list[dict[int, Delta]]:
-        """Fan the prefix out to a fork-based worker pool, one task per
-        active shard. Workers run against copy-on-write snapshots of the
-        pre-update state; the parent replays each worker's measured I/O
-        into the shared counter (ascending shard order — deterministic),
-        merges its commit-cache entries, and re-creates any index a worker
-        built lazily so the apply phase sees it."""
-        import multiprocessing
-        import os
-
-        global _WORKER_STATE
-        n_workers = min(len(active), os.cpu_count() or 1)
-        _WORKER_STATE = {
-            "maintainer": self,
-            "track": track,
-            "prefix": prefix,
-            "per_shard": per_shard,
-            "txn_type": txn_type,
-        }
-        try:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(processes=n_workers) as pool:
-                raw = pool.map(_run_shard_prefix, active)
-        finally:
-            _WORKER_STATE = None
-        raw.sort(key=lambda item: item[0])
-        metrics = get_metrics()
-        metrics.counter("shard.parallel_commits").inc()
-        metrics.gauge("shard.workers").set(n_workers)
-        counter = self.db.counter
-        outputs: list[dict[int, Delta]] = []
-        created: set[tuple[str, tuple[str, ...]]] = set()
-        for sid, out, stats, export, worker_created in raw:
-            with tracer.span("shard_track", shard=sid, mode=plan.mode, parallel=True):
-                counter.charge_index_read(stats.index_reads)
-                counter.charge_index_write(stats.index_writes)
-                counter.charge_tuple_read(stats.tuple_reads)
-                counter.charge_tuple_write(stats.tuple_writes)
-            self._merge_cache_export(export)
-            created.update(worker_created)
-            outputs.append(out)
-        for name, cols in sorted(created):
-            relation = self.db.relation(name)
-            if relation.index_on(cols) is None:
-                relation.create_index(cols)
-        return outputs
-
-    def _merge_cache_export(
-        self, export: tuple[dict, dict, dict, CommitCacheStats] | None
-    ) -> None:
-        """Fold a worker's commit-cache contents into the live cache.
-
-        Aligned prefix probes touch disjoint keys per shard, so entries
-        almost never collide; first write wins when they do (both were
-        computed against the same pre-update state). Empty buckets are
-        re-interned to the cache's ``_EMPTY`` sentinel, which does not
-        survive pickling by identity."""
-        cache = self._commit_cache
-        if cache is None or export is None:
-            return
-        from repro.ivm.cache import _EMPTY
-
-        fetch, fetch_cost, scans, stats = export
-        for key, buckets in fetch.items():
-            target = cache._fetch.setdefault(key, {})
-            for k, rows in buckets.items():
-                if k not in target:
-                    target[k] = rows if rows else _EMPTY
-            total, fetched = fetch_cost.get(key, (0.0, 0))
-            have_total, have_fetched = cache._fetch_cost.get(key, (0.0, 0))
-            cache._fetch_cost[key] = (have_total + total, have_fetched + fetched)
-        for gid, entry in scans.items():
-            cache._scans.setdefault(gid, entry)
-        cache.stats.fold(stats)
 
     def _propagate_op(
         self,
@@ -950,9 +703,9 @@ class ViewMaintainer:
             jc = frozenset(template.join_columns)
             fetch_left = lambda keys: self.fetch(children[0], jc, keys)  # noqa: E731
             fetch_right = lambda keys: self.fetch(children[1], jc, keys)  # noqa: E731
-            bucketed = self._bucket_fetch(children[1], jc)
-            if bucketed is not None:
-                fetch_right.buckets, fetch_right.columnar_rel = bucketed
+            buckets = self._bucket_fetch(children[1], jc)
+            if buckets is not None:
+                fetch_right.buckets = buckets
             if self._commit_cache is not None:
                 fetch_left.cache_info = self._commit_cache.counts
                 fetch_right.cache_info = self._commit_cache.counts
@@ -1268,52 +1021,3 @@ class ViewMaintainer:
                 raise MaintenanceError(
                     f"view N{gid} diverged:\n expected {expected}\n got      {actual}"
                 )
-
-
-# -- parallel shard workers --------------------------------------------------------------
-#
-# The pool uses the fork start method: each worker inherits a copy-on-write
-# snapshot of the whole maintainer (database, views, caches) through this
-# module-level cell, runs its shard's prefix against the *pre-update* state,
-# and ships back only small results — the prefix deltas, the I/O it measured
-# (replayed into the parent's counter), its commit-cache entries, and any
-# index it created lazily. Nothing a worker mutates is visible to the parent.
-
-_WORKER_STATE: dict[str, Any] | None = None
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - platform probing
-        return False
-
-
-def _run_shard_prefix(sid: int):
-    """Worker body: run one shard's co-partitioned prefix (in the forked
-    snapshot) and return everything the parent must replay."""
-    state = _WORKER_STATE
-    assert state is not None, "worker invoked outside a shard pool"
-    maintainer: ViewMaintainer = state["maintainer"]
-    track: UpdateTrack = state["track"]
-    prefix: list[int] = state["prefix"]
-    counter = maintainer.db.counter
-    before = counter.snapshot()
-    index_before = {
-        relation.name: set(relation.indexes) for relation in maintainer.db
-    }
-    local: dict[int, Delta] = dict(state["per_shard"][sid])
-    maintainer._run_ops(track, prefix, local, state["txn_type"], NULL_TRACER)
-    created: list[tuple[str, tuple[str, ...]]] = []
-    for relation in maintainer.db:
-        fresh = set(relation.indexes) - index_before.get(relation.name, set())
-        for cols in sorted(fresh):
-            created.append((relation.name, cols))
-    cache = maintainer._commit_cache
-    export = None
-    if cache is not None:
-        export = (cache._fetch, cache._fetch_cost, cache._scans, cache.stats)
-    out = {gid: local[gid] for gid in prefix if gid in local}
-    return sid, out, counter.snapshot() - before, export, created

@@ -23,7 +23,6 @@ from repro.algebra.compile import (
     apply_join_fetched,
     apply_project,
     apply_select,
-    default_backend,
     row_mapper,
     row_predicate,
     tuple_getter,
@@ -262,20 +261,7 @@ def propagate_join_net(
         ) as span:
             before = _cache_counts(fetch_right)
             if bucket_fetch is not None:
-                left_part = None
-                # A bucket-capable fetch may also carry the stored relation
-                # itself (``columnar_rel``): under the columnar backend the
-                # probe then runs through the cached CSR join index with
-                # identical I/O charges, decoding back to a multiset. A
-                # declined probe (None) charges nothing and falls through
-                # to the ordinary bucket path.
-                columnar_rel = getattr(fetch_right, "columnar_rel", None)
-                if columnar_rel is not None and default_backend() == "columnar":
-                    from repro.algebra import columnar
-
-                    left_part = columnar.probe_join_net(expr, left_net, columnar_rel)
-                if left_part is None:
-                    left_part = apply_join_fetched(expr, left_net, bucket_fetch(keys))
+                left_part = apply_join_fetched(expr, left_net, bucket_fetch(keys))
             else:
                 right_old = fetch_right(keys)
                 left_part = apply_join(expr, left_net, right_old)
@@ -308,40 +294,10 @@ def propagate_join_spine_net(
     fetches: "Iterable[Fetch]",
     tracer=None,
 ) -> Multiset:
-    """Thread one signed multiset up a left-deep join spine (net to net).
-
-    The per-level loop over :func:`propagate_join_net` is the reference
-    path. Under the columnar backend, when every level's fetch carries a
-    ``columnar_rel`` handle, the whole spine instead runs natively in
-    arrays — encode once at the bottom, CSR-probe each stored right side,
-    decode once at the top — with identical results and I/O charges. A
-    spine that can't run natively falls back level-by-level (each level
-    still tries its own columnar probe inside ``propagate_join_net``).
-    """
-    spine = list(spine)
-    fetches = list(fetches)
-    done = 0
-    if default_backend() == "columnar" and spine:
-        relations = [getattr(f, "columnar_rel", None) for f in fetches]
-        if all(rel is not None for rel in relations):
-            from repro.algebra import columnar
-
-            # probe_join_columns charges only after every fallback-able
-            # check passed, so resuming on the row path from the first
-            # failed level never double-charges the levels already run.
-            cs = columnar.ColumnSet.from_multiset(net, spine[0].left.schema.names)
-            try:
-                for join, relation in zip(spine, relations):
-                    cs = columnar.probe_join_columns(join, cs, relation)
-                    done += 1
-            except Exception:
-                pass
-            if done:
-                net = cs.to_multiset()
-            if done == len(spine):
-                return net
+    """Thread one signed multiset up a left-deep join spine (net to net):
+    each level joins the running delta against its fetched right side."""
     empty = Multiset()
-    for join, fetch in zip(spine[done:], fetches[done:]):
+    for join, fetch in zip(spine, fetches):
         net = propagate_join_net(join, net, empty, None, fetch, tracer)
     return net
 

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
 from repro.storage.pager import IOCounter
-from repro.storage.partition import HashPartitioner, env_shards
 from repro.storage.relation import StorageError, StoredRelation
-from repro.storage.sharded import ShardedRelation
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.storage.durable import DurableStore
@@ -42,8 +40,6 @@ class Database:
         pool_size: int | None = None,
         checkpoint_every: int | None = None,
         wal_sync: str | None = None,
-        shards: int | None = None,
-        partition_keys: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         self.counter = IOCounter()
         self._relations: dict[str, StoredRelation] = {}
@@ -56,17 +52,6 @@ class Database:
         from repro.storage.undo import EpochLog
 
         self.epoch_log = EpochLog()
-        # Sharded storage mode (see storage/partition.py and docs/
-        # architecture.md): 0 = classic unsharded relations; >= 1 = every
-        # relation created here is a ShardedRelation, hash-partitioned on
-        # ``partition_keys[name]`` when given, else its smallest candidate
-        # key (else all columns). Sharding is behaviour-preserving by
-        # construction — results, rejections, and IOCounter charges are
-        # bit-identical to the unsharded database.
-        self.shards = env_shards() if shards is None else max(0, int(shards))
-        self._partition_keys = {
-            name: tuple(cols) for name, cols in (partition_keys or {}).items()
-        }
         self.durable: "DurableStore | None" = None
         if durable_path is None:
             from repro.storage.durable import env_durable_path
@@ -90,7 +75,7 @@ class Database:
         recovered contents are loaded — restoring must not re-journal
         what the WAL already holds."""
         for name, schema, indexes in store.relations():
-            relation = self._make_relation(name, schema, None)
+            relation = StoredRelation(name, schema, self.counter)
             relation.load_multiset(store.contents(name))
             for cols in indexes:
                 relation.create_index(cols)
@@ -102,42 +87,16 @@ class Database:
         """True when this database was rebuilt from a durable directory."""
         return self.durable is not None and self.durable.recovered
 
-    def _partition_columns(
-        self, name: str, schema: Schema, partition_on: Sequence[str] | None
-    ) -> tuple[str, ...]:
-        """The partition-key columns for a new sharded relation: an
-        explicit request wins, then the catalog-level ``partition_keys``
-        map, then the smallest declared candidate key, then all columns."""
-        if partition_on:
-            return tuple(schema.resolve(c) for c in partition_on)
-        declared = self._partition_keys.get(name)
-        if declared:
-            return tuple(schema.resolve(c) for c in declared)
-        if schema.keys:
-            key = min(schema.keys, key=lambda k: (len(k), sorted(k)))
-            return tuple(sorted(key))
-        return tuple(schema.names)
-
-    def _make_relation(
-        self, name: str, schema: Schema, partition_on: Sequence[str] | None
-    ) -> StoredRelation:
-        if not self.shards:
-            return StoredRelation(name, schema, self.counter)
-        columns = self._partition_columns(name, schema, partition_on)
-        partitioner = HashPartitioner(columns, self.shards)
-        return ShardedRelation(name, schema, self.counter, partitioner=partitioner)
-
     def create_relation(
         self,
         name: str,
         schema: Schema,
         rows: Iterable[Row] = (),
         indexes: Iterable[Iterable[str]] = (),
-        partition_on: Sequence[str] | None = None,
     ) -> StoredRelation:
         if name in self._relations:
             raise StorageError(f"relation {name!r} already exists")
-        relation = self._make_relation(name, schema, partition_on)
+        relation = StoredRelation(name, schema, self.counter)
         # Build (and validate) entirely in memory first: nothing reaches
         # the WAL until the rows and indexes are known-good, so a failed
         # create cannot resurrect as a phantom empty relation on recovery.

@@ -56,10 +56,6 @@ class StoredRelation:
         # Database after the relation's recovered contents are loaded, so
         # bootstrap loads are never double-journaled.
         self._journal = None
-        # Monotonic mutation counter; every row-level change bumps it, so
-        # derived snapshots (the columnar conversion cache) can validate
-        # cheaply without hashing contents.
-        self._version = 0
 
     # -- indexes -----------------------------------------------------------------
 
@@ -109,19 +105,6 @@ class StoredRelation:
     def contents(self) -> Multiset:
         """Uncharged copy of the contents (verification / snapshots)."""
         return self._data.copy()
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: changes iff the stored rows changed."""
-        return self._version
-
-    def column_data(self):
-        """Uncharged bulk view for columnar conversion: ``(rows, counts)``
-        as the live dict views of the backing multiset — no per-row tuple
-        construction, no copy. Callers must not mutate and must not hold
-        the views across a mutation (check :attr:`version`)."""
-        counts = self._data._counts
-        return counts.keys(), counts.values()
 
     def scan(self) -> Multiset:
         """Full scan: one tuple-page read per tuple."""
@@ -266,7 +249,6 @@ class StoredRelation:
             counts[row] = new
         for index in self._indexes.values():
             index.add(row, count)
-        self._version += 1
         if applied is not None:
             applied.append((row, count))
 

@@ -109,70 +109,6 @@ ORDER_SCHEMA = Schema.of(
 )
 
 
-# -- co-partitioned star joins -----------------------------------------------------------
-
-
-def star_schema(i: int) -> Schema:
-    """S_i(K, V{i}) with key K: every relation of the star shares the one
-    join column, so hash-partitioning them all on K co-partitions every
-    join of the view (the shard-scaling benchmark's best case)."""
-    return Schema.of(
-        ("K", DataType.INT),
-        (f"V{i}", DataType.INT),
-        keys=[["K"]],
-    )
-
-
-def star_scans(k: int) -> list[Scan]:
-    return [Scan(f"S{i}", star_schema(i)) for i in range(1, k + 1)]
-
-
-def star_view(k: int) -> RelExpr:
-    """The star join view S1 ⋈ S2 ⋈ … ⋈ Sk, every hop on the shared K."""
-    scans = star_scans(k)
-    expr: RelExpr = scans[0]
-    for scan in scans[1:]:
-        expr = Join(expr, scan)
-    return expr
-
-
-def generate_star_data(k: int, rows: int, seed: int = 0) -> dict[str, list[tuple]]:
-    """Every relation holds exactly the keys 0..rows-1 (fanout 1: the view
-    has ``rows`` tuples) with a random value column."""
-    rng = random.Random(seed)
-    return {
-        f"S{i}": [(key, rng.randint(0, 100)) for key in range(rows)]
-        for i in range(1, k + 1)
-    }
-
-
-def load_star_database(
-    k: int,
-    rows: int,
-    seed: int = 0,
-    shards: int = 0,
-    partition_on: str = "K",
-) -> Database:
-    """``partition_on="K"`` co-partitions the whole star; ``"V"`` partitions
-    each S_i on its private V{i} column, so no join is co-partitioned and
-    every sharded track must broadcast."""
-    kwargs = {"shards": shards}
-    if shards:
-        kwargs.update(
-            partition_keys={
-                f"S{i}": (("K",) if partition_on == "K" else (f"V{i}",))
-                for i in range(1, k + 1)
-            },
-        )
-    db = Database(**kwargs)
-    data = generate_star_data(k, rows, seed)
-    for i in range(1, k + 1):
-        db.create_relation(
-            f"S{i}", star_schema(i), data[f"S{i}"], indexes=[["K"]]
-        )
-    return db
-
-
 def sales_scans() -> tuple[Scan, Scan, Scan]:
     return (
         Scan("Customers", CUSTOMER_SCHEMA),

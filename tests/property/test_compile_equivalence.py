@@ -6,7 +6,7 @@ Two halves, matching the cost-transparency contract of
 
 * for random well-typed expressions over random databases, ``evaluate``
   returns bit-identical multisets under every backend (interpreted ×
-  compiled × columnar when numpy is present);
+  compiled);
 * for random maintenance streams on the paper's corporate database, the
   maintainer produces identical view contents *and* identical ``IOCounter``
   totals under every backend — a backend may only move wall clock, never
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.compile import columnar_available, plan_cache, set_default_backend
+from repro.algebra.compile import plan_cache, set_default_backend
 from repro.algebra.evaluate import evaluate
 from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
@@ -46,11 +46,7 @@ S_SCAN = Scan("S", Schema.of(("c", DataType.INT), ("d", DataType.INT)))
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
-# Backends under test: columnar joins the pairwise property whenever numpy
-# is importable, so the no-numpy install keeps the same file green.
-CHECKED_BACKENDS = ("interpreted", "compiled") + (
-    ("columnar",) if columnar_available() else ()
-)
+CHECKED_BACKENDS = ("interpreted", "compiled")
 
 
 @st.composite
@@ -159,17 +155,14 @@ class TestEvaluateEquivalence:
         reference = evaluate(expr, source, backend="interpreted")
         for backend in CHECKED_BACKENDS[1:]:
             assert evaluate(expr, source, backend=backend) == reference, backend
-            # Second run hits the plan/conversion caches; results must not change.
+            # Second run hits the plan cache; results must not change.
             assert evaluate(expr, source, backend=backend) == reference, backend
 
     @settings(max_examples=60, deadline=None)
     @given(expr=rel_exprs(), source=databases())
     def test_backends_raise_identically(self, expr, source):
         """When one backend raises (e.g. AVG over an empty-group division),
-        every other backend raises the same exception type. The columnar
-        backend earns this via per-node fallback: a kernel that cannot
-        represent the input re-runs the compiled kernel, which reproduces
-        the reference exception."""
+        every other backend raises the same exception type."""
         try:
             reference = evaluate(expr, source, backend="interpreted")
             failure = None

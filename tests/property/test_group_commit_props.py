@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.compile import columnar_available, set_default_backend
+from repro.algebra.compile import set_default_backend
 from repro.constraints.assertions import AssertionSystem
 from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
@@ -43,9 +43,7 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
 
 DEPTS = tuple(f"dp{i}" for i in range(6))
 
-BACKENDS = ["interpreted", "compiled"] + (
-    ["columnar"] if columnar_available() else []
-)
+BACKENDS = ["interpreted", "compiled"]
 
 
 @pytest.fixture(autouse=True)
@@ -179,7 +177,9 @@ class TestGroupCommitIsSerial:
         assert _state(oracle) == _state(engine)
         assert _batch_signature(oracle_records) == _batch_signature(batches)
         assert oracle.db.counter.snapshot() == engine.db.counter.snapshot()
-        assert report.submitted == n_clients * per_client
+        # A client whose slice runs out of employees draws fewer than
+        # per_client transactions; count what the streams actually hold.
+        assert report.submitted == sum(len(stream) for stream in streams)
 
     @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
     @settings(max_examples=2, deadline=None)

@@ -5,7 +5,9 @@ from typing import Any, Mapping
 
 import pytest
 
+from repro.algebra import compile as compile_mod
 from repro.algebra.compile import (
+    BACKENDS,
     PlanCache,
     apply_dedup,
     apply_group_aggregate,
@@ -185,11 +187,27 @@ class TestBackendSelection:
         finally:
             set_default_backend("compiled")
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["jit", "columnar"])
+    def test_unknown_backend_rejected(self, name):
+        # The error names every valid backend.
+        with pytest.raises(ValueError, match="compiled.*interpreted"):
+            set_default_backend(name)
         with pytest.raises(ValueError):
-            set_default_backend("jit")
-        with pytest.raises(ValueError):
-            evaluate(R, {"R": R_DATA}, backend="jit")
+            evaluate(R, {"R": R_DATA}, backend=name)
+        assert default_backend() == "compiled"
+
+    @pytest.mark.parametrize("value", ["vectorised", "columnar"])
+    def test_unknown_env_value_warns_and_falls_back(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", value)
+        with pytest.warns(RuntimeWarning, match="unknown REPRO_EXEC_BACKEND"):
+            assert compile_mod._backend_from_env() == "compiled"
+
+    def test_empty_env_value_is_silent(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "")
+        assert compile_mod._backend_from_env() == "compiled"
+
+    def test_backends_are_compiled_and_interpreted(self):
+        assert BACKENDS == ("compiled", "interpreted")
 
 
 class TestKernels:

@@ -156,43 +156,6 @@ class TestRunStream:
         assert exc.value.code == 2
         assert "--policy" in capsys.readouterr().err
 
-    def test_sharded_run_reports_and_matches(self):
-        from repro.cli import run_stream
-
-        plain = run_stream(policy="enforce", n_txns=12, n_depts=6, seed=3)
-        sharded = run_stream(
-            policy="enforce", n_txns=12, n_depts=6, seed=3, shards=4
-        )
-        assert "shards: 4 (sequential)" in sharded
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("shards:")
-        ]
-        assert strip(sharded) == strip(plain)
-
-    def test_parallel_with_durable_warns_and_reports(self, tmp_path):
-        """Regression: --parallel under --durable silently fell back to
-        sequential shard maintenance (fork-unsafe WAL) while the report
-        claimed nothing. It must warn and say so in the report."""
-        from repro.cli import run_stream
-
-        with pytest.warns(RuntimeWarning, match="suppressed"):
-            out = run_stream(
-                n_txns=4,
-                n_depts=6,
-                shards=2,
-                parallel=True,
-                durable_path=str(tmp_path / "store"),
-            )
-        assert "parallel: suppressed (durable)" in out
-
-    def test_parallel_without_durable_does_not_warn(self, recwarn):
-        from repro.cli import run_stream
-
-        run_stream(n_txns=2, n_depts=6, shards=2, parallel=True)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
-        ]
-
     def test_clients_run_reports_batches(self):
         from repro.cli import run_stream
 
