@@ -2,9 +2,11 @@
 
 Runs the same 120-transaction stream (salary raises and budget changes,
 skewed toward a few hot departments) under batch sizes 1, 5 and 20,
-measuring page I/Os through the storage engine. Composition collapses
-repeated updates to the same groups, so the per-transaction cost must
-fall as the batch grows.
+measuring page I/Os through the storage engine. Each stream commits
+through ``Engine(maintainer, policy=DeferredPolicy(batch_size=b))``: the
+commit that fills a batch flushes it, and a final ``engine.flush()``
+commits the tail. Composition collapses repeated updates to the same
+groups, so the per-transaction cost must fall as the batch grows.
 """
 
 import random
@@ -17,9 +19,10 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.ivm.deferred import DeferredMaintainer
+from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import (
@@ -90,15 +93,17 @@ class LogicalState:
 
 def run_batch_size(batch_size, data):
     db, maintainer = build(data)
-    deferred = DeferredMaintainer(maintainer)
+    engine = Engine(
+        maintainer,
+        policy=DeferredPolicy(batch_size=batch_size),
+        metrics=MetricsRegistry(),
+    )
     state = LogicalState(db)
     rng = random.Random(29)
     db.counter.reset()
     for i in range(N_TXNS):
-        deferred.enqueue(state.next_txn(rng))
-        if deferred.pending >= batch_size:
-            deferred.flush()
-    deferred.flush()
+        engine.execute(state.next_txn(rng))
+    engine.flush()
     maintainer.verify()
     return db.counter.total / N_TXNS
 

@@ -38,6 +38,7 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
+from repro.shell import POLICIES, corporate_world
 from repro.sql.translate import translate_sql
 from repro.storage.statistics import Catalog, TableStats
 from repro.workload.transactions import TransactionType, UpdateSpec
@@ -48,9 +49,6 @@ _TYPES = {
     "string": DataType.STRING,
     "bool": DataType.BOOL,
 }
-
-#: Maintenance policies ``run`` accepts, in help order.
-POLICIES = ("immediate", "deferred", "enforce")
 
 
 class WorkloadParseError(Exception):
@@ -185,11 +183,10 @@ def run_stream(
 ) -> str:
     """Commit a random paper-workload stream through the engine.
 
-    Loads the corporate database with the DeptConstraint assertion, builds
-    an :class:`~repro.engine.engine.Engine` with the requested maintenance
-    policy, drives ``n_txns`` random >Emp / >Dept modifications through
-    :func:`~repro.workload.runner.run_transactions`, and returns the
-    report text.
+    Builds :func:`~repro.shell.corporate_world` under the requested
+    maintenance policy, drives ``n_txns`` random >Emp / >Dept
+    modifications through :func:`~repro.workload.runner.run_transactions`,
+    and returns the report text.
 
     ``trace_path`` attaches a :class:`~repro.obs.trace.Tracer` for the run
     and writes the span tree as JSON to that path. The report text is
@@ -210,46 +207,17 @@ def run_stream(
     """
     import random
 
-    from repro.constraints.assertions import AssertionSystem
-    from repro.engine import DeferredPolicy, Engine
-    from repro.shell import DEPT_CONSTRAINT
-    from repro.storage.database import Database
     from repro.workload.generators import random_modify
-    from repro.workload.paperdb import (
-        DEPT_SCHEMA,
-        EMP_SCHEMA,
-        generate_corporate_db,
-    )
     from repro.workload.runner import run_transactions
-    from repro.workload.transactions import paper_transactions
 
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown maintenance policy {policy!r}; expected one of {POLICIES}"
-        )
-    db = Database(durable_path=durable_path)
-    if "Emp" not in db:
-        # A recovered durable directory keeps its relations; otherwise
-        # seed the corporate database as usual.
-        data = generate_corporate_db(
-            n_depts, emps_per_dept, seed=seed, budget_range=(800, 1200)
-        )
-        db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
-        db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
-    system = AssertionSystem(
-        db,
-        [DEPT_CONSTRAINT],
-        paper_transactions(),
-        enforce=(policy == "enforce"),
+    db, _system, engine = corporate_world(
+        policy,
+        batch_size=batch_size,
+        n_depts=n_depts,
+        emps_per_dept=emps_per_dept,
+        seed=seed,
+        durable_path=durable_path,
     )
-    if policy == "deferred":
-        engine = Engine(
-            system.maintainer,
-            policy=DeferredPolicy(batch_size=batch_size),
-            assertion_roots=system.roots,
-        )
-    else:
-        engine = system.engine
     rng = random.Random(seed)
     column = {"Emp": "Salary", "Dept": "Budget"}
 

@@ -116,17 +116,16 @@ class EngineTransaction:
 
     def staged_transaction(self) -> Transaction:
         """The staged work as one composed :class:`Transaction` (sequential
-        deltas per relation are net-composed, with delete+insert pairs on a
-        candidate key re-paired into modifications)."""
-        from repro.ivm.deferred import compose_deltas
+        deltas per relation are net-composed by
+        :func:`~repro.ivm.deferred.compose_relations`)."""
+        from repro.ivm.deferred import compose_relations
 
-        deltas: dict[str, Delta] = {}
-        for relation, staged in self._staged.items():
-            schema = self._engine.db.relation(relation).schema
-            composed = compose_deltas(schema, staged)
-            if not composed.is_empty:
-                deltas[relation] = composed
-        return Transaction(self.name, deltas)
+        steps = (
+            {relation: delta}
+            for relation, staged in self._staged.items()
+            for delta in staged
+        )
+        return Transaction(self.name, compose_relations(self._engine.db, steps))
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -241,24 +240,19 @@ class Engine:
         a commit still works)."""
         if not any(not d.is_empty for d in txn.deltas.values()):
             return TransactionResult(txn=txn, committed=True)
-        with self.db.latch:
-            try:
-                result = self.policy.commit(self, txn)
-            except Exception as exc:
-                self.metrics.counter("engine.rollbacks").inc()
-                from repro.constraints.assertions import AssertionViolation
-
-                if isinstance(exc, AssertionViolation):
-                    self.metrics.counter("engine.rejected").inc()
-                raise
-        self._observe(result)
-        return result
+        return self._run_policy(self.policy.commit, txn)
 
     def flush(self) -> TransactionResult | None:
         """Flush policy-deferred work (no-op for immediate policies)."""
+        return self._run_policy(self.policy.flush)
+
+    def _run_policy(self, step, *args) -> TransactionResult | None:
+        """Run one policy step under the write latch, counting failures
+        (``engine.rollbacks``; ``engine.rejected`` for assertion
+        violations) and folding a result into the metrics."""
         with self.db.latch:
             try:
-                result = self.policy.flush(self)
+                result = step(self, *args)
             except Exception as exc:
                 self.metrics.counter("engine.rollbacks").inc()
                 from repro.constraints.assertions import AssertionViolation

@@ -21,12 +21,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.engine.engine import EngineError, TransactionResult
+from repro.ivm.deferred import compose_batch
 from repro.storage.undo import UndoLog
 from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.engine.engine import Engine
-    from repro.ivm.deferred import DeferredMaintainer
 
 
 def _rollback(engine: "Engine", undo: UndoLog, reason: str) -> None:
@@ -40,19 +40,28 @@ def _rollback(engine: "Engine", undo: UndoLog, reason: str) -> None:
 
 
 def _commit_through_maintainer(
-    engine: "Engine", txn: Transaction, policy_label: str = "immediate"
+    engine: "Engine",
+    txn: Transaction,
+    policy_label: str = "immediate",
+    enforce: bool = False,
 ) -> TransactionResult:
-    """The shared commit pipeline: scoped I/O, undo journal, violation
-    report. *Everything* between begin and the result — the maintainer
-    apply, the assertion check, and the durable WAL/page commit — sits
-    inside one rollback guard: an exception from any of them rolls back
-    the applied base/view deltas before propagating, so even failed
-    commits leave a consistent state. (Guarding only the apply would let
-    a raising assertion check strand the applied deltas with the undo log
-    dropped.) The durable commit only ever raises *before* its WAL
-    barrier — deltas are size-validated pre-log, and a post-barrier page
-    failure is absorbed by the store, which rolls forward from the log —
-    so this rollback never contradicts a durable commit record.
+    """The one commit body: scoped I/O, undo journal, violation report.
+    *Everything* between begin and the result — the maintainer apply, the
+    assertion check, and the durable WAL/page commit — sits inside one
+    rollback guard: an exception from any of them rolls back the applied
+    base/view deltas before propagating, so even failed commits leave a
+    consistent state. (Guarding only the apply would let a raising
+    assertion check strand the applied deltas with the undo log dropped.)
+    The durable commit only ever raises *before* its WAL barrier — deltas
+    are size-validated pre-log, and a post-barrier page failure is
+    absorbed by the store, which rolls forward from the log — so this
+    rollback never contradicts a durable commit record.
+
+    ``enforce`` is :class:`EnforcingPolicy`'s one difference: a commit
+    that enters any assertion violation is rolled back (before the durable
+    commit, uncharged) and :class:`AssertionViolation` is raised. The
+    attempted maintenance work stays charged — ``scope`` already measured
+    it.
 
     The "txn" span wraps exactly the scoped region plus the assertion
     check, so its measured I/O equals the commit's ``TransactionResult.io``
@@ -72,11 +81,18 @@ def _commit_through_maintainer(
                     "assertion_check", assertions=len(engine.assertion_roots)
                 ):
                     new, cleared = engine.violations(view_deltas)
-            if durable is not None:
+            rejected = min(new) if enforce and new else None
+            if rejected is None and durable is not None:
                 durable.commit(tracer=tracer)
         except Exception:
             _rollback(engine, undo, reason="commit-error")
             raise
+        if rejected is not None:
+            from repro.constraints.assertions import AssertionViolation
+
+            _rollback(engine, undo, reason="assertion-violation")
+            span.annotate(outcome="rejected", violation=rejected)
+            raise AssertionViolation(rejected, new[rejected])
         # Past the point of no return: advance the snapshot epoch (and
         # retain the undo journal's inverses for any pinned readers)
         # before the journal is discarded.
@@ -141,100 +157,65 @@ class EnforcingPolicy(MaintenancePolicy):
     def commit(self, engine: "Engine", txn: Transaction) -> TransactionResult:
         """Apply, check assertion roots, and roll back atomically on entry
         of any violation."""
-        from repro.constraints.assertions import AssertionViolation
-
-        tracer = engine.tracer
-        undo = UndoLog()
-        durable = engine.db.durable
-        with tracer.span("txn", txn=txn.type_name, policy="enforce") as span:
-            if durable is not None:
-                durable.begin(txn.type_name)
-            try:
-                with engine.db.counter.scoped() as scope:
-                    view_deltas = engine.apply_with_undo(txn, undo)
-                    with tracer.span(
-                        "assertion_check", assertions=len(engine.assertion_roots)
-                    ):
-                        new, cleared = engine.violations(view_deltas)
-                if new:
-                    # The attempted maintenance work stays charged
-                    # (scope.stats already measured it); the rollback
-                    # itself is uncharged.
-                    _rollback(engine, undo, reason="assertion-violation")
-                    name = min(new)
-                    span.annotate(outcome="rejected", violation=name)
-                    raise AssertionViolation(name, new[name])
-                if durable is not None:
-                    durable.commit(tracer=tracer)
-            except AssertionViolation:
-                raise  # already rolled back above
-            except Exception:
-                # The assertion check (and the durable commit) must be
-                # covered too: a raising check would otherwise strand the
-                # applied deltas with the undo log dropped.
-                _rollback(engine, undo, reason="commit-error")
-                raise
-            engine.note_commit(undo)
-            span.annotate(outcome="committed")
-        return TransactionResult(
-            txn=txn,
-            committed=True,
-            view_deltas=view_deltas,
-            io=scope.stats,
-            new_violations={},
-            cleared_violations=cleared,
+        return _commit_through_maintainer(
+            engine, txn, policy_label="enforce", enforce=True
         )
 
 
 class DeferredPolicy(MaintenancePolicy):
     """Queue commits; refresh all views once per batch.
 
-    Wraps a :class:`~repro.ivm.deferred.DeferredMaintainer` for the
-    composition machinery. ``commit`` returns a ``deferred`` result (the
-    database is untouched until flush); when ``batch_size`` is set, the
-    commit that fills the batch flushes it and returns the batch's
-    *applied* result instead.
+    ``commit`` returns a ``deferred`` result — queued transactions are not
+    visible in the database until flush, the usual deferred-maintenance
+    contract. When ``batch_size`` is set, the commit that fills the batch
+    flushes it and returns the batch's *applied* result instead. A flush
+    composes the queue with :func:`~repro.ivm.deferred.compose_batch` and
+    commits the one combined transaction through the ordinary pipeline.
     """
 
-    def __init__(
-        self,
-        batch_size: int | None = None,
-        deferred: "DeferredMaintainer | None" = None,
-    ) -> None:
+    def __init__(self, batch_size: int | None = None) -> None:
         if batch_size is not None and batch_size < 1:
             raise EngineError("batch_size must be positive")
         self.batch_size = batch_size
-        self._deferred = deferred
-
-    def bind(self, engine: "Engine") -> None:
-        """Build the composition queue over the engine's maintainer."""
-        if self._deferred is None:
-            from repro.ivm.deferred import DeferredMaintainer
-
-            self._deferred = DeferredMaintainer(engine.maintainer)
+        self._queue: list[Transaction] = []
+        self._flushes = 0
 
     def commit(self, engine: "Engine", txn: Transaction) -> TransactionResult:
         """Enqueue; flush (and return the applied batch result) when the
         batch is full."""
-        assert self._deferred is not None, "policy used before bind()"
         with engine.tracer.span("defer", txn=txn.type_name):
-            self._deferred.enqueue(txn)
-        if self.batch_size is not None and self._deferred.pending >= self.batch_size:
+            self._queue.append(txn)
+        if self.batch_size is not None and len(self._queue) >= self.batch_size:
             flushed = self.flush(engine)
             if flushed is not None:
                 return flushed
         return TransactionResult(txn=txn, committed=True, deferred=True)
 
+    def compose(self, engine: "Engine") -> Transaction | None:
+        """Drain the queue into one net combined transaction (no apply).
+
+        Returns ``None`` when the queue is empty or the composed deltas
+        cancel out entirely — a cancelling batch costs zero I/O.
+        """
+        if not self._queue:
+            return None
+        combined = compose_batch(
+            engine.db, self._queue, f"__batch_{self._flushes + 1}"
+        )
+        self._queue.clear()
+        self._flushes += 1
+        return combined
+
     def flush(self, engine: "Engine") -> TransactionResult | None:
         """Compose the queue into one transaction and commit it now.
 
         ``compose()`` drains the queue before the commit runs, so a commit
-        that raises must hand the batch back (the commit already rolled
-        the database back) — otherwise a storage error mid-flush silently
-        loses every queued transaction. After the error propagates,
-        ``pending`` still counts the batch and a retry can succeed."""
-        assert self._deferred is not None, "policy used before bind()"
-        combined = self._deferred.compose()
+        that raises hands the batch back at the queue head (the commit
+        already rolled the database back) — otherwise a storage error
+        mid-flush would silently lose every queued transaction. After the
+        error propagates, ``pending`` still counts the batch, anything
+        enqueued later composes behind it, and a retry can succeed."""
+        combined = self.compose(engine)
         if combined is None:
             return None
         try:
@@ -242,9 +223,9 @@ class DeferredPolicy(MaintenancePolicy):
                 engine, combined, policy_label="deferred-flush"
             )
         except Exception:
-            self._deferred.requeue(combined)
+            self._queue.insert(0, combined)
             raise
 
     @property
     def pending(self) -> int:
-        return self._deferred.pending if self._deferred is not None else 0
+        return len(self._queue)

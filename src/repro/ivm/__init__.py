@@ -30,10 +30,10 @@ def __getattr__(name: str):
         from repro.ivm import maintainer
 
         return getattr(maintainer, name)
-    if name in ("DeferredMaintainer", "compose_deltas"):
-        from repro.ivm import deferred
+    if name == "compose_deltas":
+        from repro.ivm.deferred import compose_deltas
 
-        return getattr(deferred, name)
+        return compose_deltas
     raise AttributeError(f"module 'repro.ivm' has no attribute {name!r}")
 
 
@@ -42,7 +42,6 @@ __all__ = [
     "CommitCache",
     "CommitCacheStats",
     "adhoc_signature",
-    "DeferredMaintainer",
     "Delta",
     "compose_deltas",
     "MaintenanceError",

@@ -34,7 +34,7 @@ transaction. This module closes both gaps:
 Both caches are observable (hit/miss/estimated-pages-saved counters,
 surfaced through :class:`~repro.obs.metrics.MetricsRegistry`, the shell's
 ``\\metrics``/``\\profile`` and ``fetch`` trace spans) and can be disabled
-with ``REPRO_COMMIT_CACHE=0`` / ``REPRO_ADHOC_PLAN_CACHE=0`` or the
+with ``REPRO_COMMIT_CACHE=0`` or the
 :class:`~repro.ivm.maintainer.ViewMaintainer` constructor switches.
 Correctness bar: view contents, returned deltas, and rollback behavior are
 bit-identical with the caches on or off; measured page I/O can only
@@ -67,19 +67,9 @@ def commit_cache_default() -> bool:
     return _env_flag("REPRO_COMMIT_CACHE")
 
 
-def plan_cache_default_capacity() -> int:
-    """Process default capacity for the ad-hoc plan cache
-    (``REPRO_ADHOC_PLAN_CACHE``: 0/false disables, an integer sizes it)."""
-    value = os.environ.get("REPRO_ADHOC_PLAN_CACHE")
-    if value is None:
-        return 128
-    value = value.strip().lower()
-    if value in ("0", "false", "off", "no", ""):
-        return 0
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return 128
+#: Default capacity of a maintainer's ad-hoc plan cache
+#: (``ViewMaintainer(plan_cache=0)`` turns it off).
+ADHOC_PLAN_CACHE_CAPACITY = 128
 
 
 class CommitCacheStats:

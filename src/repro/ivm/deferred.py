@@ -1,32 +1,34 @@
-"""Deferred (batched) view maintenance.
+"""Delta composition: many transactions' deltas as one net transaction.
 
 The paper maintains views per transaction. A standard engineering
-refinement — and a direct beneficiary of its cost model — is *deferral*:
-queue transactions, compose their deltas, and refresh all materialized
-views once per batch. Composition collapses repeated work (k salary
-updates in one department become one group update; an insert later deleted
-vanishes entirely), and the batch amortizes index pages across
+refinement — and a direct beneficiary of its cost model — is to treat a
+*batch* of updates as one delta: composition collapses repeated work (k
+salary updates in one department become one group update; an insert later
+deleted vanishes entirely), and the batch amortizes index pages across
 transactions.
 
-Semantics: queued transactions are not visible in the database until
-``flush()`` — the usual deferred-maintenance contract. Flushing builds one
-combined transaction per batch and commits it through the transactional
-:class:`~repro.engine.engine.Engine` (which derives its update tracks with
-the same cost model the optimizer uses and runs the ordinary
-:class:`~repro.ivm.maintainer.ViewMaintainer` machinery), so all of its
-correctness guarantees (and its ``verify()``) apply. The engine's
-:class:`~repro.engine.policy.DeferredPolicy` wraps this class to expose
-batching as a commit policy.
+:func:`compose_relations` is the one place deltas are composed per
+relation, and :func:`compose_batch` names its result as a transaction.
+Every write path that folds several transactions (or statements) into one
+commit uses them: deferred maintenance
+(:class:`~repro.engine.policy.DeferredPolicy`), group commit
+(:class:`~repro.server.commit.GroupCommitter`), multi-statement engine
+transactions (:meth:`~repro.engine.engine.EngineTransaction.staged_transaction`)
+and the server's multi-statement ``txn`` op. The composed transaction is
+then committed through the ordinary :class:`~repro.engine.engine.Engine`
+pipeline like any other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
-from repro.ivm.maintainer import ViewMaintainer
 from repro.workload.transactions import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.storage.database import Database
 
 
 def compose_deltas(schema: Schema, deltas: Iterable[Delta]) -> Delta:
@@ -51,92 +53,35 @@ def compose_deltas(schema: Schema, deltas: Iterable[Delta]) -> Delta:
     return composed
 
 
-def _modified_columns(schema: Schema, delta: Delta) -> frozenset[str]:
-    names = schema.names
-    changed: set[str] = set()
-    for old, new in delta.modifies:
-        for i, (a, b) in enumerate(zip(old, new)):
-            if a != b:
-                changed.add(names[i])
-    return frozenset(changed)
+def compose_relations(
+    db: "Database", steps: Iterable[Mapping[str, Delta]]
+) -> dict[str, Delta]:
+    """Compose a sequence of per-relation delta maps into one net map.
+
+    Per relation — iterated in sorted order, so the composed apply order
+    (and per-span I/O attribution) does not depend on PYTHONHASHSEED —
+    the sequential deltas are net-composed with :func:`compose_deltas`;
+    relations whose deltas cancel are dropped.
+    """
+    steps = list(steps)
+    combined: dict[str, Delta] = {}
+    for relation in sorted({r for step in steps for r in step}):
+        schema = db.relation(relation).schema
+        composed = compose_deltas(
+            schema, (step.get(relation, Delta()) for step in steps)
+        )
+        if not composed.is_empty:
+            combined[relation] = composed
+    return combined
 
 
-class DeferredMaintainer:
-    """Queues transactions and refreshes materialized views per batch."""
+def compose_batch(
+    db: "Database", txns: Sequence[Transaction], name: str
+) -> Transaction | None:
+    """Compose many transactions into one net transaction named ``name``.
 
-    def __init__(self, maintainer: ViewMaintainer, engine=None) -> None:
-        self.maintainer = maintainer
-        self._engine = engine
-        self._queue: list[Transaction] = []
-        self._flush_count = 0
-
-    @property
-    def engine(self):
-        """The engine batches are committed through (built on first use;
-        imported lazily — the engine layer sits above this module)."""
-        if self._engine is None:
-            from repro.engine.engine import Engine
-
-            self._engine = Engine(self.maintainer)
-        return self._engine
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def enqueue(self, txn: Transaction) -> None:
-        """Queue a transaction; the database is untouched until flush()."""
-        self._queue.append(txn)
-
-    def compose(self) -> Transaction | None:
-        """Drain the queue into one net combined transaction (no apply).
-
-        Returns ``None`` when the queue is empty or the composed deltas
-        cancel out entirely — a cancelling batch costs zero I/O.
-        """
-        if not self._queue:
-            return None
-        db = self.maintainer.db
-        combined_deltas: dict[str, Delta] = {}
-        # Sorted iteration: the composed batch's relation order (and hence
-        # apply order and per-span I/O attribution) must not depend on
-        # PYTHONHASHSEED.
-        for relation in sorted({r for t in self._queue for r in t.deltas}):
-            schema = db.relation(relation).schema
-            combined_deltas[relation] = compose_deltas(
-                schema, (t.deltas.get(relation, Delta()) for t in self._queue)
-            )
-        combined_deltas = {
-            rel: d for rel, d in combined_deltas.items() if not d.is_empty
-        }
-        self._queue.clear()
-        self._flush_count += 1
-        if not combined_deltas:
-            return None
-        return Transaction(f"__batch_{self._flush_count}", combined_deltas)
-
-    def requeue(self, txn: Transaction) -> None:
-        """Put a composed-but-uncommitted batch back at the queue head.
-
-        The failure path of a flush: compose() drains the queue before the
-        commit runs, so a commit that raises (storage error, assertion
-        violation) must hand its batch back or the queued work is silently
-        lost. Re-queueing at the front keeps composition order — anything
-        enqueued after the failure composes behind the restored batch.
-        """
-        self._queue.insert(0, txn)
-
-    def flush(self) -> Transaction | None:
-        """Commit the composed batch through the engine; returns the
-        combined transaction. If the commit raises, the batch is re-queued
-        (the commit already rolled the database back) and the error
-        propagates — no queued work is lost, and a retry is possible."""
-        combined = self.compose()
-        if combined is None:
-            return None
-        try:
-            self.engine.execute(combined)
-        except Exception:
-            self.requeue(combined)
-            raise
-        return combined
+    Returns ``None`` when everything cancels: a cancelling batch costs
+    zero I/O.
+    """
+    combined = compose_relations(db, (t.deltas for t in txns))
+    return Transaction(name, combined) if combined else None

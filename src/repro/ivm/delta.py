@@ -11,7 +11,7 @@ the key is unchanged) differs from a delete plus an insert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
@@ -99,6 +99,16 @@ class Delta:
     def size(self) -> int:
         """Number of changed tuples (a modification counts once)."""
         return self.inserts.total() + self.deletes.total() + len(self.modifies)
+
+    def modified_columns(self, names: Sequence[str]) -> frozenset[str]:
+        """Columns (``names`` in schema order) whose values actually differ
+        in some modification pair."""
+        changed: set[str] = set()
+        for old, new in self.modifies:
+            for i, (a, b) in enumerate(zip(old, new)):
+                if a != b:
+                    changed.add(names[i])
+        return frozenset(changed)
 
     def pair_modifications(self, key_positions: Iterable[int]) -> "Delta":
         """Re-pair deletes and inserts that share a key into modifications.

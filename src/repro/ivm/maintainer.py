@@ -54,12 +54,12 @@ from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
 from repro.dag.nodes import OperationNode
 from repro.ivm.cache import (
+    ADHOC_PLAN_CACHE_CAPACITY,
     AdhocPlanCache,
     CommitCache,
     CommitCacheStats,
     adhoc_signature,
     commit_cache_default,
-    plan_cache_default_capacity,
 )
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import (
@@ -141,7 +141,7 @@ class ViewMaintainer:
         self._commit_cache: CommitCache | None = None
         self.commit_cache_stats = CommitCacheStats()
         self.last_cache_stats: CommitCacheStats | None = None
-        capacity = plan_cache_default_capacity() if plan_cache is None else plan_cache
+        capacity = ADHOC_PLAN_CACHE_CAPACITY if plan_cache is None else plan_cache
         self.plan_cache: AdhocPlanCache | None = (
             AdhocPlanCache(capacity) if capacity and capacity > 0 else None
         )
@@ -506,18 +506,12 @@ class ViewMaintainer:
         for rel, delta in txn.deltas.items():
             if delta.is_empty:
                 continue
-            schema = self.db.relation(rel).schema
-            names = schema.names
-            changed: set[str] = set()
-            for old, new in delta.modifies:
-                for i, (a, b) in enumerate(zip(old, new)):
-                    if a != b:
-                        changed.add(names[i])
+            names = self.db.relation(rel).schema.names
             updates[rel] = UpdateSpec(
                 inserts=float(delta.inserts.total()),
                 deletes=float(delta.deletes.total()),
                 modifies=float(len(delta.modifies)),
-                modified_columns=frozenset(changed),
+                modified_columns=delta.modified_columns(names),
             )
         if not updates:
             return {}
@@ -808,7 +802,7 @@ class ViewMaintainer:
         if materialized and allow_self_maintenance and can_self_maintain(
             template,
             removals=self._delta_has_removals(template, delta),
-            modified_columns=self._delta_modified_columns(template, delta),
+            modified_columns=delta.modified_columns(template.input.schema.names),
         ):
             result = self._self_maintain_aggregate(gid, template, delta)
             self._self_maintained.add(gid)
@@ -825,17 +819,6 @@ class ViewMaintainer:
         if self._commit_cache is not None:
             fetch_group.cache_info = self._commit_cache.counts
         return propagate_aggregate_recompute(template, delta, fetch_group, tracer=tracer)
-
-    @staticmethod
-    def _delta_modified_columns(template: GroupAggregate, delta: Delta) -> frozenset[str]:
-        """Input columns whose values actually differ in modification pairs."""
-        names = template.input.schema.names
-        changed: set[str] = set()
-        for old, new in delta.modifies:
-            for i, (a, b) in enumerate(zip(old, new)):
-                if a != b:
-                    changed.add(names[i])
-        return frozenset(changed)
 
     @staticmethod
     def _delta_has_removals(template: GroupAggregate, delta: Delta) -> bool:

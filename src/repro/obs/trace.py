@@ -178,7 +178,7 @@ class Tracer:
 
     def total_io(self) -> IOStats:
         """Sum of root-span I/O — ties out to the counter delta over the
-        traced region (asserted in tests and in bench_trace_overhead)."""
+        traced region (asserted in tests/test_obs.py and test_trace_props)."""
         total = IOStats()
         for root in self.roots:
             total = total + root.io

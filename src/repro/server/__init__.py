@@ -4,7 +4,7 @@ The engine is single-writer by design (one latch, one undo journal); this
 package makes that safe to share. Writers submit ready-made transactions
 to a bounded commit queue; a single commit thread drains the queue in
 batches, composes same-shaped staged deltas from many clients with
-:func:`~repro.ivm.deferred.compose_deltas`, and runs **one** maintenance
+:func:`~repro.ivm.deferred.compose_batch`, and runs **one** maintenance
 pass — and, when durable, one WAL barrier/fsync — per batch (the paper's
 §2.3 deferral, finally paying off *across* clients). Readers never wait:
 they pin an epoch and reconstruct their snapshot from the epoch log's
@@ -13,7 +13,7 @@ inverse deltas (``Engine.select(expr, epoch=...)``).
 Layers:
 
 * :mod:`repro.server.commit` — :class:`GroupCommitter`, the single-writer
-  commit queue and batch composer (usable without any networking).
+  commit queue (usable without any networking).
 * :mod:`repro.server.protocol` — the line-delimited JSON wire protocol.
 * :mod:`repro.server.server` — the asyncio socket server.
 * :mod:`repro.server.client` — a blocking client library.

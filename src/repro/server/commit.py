@@ -4,8 +4,9 @@ Clients (server connections, the multi-client workload driver, tests)
 submit ready-made :class:`~repro.workload.transactions.Transaction`
 objects and block on a per-request event. The committer thread drains the
 queue in batches, composes each batch's deltas into **one** transaction
-with :func:`~repro.ivm.deferred.compose_deltas`, and commits it through
-the engine's ordinary policy pipeline — one maintenance pass (and, when
+with :func:`~repro.ivm.deferred.compose_batch` — the composer every
+batching write path shares — and commits it through the engine's
+ordinary policy pipeline — one maintenance pass (and, when
 durable, one WAL barrier/fsync) no matter how many clients rode along.
 
 Failure isolation: a composed batch that raises (an
@@ -27,41 +28,15 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.engine.engine import EngineError, TransactionResult
-from repro.ivm.deferred import compose_deltas
-from repro.ivm.delta import Delta
+from repro.ivm.deferred import compose_batch
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.engine.engine import Engine
-    from repro.storage.database import Database
-
-
-def compose_batch(
-    db: "Database", txns: Sequence[Transaction], name: str
-) -> Transaction | None:
-    """Compose many transactions' deltas into one net transaction.
-
-    Mirrors ``DeferredMaintainer.compose``: per relation (sorted, so the
-    apply order is hash-seed independent) the sequential deltas are
-    net-composed and delete+insert pairs sharing a candidate key re-paired
-    into modifications. Returns ``None`` when everything cancels — a
-    cancelling batch costs zero I/O and every rider commits trivially.
-    """
-    combined: dict[str, Delta] = {}
-    for relation in sorted({r for t in txns for r in t.deltas}):
-        schema = db.relation(relation).schema
-        composed = compose_deltas(
-            schema, (t.deltas.get(relation, Delta()) for t in txns)
-        )
-        if not composed.is_empty:
-            combined[relation] = composed
-    if not combined:
-        return None
-    return Transaction(name, combined)
 
 
 @dataclass

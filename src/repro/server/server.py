@@ -16,22 +16,23 @@ import asyncio
 import itertools
 from typing import Any
 
-from repro.constraints.assertions import AssertionSystem, AssertionViolation
-from repro.engine.engine import Engine, EngineError
-from repro.ivm.delta import Delta
+from repro.constraints.assertions import AssertionViolation
+from repro.engine.engine import EngineError
+from repro.ivm.deferred import compose_relations
 from repro.ivm.maintainer import MaintenanceError
 from repro.obs.metrics import get_metrics
 from repro.server import protocol
 from repro.server.commit import GroupCommitter
 from repro.server.protocol import ProtocolError
+from repro.shell import corporate_world
 from repro.sql import ast
 from repro.sql.dml import dml_to_delta, is_dml
 from repro.sql.lexer import SQLSyntaxError
 from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError, _translate_select
-from repro.storage.database import Database
 from repro.storage.relation import StorageError
-from repro.workload.transactions import Transaction, paper_transactions
+from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA
+from repro.workload.transactions import Transaction
 
 #: Exceptions reported as the client's fault (``error: "invalid"``).
 _INVALID = (
@@ -70,43 +71,18 @@ class ReproServer:
         max_batch: int = 32,
         queue_size: int = 256,
     ) -> None:
-        from repro.shell import DEPT_CONSTRAINT
-        from repro.workload.paperdb import (
-            DEPT_SCHEMA,
-            EMP_SCHEMA,
-            generate_corporate_db,
-        )
-
         self.host = host
         self.port = port
         self.metrics = get_metrics()
-        self.db = Database(durable_path=durable_path, wal_sync=wal_sync)
-        if "Emp" not in self.db:
-            data = generate_corporate_db(
-                n_depts, emps_per_dept, seed=seed, budget_range=(800, 1200)
-            )
-            self.db.create_relation(
-                "Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]]
-            )
-            self.db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
-        system = AssertionSystem(
-            self.db,
-            [DEPT_CONSTRAINT],
-            paper_transactions(),
-            enforce=(policy == "enforce"),
+        self.db, _system, self.engine = corporate_world(
+            policy,
+            batch_size=batch_size,
+            n_depts=n_depts,
+            emps_per_dept=emps_per_dept,
+            seed=seed,
+            durable_path=durable_path,
+            wal_sync=wal_sync,
         )
-        if policy == "deferred":
-            from repro.engine.policy import DeferredPolicy
-
-            self.engine = Engine(
-                system.maintainer,
-                policy=DeferredPolicy(batch_size=batch_size),
-                assertion_roots=system.roots,
-            )
-        elif policy in ("immediate", "enforce"):
-            self.engine = system.engine
-        else:
-            raise ValueError(f"unknown maintenance policy {policy!r}")
         self.policy = policy
         self._schemas = {"Dept": DEPT_SCHEMA, "Emp": EMP_SCHEMA}
         self.committer = GroupCommitter(
@@ -239,22 +215,15 @@ class ReproServer:
         self, statements: list, conn: int, txn_seq: "itertools.count"
     ) -> dict[str, Any]:
         """Derive deltas, submit one transaction, wait for its batch."""
-        from repro.ivm.deferred import compose_deltas
-
-        staged: dict[str, list[Delta]] = {}
         # UPDATE/DELETE row sets are derived from current contents, so the
         # derivation must see a consistent state: take the storage latch
         # for the whole read.
         with self.db.latch:
-            for statement in statements:
-                relation, delta = dml_to_delta(statement, self.db)
-                if not delta.is_empty:
-                    staged.setdefault(relation, []).append(delta)
-        deltas = {}
-        for relation, parts in staged.items():
-            composed = compose_deltas(self.db.relation(relation).schema, parts)
-            if not composed.is_empty:
-                deltas[relation] = composed
+            steps = [dict([dml_to_delta(s, self.db)]) for s in statements]
+        # One client's statements compose here, on the executor thread; the
+        # commit thread's compose_batch then folds whole client
+        # transactions into a batch.
+        deltas = compose_relations(self.db, steps)
         if not deltas:
             return protocol.ok(status="committed", empty=True)
         txn = Transaction(f"__c{conn}_{next(txn_seq)}", deltas)

@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.constraints.assertions import AssertionSystem, AssertionViolation
-from repro.engine.engine import EngineError
+from repro.engine import DeferredPolicy, Engine, EngineError
 from repro.ivm.maintainer import MaintenanceError
 from repro.storage.relation import StorageError
 from repro.sql import ast
@@ -55,6 +55,52 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
     GROUPBY Dept.DName, Budget
     HAVING SUM(Salary) > Budget))
 """
+
+#: Maintenance policies :func:`corporate_world` accepts, in help order.
+POLICIES = ("immediate", "deferred", "enforce")
+
+
+def corporate_world(
+    policy: str = "immediate",
+    batch_size: int | None = None,
+    n_depts: int = 50,
+    emps_per_dept: int = 10,
+    seed: int = 0,
+    durable_path: str | None = None,
+    wal_sync: str | None = None,
+) -> tuple[Database, AssertionSystem, Engine]:
+    """The paper's corporate database with DeptConstraint installed, behind
+    an engine under ``policy`` — the world the shell, ``run`` and the
+    server share.
+
+    A recovered durable directory keeps its relations (the WAL replay is
+    authoritative, not the seed); otherwise Dept/Emp are seeded from
+    :func:`generate_corporate_db`. ``batch_size`` is the deferred policy's
+    flush threshold.
+    """
+    if policy not in POLICIES:
+        raise ValueError(
+            f"unknown maintenance policy {policy!r}; expected one of {POLICIES}"
+        )
+    db = Database(durable_path=durable_path, wal_sync=wal_sync)
+    if "Emp" not in db:
+        data = generate_corporate_db(
+            n_depts, emps_per_dept, seed=seed, budget_range=(800, 1200)
+        )
+        db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
+        db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
+    system = AssertionSystem(
+        db, [DEPT_CONSTRAINT], paper_transactions(), enforce=(policy == "enforce")
+    )
+    engine = system.engine
+    if policy == "deferred":
+        engine = Engine(
+            system.maintainer,
+            policy=DeferredPolicy(batch_size=batch_size),
+            assertion_roots=system.roots,
+        )
+    return db, system, engine
+
 
 HELP = """\
 SELECT ... FROM ...            query the base relations
@@ -91,27 +137,16 @@ class ShellSession:
         enforce: bool = False,
         durable_path: str | None = None,
     ) -> None:
-        self.db = Database(durable_path=durable_path)
-        if "Emp" not in self.db:
-            # Fresh database (or a non-durable session): seed the paper's
-            # corporate data. A recovered durable session keeps its
-            # relations — the WAL replay is authoritative, not the seed.
-            data = generate_corporate_db(
-                n_depts, emps_per_dept, seed=seed, budget_range=(800, 1200)
-            )
-            self.db.create_relation(
-                "Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]]
-            )
-            self.db.create_relation(
-                "Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]]
-            )
-        self.system = AssertionSystem(
-            self.db, [DEPT_CONSTRAINT], paper_transactions(), enforce=enforce
-        )
         # All reads and writes go through the transactional engine: DML
         # commits are measured with scoped I/O and violation reports come
         # from the TransactionResult, not from reaching into the DAG.
-        self.engine = self.system.engine
+        self.db, self.system, self.engine = corporate_world(
+            "enforce" if enforce else "immediate",
+            n_depts=n_depts,
+            emps_per_dept=emps_per_dept,
+            seed=seed,
+            durable_path=durable_path,
+        )
         self._schemas = {"Dept": DEPT_SCHEMA, "Emp": EMP_SCHEMA}
 
     # -- statement execution -----------------------------------------------------

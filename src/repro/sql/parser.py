@@ -99,16 +99,25 @@ class Parser:
         return tuple(values)
 
     def _literal_value(self):
-        negative = self._accept("symbol", "-") is not None
-        token = self._current
-        if token.kind == "number":
-            self._advance()
-            value: object = float(token.value) if "." in token.value else int(token.value)
-            return -value if negative else value
-        if token.kind == "string" and not negative:
-            self._advance()
-            return token.value
-        raise SQLSyntaxError(f"expected a literal, found {token}")
+        value = self._number()
+        if value is not None:
+            return value
+        if self._check("string"):
+            return self._advance().value
+        raise SQLSyntaxError(f"expected a literal, found {self._current}")
+
+    def _number(self) -> int | float | None:
+        """A numeric literal with an optional leading ``-``, consumed; or
+        ``None``, consuming nothing, when the next tokens are not one. A
+        ``-`` after an operand never reaches here — the additive loop takes
+        it as subtraction first."""
+        signed = self._check("symbol", "-")
+        token = self._tokens[self._pos + signed]
+        if token.kind != "number":
+            return None
+        self._pos += signed + 1
+        value = float(token.value) if "." in token.value else int(token.value)
+        return -value if signed else value
 
     def _delete(self) -> ast.DeleteStmt:
         self._expect("keyword", "DELETE")
@@ -283,11 +292,10 @@ class Parser:
         return left
 
     def _primary(self) -> ast.ScalarExpr:
-        token = self._current
-        if token.kind == "number":
-            self._advance()
-            value: object = float(token.value) if "." in token.value else int(token.value)
+        value = self._number()
+        if value is not None:
             return ast.Literal(value)
+        token = self._current
         if token.kind == "string":
             self._advance()
             return ast.Literal(token.value)

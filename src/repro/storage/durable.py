@@ -220,13 +220,9 @@ class DurableStore:
             raise WalError(
                 f"wal_sync must be one of {WAL_SYNC_MODES}, got {self.wal_sync!r}"
             )
-        self.pool_size = pool_size if pool_size is not None else int(
-            os.environ.get("REPRO_POOL_SIZE", DEFAULT_POOL_SIZE)
-        )
+        self.pool_size = pool_size if pool_size is not None else DEFAULT_POOL_SIZE
         self.checkpoint_every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else int(os.environ.get("REPRO_CHECKPOINT_EVERY", DEFAULT_CHECKPOINT_EVERY))
+            checkpoint_every if checkpoint_every is not None else DEFAULT_CHECKPOINT_EVERY
         )
         self.crash_hook = crash_hook if crash_hook is not None else _env_crash_hook()
         self.stats = PagerStats()

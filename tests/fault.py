@@ -228,7 +228,7 @@ def apply_event(engine, event) -> str:
         if kind == "flush":
             # An enforcing tail flush rejects the whole batch atomically;
             # drop it so the oracle and the crashed run stay in lockstep.
-            engine.policy._deferred.compose()
+            engine.policy.compose(engine)
         return "rejected"
     except (StorageError, MaintenanceError, PropagationError):
         # A generated delta can reference a row an earlier *rejected*

@@ -19,9 +19,11 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.ivm.deferred import DeferredMaintainer, compose_deltas
+from repro.engine import DeferredPolicy, Engine
+from repro.ivm.deferred import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA, problem_dept_tree
@@ -169,13 +171,13 @@ class TestDeferredEquivalence:
         m1.verify()
 
         db2, m2 = make_setup()
-        deferred = DeferredMaintainer(m2)
+        engine = Engine(m2, policy=DeferredPolicy(), metrics=MetricsRegistry())
         i = 0
         for size in batch_splits:
             for _ in range(size):
-                deferred.enqueue(stream[i])
+                engine.execute(stream[i])
                 i += 1
-            deferred.flush()
+            engine.flush()
         m2.verify()
 
         assert db1.relation("Emp").contents() == db2.relation("Emp").contents()

@@ -3,7 +3,7 @@
 Covers the CommitCache's partial-hit key splitting (including the cached
 empty-result sentinel and caller-ownership of returned multisets), the
 AdhocPlanCache's canonical shape signatures and LRU behavior, the
-environment kill-switches, the deterministic ad-hoc naming counter, the
+commit-cache environment kill-switch, the deterministic ad-hoc naming counter, the
 iterative ``_topological`` on a deep chain, and the delta-signature keying
 of the estimator's delta memo (stale-entry regression).
 """
@@ -23,7 +23,6 @@ from repro.ivm.cache import (
     CommitCacheStats,
     adhoc_signature,
     commit_cache_default,
-    plan_cache_default_capacity,
 )
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
@@ -248,18 +247,6 @@ class TestEnvSwitches:
         assert commit_cache_default() is False
         monkeypatch.setenv("REPRO_COMMIT_CACHE", "1")
         assert commit_cache_default() is True
-
-    def test_plan_cache_capacity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ADHOC_PLAN_CACHE", raising=False)
-        assert plan_cache_default_capacity() == 128
-        monkeypatch.setenv("REPRO_ADHOC_PLAN_CACHE", "0")
-        assert plan_cache_default_capacity() == 0
-        monkeypatch.setenv("REPRO_ADHOC_PLAN_CACHE", "false")
-        assert plan_cache_default_capacity() == 0
-        monkeypatch.setenv("REPRO_ADHOC_PLAN_CACHE", "64")
-        assert plan_cache_default_capacity() == 64
-        monkeypatch.setenv("REPRO_ADHOC_PLAN_CACHE", "junk")
-        assert plan_cache_default_capacity() == 128
 
 
 # -- maintainer integration -----------------------------------------------------------

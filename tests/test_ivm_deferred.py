@@ -1,4 +1,9 @@
-"""Tests for deferred (batched) maintenance and delta composition."""
+"""Tests for deferred (batched) maintenance and delta composition.
+
+Deferred maintenance is ``Engine(maintainer, policy=DeferredPolicy())``:
+the policy queues commits and ``engine.flush()`` composes the queue with
+``compose_batch`` and commits it as one transaction.
+"""
 
 import random
 
@@ -12,9 +17,11 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.ivm.deferred import DeferredMaintainer, compose_deltas
+from repro.engine import DeferredPolicy, Engine
+from repro.ivm.deferred import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import problem_dept_tree
 from repro.workload.transactions import Transaction, paper_transactions
@@ -143,7 +150,7 @@ def deferred(small_paper_db):
         cost_model,
     )
     maintainer.materialize()
-    return db, DeferredMaintainer(maintainer)
+    return db, Engine(maintainer, policy=DeferredPolicy(), metrics=MetricsRegistry())
 
 
 def _emp_raise(db, rng, amount=5):
@@ -153,61 +160,64 @@ def _emp_raise(db, rng, amount=5):
 
 
 class TestDeferredMaintainer:
+    """Deferred maintenance through ``DeferredPolicy`` (the class name
+    predates the policy and keeps these test ids stable)."""
+
     def test_queue_defers_database(self, deferred):
-        db, dm = deferred
+        db, engine = deferred
         before = db.relation("Emp").contents()
         rng = random.Random(0)
-        dm.enqueue(_emp_raise(db, rng))
-        assert dm.pending == 1
+        assert engine.execute(_emp_raise(db, rng)).deferred
+        assert engine.pending == 1
         assert db.relation("Emp").contents() == before
-        dm.flush()
-        assert dm.pending == 0
+        engine.flush()
+        assert engine.pending == 0
         assert db.relation("Emp").contents() != before
-        dm.maintainer.verify()
+        engine.maintainer.verify()
 
     def test_flush_empty_queue(self, deferred):
-        _, dm = deferred
-        assert dm.flush() is None
+        _, engine = deferred
+        assert engine.flush() is None
 
     def test_batch_correctness(self, deferred):
-        db, dm = deferred
+        db, engine = deferred
         rng = random.Random(1)
         for _ in range(3):
             for _ in range(5):
-                dm.enqueue(_emp_raise(db, rng, rng.randint(1, 20)))
-            dm.flush()
-            dm.maintainer.verify()
+                engine.execute(_emp_raise(db, rng, rng.randint(1, 20)))
+            engine.flush()
+            engine.maintainer.verify()
 
     def test_mixed_relation_batch(self, deferred):
-        db, dm = deferred
+        db, engine = deferred
         rng = random.Random(2)
-        dm.enqueue(_emp_raise(db, rng))
+        engine.execute(_emp_raise(db, rng))
         dept = sorted(db.relation("Dept").contents().rows())[0]
-        dm.enqueue(
+        engine.execute(
             Transaction(
                 ">Dept",
                 {"Dept": Delta.modification([(dept, (dept[0], dept[1], dept[2] - 5))])},
             )
         )
-        combined = dm.flush()
-        assert combined is not None
-        assert combined.updated_relations == {"Emp", "Dept"}
-        dm.maintainer.verify()
+        result = engine.flush()
+        assert result is not None
+        assert result.txn.updated_relations == {"Emp", "Dept"}
+        engine.maintainer.verify()
 
     def test_cancelling_batch_is_free(self, deferred):
-        db, dm = deferred
+        db, engine = deferred
         emp = sorted(db.relation("Emp").contents().rows())[0]
         up = (emp[0], emp[1], emp[2] + 10)
-        dm.enqueue(Transaction(">Emp", {"Emp": Delta.modification([(emp, up)])}))
-        dm.enqueue(Transaction(">Emp", {"Emp": Delta.modification([(up, emp)])}))
+        engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(emp, up)])}))
+        engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(up, emp)])}))
         db.counter.reset()
-        assert dm.flush() is None
+        assert engine.flush() is None
+        assert engine.pending == 0
         assert db.counter.total == 0
 
     def test_batching_amortizes_io(self, deferred):
         """k raises to the same employee: one group update, not k."""
-        db, dm = deferred
-        rng = random.Random(3)
+        db, engine = deferred
         emp = sorted(db.relation("Emp").contents().rows())[0]
 
         # Per-transaction baseline.
@@ -215,30 +225,30 @@ class TestDeferredMaintainer:
         current = emp
         for i in range(5):
             new = (current[0], current[1], current[2] + 1)
-            dm.enqueue(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
-            dm.flush()
+            engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
+            engine.flush()
             current = new
         per_txn_cost = db.counter.total
-        dm.maintainer.verify()
+        engine.maintainer.verify()
 
         # Batched.
         db.counter.reset()
         for i in range(5):
             new = (current[0], current[1], current[2] + 1)
-            dm.enqueue(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
+            engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
             current = new
-        dm.flush()
+        engine.flush()
         batched_cost = db.counter.total
-        dm.maintainer.verify()
+        engine.maintainer.verify()
         assert batched_cost < per_txn_cost
 
     def test_transient_name_cleaned_up(self, deferred):
-        db, dm = deferred
+        db, engine = deferred
         rng = random.Random(4)
-        dm.enqueue(_emp_raise(db, rng))
-        dm.flush()
+        engine.execute(_emp_raise(db, rng))
+        assert engine.flush().txn.type_name.startswith("__batch")
         assert not any(
-            name.startswith("__batch") for name in dm.maintainer.txn_types
+            name.startswith("__batch") for name in engine.maintainer.txn_types
         )
 
 
@@ -250,8 +260,7 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.engine import Engine
-from repro.ivm.deferred import DeferredMaintainer
+from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
 from repro.obs.metrics import MetricsRegistry
@@ -281,19 +290,18 @@ maintainer = ViewMaintainer(
 )
 maintainer.materialize()
 
-deferred = DeferredMaintainer(maintainer)
+tracer = Tracer()
+engine = Engine(
+    maintainer, policy=DeferredPolicy(), tracer=tracer, metrics=MetricsRegistry()
+)
 for i in range(1, K + 1):
     rel = f"R{i}"
     old = sorted(db.relation(rel).contents().rows())[0]
     new = (old[0], old[1], old[2] + 7)
-    deferred.enqueue(Transaction(f">R{i}", {rel: Delta.modification([(old, new)])}))
-combined = deferred.compose()
-
-tracer = Tracer()
-engine = Engine(maintainer, tracer=tracer, metrics=MetricsRegistry())
-result = engine.execute(combined)
+    engine.execute(Transaction(f">R{i}", {rel: Delta.modification([(old, new)])}))
+result = engine.flush()
 print(json.dumps({
-    "compose_order": list(combined.deltas),
+    "compose_order": list(result.txn.deltas),
     "base_apply_order": [s.attrs["relation"] for s in tracer.find("base_apply")],
     "io": result.io.total,
 }))
@@ -302,7 +310,7 @@ print(json.dumps({
 
 class TestComposeHashSeedDeterminism:
     def test_batch_order_independent_of_hash_seed(self):
-        """compose() must not leak set-iteration order: the combined
+        """Composition must not leak set-iteration order: the combined
         batch's relation order (and hence base-apply order and per-span
         attribution) has to be bit-identical across PYTHONHASHSEED values.
         Seeds 0/1/2 are verified to order {R1..R5} differently, so the

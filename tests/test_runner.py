@@ -30,8 +30,7 @@ class DeferredEnforcingPolicy(DeferredPolicy):
     """
 
     def flush(self, engine):
-        assert self._deferred is not None, "policy used before bind()"
-        combined = self._deferred.compose()
+        combined = self.compose(engine)
         if combined is None:
             return None
         return EnforcingPolicy.commit(EnforcingPolicy(), engine, combined)

@@ -81,6 +81,13 @@ class TestDML:
         assert rows == []
         fresh.system.maintainer.verify()
 
+    def test_negative_value_is_stored(self, fresh):
+        result = fresh.execute("UPDATE Emp SET Salary = -1 WHERE EName = 'emp00000_000'")
+        assert result.kind == "dml", result.text
+        rows = fresh.execute("SELECT EName FROM Emp WHERE Salary = -1").rows
+        assert rows == [("emp00000_000",)]
+        fresh.system.maintainer.verify()
+
     def test_noop_dml(self, fresh):
         result = fresh.execute("DELETE FROM Emp WHERE Salary < 0")
         assert result.text == "no rows affected"

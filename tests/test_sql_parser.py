@@ -119,3 +119,30 @@ class TestCreateAssertion:
     def test_create_something_else_rejected(self):
         with pytest.raises(SQLSyntaxError):
             parse("CREATE TABLE T (a int)")
+
+
+class TestSignedLiterals:
+    """A leading ``-`` on a numeric literal, wherever an expression starts
+    (INSERT VALUES already accepted it; these raised SQLSyntaxError)."""
+
+    def test_update_set_negative(self):
+        stmt = parse("UPDATE Emp SET Salary = -1 WHERE EName = 'e1'")
+        assert stmt.assignments[0].value == ast.Literal(-1)
+
+    def test_negative_operand_after_operator(self):
+        stmt = parse("UPDATE Emp SET Salary = Salary + -1 WHERE EName = 'e1'")
+        assert stmt.assignments[0].value == ast.BinaryOp(
+            "+", ast.ColumnRef(None, "Salary"), ast.Literal(-1)
+        )
+
+    def test_where_compares_with_negative(self):
+        stmt = parse("SELECT * FROM Emp WHERE Salary > -5")
+        assert stmt.where == ast.Comparison(
+            ">", ast.ColumnRef(None, "Salary"), ast.Literal(-5)
+        )
+
+    def test_binary_minus_still_subtracts(self):
+        stmt = parse("UPDATE Emp SET Salary = Salary -1")
+        assert stmt.assignments[0].value == ast.BinaryOp(
+            "-", ast.ColumnRef(None, "Salary"), ast.Literal(1)
+        )
