@@ -1,20 +1,12 @@
-"""Operating maintained views in production: batching and adaptation.
+"""Operating maintained views in production: batching.
 
-Two engineering layers built on the paper's machinery:
-
-1. **Deferred maintenance** — commit through the transactional engine
-   under a ``DeferredPolicy``: transactions queue and views refresh once
-   per batch; composed deltas collapse repeated work (demonstrated on a
-   hot-spot stream with batch sizes 1 / 5 / 20);
-2. **Adaptive re-optimization** — a chain-join view whose optimal
-   auxiliary set depends on which end of the chain is hot; the controller
-   notices the drift, re-runs Algorithm OptimalViewSet with observed
-   weights, and migrates (paying the re-build) when it is worth it.
+**Deferred maintenance** — commit through the transactional engine under
+a ``DeferredPolicy``: transactions queue and views refresh once per batch;
+composed deltas collapse repeated work (demonstrated on a hot-spot stream
+with batch sizes 1 / 5 / 20).
 
 Run:  python examples/operations.py
 """
-
-import random
 
 from repro import (
     Catalog,
@@ -27,18 +19,16 @@ from repro import (
     Transaction,
     build_dag,
 )
-from repro.core.adaptive import AdaptiveMaintainer
 from repro.core.optimizer import optimal_view_set
 from repro.ivm.maintainer import ViewMaintainer
 from repro.storage.database import Database
-from repro.workload.generators import chain_view, load_chain_database
 from repro.workload.paperdb import (
     DEPT_SCHEMA,
     EMP_SCHEMA,
     generate_corporate_db,
     problem_dept_tree,
 )
-from repro.workload.transactions import modify_txn, paper_transactions
+from repro.workload.transactions import paper_transactions
 
 
 def deferred_demo() -> None:
@@ -85,40 +75,5 @@ def deferred_demo() -> None:
     print()
 
 
-def adaptive_demo() -> None:
-    print("=== Adaptive re-optimization (drifting chain-join workload) ===")
-    db = load_chain_database(3, 200, seed=3)
-    dag = build_dag(chain_view(3, aggregate=True))
-    estimator = DagEstimator(dag.memo, Catalog.from_database(db))
-    cost_model = PageIOCostModel(dag.memo, estimator, CostConfig(root_group=dag.root))
-    txns = (modify_txn(">R1", "R1", {"V1"}), modify_txn(">R3", "R3", {"V3"}))
-    adaptive = AdaptiveMaintainer(
-        db, dag, txns, estimator, cost_model, window=25, amortization_horizon=400
-    )
-
-    def describe(marking):
-        extras = sorted(
-            g for g in marking if dag.memo.find(g) != dag.root
-        )
-        return [str(set(dag.memo.group(g).schema.names)) for g in extras] or ["(none)"]
-
-    print(f"  initial auxiliary views: {describe(adaptive.marking)}")
-    rng = random.Random(4)
-    for phase, relation in enumerate(("R1", "R3", "R1")):
-        for _ in range(150):
-            rows = sorted(db.relation(relation).contents().rows())
-            old = rng.choice(rows)
-            new = (old[0], old[1], old[2] + 1)
-            adaptive.apply(
-                Transaction(f">{relation}", {relation: Delta.modification([(old, new)])})
-            )
-        print(f"  after a {relation}-hot phase: {describe(adaptive.marking)}")
-    adaptive.verify()
-    switches = [h for h in adaptive.history if h.switched]
-    print(f"  plan switches: {len(switches)} "
-          f"(at transactions {[h.at_txn for h in switches]})")
-
-
 if __name__ == "__main__":
     deferred_demo()
-    adaptive_demo()

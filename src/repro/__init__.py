@@ -47,10 +47,7 @@ from repro.core.heuristics import (
 from repro.core.multiview import MultiViewProblem
 from repro.core.optimizer import evaluate_view_set, optimal_view_set
 from repro.core.report import render_report
-from repro.core.space import (
-    optimal_view_set_within_budget,
-    space_time_curve,
-)
+from repro.core.space import space_time_curve
 from repro.core.plan import OptimizationResult, ViewSetEvaluation
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig, CostModel
@@ -147,7 +144,6 @@ __all__ = [
     "heuristic_single_view_set",
     "lit",
     "optimal_view_set",
-    "optimal_view_set_within_budget",
     "render_report",
     "space_time_curve",
     "render_dag",

@@ -1,6 +1,5 @@
 """The paper's contribution: view-set optimization over expression DAGs."""
 
-from repro.core.adaptive import AdaptiveMaintainer, Reoptimization
 from repro.core.articulation import articulation_groups, local_optimum
 from repro.core.heuristics import (
     approximate_view_set,
@@ -27,19 +26,15 @@ from repro.core.serialize import (
     save_plan,
 )
 from repro.core.space import (
-    greedy_view_set_within_budget,
     marking_space,
-    optimal_view_set_within_budget,
     space_time_curve,
     view_space_pages,
 )
 from repro.core.tracks import describe_track, enumerate_tracks
 
 __all__ = [
-    "AdaptiveMaintainer",
     "MultiViewProblem",
     "OptimizerStats",
-    "Reoptimization",
     "OptimizationResult",
     "SearchCache",
     "PlanFormatError",
@@ -52,9 +47,7 @@ __all__ = [
     "enumerate_tracks",
     "evaluate_view_set",
     "greedy_view_set",
-    "greedy_view_set_within_budget",
     "marking_space",
-    "optimal_view_set_within_budget",
     "render_report",
     "dag_fingerprint",
     "load_plan",

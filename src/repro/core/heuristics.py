@@ -13,26 +13,31 @@ Three families, exactly as the paper lays out:
   nothing.
 * **Greedy / approximate costing** — hill-climb: repeatedly add the single
   candidate view that most reduces the weighted cost, keeping one cost per
-  step instead of exploring all subsets.
+  step instead of exploring all subsets; or keep the exhaustive search and
+  give each query one fixed cost.
+
+None of them owns a subset loop: single-tree and approximate costing run
+:func:`~repro.core.optimizer.optimal_view_set` (over one tree's nodes, or
+under an approximate cost model), the structural rule costs two view sets,
+and :func:`greedy_view_set` is the one hill-climb, which also serves the
+space-budgeted search.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.algebra.operators import DuplicateElim, GroupAggregate, Join
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostModel
 from repro.core.memoize import SearchCache
-from repro.core.optimizer import (
-    _evaluation_key,
-    evaluate_view_set,
-    optimal_view_set,
-)
-from repro.core.plan import OptimizationResult, TxnPlan, ViewSetEvaluation
+from repro.core.optimizer import evaluate_view_set, optimal_view_set
+from repro.core.plan import OptimizationResult, ViewSetEvaluation
+from repro.core.space import view_space_pages
 from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
 from repro.dag.nodes import OperationNode
+from repro.dag.queries import MaintenanceQuery
 from repro.workload.transactions import TransactionType
 
 # A fully-chosen expression tree inside the DAG: group id -> operation node.
@@ -202,6 +207,44 @@ def heuristic_single_view_set(
     return candidate if candidate.weighted_cost < nothing.weighted_cost else nothing
 
 
+class _TargetOnlyCostModel(CostModel):
+    """Section 5's *approximate costing* as a cost model over an exact one.
+
+    Each query is priced as if its own target were the only materialized
+    view that could help it, and a batch pays for every query (no MQO).
+    The cross-view interactions that make exact costing non-local (paper
+    §4.1) are deliberately ignored, which is what makes this approximate.
+    A query's cost then depends on one bit of the marking, so each query
+    is priced at most twice.
+    """
+
+    def __init__(self, exact: CostModel) -> None:
+        self.exact = exact
+        self.config = getattr(exact, "config", None)
+        self._costs: dict[tuple, float] = {}
+
+    def query_cost(
+        self, query: MaintenanceQuery, marking: frozenset[int], txn: TransactionType
+    ) -> float:
+        key = (query, txn.name, query.target in marking)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self.exact.query_cost(query, marking & {query.target}, txn)
+            self._costs[key] = cost
+        return cost
+
+    def update_cost(self, group_id: int, txn: TransactionType) -> float:
+        return self.exact.update_cost(group_id, txn)
+
+    def total_query_cost(
+        self,
+        queries: Iterable[MaintenanceQuery],
+        marking: frozenset[int],
+        txn: TransactionType,
+    ) -> float:
+        return sum(self.query_cost(q, marking, txn) for q in queries)
+
+
 def approximate_view_set(
     dag: ViewDag,
     txns: Sequence[TransactionType],
@@ -211,101 +254,15 @@ def approximate_view_set(
     max_candidates: int = 16,
 ) -> OptimizationResult:
     """Section 5's *approximate costing*: associate a single cost with each
-    query and move query costing out of the innermost loop.
-
-    Every (operation node, transaction) site's queries are derived and
-    costed **once** — an unmarked-context cost and a marked-target lookup
-    cost — and every view set is then evaluated by pure arithmetic over
-    those fixed numbers. The retained marking-dependence is only whether
-    the query's *own target* is materialized; the cross-view interactions
-    that make exact costing non-local (paper §4.1) are deliberately
-    ignored, which is what makes this approximate.
-    """
-    from repro.core.optimizer import SearchSpaceError, _candidate_subsets
-
-    memo = dag.memo
-    roots = frozenset(memo.find(r) for r in dag.roots.values())
-    if candidates is None:
-        candidates = dag.candidate_groups()
-    candidates = [memo.find(c) for c in candidates]
-    optional = [c for c in candidates if c not in roots]
-    if len(optional) > max_candidates:
-        raise SearchSpaceError(f"{len(optional)} candidates; restrict the set")
-
-    # Fig. 4 step 1 via the shared cache (update costs + affected bitmap);
-    # per (op, txn, self-maintained?): derived queries with fixed
-    # unmarked / marked costs.
-    cache = SearchCache(memo, cost_model, estimator)
-    cache.precompute(candidates, txns)
-
-    QueryCosts = list[tuple[int, float, float]]  # (target, unmarked, marked)
-    site_queries: dict[tuple[int, str, bool], QueryCosts] = {}
-    for group in memo.groups():
-        for op in group.ops:
-            for txn in txns:
-                if not estimator.op_affected(op, txn):
-                    continue
-                for own_marked in (False, True):
-                    costs: QueryCosts = []
-                    for query in cache.queries(op, txn, own_marked):
-                        target = memo.find(query.target)
-                        unmarked = cost_model.query_cost(query, frozenset(), txn)
-                        marked = cost_model.query_cost(
-                            query, frozenset({target}), txn
-                        )
-                        costs.append((target, unmarked, marked))
-                    site_queries[(op.id, txn.name, own_marked)] = costs
-
-    evaluated: list[ViewSetEvaluation] = []
-    best: ViewSetEvaluation | None = None
-    best_key: tuple | None = None
-    considered = 0
-    total_weight = sum(t.weight for t in txns)
-    for marking in _candidate_subsets(candidates, roots):
-        considered += 1
-        evaluation = ViewSetEvaluation(marking)
-        weighted = 0.0
-        for txn in txns:
-            targets = cache.affected_targets(marking, txn)
-            update = sum(cache.update_cost(g, txn) for g in targets)
-            best_track_cost = float("inf")
-            best_track = {}
-            tracks, truncated = cache.tracks(frozenset(targets), txn)
-            for track in tracks:
-                cost = 0.0
-                for gid, op in track.items():
-                    own_marked = gid in marking
-                    for target, unmarked, marked_cost in site_queries.get(
-                        (op.id, txn.name, own_marked), []
-                    ):
-                        cost += marked_cost if target in marking else unmarked
-                if cost < best_track_cost:
-                    best_track_cost = cost
-                    best_track = track
-            if not targets:
-                best_track_cost = 0.0
-            plan = TxnPlan(
-                txn.name,
-                best_track_cost,
-                update,
-                dict(best_track),
-                tracks_truncated=truncated,
-            )
-            evaluation.per_txn[txn.name] = plan
-            weighted += plan.total * txn.weight
-        evaluation.weighted_cost = weighted / total_weight if total_weight else 0.0
-        evaluated.append(evaluation)
-        key = _evaluation_key(evaluation)
-        if best_key is None or key < best_key:
-            best, best_key = evaluation, key
-    assert best is not None
-    return OptimizationResult(
-        best=best,
-        evaluated=evaluated,
-        root=min(roots),
-        candidates=tuple(candidates),
-        view_sets_considered=considered,
-        stats=cache.stats,
+    query — its exact cost with at most its own target materialized — and
+    run the exhaustive search under that cost model."""
+    return optimal_view_set(
+        dag,
+        txns,
+        _TargetOnlyCostModel(cost_model),
+        estimator,
+        candidates=candidates,
+        max_candidates=max_candidates,
     )
 
 
@@ -317,31 +274,39 @@ def greedy_view_set(
     candidates: Sequence[int] | None = None,
     track_limit: int | None = None,
     cache: SearchCache | None = None,
+    budget: float | None = None,
 ) -> OptimizationResult:
     """Section 5 heuristic 3: greedy hill-climbing with one cost per step.
 
-    Evaluates O(k²) view sets instead of 2^k: starting from {V}, repeatedly
-    add the candidate whose addition lowers the weighted cost the most.
+    Evaluates O(k²) view sets instead of 2^k: starting from the roots,
+    repeatedly add the candidate whose addition lowers the weighted cost
+    the most. Under a space ``budget`` (pages of auxiliary views, see
+    :mod:`repro.core.space`) only candidates that still fit are tried and
+    the pick is by cost reduction per page — the knapsack-style rule.
     """
     memo = dag.memo
-    root = dag.root
+    roots = frozenset(memo.find(r) for r in dag.roots.values())
     if candidates is None:
         candidates = dag.candidate_groups()
+    candidates = sorted({memo.find(c) for c in candidates})
     if cache is None:
         cache = SearchCache(memo, cost_model, estimator)
-    cache.precompute([memo.find(c) for c in candidates], txns)
-    remaining = {memo.find(c) for c in candidates} - {root}
+    cache.precompute(candidates, txns)
+    remaining = set(candidates) - roots
     current = evaluate_view_set(
-        memo, frozenset({root}), txns, cost_model, estimator, track_limit,
-        cache=cache,
+        memo, roots, txns, cost_model, estimator, track_limit, cache=cache
     )
     evaluated = [current]
-    considered = 1
-    improved = True
-    while improved and remaining:
-        improved = False
-        best_addition: tuple[int, ViewSetEvaluation] | None = None
+    spent = 0.0
+    while remaining:
+        # (score, candidate, evaluation, pages) of the best addition so far.
+        pick: tuple[float, int, ViewSetEvaluation, float] | None = None
         for candidate in sorted(remaining):
+            pages = 0.0
+            if budget is not None:
+                pages = view_space_pages(memo, candidate, estimator, cost_model)
+                if spent + pages > budget:
+                    continue
             trial = evaluate_view_set(
                 memo,
                 current.marking | {candidate},
@@ -351,22 +316,23 @@ def greedy_view_set(
                 track_limit,
                 cache=cache,
             )
-            considered += 1
             evaluated.append(trial)
-            if trial.weighted_cost < current.weighted_cost - 1e-9 and (
-                best_addition is None
-                or trial.weighted_cost < best_addition[1].weighted_cost
-            ):
-                best_addition = (candidate, trial)
-        if best_addition is not None:
-            current = best_addition[1]
-            remaining.discard(best_addition[0])
-            improved = True
+            gain = current.weighted_cost - trial.weighted_cost
+            if gain <= 1e-9:
+                continue
+            score = gain if budget is None else gain / max(pages, 1.0)
+            if pick is None or score > pick[0]:
+                pick = (score, candidate, trial, pages)
+        if pick is None:
+            break
+        _, candidate, current, pages = pick
+        spent += pages
+        remaining.discard(candidate)
     return OptimizationResult(
         best=current,
         evaluated=evaluated,
-        root=root,
-        candidates=tuple(sorted({memo.find(c) for c in candidates})),
-        view_sets_considered=considered,
+        root=min(roots),
+        candidates=tuple(candidates),
+        view_sets_considered=len(evaluated),
         stats=cache.stats,
     )

@@ -30,9 +30,9 @@ other marking-recurrent quantities:
 All keys use canonical (union-find representative) group ids. A cache is
 valid as long as the memo structure, the estimator's statistics, and the
 mapping from transaction-type *name* to update spec stay fixed; transaction
-weights may change freely (nothing cached depends on them), which is what
-lets :class:`~repro.core.adaptive.AdaptiveMaintainer` keep one cache across
-re-optimizations.
+weights may change freely (nothing cached depends on them), so one cache
+can serve repeated searches under re-weighted copies of the same
+transaction types.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class SearchCache:
     cost model) triple.
 
     One cache may serve many searches — the exhaustive loop, its shielding
-    sub-searches, greedy hill climbing, and adaptive re-optimization — as
-    long as the underlying DAG and statistics do not change.
+    sub-searches and the greedy hill-climb — as long as the underlying DAG
+    and statistics do not change.
     """
 
     def __init__(

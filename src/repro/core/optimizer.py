@@ -15,10 +15,18 @@ weights, and a (monotonic) cost model:
    deterministically toward the smaller (then lexicographically smaller)
    marking — equal-cost solutions prefer less space.
 
-The optional *shielding* filter applies Theorem 4.1: any view set marking
-an articulation node A whose restriction below A differs from the locally
-optimal set Opt(A) cannot be globally optimal and is skipped without
-costing (see :mod:`repro.core.articulation`).
+Two optional filters reject a marking before it is costed (both count in
+``view_sets_pruned``):
+
+* *shielding* applies Theorem 4.1: any view set marking an articulation
+  node A whose restriction below A differs from the locally optimal set
+  Opt(A) cannot be globally optimal (see :mod:`repro.core.articulation`);
+* a space *budget* rejects view sets whose auxiliary views occupy more
+  pages than allowed (see :mod:`repro.core.space`).
+
+This loop and the hill-climb in :func:`repro.core.heuristics.greedy_view_set`
+are the only two view-set searches; the Section-5 heuristics restrict their
+candidates or swap their cost model.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostModel
 from repro.core.memoize import SearchCache
 from repro.core.plan import OptimizationResult, TxnPlan, ViewSetEvaluation
+from repro.core.space import marking_space, view_space_pages
 from repro.core.tracks import track_ops
 from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
@@ -135,12 +144,16 @@ def optimal_view_set(
     cache: SearchCache | None = None,
     use_cache: bool = True,
     tracer=None,
+    budget: float | None = None,
 ) -> OptimizationResult:
     """Exhaustive Algorithm OptimalViewSet over the DAG's view sets.
 
     ``required`` defaults to the DAG's root(s) — the paper always
     materializes the view being maintained. ``candidates`` defaults to all
-    non-leaf equivalence nodes. Pass an existing ``cache`` to share
+    non-leaf equivalence nodes. ``budget`` caps the pages of auxiliary
+    views (:func:`~repro.core.space.marking_space`): a candidate that alone
+    exceeds it is dropped, and a view set over it is pruned uncosted;
+    ``ValueError`` if no view set fits. Pass an existing ``cache`` to share
     memoization with an enclosing search; ``use_cache=False`` disables
     cross-view-set memoization entirely (each marking is costed from
     scratch — the seed behaviour, kept for verification and benchmarking).
@@ -156,6 +169,13 @@ def optimal_view_set(
     if candidates is None:
         candidates = dag.candidate_groups()
     candidates = [memo.find(c) for c in candidates]
+    if budget is not None:
+        candidates = [
+            c
+            for c in candidates
+            if c in required
+            or view_space_pages(memo, c, estimator, cost_model) <= budget
+        ]
     optional = [c for c in candidates if c not in required]
     if len(optional) > max_candidates:
         raise SearchSpaceError(
@@ -207,7 +227,10 @@ def optimal_view_set(
     with tracer.span("optimize.search") as search_span:
         for marking in _candidate_subsets(candidates, required):
             considered += 1
-            if shield and _violates_shielding(memo, marking, shield):
+            if (shield and _violates_shielding(memo, marking, shield)) or (
+                budget is not None
+                and marking_space(dag, marking, estimator, cost_model) > budget
+            ):
                 pruned += 1
                 continue
             evaluation = evaluate_view_set(
@@ -218,7 +241,8 @@ def optimal_view_set(
             if best_key is None or key < best_key:
                 best, best_key = evaluation, key
         search_span.annotate(view_sets=considered, pruned=pruned)
-    assert best is not None
+    if best is None:
+        raise ValueError("no feasible view set within the budget")
     if cache is not None:
         cache.stats.add_phase("search", time.perf_counter() - started)
         from repro.obs.metrics import get_metrics

@@ -4,19 +4,14 @@ The paper's title is the trade-off; its algorithms optimize time assuming
 space is free ("Obviously there is also a time cost for maintaining these
 additional views", §1 — space cost is acknowledged but not budgeted). This
 module makes the trade explicit: every materialized view occupies pages
-(one page per tuple plus its index pages, matching the storage model), and
-the optimizer can be asked for the best view set whose *additional* space
-fits a budget.
+(one page per tuple plus its index pages, matching the storage model).
 
-Two searches are provided:
-
-* :func:`optimal_view_set_within_budget` — the exhaustive Algorithm
-  OptimalViewSet restricted to feasible view sets;
-* :func:`greedy_view_set_within_budget` — benefit-per-page greedy
-  hill-climbing, the classic knapsack-style heuristic;
-
-plus :func:`space_time_curve`, which sweeps budgets and reports the
-achievable maintenance cost at each — the space-for-time curve itself.
+A budget is a parameter of the two view-set searches, not a search of its
+own: ``optimal_view_set(..., budget=)`` prunes view sets that do not fit
+before costing them, and ``greedy_view_set(..., budget=)`` climbs by
+benefit per page, the classic knapsack-style heuristic.
+:func:`space_time_curve` sweeps budgets and reports the achievable
+maintenance cost at each — the space-for-time curve itself.
 """
 
 from __future__ import annotations
@@ -26,13 +21,6 @@ from typing import Sequence
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostModel
 from repro.cost.page_io import PageIOCostModel
-from repro.core.memoize import SearchCache
-from repro.core.optimizer import (
-    _evaluation_key,
-    evaluate_view_set,
-    optimal_view_set,
-)
-from repro.core.plan import OptimizationResult, ViewSetEvaluation
 from repro.dag.builder import ViewDag
 from repro.workload.transactions import TransactionType
 
@@ -71,116 +59,6 @@ def marking_space(
     return total
 
 
-def optimal_view_set_within_budget(
-    dag: ViewDag,
-    txns: Sequence[TransactionType],
-    cost_model: CostModel,
-    estimator: DagEstimator,
-    budget: float,
-    **kwargs,
-) -> OptimizationResult:
-    """Exhaustive search over view sets whose additional space ≤ budget.
-
-    Implemented as the standard search with infeasible markings discarded
-    after costing is skipped (they are filtered before evaluation via the
-    candidate filter trick: every optional candidate larger than the budget
-    can never appear)."""
-    memo = dag.memo
-    roots = {memo.find(r) for r in dag.roots.values()}
-    candidates = kwargs.pop("candidates", None) or dag.candidate_groups()
-    affordable = [
-        memo.find(c)
-        for c in candidates
-        if memo.find(c) in roots
-        or view_space_pages(memo, c, estimator, cost_model) <= budget
-    ]
-    result = optimal_view_set(
-        dag, txns, cost_model, estimator, candidates=affordable, **kwargs
-    )
-    feasible = [
-        ev
-        for ev in result.evaluated
-        if marking_space(dag, ev.marking, estimator, cost_model) <= budget
-    ]
-    if not feasible:
-        raise ValueError("no feasible view set within the budget")
-    best = min(feasible, key=_evaluation_key)
-    return OptimizationResult(
-        best=best,
-        evaluated=feasible,
-        root=result.root,
-        candidates=result.candidates,
-        view_sets_considered=result.view_sets_considered,
-        view_sets_pruned=result.view_sets_considered - len(feasible),
-        stats=result.stats,
-    )
-
-
-def greedy_view_set_within_budget(
-    dag: ViewDag,
-    txns: Sequence[TransactionType],
-    cost_model: CostModel,
-    estimator: DagEstimator,
-    budget: float,
-    candidates: Sequence[int] | None = None,
-    track_limit: int | None = None,
-) -> OptimizationResult:
-    """Benefit-per-page greedy: repeatedly add the affordable candidate
-    with the best (cost reduction / space) ratio."""
-    memo = dag.memo
-    roots = frozenset(memo.find(r) for r in dag.roots.values())
-    if candidates is None:
-        candidates = dag.candidate_groups()
-    cache = SearchCache(memo, cost_model, estimator)
-    cache.precompute([memo.find(c) for c in candidates], txns)
-    remaining = {memo.find(c) for c in candidates} - roots
-    current = evaluate_view_set(
-        memo, roots, txns, cost_model, estimator, track_limit, cache=cache
-    )
-    evaluated = [current]
-    spent = 0.0
-    considered = 1
-    improved = True
-    while improved and remaining:
-        improved = False
-        best_pick: tuple[float, int, ViewSetEvaluation, float] | None = None
-        for candidate in sorted(remaining):
-            space = view_space_pages(memo, candidate, estimator, cost_model)
-            if spent + space > budget:
-                continue
-            trial = evaluate_view_set(
-                memo,
-                current.marking | {candidate},
-                txns,
-                cost_model,
-                estimator,
-                track_limit,
-                cache=cache,
-            )
-            considered += 1
-            evaluated.append(trial)
-            gain = current.weighted_cost - trial.weighted_cost
-            if gain <= 1e-9:
-                continue
-            ratio = gain / max(space, 1.0)
-            if best_pick is None or ratio > best_pick[0]:
-                best_pick = (ratio, candidate, trial, space)
-        if best_pick is not None:
-            _, candidate, trial, space = best_pick
-            current = trial
-            spent += space
-            remaining.discard(candidate)
-            improved = True
-    return OptimizationResult(
-        best=current,
-        evaluated=evaluated,
-        root=min(roots),
-        candidates=tuple(sorted({memo.find(c) for c in candidates})),
-        view_sets_considered=considered,
-        stats=cache.stats,
-    )
-
-
 def space_time_curve(
     dag: ViewDag,
     txns: Sequence[TransactionType],
@@ -192,16 +70,13 @@ def space_time_curve(
 ) -> list[dict[str, float]]:
     """The space-for-time curve: for each budget, the best achievable
     weighted maintenance cost and the space actually used."""
+    from repro.core.heuristics import greedy_view_set
+    from repro.core.optimizer import optimal_view_set
+
+    search = optimal_view_set if exhaustive else greedy_view_set
     curve = []
     for budget in budgets:
-        if exhaustive:
-            result = optimal_view_set_within_budget(
-                dag, txns, cost_model, estimator, budget, **kwargs
-            )
-        else:
-            result = greedy_view_set_within_budget(
-                dag, txns, cost_model, estimator, budget, **kwargs
-            )
+        result = search(dag, txns, cost_model, estimator, budget=budget, **kwargs)
         used = marking_space(dag, result.best_marking, estimator, cost_model)
         curve.append(
             {

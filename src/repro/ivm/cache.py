@@ -34,16 +34,15 @@ transaction. This module closes both gaps:
 Both caches are observable (hit/miss/estimated-pages-saved counters,
 surfaced through :class:`~repro.obs.metrics.MetricsRegistry`, the shell's
 ``\\metrics``/``\\profile`` and ``fetch`` trace spans) and can be disabled
-with ``REPRO_COMMIT_CACHE=0`` or the
-:class:`~repro.ivm.maintainer.ViewMaintainer` constructor switches.
-Correctness bar: view contents, returned deltas, and rollback behavior are
-bit-identical with the caches on or off; measured page I/O can only
-decrease (see docs/cost_model.md).
+with the :class:`~repro.ivm.maintainer.ViewMaintainer` constructor
+switches (``commit_cache=False``, ``plan_cache=0``). Correctness bar:
+view contents, returned deltas, and rollback behavior are bit-identical
+with the caches on or off; measured page I/O can only decrease (see
+docs/cost_model.md).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -53,18 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.tracks import UpdateTrack
     from repro.storage.pager import IOCounter
     from repro.workload.transactions import UpdateSpec
-
-
-def _env_flag(name: str, default: bool = True) -> bool:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-def commit_cache_default() -> bool:
-    """Process default for the commit cache (``REPRO_COMMIT_CACHE``)."""
-    return _env_flag("REPRO_COMMIT_CACHE")
 
 
 #: Default capacity of a maintainer's ad-hoc plan cache

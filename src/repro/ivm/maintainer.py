@@ -49,6 +49,7 @@ from repro.algebra.operators import (
 from repro.algebra.scalar import Col
 from repro.cost.estimates import DagEstimator
 from repro.cost.page_io import PageIOCostModel
+from repro.core.optimizer import evaluate_view_set
 from repro.core.tracks import UpdateTrack
 from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
@@ -59,7 +60,6 @@ from repro.ivm.cache import (
     CommitCache,
     CommitCacheStats,
     adhoc_signature,
-    commit_cache_default,
 )
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import (
@@ -135,9 +135,7 @@ class ViewMaintainer:
         # the per-commit fetch/scan memo lives only for apply()'s
         # propagation phase; the ad-hoc plan cache lives with the
         # maintainer (its validity is tied to this memo/marking/estimator).
-        self._commit_cache_enabled = (
-            commit_cache_default() if commit_cache is None else bool(commit_cache)
-        )
+        self._commit_cache_enabled = commit_cache is None or bool(commit_cache)
         self._commit_cache: CommitCache | None = None
         self.commit_cache_stats = CommitCacheStats()
         self.last_cache_stats: CommitCacheStats | None = None
@@ -457,29 +455,12 @@ class ViewMaintainer:
     # -- transaction processing --------------------------------------------------------
 
     def choose_track(self, txn_type: TransactionType) -> UpdateTrack:
-        """The cheapest update track for an (ad-hoc) transaction type,
-        chosen with the same costing the optimizer uses."""
-        import math
-
-        from repro.core.tracks import enumerate_tracks, track_ops
-        from repro.dag.queries import derive_queries
-
-        targets = [
-            g for g in self.marking if self.estimator.affected(g, txn_type)
-        ]
-        best_cost = math.inf
-        best_track: UpdateTrack = {}
-        for track in enumerate_tracks(self.memo, targets, txn_type, self.estimator):
-            queries = []
-            for op in track_ops(track):
-                queries.extend(
-                    derive_queries(self.memo, op, txn_type, self.marking, self.estimator)
-                )
-            cost = self.cost_model.total_query_cost(queries, self.marking, txn_type)
-            if cost < best_cost:
-                best_cost = cost
-                best_track = track
-        return best_track
+        """The cheapest update track for an (ad-hoc) transaction type: the
+        optimizer's own evaluation of the current marking."""
+        evaluation = evaluate_view_set(
+            self.memo, self.marking, [txn_type], self.cost_model, self.estimator
+        )
+        return evaluation.per_txn[txn_type.name].track
 
     def apply_adhoc(
         self,

@@ -288,20 +288,6 @@ def propagate_join_net(
     return left_part if left_part is not None else Multiset()
 
 
-def propagate_join_spine_net(
-    spine: "Iterable[Join]",
-    net: Multiset,
-    fetches: "Iterable[Fetch]",
-    tracer=None,
-) -> Multiset:
-    """Thread one signed multiset up a left-deep join spine (net to net):
-    each level joins the running delta against its fetched right side."""
-    empty = Multiset()
-    for join, fetch in zip(spine, fetches):
-        net = propagate_join_net(join, net, empty, None, fetch, tracer)
-    return net
-
-
 # -- aggregation ------------------------------------------------------------------------
 
 

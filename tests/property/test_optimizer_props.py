@@ -4,7 +4,10 @@
 * enlarging a marking never increases the pure query cost of a transaction
   (materialized views only help queries — monotonicity);
 * shielding never changes the optimum, only the work done;
-* greedy never beats exhaustive but never does worse than ∅.
+* greedy never beats exhaustive but never does worse than ∅;
+* under a space budget both searches stay within it and exhaustive is
+  never beaten by greedy;
+* approximate costing never prices a view set below its exact cost.
 """
 
 import math
@@ -12,13 +15,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristics import greedy_view_set
+from repro.core.heuristics import approximate_view_set, greedy_view_set
 from repro.core.optimizer import evaluate_view_set, optimal_view_set
+from repro.core.space import marking_space
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.storage.statistics import Catalog, TableStats
+from repro.workload.generators import chain_view
 from repro.workload.paperdb import problem_dept_tree
 from repro.workload.transactions import modify_txn
 
@@ -150,3 +155,78 @@ class TestGreedy:
             <= greedy.best.weighted_cost + 1e-9
         )
         assert greedy.best.weighted_cost <= nothing.weighted_cost + 1e-9
+
+
+def _chain_setup(k, rows, w_first, w_last):
+    dag = build_dag(chain_view(k, aggregate=True))
+    catalog = Catalog(
+        {
+            f"R{i}": TableStats(
+                float(rows[i - 1]),
+                {
+                    f"K{i-1}": float(rows[i - 1]) * 0.9,
+                    f"K{i}": float(rows[i - 1]),
+                    f"V{i}": 100.0,
+                },
+            )
+            for i in range(1, k + 1)
+        }
+    )
+    estimator = DagEstimator(dag.memo, catalog)
+    cost_model = PageIOCostModel(
+        dag.memo, estimator, CostConfig(charge_root_update=False, root_group=dag.root)
+    )
+    txns = (
+        modify_txn(">R1", "R1", {"V1"}, weight=w_first),
+        modify_txn(f">R{k}", f"R{k}", {f"V{k}"}, weight=w_last),
+    )
+    return dag, estimator, cost_model, txns
+
+
+# Random instances: the paper's view under a random catalog, or a k-chain
+# join (k = 3, 4) with random table sizes and update weights.
+problems = st.one_of(
+    st.builds(lambda c, ws: _setup(c, *ws), catalogs, weights),
+    st.integers(3, 4).flatmap(
+        lambda k: st.builds(
+            lambda rows, ws: _chain_setup(k, rows, *ws),
+            st.lists(st.integers(10, 5000), min_size=k, max_size=k),
+            weights,
+        )
+    ),
+)
+
+
+class TestFoldedSearches:
+    @settings(max_examples=15, deadline=None)
+    @given(problems, st.floats(0.0, 3e5, allow_nan=False))
+    def test_budgeted_exhaustive_beats_budgeted_greedy(self, problem, budget):
+        dag, estimator, cost_model, txns = problem
+        exhaustive = optimal_view_set(dag, txns, cost_model, estimator, budget=budget)
+        greedy = greedy_view_set(dag, txns, cost_model, estimator, budget=budget)
+        for result in (exhaustive, greedy):
+            assert (
+                marking_space(dag, result.best_marking, estimator, cost_model)
+                <= budget
+            )
+        assert exhaustive.best.weighted_cost <= greedy.best.weighted_cost + 1e-9
+        assert exhaustive.view_sets_pruned == exhaustive.view_sets_considered - len(
+            exhaustive.evaluated
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(problems)
+    def test_approximate_never_below_exact(self, problem):
+        dag, estimator, cost_model, txns = problem
+        approx = approximate_view_set(dag, txns, cost_model, estimator)
+        for ev in approx.evaluated:
+            exact = evaluate_view_set(dag.memo, ev.marking, txns, cost_model, estimator)
+            assert ev.weighted_cost >= exact.weighted_cost * (1 - 1e-12) - 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(problems)
+    def test_greedy_never_beats_optimal(self, problem):
+        dag, estimator, cost_model, txns = problem
+        exhaustive = optimal_view_set(dag, txns, cost_model, estimator)
+        greedy = greedy_view_set(dag, txns, cost_model, estimator)
+        assert exhaustive.best.weighted_cost <= greedy.best.weighted_cost + 1e-9

@@ -14,6 +14,13 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
     HAVING SUM(Salary) > Budget))
 """
 
+HEADCOUNT_CONSTRAINT = """
+CREATE ASSERTION DeptHeadcount CHECK (NOT EXISTS (
+    SELECT DName FROM Emp
+    GROUPBY DName
+    HAVING COUNT(*) > 50))
+"""
+
 
 @pytest.fixture
 def system(small_paper_db):
@@ -116,11 +123,21 @@ class TestProcessing:
         assert budget == 100_000
 
     def test_greedy_mode_works(self, small_paper_db):
-        system = AssertionSystem(
-            small_paper_db,
-            [DEPT_CONSTRAINT],
-            paper_transactions(),
-            exhaustive=False,
-        )
-        result = system.process(dept_budget_txn(small_paper_db, "dept00004", 1))
-        assert not result.ok
+        """Greedy planning starts from every assertion root, so it also
+        plans a multi-root DAG."""
+        for assertions, dname in (
+            ([DEPT_CONSTRAINT], "dept00004"),
+            ([DEPT_CONSTRAINT, HEADCOUNT_CONSTRAINT], "dept00005"),
+        ):
+            system = AssertionSystem(
+                small_paper_db,
+                assertions,
+                paper_transactions(),
+                exhaustive=False,
+            )
+            roots = {system.dag.memo.find(r) for r in system._roots.values()}
+            assert len(roots) == len(assertions)
+            assert roots <= system.plan.best_marking
+            result = system.process(dept_budget_txn(small_paper_db, dname, 1))
+            assert not result.ok
+            assert (dname,) in result.new_violations["DeptConstraint"]

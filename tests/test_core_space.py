@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.space import (
-    greedy_view_set_within_budget,
-    marking_space,
-    optimal_view_set_within_budget,
-    space_time_curve,
-    view_space_pages,
-)
+from repro.core.heuristics import greedy_view_set
+from repro.core.optimizer import optimal_view_set
+from repro.core.space import marking_space, space_time_curve, view_space_pages
 
 
 class TestSpaceAccounting:
@@ -46,7 +42,7 @@ class TestBudgetedSearch:
     def test_generous_budget_matches_unbudgeted(
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator
     ):
-        result = optimal_view_set_within_budget(
+        result = optimal_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=1e9
         )
         assert result.best.weighted_cost == 3.5
@@ -54,7 +50,7 @@ class TestBudgetedSearch:
     def test_zero_budget_forces_nothing(
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator
     ):
-        result = optimal_view_set_within_budget(
+        result = optimal_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=0.0
         )
         assert result.best_marking == frozenset({paper_dag.root})
@@ -64,7 +60,7 @@ class TestBudgetedSearch:
         self, paper_dag, paper_groups, paper_txns, paper_cost_model, paper_estimator
     ):
         """2000 pages buys SumOfSals but not the 11000-page join view."""
-        result = optimal_view_set_within_budget(
+        result = optimal_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=2000.0
         )
         assert paper_groups["SumOfSals"] in result.best_marking
@@ -75,7 +71,7 @@ class TestBudgetedSearch:
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator
     ):
         budget = 2500.0
-        result = optimal_view_set_within_budget(
+        result = optimal_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=budget
         )
         for ev in result.evaluated:
@@ -84,12 +80,32 @@ class TestBudgetedSearch:
                 <= budget
             )
 
+    def test_infeasible_sets_pruned_uncosted(
+        self, paper_dag, paper_txns, paper_cost_model, paper_estimator
+    ):
+        result = optimal_view_set(
+            paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=2500.0
+        )
+        assert result.view_sets_pruned > 0
+        assert result.view_sets_pruned == result.view_sets_considered - len(
+            result.evaluated
+        )
+        assert result.stats.view_sets_costed == len(result.evaluated)
+
+    def test_no_feasible_set_raises(
+        self, paper_dag, paper_txns, paper_cost_model, paper_estimator
+    ):
+        with pytest.raises(ValueError):
+            optimal_view_set(
+                paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=-1.0
+            )
+
 
 class TestGreedyBudgeted:
     def test_matches_exhaustive_on_paper(
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator
     ):
-        greedy = greedy_view_set_within_budget(
+        greedy = greedy_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=2000.0
         )
         assert greedy.best.weighted_cost == 3.5
@@ -97,7 +113,7 @@ class TestGreedyBudgeted:
     def test_respects_budget(
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator
     ):
-        greedy = greedy_view_set_within_budget(
+        greedy = greedy_view_set(
             paper_dag, paper_txns, paper_cost_model, paper_estimator, budget=100.0
         )
         assert (

@@ -3,7 +3,7 @@
 Covers the CommitCache's partial-hit key splitting (including the cached
 empty-result sentinel and caller-ownership of returned multisets), the
 AdhocPlanCache's canonical shape signatures and LRU behavior, the
-commit-cache environment kill-switch, the deterministic ad-hoc naming counter, the
+commit-cache constructor switch, the deterministic ad-hoc naming counter, the
 iterative ``_topological`` on a deep chain, and the delta-signature keying
 of the estimator's delta memo (stale-entry regression).
 """
@@ -22,7 +22,6 @@ from repro.ivm.cache import (
     CommitCache,
     CommitCacheStats,
     adhoc_signature,
-    commit_cache_default,
 )
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
@@ -239,14 +238,13 @@ class TestAdhocPlanCache:
 
 class TestEnvSwitches:
     def test_commit_cache_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMMIT_CACHE", raising=False)
-        assert commit_cache_default() is True
+        """The constructor parameter is the only switch: the retired
+        ``REPRO_COMMIT_CACHE`` variable no longer turns the cache off."""
         monkeypatch.setenv("REPRO_COMMIT_CACHE", "0")
-        assert commit_cache_default() is False
-        monkeypatch.setenv("REPRO_COMMIT_CACHE", "off")
-        assert commit_cache_default() is False
-        monkeypatch.setenv("REPRO_COMMIT_CACHE", "1")
-        assert commit_cache_default() is True
+        _, default = _paper_maintainer()
+        assert default._commit_cache_enabled
+        _, off = _paper_maintainer(commit_cache=False)
+        assert not off._commit_cache_enabled
 
 
 # -- maintainer integration -----------------------------------------------------------

@@ -186,3 +186,41 @@ class TestFetch:
         assert evaluate(expr, small_paper_db) == evaluate(
             sum_of_sals_tree(), small_paper_db
         )
+
+
+class TestChooseTrack:
+    @pytest.mark.parametrize("self_maintenance", [True, False])
+    def test_matches_optimizer_on_every_marking(
+        self, small_paper_db, paper_dag, paper_estimator, self_maintenance
+    ):
+        """An ad-hoc track is the optimizer's track for the same marking,
+        with the self-maintenance switch honoured on both sides."""
+        import itertools
+
+        memo = paper_dag.memo
+        cost_model = PageIOCostModel(
+            memo,
+            paper_estimator,
+            CostConfig(root_group=paper_dag.root, self_maintenance=self_maintenance),
+        )
+        optional = [
+            memo.find(g) for g in paper_dag.candidate_groups() if g != paper_dag.root
+        ]
+        markings = [
+            frozenset({paper_dag.root, *extra})
+            for r in range(len(optional) + 1)
+            for extra in itertools.combinations(optional, r)
+        ]
+        assert len(markings) == 16
+        for marking in markings:
+            maintainer = ViewMaintainer(
+                small_paper_db, paper_dag, marking, (), {}, paper_estimator, cost_model
+            )
+            for txn in paper_transactions():
+                expected = evaluate_view_set(
+                    memo, marking, [txn], cost_model, paper_estimator
+                ).per_txn[txn.name].track
+                chosen = maintainer.choose_track(txn)
+                assert {g: op.id for g, op in chosen.items()} == {
+                    g: op.id for g, op in expected.items()
+                }, (sorted(marking), txn.name)

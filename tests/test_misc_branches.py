@@ -105,40 +105,3 @@ class TestMaintainerErrors:
         maintainer.materialize()
         assert maintainer.apply_adhoc(Transaction("nop", {"Emp": Delta()})) == {}
 
-
-class TestAdaptiveGreedyMode:
-    def test_greedy_search_variant(self):
-        import random
-
-        from repro.core.adaptive import AdaptiveMaintainer
-        from repro.cost.estimates import DagEstimator
-        from repro.cost.model import CostConfig
-        from repro.cost.page_io import PageIOCostModel
-        from repro.dag.builder import build_dag
-        from repro.ivm.delta import Delta
-        from repro.storage.statistics import Catalog
-        from repro.workload.generators import chain_view, load_chain_database
-        from repro.workload.transactions import Transaction, modify_txn
-
-        db = load_chain_database(3, 60, seed=2)
-        dag = build_dag(chain_view(3, aggregate=True))
-        estimator = DagEstimator(dag.memo, Catalog.from_database(db))
-        cost_model = PageIOCostModel(
-            dag.memo, estimator, CostConfig(root_group=dag.root)
-        )
-        txns = (modify_txn(">R1", "R1", {"V1"}),)
-        adaptive = AdaptiveMaintainer(
-            db, dag, txns, estimator, cost_model, window=5, exhaustive=False
-        )
-        rng = random.Random(0)
-        for _ in range(5):
-            rows = sorted(db.relation("R1").contents().rows())
-            old = rng.choice(rows)
-            adaptive.apply(
-                Transaction(
-                    ">R1",
-                    {"R1": Delta.modification([(old, (old[0], old[1], old[2] + 1))])},
-                )
-            )
-        adaptive.verify()
-        assert adaptive.history
