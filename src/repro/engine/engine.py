@@ -392,10 +392,7 @@ class Engine:
         names = {node.name for node in expr.walk() if isinstance(node, Scan)}
         with self.tracer.span("select", expr=type(expr).__name__, epoch=epoch):
             with self.db.latch:
-                snapshot = {
-                    name: self.db.relation(name).contents().copy()
-                    for name in names
-                }
+                snapshot = {name: self.db.relation(name).contents() for name in names}
                 replay = self.db.epoch_log.inverses_since(epoch)
             counter = IOCounter()  # private: never races the shared ledger
             with counter.suspended():

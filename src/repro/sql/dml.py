@@ -5,17 +5,28 @@ SQL syntax. A DML statement evaluated against the stored database yields a
 per-relation :class:`~repro.ivm.delta.Delta`, which the maintenance
 machinery (e.g. the shell's :class:`~repro.ivm.maintainer.ViewMaintainer`)
 then propagates to every materialized view.
+
+``UPDATE``/``DELETE … WHERE`` find their rows by probe when the WHERE
+clause pins a declared key or an indexed column set with ``column =
+literal`` conjuncts, and by an in-place scan otherwise; either way the
+full predicate decides each row. Deriving a delta is uncharged
+bookkeeping: the I/O counter prices maintenance, not the statement's
+row selection.
 """
 
 from __future__ import annotations
 
-from repro.algebra.predicates import Predicate, TruePred
-from repro.algebra.scalar import Scalar
+from typing import Any, Iterator
+
+from repro.algebra.multiset import Row
+from repro.algebra.predicates import Compare, Predicate, TruePred
+from repro.algebra.scalar import Col, Const, Scalar
 from repro.ivm.delta import Delta
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError, _AggregateCollector, _Scope
 from repro.storage.database import Database
+from repro.storage.relation import StoredRelation
 from repro.workload.transactions import Transaction
 
 DML_STATEMENTS = (ast.InsertStmt, ast.DeleteStmt, ast.UpdateStmt)
@@ -52,6 +63,38 @@ def _translate_scalar(expr: ast.ScalarExpr, scope: _Scope) -> Scalar:
     return scalar
 
 
+def _pins(predicate: Predicate, relation: StoredRelation) -> dict[str, Any]:
+    """The predicate's top-level ``column = literal`` conjuncts (either
+    operand order) as ``{schema column: value}``. A column pinned twice
+    keeps one pin; the full predicate rejects what the other excludes."""
+    pins: dict[str, Any] = {}
+    for part in predicate.conjuncts():
+        if not (isinstance(part, Compare) and part.op == "="):
+            continue
+        left, right = part.left, part.right
+        if isinstance(left, Const):
+            left, right = right, left
+        if isinstance(left, Col) and isinstance(right, Const):
+            pins.setdefault(relation.schema.resolve(left.name), right.value)
+    return pins
+
+
+def _matching_rows(
+    relation: StoredRelation, predicate: Predicate
+) -> Iterator[tuple[Row, dict[str, Any]]]:
+    """Stored rows (with multiplicity) that satisfy ``predicate``, each with
+    its column mapping: probed through a key or index the WHERE clause
+    pins, else scanned in place."""
+    rows = relation.candidates(_pins(predicate, relation))
+    if rows is None:
+        rows = relation.rows()
+    names = relation.schema.names
+    for row in rows:
+        mapping = dict(zip(names, row))
+        if predicate.eval(mapping):
+            yield row, mapping
+
+
 def dml_to_delta(statement, db: Database) -> tuple[str, Delta]:
     """Evaluate one parsed DML statement against the current database state,
     returning ``(relation name, delta)``. Nothing is applied."""
@@ -65,12 +108,7 @@ def dml_to_delta(statement, db: Database) -> tuple[str, Delta]:
         scope = _single_table_scope(db, statement.table)
         predicate = _translate_condition(statement.where, scope)
         predicate.validate(relation.schema)
-        names = relation.schema.names
-        doomed = [
-            row
-            for row in relation.contents().expand()
-            if predicate.eval(dict(zip(names, row)))
-        ]
+        doomed = [row for row, _ in _matching_rows(relation, predicate)]
         return statement.table, Delta.deletion(doomed)
 
     if isinstance(statement, ast.UpdateStmt):
@@ -85,12 +123,8 @@ def dml_to_delta(statement, db: Database) -> tuple[str, Delta]:
             scalar = _translate_scalar(assignment.value, scope)
             scalar.output_type(schema)  # type-check eagerly
             assignments.append((index, scalar))
-        names = schema.names
         pairs = []
-        for row in relation.contents().expand():
-            mapping = dict(zip(names, row))
-            if not predicate.eval(mapping):
-                continue
+        for row, mapping in _matching_rows(relation, predicate):
             new = list(row)
             for index, scalar in assignments:
                 new[index] = scalar.eval(mapping)

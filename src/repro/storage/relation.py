@@ -13,12 +13,13 @@ The charging policy implements the paper's Section 3.6 accounting exactly:
 
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
-aggregate push-down).
+aggregate push-down). Each key's map holds the row itself, so the same
+structure answers point lookups by key (:meth:`StoredRelation.candidates`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
@@ -40,18 +41,20 @@ class StoredRelation:
         self.schema = schema
         self.counter = counter if counter is not None else IOCounter()
         self._data = Multiset()
+        self._total = 0  # running sum of counts, so row_count is O(1)
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
-        # One incremental uniqueness map per declared candidate key, with a
-        # compiled positional getter per key (this runs once per applied row).
-        self._key_positions = {
-            key: tuple(schema.index_of(a) for a in sorted(key)) for key in schema.keys
-        }
-        self._key_getters = {
-            key: tuple_getter(positions) for key, positions in self._key_positions.items()
-        }
-        self._key_maps: dict[frozenset[str], dict[tuple, int]] = {
-            key: {} for key in schema.keys
-        }
+        # One incremental uniqueness map per declared candidate key
+        # (key value -> the one row holding it), with the key's columns in
+        # value order and a compiled positional getter per key (this runs
+        # once per applied row).
+        self._keys: list[tuple[tuple[str, ...], Callable[[Row], tuple], dict[tuple, Row]]] = [
+            (
+                tuple(sorted(key)),
+                tuple_getter(tuple(schema.index_of(a) for a in sorted(key))),
+                {},
+            )
+            for key in schema.keys
+        ]
         # Optional durability journal (DurableStore duck type). Set by the
         # Database after the relation's recovered contents are loaded, so
         # bootstrap loads are never double-journaled.
@@ -106,9 +109,36 @@ class StoredRelation:
         """Uncharged copy of the contents (verification / snapshots)."""
         return self._data.copy()
 
+    def rows(self) -> Iterator[Row]:
+        """Uncharged iteration over the stored rows, with multiplicity, in
+        place (no copy): the relation must not change while it runs."""
+        return self._data.expand()
+
+    def candidates(self, pins: Mapping[str, Any]) -> list[Row] | None:
+        """Uncharged point access: the stored rows (with multiplicity) that
+        may hold ``pins`` (schema column -> value), found through a declared
+        key's map when the pins cover a key (at most one row), else through
+        the smallest matching bucket of a hash index on pinned columns.
+        ``None`` when the pins cover neither — the caller scans. Only the
+        pinned columns of the covering key or index are matched, so the
+        caller still checks its full predicate on each row."""
+        if not pins:
+            return None
+        for columns, _, key_map in self._keys:
+            if all(c in pins for c in columns):
+                row = key_map.get(tuple(pins[c] for c in columns))
+                return [] if row is None else [row]
+        best: Multiset | None = None
+        for columns, index in self._indexes.items():
+            if all(c in pins for c in columns):
+                bucket = index.probe_free(tuple(pins[c] for c in columns))
+                if best is None or len(bucket) < len(best):
+                    best = bucket
+        return None if best is None else list(best.expand())
+
     def scan(self) -> Multiset:
         """Full scan: one tuple-page read per tuple."""
-        self.counter.charge_tuple_read(self._data.total())
+        self.counter.charge_tuple_read(self._total)
         return self._data.copy()
 
     def lookup(self, columns: Iterable[str], key: tuple[Any, ...]) -> Multiset:
@@ -147,7 +177,7 @@ class StoredRelation:
 
     @property
     def row_count(self) -> int:
-        return self._data.total()
+        return self._total
 
     # -- maintenance ------------------------------------------------------------------
 
@@ -229,24 +259,25 @@ class StoredRelation:
         violation leaves the relation untouched; when ``applied`` is given,
         the change is journaled for the caller's atomicity rollback."""
         staged = []
-        for key, getter in self._key_getters.items():
+        for columns, getter, key_map in self._keys:
             kv = getter(row)
-            key_map = self._key_maps[key]
-            new_count = key_map.get(kv, 0) + count
-            if new_count > 1:
-                raise StorageError(f"key {sorted(key)} violated in {self.name} by {kv}")
-            staged.append((key_map, kv, new_count))
-        for key_map, kv, new_count in staged:
-            if new_count <= 0:
-                key_map.pop(kv, None)
+            # A key value is held by at most one row, so any insert beyond
+            # one copy, or onto a held value, violates the key.
+            if count > 0 and (count > 1 or kv in key_map):
+                raise StorageError(f"key {list(columns)} violated in {self.name} by {kv}")
+            staged.append((key_map, kv))
+        for key_map, kv in staged:
+            if count > 0:
+                key_map[kv] = row
             else:
-                key_map[kv] = new_count
+                key_map.pop(kv, None)
         counts = self._data._counts
         new = counts.get(row, 0) + count
         if new == 0:
             counts.pop(row, None)
         else:
             counts[row] = new
+        self._total += count
         for index in self._indexes.values():
             index.add(row, count)
         if applied is not None:

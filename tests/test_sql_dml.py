@@ -108,6 +108,76 @@ class TestTranslation:
             execute_dml_text("SELECT DName FROM Dept", small_paper_db)
 
 
+class TestPointDmlProbes:
+    """Key-pinned DML on the 10 000-employee corporate world finds its row
+    through the key map: it never copies a relation, and what it derives
+    still applies, rejects and rolls back like any delta."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.shell import corporate_world
+
+        return corporate_world(n_depts=1000, emps_per_dept=10)
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        from repro.storage.relation import StoredRelation
+
+        calls = []
+        contents = StoredRelation.contents
+
+        def counted(self):
+            calls.append(self.name)
+            return contents(self)
+
+        monkeypatch.setattr(StoredRelation, "contents", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("UPDATE Emp SET Salary = Salary + 1 WHERE EName = 'emp00500_003'", "modifies"),
+            ("UPDATE Emp SET Salary = Salary - 1 WHERE Emp.EName = 'emp00017_009'", "modifies"),
+            ("DELETE FROM Emp WHERE EName = 'emp00999_000'", "deletes"),
+            ("DELETE FROM Emp WHERE 'emp00000_000' = EName AND Salary > 0", "deletes"),
+            ("UPDATE Dept SET Budget = Budget + 1 WHERE DName = 'dept00500'", "modifies"),
+        ],
+    )
+    def test_key_pinned_dml_never_copies_a_relation(self, world, copies, text, kind):
+        db = world[0]
+        before = db.counter.snapshot()
+        _, delta = dml_to_delta(parse(text), db)
+        assert copies == []
+        assert db.counter.snapshot() == before
+        changed = len(delta.modifies) if kind == "modifies" else delta.deletes.total()
+        assert changed == 1
+
+    def test_key_violating_update_rejects_and_rolls_back(self, world):
+        from repro.engine import EngineError
+        from repro.storage.relation import StorageError
+
+        db, _, engine = world
+        emp = db.relation("Emp")
+        before = emp.contents()
+        txn = execute_dml_text(
+            "UPDATE Emp SET EName = 'emp00001_001' WHERE EName = 'emp00001_000'", db
+        )
+        with pytest.raises((StorageError, EngineError)):
+            engine.execute(txn)
+        assert emp.contents() == before
+        assert emp.row_count == before.total()
+        assert emp.candidates({"EName": "emp00001_000"}) == [
+            row for row in before.rows() if row[0] == "emp00001_000"
+        ]
+        # The key map still serves the next statement.
+        txn = execute_dml_text(
+            "UPDATE Emp SET Salary = 1 WHERE EName = 'emp00001_000'", db, txn_name="fix"
+        )
+        engine.execute(txn)
+        assert emp.candidates({"EName": "emp00001_000"})[0][2] == 1
+        engine.maintainer.verify()
+
+
 class TestEndToEndMaintenance:
     def test_dml_drives_views(self, small_paper_db):
         """Statements → deltas → maintained views, verified."""
