@@ -193,10 +193,10 @@ def run_stream(
     byte-identical with and without tracing (CI asserts this) — tracing
     observes the commits, it never changes them.
 
-    ``durable_path`` routes every commit through the WAL-protected page
-    store at that directory (``run --durable DIR``). The stream report is
-    unchanged — the paper's simulated accounting is durable-neutral — and
-    a trailing ``durable:`` line reports the actual pager traffic.
+    ``durable_path`` logs every commit to the write-ahead log at that
+    directory (``run --durable DIR``). The stream report is unchanged —
+    the paper's simulated accounting is durable-neutral — and a trailing
+    ``durable:`` line reports the actual log traffic.
 
     ``clients`` ≥ 2 splits the stream across that many concurrent client
     threads over a shared group committer
@@ -460,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     run.add_argument(
         "--durable", metavar="DIR", default=None,
-        help="WAL-protected page storage at DIR (recovers a previous run)",
+        help="write-ahead log at DIR (recovers a previous run)",
     )
     run.add_argument(
         "--clients", type=int, default=0, metavar="N",
@@ -476,7 +476,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     shell.add_argument(
         "--durable", metavar="DIR", default=None,
-        help="durable session: WAL-protected pages at DIR, \\checkpoint enabled",
+        help="durable session: write-ahead log at DIR, \\checkpoint enabled",
     )
     shell.set_defaults(func=_cmd_shell)
     serve = sub.add_parser(
@@ -497,7 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     serve.add_argument(
         "--durable", metavar="DIR", default=None,
-        help="WAL-protected page storage at DIR (one fsync per group batch)",
+        help="write-ahead log at DIR (one fsync per group batch)",
     )
     serve.add_argument(
         "--wal-sync", choices=("normal", "full"), default=None,

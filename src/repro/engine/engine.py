@@ -323,19 +323,12 @@ class Engine:
         apc = getattr(self.maintainer, "plan_cache", None)
         if apc is not None and (apc.stats.hits or apc.stats.misses):
             m.observe_cache("adhoc_plan", apc.stats.hits, apc.stats.misses)
-        # Durable shadow storage: actual page/WAL traffic, reported apart
-        # from the paper's simulated page-I/O accounting (gauges over the
-        # store's cumulative PagerStats, so folding per commit is
-        # idempotent).
+        # Durable log traffic, reported apart from the paper's simulated
+        # page-I/O accounting (gauges over the store's cumulative
+        # PagerStats, so folding per commit is idempotent).
         durable = self.db.durable
         if durable is not None:
-            ds = durable.stats
-            if ds.pool_hits or ds.pool_misses:
-                m.observe_cache("buffer_pool", ds.pool_hits, ds.pool_misses)
-            m.gauge("durable.pool_hit_rate").set(ds.hit_rate)
-            for key, value in ds.snapshot().items():
-                if key in ("pool_hits", "pool_misses"):
-                    continue
+            for key, value in durable.stats.snapshot().items():
                 m.gauge(f"durable.{key}").set(value)
 
     @property

@@ -52,10 +52,10 @@ def _commit_through_maintainer(
     base/view deltas before propagating, so even failed commits leave a
     consistent state. (Guarding only the apply would let a raising
     assertion check strand the applied deltas with the undo log dropped.)
-    The durable commit only ever raises *before* its WAL barrier — deltas
-    are size-validated pre-log, and a post-barrier page failure is
-    absorbed by the store, which rolls forward from the log — so this
-    rollback never contradicts a durable commit record.
+    The durable commit only ever raises *before* its WAL barrier — the
+    one step after it, the automatic checkpoint, has its I/O failures
+    absorbed by the store — so this rollback never contradicts a durable
+    commit record.
 
     ``enforce`` is :class:`EnforcingPolicy`'s one difference: a commit
     that enters any assertion violation is rolled back (before the durable
@@ -67,7 +67,7 @@ def _commit_through_maintainer(
     check, so its measured I/O equals the commit's ``TransactionResult.io``
     — the tie-out the observability layer promises. The durable commit is
     outside the scoped region and never charges the I/O counter: actual
-    page traffic is accounted separately in ``PagerStats``."""
+    log traffic is accounted separately in ``PagerStats``."""
     tracer = engine.tracer
     undo = UndoLog()
     durable = engine.db.durable

@@ -164,15 +164,10 @@ def _render(
         durable = getattr(maintainer.db, "durable", None)
         if durable is not None and durable.last_commit_stats is not None:
             d = durable.last_commit_stats
-            lookups = d["pool_hits"] + d["pool_misses"]
-            rate = d["pool_hits"] / lookups if lookups else 0.0
             lines.append(
-                f"buffer pool: {d['pool_hits']} hits / {d['pool_misses']} "
-                f"misses ({rate:.0%}), {d['evictions']} evicted; pages r/w "
-                f"{d['page_reads']}/{d['page_writes']}; wal {d['wal_records']} "
-                f"records / {d['wal_bytes']} B / {d['fsyncs']} fsyncs — "
-                "actual pager traffic, separate from the simulated "
-                "accounting above"
+                f"durable log: {d['wal_records']} records / {d['wal_bytes']} B / "
+                f"{d['fsyncs']} fsyncs, {d['checkpoints']} checkpoints — actual "
+                "log traffic, separate from the simulated accounting above"
             )
     return "\n".join(lines)
 

@@ -111,7 +111,7 @@ DELETE FROM t WHERE …
 \\io       cumulative page I/O       \\check   current assertion violations
 \\explain [txn]   update track with estimated I/O costs
 \\profile <DML>   execute a statement under EXPLAIN ANALYZE
-\\checkpoint      snapshot durable pages now (durable sessions only)
+\\checkpoint      cut the durable log to a snapshot (durable sessions only)
 \\metrics  engine metrics            \\help    this text
 \\quit     exit"""
 
@@ -254,10 +254,10 @@ class ShellSession:
                     "not a durable session (start with REPRO_DURABLE=<dir> "
                     "or Database(durable_path=...))",
                 )
-            pages = durable.checkpoint(tracer=self.engine.tracer)
+            rows = self.db.checkpoint(tracer=self.engine.tracer)
             return ShellResult(
                 "meta",
-                f"checkpoint gen {durable.generation}: {pages} pages written; "
+                f"checkpoint gen {durable.generation}: {rows} rows written; "
                 f"{durable.stats.describe()}",
             )
         if name == "\\explain":

@@ -25,19 +25,18 @@ class Database:
 
     Durability is opt-in: ``durable_path`` (or the ``REPRO_DURABLE``
     environment variable) attaches a :class:`~repro.storage.durable.
-    DurableStore` that shadows every committed change onto WAL-protected
-    pages. The in-memory relations stay authoritative — and the paper's
-    :class:`IOCounter` accounting is untouched by the shadow — so a
-    non-durable database behaves bit-identically with the switch off. If
-    the directory holds a previous incarnation, its state is recovered
-    here (WAL replay) and the relations are rebuilt before any caller
-    sees the database.
+    DurableStore` that logs every committed change to a write-ahead log
+    and checkpoints these relations straight from memory. The in-memory
+    relations stay authoritative — and the paper's :class:`IOCounter`
+    accounting is untouched by the log — so a non-durable database
+    behaves bit-identically with the switch off. If the directory holds a
+    previous incarnation, its state is recovered here (log replay) and
+    the relations are rebuilt before any caller sees the database.
     """
 
     def __init__(
         self,
         durable_path: str | None = None,
-        pool_size: int | None = None,
         checkpoint_every: int | None = None,
         wal_sync: str | None = None,
     ) -> None:
@@ -62,7 +61,6 @@ class Database:
 
             self.durable = DurableStore(
                 durable_path,
-                pool_size=pool_size,
                 checkpoint_every=checkpoint_every,
                 wal_sync=wal_sync,
             )
@@ -73,7 +71,8 @@ class Database:
 
         The journal hook is attached only *after* each relation's
         recovered contents are loaded — restoring must not re-journal
-        what the WAL already holds."""
+        what the WAL already holds. Attaching the relation map last lets
+        the store drop its recovered copies."""
         for name, schema, indexes in store.relations():
             relation = StoredRelation(name, schema, self.counter)
             relation.load_multiset(store.contents(name))
@@ -81,6 +80,7 @@ class Database:
                 relation.create_index(cols)
             relation._journal = store
             self._relations[name] = relation
+        store.attach(self._relations)
 
     @property
     def recovered(self) -> bool:
@@ -103,18 +103,22 @@ class Database:
         relation.load(rows)
         for cols in indexes:
             relation.create_index(cols)
-        if self.durable is not None:
-            initial = relation.contents()
-            delta = Delta(inserts=initial)
-            # Oversized rows must reject before even the DDL is journaled.
-            self.durable.validate_delta(name, delta)
-            self.durable.on_create(name, schema)
-            for built in relation.indexes:
-                self.durable.on_index(name, built)
-            if initial:
-                self.durable.on_delta(name, delta)
-            relation._journal = self.durable
+        # Registered before journaling: the initial load's auto-commit can
+        # run the automatic checkpoint, which snapshots this map — a
+        # relation missing from it would be cut out of the log.
         self._relations[name] = relation
+        if self.durable is not None:
+            try:
+                self.durable.on_create(name, schema)
+                for built in relation.indexes:
+                    self.durable.on_index(name, built)
+                initial = relation.contents()
+                if initial:
+                    self.durable.on_delta(name, Delta(inserts=initial))
+            except BaseException:
+                del self._relations[name]
+                raise
+            relation._journal = self.durable
         return relation
 
     def drop_relation(self, name: str) -> None:
@@ -130,12 +134,13 @@ class Database:
         except KeyError:
             raise StorageError(f"relation {name!r} does not exist") from None
 
-    def checkpoint(self) -> int:
-        """Snapshot durable pages now (no-op without a durable store);
-        returns the number of pages written."""
+    def checkpoint(self, tracer=None) -> int:
+        """Cut the durable log down to a snapshot of the relations now
+        (no-op without a durable store); returns the rows written."""
         if self.durable is None:
             return 0
-        return self.durable.checkpoint()
+        with self.latch:
+            return self.durable.checkpoint(tracer)
 
     def close(self) -> None:
         """Release durable file handles (no-op for in-memory databases)."""

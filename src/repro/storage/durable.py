@@ -1,32 +1,29 @@
-"""The durable store: WAL-protected slotted pages behind the in-memory path.
+"""The durable store: the write-ahead log is the whole durable copy.
 
 Opt-in (``Database(durable_path=...)`` or ``REPRO_DURABLE``): the in-memory
 :class:`~repro.storage.relation.StoredRelation` stays the oracle for
 queries and for the paper's Section 3.6 accounting — nothing in this module
-ever touches :class:`~repro.storage.pager.IOCounter`. The durable layer
-shadows every committed change onto real fixed-size pages, with its own
-traffic reported through :class:`~repro.storage.pager.PagerStats`.
+ever touches :class:`~repro.storage.pager.IOCounter`. The store keeps no
+second copy of the data: a commit logs the counting-algorithm deltas the
+maintainer already produced, and a checkpoint snapshots the live relations
+straight from memory. Its own traffic is reported through
+:class:`~repro.storage.pager.PagerStats`.
 
 Commit protocol (write-ahead rule)::
 
-    validate deltas (size, multiplicity)  # reject-before-log
-      → begin record → one delta record per relation → commit record
+    begin record → one delta record per relation → commit record
       → WAL barrier                       # the commit point
-      → apply deltas to pages (in pool)   # redo in place, write-behind
+      → automatic checkpoint, every checkpoint_every commits
 
-Validation runs first because a durable commit record is replayed on
-every subsequent open: a committed delta the page layer cannot apply
-(an oversized record, a negative multiplicity) would make the directory
-permanently unopenable, so it must reject the transaction *before* any
-WAL append. Conversely, a failure *after* the barrier never raises out
-of :meth:`DurableStore.commit` — the transaction is durably committed,
-and raising would send the caller's undo-log rollback against the log
-(memory rolled back, recovery rolling forward). Instead the store marks
-itself ``failed``: later commits keep appending to the WAL but skip the
-now-diverged pages, checkpoints refuse, and the next open rebuilds the
-pages from the log. Recovery likewise skips (and records in
-``recovery_errors``) a committed delta it cannot apply, rather than
-failing every open.
+A commit raises only *before* its barrier, while the log does not yet
+hold the transaction, so the caller's undo-log rollback agrees with
+recovery. After the barrier only the automatic checkpoint runs, and an
+``OSError`` from it is absorbed — logged as ``durable.checkpoint_failed``,
+kept in :attr:`DurableStore.checkpoint_error`, retried at the next
+interval — because raising would roll back a transaction the log already
+holds. The in-memory :meth:`StoredRelation.apply_delta` has rejected every
+delta the log could not replay (absent rows, negative multiplicities)
+before it was journaled.
 
 The barrier strength is ``wal_sync`` (after SQLite's synchronous pragma):
 ``"full"`` fsyncs every commit; ``"normal"`` (default, ``REPRO_WAL_SYNC``)
@@ -34,57 +31,55 @@ flushes to the OS per commit and fsyncs at checkpoints and close — a
 process crash loses nothing, an OS crash can lose recent commits but
 never tears one.
 
-Pages are only flushed by **checkpoints** (full snapshot into an immutable
-``pages.<gen>`` generation file, then a ``checkpoint`` WAL record naming
-the generation and carrying the catalog + page map, then the WAL rotated
-down to just that record — replay starts there, so the log stays bounded
-by history *since* the last checkpoint) or by **eviction**
-(dirty pages spill to a scratch ``overlay`` file that is discarded on
-recovery and truncated at checkpoint — the no-steal equivalent: nothing
-uncommitted can ever reach the base pages, because nothing is applied to
-pages before its commit record is synced).
+**Checkpoint** (:meth:`DurableStore.checkpoint`): :meth:`WriteAheadLog.
+rotate` cuts the log down to a ``checkpoint`` header (generation, every
+relation's schema and indexes) followed by ``rows`` records streamed in
+bounded chunks from the relations :meth:`DurableStore.attach` handed over
+— no copy of a relation is ever built. The log is bounded by history
+since the last checkpoint.
 
-Recovery (:class:`DurableStore` ``__init__``) is read-only over the files:
-replay the WAL, find the last checkpoint record whose generation file
-survives, load its pages, re-apply every *committed* transaction's deltas
-after it. Running recovery twice is therefore a no-op — the only writes
-are truncating a torn WAL tail and deleting orphan generations.
+**Recovery** (:class:`DurableStore` ``__init__``) replays the log: a
+checkpoint header resets the state and its ``rows`` chunks seed it; every
+later *committed* transaction folds in (a ``begin`` without ``commit`` is
+discarded), all of its deltas or none. A committed delta that cannot be
+applied is skipped into ``recovery_errors``, never allowed to fail every
+open. Recovery writes only to truncate a torn tail and to delete a stale
+rotation sidecar, so running it twice is a byte-identical no-op.
 
-Crash points: every WAL/page/checkpoint boundary calls
-``crash_hook(point_name)``. Tests inject in-process crashes by raising
-:class:`CrashPoint` (after :meth:`DurableStore.freeze`, so post-"death"
-cleanup code cannot touch the files); subprocess kills are driven by the
-``REPRO_CRASH_AT=point[:nth]`` environment variable, which makes the nth
-arrival at ``point`` call ``os._exit`` — a real mid-commit death.
+Degradations are logged on the ``repro.storage.durable`` logger under
+stable event names: ``durable.torn_tail``, ``durable.recovery_skip`` and
+``durable.checkpoint_failed``.
+
+Crash points: every WAL/checkpoint boundary calls ``crash_hook(point)``.
+Tests inject in-process crashes by raising :class:`CrashPoint` (after
+:meth:`DurableStore.freeze`, so post-"death" cleanup code cannot touch the
+files); subprocess kills are driven by the ``REPRO_CRASH_AT=point[:nth]``
+environment variable, which makes the nth arrival at ``point`` call
+``os._exit`` — a real mid-commit death.
 """
 
 from __future__ import annotations
 
+import logging
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from repro.algebra.multiset import Multiset, Row
+from repro.algebra.multiset import Multiset
 from repro.algebra.schema import Schema
 from repro.algebra.types import DataType
 from repro.ivm.delta import Delta
 from repro.obs.trace import NULL_TRACER
-from repro.storage.pager import (
-    DEFAULT_PAGE_SIZE,
-    BufferPool,
-    Page,
-    PageError,
-    Pager,
-    PagerStats,
-    pack_record,
-    unpack_record,
-)
+from repro.storage.pager import PagerStats
 from repro.storage.wal import WalError, WriteAheadLog, decode_delta, encode_delta
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.storage.relation import StoredRelation
 
-DEFAULT_POOL_SIZE = 64
+_log = logging.getLogger("repro.storage.durable")
+
 DEFAULT_CHECKPOINT_EVERY = 128
+#: rows per checkpoint ``rows`` record — bounds the memory a snapshot holds
+CHECKPOINT_CHUNK_ROWS = 1024
 #: WAL sync modes, after SQLite's synchronous pragma: "full" fsyncs every
 #: commit (no committed transaction is ever lost); "normal" (the default)
 #: flushes every commit to the OS and fsyncs only at checkpoints and
@@ -100,14 +95,11 @@ CRASH_EXIT_CODE = 137
 CRASH_POINTS = (
     "commit.wal",  # before any WAL append for this commit
     "commit.wal_commit",  # deltas appended, commit record not yet
-    "commit.sync",  # commit record appended but not fsynced
-    "commit.apply",  # WAL durable, no page touched yet
-    "commit.apply_mid",  # after each relation's pages are updated
-    "pool.evict",  # before a dirty page spills to the overlay
-    "checkpoint.begin",  # before any generation page is written
-    "checkpoint.page",  # before each generation page write
-    "checkpoint.record",  # pages synced, checkpoint record not yet logged
-    "checkpoint.cleanup",  # record synced, old generation not yet deleted
+    "commit.sync",  # commit record appended but not yet behind the barrier
+    "commit.done",  # after the barrier: the transaction is committed
+    "checkpoint.begin",  # before the snapshot sidecar is written
+    "checkpoint.record",  # sidecar synced, not yet swapped in for the log
+    "checkpoint.cleanup",  # snapshot swapped in, bookkeeping not yet done
 )
 
 
@@ -153,6 +145,12 @@ def _env_crash_hook(spec: str | None = None) -> Callable[[str], None] | None:
     return hook
 
 
+def _event(level: int, event: str, **fields: Any) -> None:
+    """Log one degradation under its stable event name."""
+    detail = " ".join(f"{key}={value!r}" for key, value in fields.items())
+    _log.log(level, "%s %s", event, detail, extra={"event": event, **fields})
+
+
 def _schema_meta(schema: Schema) -> dict[str, Any]:
     return {
         "cols": [[c.name, c.dtype.value] for c in schema.columns],
@@ -167,50 +165,43 @@ def _schema_from_meta(meta: dict[str, Any]) -> Schema:
     )
 
 
-def _net(delta: Delta) -> dict[Row, int]:
-    """Net multiplicity change per row (a modify is delete-old + insert-new)."""
-    net: dict[Row, int] = {}
-    for row, count in delta.inserts.items():
-        net[row] = net.get(row, 0) + count
-    for row, count in delta.deletes.items():
-        net[row] = net.get(row, 0) - count
-    for old, new in delta.modifies:
-        net[old] = net.get(old, 0) - 1
-        net[new] = net.get(new, 0) + 1
-    return net
+#: one recovered relation: schema metadata, index column lists, contents
+_Recovered = tuple[dict[str, Any], list[list[str]], Multiset]
 
 
-class _RelState:
-    """Durable-side state of one relation: its pages and row directory."""
-
-    __slots__ = ("schema_meta", "indexes", "pages", "directory")
-
-    def __init__(self, schema_meta: dict[str, Any]) -> None:
-        self.schema_meta = schema_meta
-        self.indexes: list[list[str]] = []
-        self.pages: list[int] = []  # logical page ids, allocation order
-        self.directory: dict[Row, tuple[int, int, int]] = {}  # row -> (pid, slot, count)
+def _fold(state: dict[str, _Recovered], deltas: list[tuple[str, Delta]]) -> None:
+    """Apply one committed transaction's deltas to recovered contents —
+    all of them or, if any cannot apply, none."""
+    net: dict[str, Multiset] = {}
+    for rel, delta in deltas:
+        if rel not in state:
+            raise WalError(f"delta against unknown relation {rel!r}")
+        net.setdefault(rel, Multiset()).update(delta.net())
+    for rel, change in net.items():
+        data = state[rel][2]
+        for row, count in change.items():
+            if data.count(row) + count < 0:
+                raise WalError(f"negative count for {row} in {rel}")
+    for rel, change in net.items():
+        state[rel][2].update(change)
 
 
 class DurableStore:
-    """Pages + WAL + buffer pool behind one :class:`Database`.
+    """The write-ahead log behind one :class:`Database`.
 
-    The store is a *shadow*: the in-memory relations are authoritative at
-    runtime; the store's job is to be able to reconstruct them after a
-    crash. All methods are no-ops after :meth:`freeze` (simulated death).
+    The in-memory relations are authoritative at runtime; the store's job
+    is to be able to reconstruct them after a crash. All methods are
+    no-ops after :meth:`freeze` (simulated death).
     """
 
     def __init__(
         self,
         path: str,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        pool_size: int | None = None,
         checkpoint_every: int | None = None,
         crash_hook: Callable[[str], None] | None = None,
         wal_sync: str | None = None,
     ) -> None:
         self.path = path
-        self.page_size = page_size
         self.wal_sync = (
             wal_sync
             if wal_sync is not None
@@ -220,36 +211,26 @@ class DurableStore:
             raise WalError(
                 f"wal_sync must be one of {WAL_SYNC_MODES}, got {self.wal_sync!r}"
             )
-        self.pool_size = pool_size if pool_size is not None else DEFAULT_POOL_SIZE
         self.checkpoint_every = (
             checkpoint_every if checkpoint_every is not None else DEFAULT_CHECKPOINT_EVERY
         )
         self.crash_hook = crash_hook if crash_hook is not None else _env_crash_hook()
         self.stats = PagerStats()
         self.last_commit_stats: dict[str, int] | None = None
-        #: set to the causing exception when a post-barrier page apply
-        #: failed — the pages are no longer trusted (commits keep logging,
-        #: checkpoints refuse) until the directory is reopened.
-        self.failed: Exception | None = None
         #: committed transactions recovery could not re-apply (skip-and-
         #: report: a damaged log entry must not make the store unopenable)
         self.recovery_errors: list[str] = []
+        #: the last automatic checkpoint failure absorbed after a commit
+        #: (``None`` once a checkpoint succeeds)
+        self.checkpoint_error: OSError | None = None
         self._frozen = False
         self._closed = False
 
         os.makedirs(path, exist_ok=True)
         self._wal = WriteAheadLog(os.path.join(path, "wal"), self.stats)
-        self._rels: dict[str, _RelState] = {}
-        self._next_pid = 0
+        self._live: Mapping[str, "StoredRelation"] | None = None
+        self._recovered: dict[str, _Recovered] = {}
         self._gen = 0
-        self._base_pager: Pager | None = None
-        self._base_index: dict[int, int] = {}  # logical pid -> gen-file page index
-        # The overlay is a scratch spill target — always start it empty.
-        overlay = Pager(os.path.join(path, "overlay"), page_size, create=True, stats=self.stats)
-        self._pool = BufferPool(
-            self.pool_size, self.stats, self._read_base, overlay, page_size
-        )
-        self._pool.on_evict = lambda pid: self._crash("pool.evict")
 
         self._active: str | None = None
         self._buffer: list[tuple[str, Delta]] = []
@@ -273,44 +254,41 @@ class DurableStore:
 
     # -- recovery ----------------------------------------------------------------
 
-    def _gen_path(self, gen: int) -> str:
-        return os.path.join(self.path, f"pages.{gen}")
-
-    def _read_base(self, pid: int) -> Page | None:
-        idx = self._base_index.get(pid)
-        if idx is None or self._base_pager is None:
-            return None
-        return Page.from_bytes(self._base_pager.read_page(idx), self.page_size)
-
     def _recover(self) -> bool:
-        # A crash mid-rotation can leave the sidecar the rotated log was
+        # A crash mid-rotation can leave the sidecar the snapshot was
         # being written to; the real log is still authoritative.
         sidecar = self._wal.path + ".new"
         if os.path.exists(sidecar):
             os.remove(sidecar)
-        records = list(self._wal.replay())  # also truncates a torn tail
-        start = 0
-        for i in range(len(records) - 1, -1, -1):
-            record = records[i]
-            if record["t"] == "checkpoint" and os.path.exists(
-                self._gen_path(record["gen"])
-            ):
-                self._load_checkpoint(record)
-                start = i + 1
-                break
+        state = self._recovered
         pending: dict[str, list[tuple[str, Delta]]] = {}
-        for record in records[start:]:
+        seen = False
+        for record in self._wal.replay():  # also truncates a torn tail
+            seen = True
             kind = record["t"]
-            if kind == "create":
-                self._rels[record["rel"]] = _RelState(record["schema"])
+            if kind == "checkpoint":
+                if "rels" not in record:
+                    raise WalError(
+                        f"{self.path} was written by the older page-store "
+                        "format (a checkpoint with no relations); delete "
+                        "the directory and recreate it"
+                    )
+                self._gen = record["gen"]
+                state.clear()
+                for name, meta in record["rels"].items():
+                    state[name] = (meta["schema"], [list(c) for c in meta["indexes"]], Multiset())
+            elif kind == "rows":
+                data = state[record["rel"]][2]
+                for row, count in record["rows"]:
+                    data.add(tuple(row), count)
+            elif kind == "create":
+                state[record["rel"]] = (record["schema"], [], Multiset())
             elif kind == "drop":
-                state = self._rels.pop(record["rel"], None)
-                if state is not None:
-                    self._pool.drop(state.pages)
+                state.pop(record["rel"], None)
             elif kind == "index":
-                state = self._rels.get(record["rel"])
-                if state is not None and record["cols"] not in state.indexes:
-                    state.indexes.append(record["cols"])
+                entry = state.get(record["rel"])
+                if entry is not None and record["cols"] not in entry[1]:
+                    entry[1].append(record["cols"])
             elif kind == "begin":
                 pending[record["txn"]] = []
             elif kind == "delta":
@@ -319,84 +297,55 @@ class DurableStore:
                 )
             elif kind == "commit":
                 try:
-                    for rel, delta in pending.pop(record["txn"], ()):
-                        self._apply_to_pages(rel, delta)
-                except Exception as exc:
-                    # Commits are size-validated before they reach the
-                    # log, so this is a legacy or damaged entry — skip
-                    # and report rather than fail every open forever.
+                    _fold(state, pending.pop(record["txn"], []))
+                except WalError as exc:
                     self.recovery_errors.append(f"txn {record['txn']}: {exc}")
+                    _event(
+                        logging.WARNING, "durable.recovery_skip",
+                        txn=record["txn"], error=str(exc),
+                    )
                 else:
                     self.stats.recovered_txns += 1
-            # "undo" / "abort" / stale "checkpoint": rollback progress and
-            # superseded snapshots — redo replay ignores both (an
-            # uncommitted transaction's forward deltas were never logged,
-            # so an interrupted rollback simply never happened).
-        # Orphan generations: written but never recorded (crash mid-
-        # checkpoint) or superseded. Only the live one is referenced.
-        for entry in os.listdir(self.path):
-            if entry.startswith("pages.") and entry != f"pages.{self._gen}":
-                os.remove(os.path.join(self.path, entry))
-        return bool(records)
-
-    def _load_checkpoint(self, record: dict[str, Any]) -> None:
-        self._gen = record["gen"]
-        meta = record["meta"]
-        self._next_pid = meta["next_pid"]
-        self._base_pager = Pager(
-            self._gen_path(self._gen), self.page_size, stats=self.stats
-        )
-        self._base_index = {int(pid): idx for pid, idx in meta["page_map"].items()}
-        for name, rel_meta in meta["catalog"].items():
-            state = _RelState(rel_meta["schema"])
-            state.indexes = [list(cols) for cols in rel_meta["indexes"]]
-            state.pages = list(rel_meta["pages"])
-            for pid in state.pages:
-                page = self._pool.get(pid)
-                for slot, payload in page.records():
-                    row, count = unpack_record(payload)
-                    state.directory[row] = (pid, slot, count)
-            self._rels[name] = state
+            # "undo" / "abort": rollback progress — redo replay ignores it
+            # (an uncommitted transaction's forward deltas were never
+            # logged, so an interrupted rollback simply never happened).
+        if self._wal.torn_bytes:
+            _event(
+                logging.WARNING, "durable.torn_tail",
+                path=self._wal.path, bytes_dropped=self._wal.torn_bytes,
+            )
+        return seen
 
     # -- catalog (for Database restore) --------------------------------------------
 
     def relations(self) -> Iterator[tuple[str, Schema, list[list[str]]]]:
         """Recovered catalog: (name, schema, index column lists)."""
-        for name, state in self._rels.items():
-            yield name, _schema_from_meta(state.schema_meta), state.indexes
+        for name, (meta, indexes, _) in self._recovered.items():
+            yield name, _schema_from_meta(meta), indexes
 
     def contents(self, name: str) -> Multiset:
-        """Recovered contents of one relation (from the row directory)."""
-        data = Multiset()
-        for row, (_, _, count) in self._rels[name].directory.items():
-            data.add(row, count)
-        return data
+        """Recovered contents of one relation (until :meth:`attach`)."""
+        return self._recovered[name][2]
+
+    def attach(self, relations: Mapping[str, "StoredRelation"]) -> None:
+        """Hand over the live relation map checkpoints snapshot, and drop
+        the recovered contents (the relations now hold them)."""
+        self._live = relations
+        self._recovered = {}
 
     # -- DDL journal hooks ---------------------------------------------------------
 
     def on_create(self, name: str, schema: Schema) -> None:
-        if self._frozen:
-            return
-        self._rels[name] = _RelState(_schema_meta(schema))
-        self._wal.append({"t": "create", "rel": name, "schema": _schema_meta(schema)})
+        if not self._frozen:
+            self._wal.append({"t": "create", "rel": name, "schema": _schema_meta(schema)})
 
     def on_drop(self, name: str) -> None:
-        if self._frozen:
-            return
-        state = self._rels.pop(name, None)
-        if state is not None:
-            self._pool.drop(state.pages)
-        self._wal.append({"t": "drop", "rel": name})
+        if not self._frozen:
+            self._wal.append({"t": "drop", "rel": name})
 
     def on_index(self, name: str, cols: tuple[str, ...]) -> None:
-        if self._frozen:
-            return
-        state = self._rels.get(name)
-        listed = list(cols)
-        if state is None or listed in state.indexes:
-            return
-        state.indexes.append(listed)
-        self._wal.append({"t": "index", "rel": name, "cols": listed})
+        if not self._frozen:
+            self._wal.append({"t": "index", "rel": name, "cols": list(cols)})
 
     # -- the delta journal (StoredRelation hook) -------------------------------------
 
@@ -415,8 +364,8 @@ class DurableStore:
         try:
             self.commit()
         except Exception:
-            # A rejected singleton (oversized row) must not wedge the
-            # store behind a permanently-open auto transaction.
+            # A failed singleton must not wedge the store behind a
+            # permanently-open auto transaction.
             self.abort()
             raise
 
@@ -432,7 +381,7 @@ class DurableStore:
         self._undo_journaled = False
 
     def commit(self, tracer=None) -> None:
-        """The write-ahead commit: log → fsync → apply to pages."""
+        """The write-ahead commit: log → barrier → periodic checkpoint."""
         if self._frozen:
             return
         if self._active is None:
@@ -441,11 +390,6 @@ class DurableStore:
         before = self.stats.snapshot()
         txn_id = self._active
         if self._buffer:
-            # Reject-before-log: anything the page layer cannot apply must
-            # fail here, while the WAL still knows nothing — a durable
-            # commit record is replayed on every open, so an unapplyable
-            # committed delta would brick the directory.
-            self._validate_buffer()
             self._crash("commit.wal")
             with tracer.span("wal_append", txn=txn_id, deltas=len(self._buffer)):
                 self._wal.append({"t": "begin", "txn": txn_id})
@@ -464,39 +408,32 @@ class DurableStore:
                     # kill cannot lose it); fsync waits for the next
                     # checkpoint or close.
                     self._wal.flush()
-            # -------- the commit point: everything below is redo-able --------
-            self._crash("commit.apply")
-            with tracer.span("page_apply", deltas=len(self._buffer)):
-                if self.failed is None:
-                    try:
-                        for rel, delta in self._buffer:
-                            self._apply_to_pages(rel, delta)
-                            self._crash("commit.apply_mid")
-                    except CrashPoint:
-                        raise  # a simulated death unwinds like a real one
-                    except Exception as exc:
-                        # The commit record is already durable — the
-                        # transaction IS committed. Raising here would
-                        # run the caller's undo-log rollback against the
-                        # log (memory rolled back, recovery rolling
-                        # forward). Fail the page cache instead: the WAL
-                        # stays the sole truth, later commits skip the
-                        # diverged pages, checkpoints refuse, and the
-                        # next open rebuilds the pages from the log.
-                        self.failed = exc
+            # -------- the commit point: nothing below may raise --------
+            self._crash("commit.done")
         self._active = None
         self._buffer = []
         self._commits += 1
         if (
-            self.failed is None
+            self._live is not None
             and self.checkpoint_every
             and self._commits % self.checkpoint_every == 0
         ):
-            self.checkpoint(tracer)
+            try:
+                self.checkpoint(tracer)
+            except OSError as exc:
+                # The transaction is in the log; raising would send the
+                # caller's rollback against it. The previous log stays
+                # whole (rotation swaps only a synced snapshot), so retry
+                # at the next interval.
+                self.checkpoint_error = exc
+                _event(
+                    logging.WARNING, "durable.checkpoint_failed",
+                    error=repr(exc), commits=self._commits,
+                )
         self.last_commit_stats = self.stats.since(before)
 
     def abort(self) -> None:
-        """Discard the buffered transaction (nothing reached WAL or pages).
+        """Discard the buffered transaction (nothing reached the WAL).
 
         If rollback progress was journaled (:meth:`journal_undo`), an
         ``abort`` record closes the trail for inspection."""
@@ -527,167 +464,62 @@ class DurableStore:
         )
         self._undo_journaled = True
 
-    # -- record validation (reject-before-log) -----------------------------------------
-
-    @property
-    def max_record_bytes(self) -> int:
-        """Largest packed ``[row, count]`` record one slotted page holds
-        (the page header and the slot length word subtracted)."""
-        return self.page_size - 4
-
-    def _check_record(self, rel: str, row: Row, count: int) -> None:
-        payload = pack_record([list(row), count])
-        if len(payload) > self.max_record_bytes:
-            raise PageError(
-                f"row {row!r} in {rel!r} packs to {len(payload)} bytes, over "
-                f"the {self.max_record_bytes}-byte limit of a "
-                f"{self.page_size}-byte page"
-            )
-
-    def validate_delta(
-        self, rel: str, delta: Delta, counts: dict[Row, int] | None = None
-    ) -> dict[Row, int]:
-        """Dry-run one delta's page placement; raise what apply would raise.
-
-        Runs every check :meth:`_apply_to_pages` performs (record size,
-        negative multiplicity) without touching a page, so callers can
-        reject a transaction before its commit record — or any DDL —
-        reaches the WAL. ``counts`` threads prior-delta results when
-        simulating a multi-delta buffer (pass the returned dict back in);
-        a relation not yet in the catalog simulates as empty, which is
-        what ``Database.create_relation`` needs for the initial load.
-        """
-        if counts is None:
-            counts = {}
-        state = self._rels.get(rel)
-        for row, change in _net(delta).items():
-            if change == 0:
-                continue
-            base = counts.get(row)
-            if base is None:
-                existing = state.directory.get(row) if state is not None else None
-                base = existing[2] if existing else 0
-            count = base + change
-            if count < 0:
-                raise WalError(f"negative count for {row} in {rel} during apply")
-            if count > 0:
-                self._check_record(rel, row, count)
-            counts[row] = count
-        return counts
-
-    def _validate_buffer(self) -> None:
-        shadow: dict[str, dict[Row, int]] = {}
-        for rel, delta in self._buffer:
-            self._state(rel)  # an unknown relation also rejects pre-log
-            shadow[rel] = self.validate_delta(rel, delta, shadow.get(rel))
-
-    # -- page application ------------------------------------------------------------
-
-    def _state(self, rel: str) -> _RelState:
-        state = self._rels.get(rel)
-        if state is None:
-            raise WalError(f"delta against unknown relation {rel!r}")
-        return state
-
-    def _apply_to_pages(self, rel: str, delta: Delta) -> None:
-        state = self._state(rel)
-        for row, change in _net(delta).items():
-            if change == 0:
-                continue
-            existing = state.directory.get(row)
-            count = (existing[2] if existing else 0) + change
-            if count < 0:
-                raise WalError(f"negative count for {row} in {rel} during apply")
-            if existing is not None:
-                pid, slot, _ = existing
-                page = self._pool.get(pid)
-                page.mark_dead(slot)
-                self._pool.mark_dirty(pid)
-                del state.directory[row]
-            if count > 0:
-                payload = pack_record([list(row), count])
-                pid, slot = self._place(state, payload)
-                state.directory[row] = (pid, slot, count)
-
-    def _place(self, state: _RelState, payload: bytes) -> tuple[int, int]:
-        """Append a record to the relation's fill page, or open a new one."""
-        if state.pages:
-            pid = state.pages[-1]
-            page = self._pool.get(pid)
-            if page.fits(payload):
-                slot = page.add(payload)
-                self._pool.mark_dirty(pid)
-                return pid, slot
-        pid = self._next_pid
-        self._next_pid += 1
-        page = Page(self.page_size)
-        slot = page.add(payload)  # PageError for an oversized row
-        state.pages.append(pid)
-        self._pool.put_new(pid, page)
-        return pid, slot
-
     # -- checkpoint --------------------------------------------------------------------
 
     def checkpoint(self, tracer=None) -> int:
-        """Snapshot every page into a new immutable generation.
+        """Cut the log down to a snapshot of the attached relations.
 
-        Protocol: write all pages to ``pages.<gen+1>``, fsync, then append
-        (and fsync) a ``checkpoint`` record carrying the catalog and the
-        page map. Only once that record is durable does the store switch
-        generations, rotate the WAL down to just the checkpoint record
-        (replay starts there — everything earlier is dead weight),
-        truncate the overlay, and delete the old generation — a crash
-        anywhere in between leaves the previous checkpoint intact.
-        Returns the number of pages written."""
+        :meth:`WriteAheadLog.rotate` writes a ``checkpoint`` header and
+        the ``rows`` chunks to a sidecar, syncs it, and only then swaps it
+        in for the log — a crash anywhere before the swap leaves the
+        previous log intact. Refuses when no relations are attached (an
+        empty snapshot would erase the log) or inside an open transaction
+        (memory would hold uncommitted changes). Returns the number of
+        distinct rows written."""
         if self._frozen:
             return 0
-        if self.failed is not None:
-            # The in-pool pages diverged from the log after a post-barrier
-            # apply failure; snapshotting them would durably corrupt what
-            # the WAL can still rebuild.
-            raise WalError(
-                f"page state diverged after a post-commit apply failure "
-                f"({self.failed!r}); reopen the directory to rebuild from the WAL"
-            )
+        if self._live is None:
+            raise WalError("no relations attached; refusing to snapshot over the log")
+        if self._active is not None:
+            raise WalError(f"checkpoint inside open transaction {self._active!r}")
         tracer = tracer if tracer is not None else NULL_TRACER
         self._crash("checkpoint.begin")
         gen = self._gen + 1
-        pager = Pager(self._gen_path(gen), self.page_size, create=True, stats=self.stats)
-        pids = sorted(pid for state in self._rels.values() for pid in state.pages)
-        new_index: dict[int, int] = {}
-        with tracer.span("checkpoint_pages", pages=len(pids), gen=gen):
-            for i, pid in enumerate(pids):
-                self._crash("checkpoint.page")
-                pager.write_page(i, self._pool.get(pid).to_bytes())
-                new_index[pid] = i
-            pager.fsync()
-        self._crash("checkpoint.record")
-        meta = {
-            "next_pid": self._next_pid,
-            "page_map": {str(pid): idx for pid, idx in new_index.items()},
-            "catalog": {
-                name: {
-                    "schema": state.schema_meta,
-                    "indexes": state.indexes,
-                    "pages": state.pages,
-                }
-                for name, state in self._rels.items()
-            },
-        }
-        record = {"t": "checkpoint", "gen": gen, "meta": meta}
-        with tracer.span("checkpoint_record", gen=gen):
-            self._wal.append(record)
-            self._wal.sync()
-        old_pager, old_gen = self._base_pager, self._gen
-        self._base_pager, self._base_index, self._gen = pager, new_index, gen
+        live = self._live
+        written = 0
+
+        def snapshot() -> Iterator[dict[str, Any]]:
+            nonlocal written
+            yield {
+                "t": "checkpoint",
+                "gen": gen,
+                "rels": {
+                    name: {
+                        "schema": _schema_meta(rel.schema),
+                        "indexes": [list(cols) for cols in rel.indexes],
+                    }
+                    for name, rel in live.items()
+                },
+            }
+            for name, rel in live.items():
+                chunk: list[tuple[Any, int]] = []
+                for item in rel.items():
+                    chunk.append(item)
+                    if len(chunk) == CHECKPOINT_CHUNK_ROWS:
+                        yield {"t": "rows", "rel": name, "rows": chunk}
+                        written += len(chunk)
+                        chunk = []
+                if chunk:
+                    yield {"t": "rows", "rel": name, "rows": chunk}
+                    written += len(chunk)
+
+        with tracer.span("checkpoint", gen=gen):
+            self._wal.rotate(snapshot(), before_swap=lambda: self._crash("checkpoint.record"))
+        self._gen = gen
         self._crash("checkpoint.cleanup")
-        self._wal.rotate([record])
-        self._pool.after_checkpoint()
-        if old_pager is not None:
-            old_pager.close()
-            os.remove(self._gen_path(old_gen))
+        self.checkpoint_error = None
         self.stats.checkpoints += 1
-        return len(pids)
+        return written
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -706,12 +538,6 @@ class DurableStore:
             # process cannot fsync.
             self._wal.sync()
         self._wal.close()
-        if self._base_pager is not None:
-            self._base_pager.close()
-        self._pool._overlay.close()
 
     def __repr__(self) -> str:
-        return (
-            f"<DurableStore {self.path}: gen {self._gen}, "
-            f"{len(self._rels)} relations, {self._next_pid} pages>"
-        )
+        return f"<DurableStore {self.path}: gen {self._gen}>"

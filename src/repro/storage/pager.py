@@ -1,6 +1,5 @@
-"""Pages: the paper's Section 3.6 storage cost model, plus a real pager.
-
-Two layers live here, deliberately side by side:
+"""Pages: the paper's Section 3.6 storage cost model, plus the durable
+layer's record codec.
 
 * **Accounting** (:class:`IOCounter` / :class:`IOStats`) — the paper's
   *simulated* page I/O. Every stored relation and index charges this
@@ -13,23 +12,18 @@ Two layers live here, deliberately side by side:
   one page write (new value); index pages are read (and written when the
   indexed key changes) once per distinct key touched.
 
-* **Actual pages** (:class:`Page` / :class:`Pager` / :class:`BufferPool`)
-  — fixed-size slotted pages over a single file, used by the opt-in
-  durability layer (:mod:`repro.storage.durable`). These NEVER touch the
-  :class:`IOCounter`: logical accounting stays bit-identical with
-  durability on or off, and the pager's own traffic (reads, writes,
-  buffer-pool hits/misses/evictions) is reported separately through
-  :class:`PagerStats`.
+* **Durable records** (:func:`pack_record` / :class:`PagerStats`) — the
+  encoding of write-ahead-log frames and the log's own traffic counters,
+  used by the opt-in durability layer (:mod:`repro.storage.durable`). The
+  durable layer NEVER touches the :class:`IOCounter`: logical accounting
+  stays bit-identical with durability on or off.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
@@ -156,20 +150,12 @@ class IOCounter:
 
 
 # ---------------------------------------------------------------------------
-# Actual pages — the durability layer's storage primitives.
+# The durable layer's record codec and traffic counters.
 # ---------------------------------------------------------------------------
-
-DEFAULT_PAGE_SIZE = 4096
-
-_SLOT_DEAD = 0  # on-disk slot length marking a dead (reusable) slot
-
-
-class PageError(Exception):
-    """Raised for page-format violations (oversized record, bad page)."""
 
 
 def pack_record(obj: Any) -> bytes:
-    """Serialize one durable record (row-count pairs, WAL payloads).
+    """Serialize one durable record (WAL payloads, checkpoint rows).
 
     JSON keeps the format inspectable; tuples round-trip as lists and are
     re-tupled on decode. Values must be JSON scalars (int/float/str/bool/
@@ -189,141 +175,24 @@ def _retuple(value: Any) -> Any:
     return value
 
 
-class Page:
-    """One fixed-size slotted page: a header plus length-prefixed slots.
-
-    On disk: ``u16 slot_count`` then, per slot, ``u16 length`` (0 marks a
-    dead slot) followed by the record bytes. Dead slots keep their 2-byte
-    length word so slot ids referenced by the row directory stay stable;
-    :meth:`add` reuses the first dead slot the record fits the page with.
-    """
-
-    __slots__ = ("page_size", "slots", "used")
-
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        self.page_size = page_size
-        self.slots: list[bytes | None] = []
-        self.used = 2  # header
-
-    def fits(self, record: bytes) -> bool:
-        return self.used + 2 + len(record) <= self.page_size
-
-    @property
-    def free(self) -> int:
-        return self.page_size - self.used
-
-    def add(self, record: bytes) -> int:
-        """Store a record, returning its slot id. Raises when full."""
-        if not self.fits(record):
-            raise PageError(
-                f"record of {len(record)} bytes does not fit "
-                f"({self.free} free of {self.page_size})"
-            )
-        for slot, existing in enumerate(self.slots):
-            if existing is None:
-                self.slots[slot] = record
-                self.used += len(record)  # the 2-byte length word is already paid
-                return slot
-        self.slots.append(record)
-        self.used += 2 + len(record)
-        return len(self.slots) - 1
-
-    def get(self, slot: int) -> bytes:
-        record = self.slots[slot]
-        if record is None:
-            raise PageError(f"slot {slot} is dead")
-        return record
-
-    def mark_dead(self, slot: int) -> None:
-        record = self.slots[slot]
-        if record is None:
-            raise PageError(f"slot {slot} is already dead")
-        self.slots[slot] = None
-        self.used -= len(record)
-
-    def records(self) -> Iterator[tuple[int, bytes]]:
-        for slot, record in enumerate(self.slots):
-            if record is not None:
-                yield slot, record
-
-    def to_bytes(self) -> bytes:
-        parts = [struct.pack("<H", len(self.slots))]
-        for record in self.slots:
-            if record is None:
-                parts.append(struct.pack("<H", _SLOT_DEAD))
-            else:
-                parts.append(struct.pack("<H", len(record)))
-                parts.append(record)
-        data = b"".join(parts)
-        if len(data) > self.page_size:  # pragma: no cover - guarded by fits()
-            raise PageError(f"page overflow: {len(data)} > {self.page_size}")
-        return data + b"\x00" * (self.page_size - len(data))
-
-    @classmethod
-    def from_bytes(cls, data: bytes, page_size: int = DEFAULT_PAGE_SIZE) -> "Page":
-        if len(data) != page_size:
-            raise PageError(f"expected {page_size} bytes, got {len(data)}")
-        page = cls(page_size)
-        (n_slots,) = struct.unpack_from("<H", data, 0)
-        offset = 2
-        for _ in range(n_slots):
-            (length,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            if length == _SLOT_DEAD:
-                page.slots.append(None)
-            else:
-                page.slots.append(data[offset : offset + length])
-                offset += length
-        # header + per-slot length word + live payload bytes
-        page.used = 2 + 2 * len(page.slots) + sum(
-            len(r) for r in page.slots if r is not None
-        )
-        return page
-
-    def __repr__(self) -> str:
-        live = sum(1 for r in self.slots if r is not None)
-        return f"<Page {live}/{len(self.slots)} slots, {self.used}/{self.page_size}B>"
-
-
 @dataclass
 class PagerStats:
-    """Actual storage traffic — entirely separate from :class:`IOStats`.
+    """Actual log traffic — entirely separate from :class:`IOStats`.
 
-    ``page_reads`` / ``page_writes`` count real file-page transfers (cold
-    buffer-pool misses, eviction spills, checkpoint writes); ``pool_hits``
-    / ``pool_misses`` / ``evictions`` describe the buffer pool;
-    ``wal_records`` / ``wal_bytes`` / ``fsyncs`` the log.
+    ``wal_records`` / ``wal_bytes`` count frames written to the log
+    (commits and checkpoint snapshots alike), ``fsyncs`` every durability
+    barrier, ``checkpoints`` completed log rotations and
+    ``recovered_txns`` the committed transactions replayed on open.
     """
 
-    page_reads: int = 0
-    page_writes: int = 0
-    pool_hits: int = 0
-    pool_misses: int = 0
-    evictions: int = 0
     wal_records: int = 0
     wal_bytes: int = 0
     fsyncs: int = 0
     checkpoints: int = 0
     recovered_txns: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.pool_hits + self.pool_misses
-        return self.pool_hits / lookups if lookups else 0.0
-
     def snapshot(self) -> dict[str, int]:
-        return {
-            "page_reads": self.page_reads,
-            "page_writes": self.page_writes,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "evictions": self.evictions,
-            "wal_records": self.wal_records,
-            "wal_bytes": self.wal_bytes,
-            "fsyncs": self.fsyncs,
-            "checkpoints": self.checkpoints,
-            "recovered_txns": self.recovered_txns,
-        }
+        return dict(vars(self))
 
     def since(self, before: dict[str, int]) -> dict[str, int]:
         now = self.snapshot()
@@ -331,188 +200,6 @@ class PagerStats:
 
     def describe(self) -> str:
         return (
-            f"{self.pool_hits} hits / {self.pool_misses} misses "
-            f"({self.hit_rate:.0%} hit rate), {self.evictions} evicted; "
-            f"pages r/w {self.page_reads}/{self.page_writes}; "
             f"wal {self.wal_records} records / {self.wal_bytes} B / "
-            f"{self.fsyncs} fsyncs"
+            f"{self.fsyncs} fsyncs; {self.checkpoints} checkpoints"
         )
-
-
-class Pager:
-    """Fixed-size pages over a single file.
-
-    Page indexes are positions in *this* file; the durability layer maps
-    its stable logical page ids onto per-generation file indexes. Opening
-    with ``create=True`` truncates.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        create: bool = False,
-        stats: PagerStats | None = None,
-    ) -> None:
-        self.path = path
-        self.page_size = page_size
-        self.stats = stats if stats is not None else PagerStats()
-        mode = "w+b" if create or not os.path.exists(path) else "r+b"
-        self._file = open(path, mode)
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
-        if size % page_size:
-            # A torn trailing page (killed mid-write): drop it. Earlier
-            # pages are whole — writes are page-granular and append-ordered.
-            size -= size % page_size
-            self._file.truncate(size)
-        self.n_pages = size // page_size
-
-    def read_page(self, index: int) -> bytes:
-        if not 0 <= index < self.n_pages:
-            raise PageError(f"page {index} out of range (file has {self.n_pages})")
-        self._file.seek(index * self.page_size)
-        data = self._file.read(self.page_size)
-        self.stats.page_reads += 1
-        return data
-
-    def write_page(self, index: int, data: bytes) -> None:
-        if len(data) != self.page_size:
-            raise PageError(f"write of {len(data)} bytes to {self.page_size}B page")
-        if index > self.n_pages:
-            raise PageError(f"page {index} beyond end of file ({self.n_pages})")
-        self._file.seek(index * self.page_size)
-        self._file.write(data)
-        self.stats.page_writes += 1
-        self.n_pages = max(self.n_pages, index + 1)
-
-    def append_page(self, data: bytes) -> int:
-        index = self.n_pages
-        self.write_page(index, data)
-        return index
-
-    def fsync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self.stats.fsyncs += 1
-
-    def truncate(self) -> None:
-        """Drop every page (overlay reset at checkpoint)."""
-        self._file.truncate(0)
-        self.n_pages = 0
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:  # pragma: no cover - best-effort close
-            pass
-
-    def __repr__(self) -> str:
-        return f"<Pager {self.path}: {self.n_pages} × {self.page_size}B>"
-
-
-class BufferPool:
-    """LRU cache of decoded :class:`Page` objects over the page files.
-
-    Cache-aside with write-behind: reads fill the pool on miss (from the
-    between-checkpoint overlay first, else the checkpoint generation);
-    mutations only mark pages dirty; a dirty page is written out when
-    evicted (to the overlay) or at checkpoint (into the next generation).
-    Pages the pool has never seen on disk (created since the last
-    checkpoint) are pinned dirty until spilled or checkpointed.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        stats: PagerStats,
-        read_base: "Callable[[int], Page | None]",
-        overlay: Pager,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> None:
-        if capacity < 1:
-            raise PageError("buffer pool capacity must be at least one page")
-        self.capacity = capacity
-        self.stats = stats
-        self.page_size = page_size
-        self._read_base = read_base  # logical pid -> Page from checkpoint gen
-        self._overlay = overlay
-        self._overlay_index: dict[int, int] = {}  # logical pid -> overlay file index
-        self._cache: "OrderedDict[int, Page]" = OrderedDict()
-        self._dirty: set[int] = set()
-        self.on_evict: Callable[[int], None] | None = None  # crash-point hook
-
-    # -- reads -------------------------------------------------------------------
-
-    def get(self, pid: int) -> Page:
-        page = self._cache.get(pid)
-        if page is not None:
-            self._cache.move_to_end(pid)
-            self.stats.pool_hits += 1
-            return page
-        self.stats.pool_misses += 1
-        overlay_idx = self._overlay_index.get(pid)
-        if overlay_idx is not None:
-            page = Page.from_bytes(self._overlay.read_page(overlay_idx), self.page_size)
-        else:
-            page = self._read_base(pid)
-            if page is None:
-                raise PageError(f"page {pid} is on neither overlay nor checkpoint")
-        self._cache[pid] = page
-        self._evict_to_capacity()
-        return page
-
-    # -- writes ------------------------------------------------------------------
-
-    def put_new(self, pid: int, page: Page) -> None:
-        """Register a freshly created page (dirty by definition)."""
-        self._cache[pid] = page
-        self._cache.move_to_end(pid)
-        self._dirty.add(pid)
-        self._evict_to_capacity()
-
-    def mark_dirty(self, pid: int) -> None:
-        if pid not in self._cache:  # pragma: no cover - callers get() first
-            raise PageError(f"cannot dirty uncached page {pid}")
-        self._dirty.add(pid)
-
-    # -- eviction ----------------------------------------------------------------
-
-    def _evict_to_capacity(self) -> None:
-        while len(self._cache) > self.capacity:
-            pid, page = self._cache.popitem(last=False)
-            if pid in self._dirty:
-                if self.on_evict is not None:
-                    self.on_evict(pid)
-                overlay_idx = self._overlay_index.get(pid)
-                if overlay_idx is None:
-                    overlay_idx = self._overlay.n_pages
-                    self._overlay_index[pid] = overlay_idx
-                self._overlay.write_page(overlay_idx, page.to_bytes())
-                self._dirty.discard(pid)
-            self.stats.evictions += 1
-
-    # -- checkpoint support --------------------------------------------------------
-
-    def dirty_pids(self) -> frozenset[int]:
-        return frozenset(self._dirty)
-
-    def after_checkpoint(self) -> None:
-        """All pages are now clean and the overlay is obsolete."""
-        self._dirty.clear()
-        self._overlay_index.clear()
-        self._overlay.truncate()
-
-    def drop(self, pids: Iterable[int]) -> None:
-        """Forget pages (relation dropped); overlay slots simply leak until
-        the next checkpoint truncates the file."""
-        for pid in pids:
-            self._cache.pop(pid, None)
-            self._dirty.discard(pid)
-            self._overlay_index.pop(pid, None)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._cache

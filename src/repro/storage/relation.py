@@ -114,6 +114,11 @@ class StoredRelation:
         place (no copy): the relation must not change while it runs."""
         return self._data.expand()
 
+    def items(self) -> Iterator[tuple[Row, int]]:
+        """Uncharged iteration over the (row, count) pairs in place (no
+        copy): the relation must not change while it runs."""
+        return self._data.items()
+
     def candidates(self, pins: Mapping[str, Any]) -> list[Row] | None:
         """Uncharged point access: the stored rows (with multiplicity) that
         may hold ``pins`` (schema column -> value), found through a declared

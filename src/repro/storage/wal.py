@@ -1,22 +1,20 @@
-"""Write-ahead log: committed transactions as framed forward-delta records.
+"""Write-ahead log: the durable store itself, as framed delta records.
 
-The durable layer's redo log. Every record is one JSON object framed as
+Every record is one JSON object framed as
 
     u32 payload_length | u32 crc32(payload) | payload
 
-appended strictly before the page images change (write-ahead rule). The
-log is delta-based rather than page-based — the deltas the maintenance
-machinery already produces (and whose inverses :class:`~repro.storage.undo.
-UndoLog` journals) *are* the natural recovery log for materialized state,
-so redo is "replay the committed deltas since the last checkpoint" and
-undo is "replay the journaled inverse deltas of the one incomplete
-transaction".
+The log is delta-based rather than page-based, and it is the *only*
+durable copy of the data: the deltas the maintenance machinery already
+produces (and whose inverses :class:`~repro.storage.undo.UndoLog`
+journals) are the natural recovery log for materialized state, so
+recovery is "load the checkpoint snapshot at the head of the log, then
+replay the committed deltas after it".
 
 Record vocabulary (the ``"t"`` field):
 
-``create``/``drop``
-    DDL — relation created (name, schema columns, index column lists) or
-    dropped.
+``create``/``drop``/``index``
+    DDL — relation created (name, schema), dropped, or indexed.
 ``begin`` / ``delta`` / ``commit``
     One committed transaction: ``begin txn``, one ``delta`` per touched
     relation (inserts/deletes as ``[row, count]`` pairs, modifies as
@@ -30,12 +28,14 @@ Record vocabulary (the ``"t"`` field):
     because recovery rebuilds from the checkpoint + committed deltas
     only, an interrupted rollback is finished implicitly — the half-
     undone transaction simply never happened.
-``checkpoint``
-    Names a page-snapshot generation; replay starts after the last
-    checkpoint record whose generation file survives on disk. Once that
-    record is durable the log is rotated down to just it
-    (:meth:`WriteAheadLog.rotate`), so log length — and recovery cost —
-    is bounded by history since the last checkpoint, not total history.
+``checkpoint`` / ``rows``
+    A snapshot: the ``checkpoint`` header (generation number, every
+    relation's schema and indexes) resets the recovered state, and the
+    ``rows`` records after it (``[row, count]`` pairs of one relation, in
+    bounded chunks) seed it. A checkpoint is written by
+    :meth:`WriteAheadLog.rotate`, which replaces the whole log with the
+    snapshot, so log length — and recovery cost — is bounded by history
+    since the last checkpoint, not total history.
 
 Torn tails: a crash mid-append leaves a final frame with a short or
 corrupt payload. :meth:`WriteAheadLog.replay` stops at the first frame
@@ -49,7 +49,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra.multiset import Multiset
 from repro.ivm.delta import Delta
@@ -60,6 +60,11 @@ _FRAME_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
 class WalError(Exception):
     """Raised for unrecoverable log damage (not for a torn tail)."""
+
+
+def _frame(record: dict[str, Any]) -> bytes:
+    payload = pack_record(record)
+    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def encode_delta(delta: Delta) -> dict[str, Any]:
@@ -97,14 +102,15 @@ class WriteAheadLog:
     def __init__(self, path: str, stats: PagerStats | None = None) -> None:
         self.path = path
         self.stats = stats if stats is not None else PagerStats()
+        #: bytes the last :meth:`replay` cut off a torn tail (0 when clean)
+        self.torn_bytes = 0
         # Append mode creates the file; reads reopen separately in replay.
         self._file = open(path, "ab")
 
     # -- writing -----------------------------------------------------------------
 
     def append(self, record: dict[str, Any]) -> None:
-        payload = pack_record(record)
-        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        frame = _frame(record)
         self._file.write(frame)
         self.stats.wal_records += 1
         self.stats.wal_bytes += len(frame)
@@ -119,31 +125,44 @@ class WriteAheadLog:
         os.fsync(self._file.fileno())
         self.stats.fsyncs += 1
 
-    def rotate(self, records: list[dict[str, Any]]) -> None:
-        """Atomically replace the log's contents with just ``records``.
+    def rotate(
+        self,
+        records: Iterable[dict[str, Any]],
+        before_swap: Callable[[], None] | None = None,
+    ) -> None:
+        """Atomically replace the log's contents with ``records``.
 
-        Checkpoint rotation: replay starts at the last checkpoint record,
-        so once that record is durable every earlier frame is dead weight
-        — without rotation the log grows without bound and every open
-        reads the full history. The new log is written to a ``.new``
-        sidecar, fsynced, then ``os.replace``d over the old one: a crash
-        before the replace leaves the old (longer but valid) log, a crash
-        after leaves the new one — recovery reads either correctly, and
+        Checkpoint rotation: ``records`` (consumed lazily, so a snapshot
+        streams straight from its source) are written to a ``.new``
+        sidecar and fsynced; ``before_swap`` runs; the sidecar is
+        ``os.replace``d over the log and the directory is fsynced, so the
+        rename itself survives a power loss — without that, a reverted
+        rename would take every commit appended to the new log with it.
+        A crash before the replace leaves the old (longer but valid) log,
+        a crash after leaves the new one — recovery reads either, and
         deletes a stale sidecar on open.
         """
         sidecar = self.path + ".new"
         with open(sidecar, "wb") as fresh:
             for record in records:
-                payload = pack_record(record)
-                fresh.write(
-                    _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
+                frame = _frame(record)
+                fresh.write(frame)
+                self.stats.wal_records += 1
+                self.stats.wal_bytes += len(frame)
             fresh.flush()
             os.fsync(fresh.fileno())
         self.stats.fsyncs += 1
-        self._file.close()
+        if before_swap is not None:
+            before_swap()
         os.replace(sidecar, self.path)
+        self._file.close()
         self._file = open(self.path, "ab")
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self.stats.fsyncs += 1
 
     # -- reading -----------------------------------------------------------------
 
@@ -170,7 +189,8 @@ class WriteAheadLog:
             yield unpack_record(payload)
             offset = start + length
             good_end = offset
-        if good_end < len(data):
+        self.torn_bytes = len(data) - good_end
+        if self.torn_bytes:
             # Reopen truncating past the tear, keeping append position right.
             self._file.close()
             with open(self.path, "r+b") as fixer:

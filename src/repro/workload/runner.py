@@ -142,22 +142,13 @@ def _per_run_durable_metrics(
     *cumulative* :class:`~repro.storage.pager.PagerStats`, and
     ``MetricsRegistry.since`` passes gauges through by value — so a second
     ``run_transactions`` over the same durable engine used to report the
-    first run's traffic (and a cumulative ``pool_hit_rate``) in its own
-    ``StreamReport.metrics``. Re-derive every durable gauge from the
-    per-run pager delta instead, consistently with how counters report.
+    first run's traffic in its own ``StreamReport.metrics``. Re-derive
+    every durable gauge from the per-run log delta instead, consistently
+    with how counters report.
     """
-    delta = stats.since(before)
-    hits = delta.pop("pool_hits")
-    misses = delta.pop("pool_misses")
-    for key, value in delta.items():
+    for key, value in stats.since(before).items():
         if value or f"durable.{key}" in metrics:
             metrics[f"durable.{key}"] = value
-    lookups = hits + misses
-    rate = hits / lookups if lookups else 0.0
-    metrics["durable.pool_hit_rate"] = rate
-    metrics["cache.buffer_pool.hits"] = hits
-    metrics["cache.buffer_pool.misses"] = misses
-    metrics["cache.buffer_pool.hit_rate"] = rate
 
 
 def run_concurrent_transactions(

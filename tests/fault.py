@@ -1,7 +1,8 @@
 """Fault-injection harness for the durable storage layer.
 
 Two crash modes over the same crash points (``repro.storage.durable.
-CRASH_POINTS``, every WAL append / page write / checkpoint boundary):
+CRASH_POINTS``, every WAL append / barrier / checkpoint-rotation
+boundary):
 
 * **in-process** — :class:`CrashInjector` arms a ``DurableStore`` so the
   nth arrival at a point freezes the store (all further durable ops
@@ -29,7 +30,9 @@ set); ``verify`` recovers the directory and asserts the recovered state
 equals one of the oracle's prefix states (commit-or-nothing at *some*
 transaction boundary — the in-process property test pins down *which*).
 ``matrix`` spawns run+verify child pairs for every policy × crash point
-and reports a table; exit status is non-zero on any divergence.
+and reports a table; exit status is non-zero on any divergence, and on
+any crash point no (policy, nth) cell reached — a point the stream never
+arrives at is coverage silently lost.
 """
 
 from __future__ import annotations
@@ -110,12 +113,11 @@ def build_system(
     seed: int,
     batch_size: int = 3,
     checkpoint_every: int = 4,
-    pool_size: int = 4,
 ):
     """Corporate db + DeptConstraint + engine; durable when a path is given.
 
-    A tiny pool and frequent auto-checkpoints on purpose: they force the
-    eviction-spill and checkpoint code paths inside short test streams.
+    Frequent auto-checkpoints on purpose: they force the checkpoint
+    rotation code paths inside short test streams.
     """
     # wal_sync="full": the matrix asserts the strict per-commit-fsync
     # semantics (commit record durable at the commit point); "normal"
@@ -123,7 +125,6 @@ def build_system(
     # by the two-sided oracle check either way.
     db = Database(
         durable_path=durable_path,
-        pool_size=pool_size,
         checkpoint_every=checkpoint_every,
         wal_sync="full",
     )
@@ -351,7 +352,13 @@ def _cmd_matrix(args) -> int:
         print(f"{policy:<12}{point:<{width}}{nth:<5}{result}")
     killed = sum(1 for r in rows if r[3] in ("ok", "DIVERGED"))
     print(f"{killed} kills verified, {failures} failures")
-    return 1 if failures else 0
+    unreached = [
+        point for point in points
+        if all(r[3] == "not reached" for r in rows if r[1] == point)
+    ]
+    if unreached:
+        print(f"never reached: {', '.join(unreached)}")
+    return 1 if failures or unreached else 0
 
 
 def main(argv=None) -> int:

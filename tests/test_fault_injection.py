@@ -1,4 +1,4 @@
-"""Crash injection at every WAL / page / checkpoint boundary.
+"""Crash injection at every WAL / barrier / checkpoint boundary.
 
 The in-process matrix arms a :class:`~tests.fault.CrashInjector` on a
 durable engine, runs the deterministic stream until the injected
@@ -15,6 +15,7 @@ assertion check, resumable undo) live here too, fault-injected at the
 component seams.
 """
 
+import logging
 import os
 import subprocess
 import sys
@@ -25,8 +26,10 @@ import pytest
 from repro.constraints.assertions import AssertionViolation
 from repro.engine import DeferredPolicy
 from repro.ivm.delta import Delta
+from repro.storage.database import Database
 from repro.storage.durable import CRASH_EXIT_CODE, CRASH_POINTS, CrashPoint
 from repro.storage.relation import StorageError
+from repro.storage.wal import WriteAheadLog
 from repro.workload.transactions import Transaction
 from tests.fault import (
     POLICIES,
@@ -45,15 +48,14 @@ N_TXNS = 8
 #: points strictly before the commit point — recovery must yield "before"
 BEFORE_COMMIT = {"commit.wal", "commit.wal_commit"}
 #: points at/after the commit point — the WAL already holds the commit
-AFTER_COMMIT = {"commit.apply", "commit.apply_mid"}
+#: (the stream's checkpoints are the automatic ones, run after a commit)
+AFTER_COMMIT = {"commit.done", "checkpoint.begin", "checkpoint.record", "checkpoint.cleanup"}
 
 
-def _crash_run(tmp_path, policy, point, nth=1, pool_size=4):
+def _crash_run(tmp_path, policy, point, nth=1):
     """Run the stream until the injector fires; return (crashed event
     index, injector) — index is None when the point was never reached."""
-    db, _system, engine = build_system(
-        str(tmp_path), policy, SEED, pool_size=pool_size
-    )
+    db, _system, engine = build_system(str(tmp_path), policy, SEED)
     injector = CrashInjector(db.durable, point, nth=nth)
     for i, event in enumerate(stream_events(engine, SEED, N_TXNS)):
         try:
@@ -70,9 +72,7 @@ def _crash_run(tmp_path, policy, point, nth=1, pool_size=4):
 def test_crash_anywhere_recovers_to_a_transaction_boundary(
     tmp_path, policy, point
 ):
-    # pool_size=1 forces evictions so pool.evict is actually reachable.
-    pool_size = 1 if point == "pool.evict" else 4
-    crashed_at, injector = _crash_run(tmp_path, policy, point, pool_size=pool_size)
+    crashed_at, injector = _crash_run(tmp_path, policy, point)
     if crashed_at is None:
         pytest.skip(f"{point} not reached by this stream under {policy}")
     states = oracle_states(policy, SEED, N_TXNS)
@@ -90,9 +90,9 @@ def test_crash_anywhere_recovers_to_a_transaction_boundary(
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_recovering_twice_is_idempotent_after_crash(tmp_path, policy):
-    crashed_at, _ = _crash_run(tmp_path, policy, "commit.apply_mid")
+    crashed_at, _ = _crash_run(tmp_path, policy, "commit.done")
     if crashed_at is None:
-        pytest.skip("commit.apply_mid not reached")
+        pytest.skip("commit.done not reached")
     first = recovered_state(str(tmp_path), policy, SEED)
     second = recovered_state(str(tmp_path), policy, SEED)
     assert first == second
@@ -100,7 +100,7 @@ def test_recovering_twice_is_idempotent_after_crash(tmp_path, policy):
 
 def test_subprocess_kill_mid_commit_recovers(tmp_path):
     """A real ``os._exit`` mid-commit, not a simulated one."""
-    env = dict(os.environ, REPRO_CRASH_AT="commit.apply:2", PYTHONPATH="src")
+    env = dict(os.environ, REPRO_CRASH_AT="commit.done:2", PYTHONPATH="src")
     child = subprocess.run(
         [
             sys.executable, "-m", "tests.fault", "run",
@@ -191,29 +191,48 @@ def test_poisoned_assertion_check_rolls_back(tmp_path, policy, durable):
     db2.close()
 
 
-def test_post_barrier_page_failure_commits_in_both_worlds(tmp_path):
-    """A page-apply failure after the WAL barrier used to reach the
-    shared rollback guard — the application saw a failed, rolled-back
-    transaction while recovery replayed the durable commit record
-    forward. Now the engine sees a committed transaction, and the
-    recovered state matches what the application observed."""
-    db, _system, engine = build_system(str(tmp_path), "immediate", SEED)
+def test_post_barrier_checkpoint_failure_commits_in_both_worlds(
+    tmp_path, monkeypatch, caplog
+):
+    """An I/O failure in the automatic checkpoint — the one step after the
+    WAL barrier — used to escape ``commit()``: the engine rolled back a
+    transaction the log already held, and the rollback's inverses re-entered
+    the failing checkpoint through the auto-commit, leaving a view diverged
+    from its base. The failure is now absorbed: the commit is reported,
+    the views verify, the reopened directory equals memory, and the next
+    interval retries the checkpoint."""
+    db, _system, engine = build_system(str(tmp_path), "immediate", SEED, checkpoint_every=1)
     emp = sorted(db.relation("Emp").contents().rows())[0]
     txn = Transaction(
         ">Emp", {"Emp": Delta.modification([(emp, (emp[0], emp[1], emp[2] + 1))])}
     )
 
-    def broken(rel, delta):
-        raise OSError("injected post-barrier page failure")
+    def failing_rotate(self, records, before_swap=None):
+        raise OSError("injected checkpoint failure")
 
-    db.durable._apply_to_pages = broken
-    result = engine.execute(txn)  # must not raise: the commit is durable
+    monkeypatch.setattr(WriteAheadLog, "rotate", failing_rotate)
+    generation = db.durable.generation
+    with caplog.at_level(logging.WARNING, logger="repro.storage.durable"):
+        result = engine.execute(txn)  # must not raise: the commit is durable
     assert result.committed and not result.deferred
-    assert db.durable.failed is not None
+    engine.maintainer.verify()
+    assert isinstance(db.durable.checkpoint_error, OSError)
+    assert db.durable.generation == generation
+    assert [r.event for r in caplog.records] == ["durable.checkpoint_failed"]
+
+    monkeypatch.undo()
+    emp = sorted(db.relation("Emp").contents().rows())[1]
+    engine.execute(
+        Transaction(">Emp", {"Emp": Delta.modification([(emp, (emp[0], emp[1], emp[2] + 1))])})
+    )
+    assert db.durable.checkpoint_error is None
+    assert db.durable.generation == generation + 1
     after = snapshot(db)
     db.close()
 
-    assert recovered_state(str(tmp_path), "immediate", SEED) == after
+    reopened = Database(durable_path=str(tmp_path))
+    assert snapshot(reopened) == after
+    reopened.close()
 
 
 def test_enforcing_rejection_still_reports_violation_when_durable(tmp_path):

@@ -128,8 +128,8 @@ class TestReportMetrics:
         """Regression: the engine's _observe sets durable.* gauges from the
         store's *cumulative* PagerStats, and since() passes gauges through
         by value — so a second run_transactions over the same durable
-        engine used to report run 1's traffic (and a cumulative hit rate)
-        as its own. Metrics must be per-run deltas consistently."""
+        engine used to report run 1's traffic as its own. Metrics must be
+        per-run deltas consistently."""
         from repro.storage.database import Database
         from repro.workload.paperdb import (
             DEPT_SCHEMA,
@@ -137,7 +137,7 @@ class TestReportMetrics:
             generate_corporate_db,
         )
 
-        db = Database(durable_path=str(tmp_path / "store"))
+        db = Database(durable_path=str(tmp_path / "store"), wal_sync="full")
         data = generate_corporate_db(20, 5, seed=7)
         db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
         db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
@@ -146,6 +146,7 @@ class TestReportMetrics:
         first = run_transactions(
             engine, [_raise_txn(db, index=i, amount=1) for i in range(3)]
         )
+        between = db.durable.stats.snapshot()
         second = run_transactions(
             engine, [_raise_txn(db, index=5, amount=1)]
         )
@@ -155,15 +156,13 @@ class TestReportMetrics:
         assert 0 < second.metrics["durable.wal_records"] < (
             first.metrics["durable.wal_records"]
         )
-        # The hit rate is this run's rate, not the cumulative store rate.
-        hits = second.metrics["cache.buffer_pool.hits"]
-        misses = second.metrics["cache.buffer_pool.misses"]
-        lookups = hits + misses
-        expected = hits / lookups if lookups else 0.0
-        assert second.metrics["durable.pool_hit_rate"] == expected
-        assert second.metrics["durable.pool_hit_rate"] != db.durable.stats.hit_rate or (
-            expected == db.durable.stats.hit_rate
-        )
+        # Every log counter is this run's delta, not the cumulative store
+        # total (one fsync per commit under wal_sync="full").
+        for key, value in db.durable.stats.since(between).items():
+            if value:
+                assert second.metrics[f"durable.{key}"] == value
+        assert second.metrics["durable.fsyncs"] == 1
+        assert db.durable.stats.fsyncs > 1
         db.close()
 
     def test_concurrent_runner_reports_per_run_metrics(self, small_paper_db):
