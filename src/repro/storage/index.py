@@ -2,12 +2,13 @@
 
 An index maps a key (values of the indexed columns) to the multiset of rows
 with that key. Following the paper's model, a probe costs one index-page
-I/O; maintenance touches one index page per distinct key, with a write only
-when the entry set for that key actually changes.
+I/O; maintenance (charged per delta by the owning relation) touches one index
+page per distinct key, written only when a row enters or leaves its bucket.
 """
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Any, Callable, Iterable
 
 from repro.algebra.compile import tuple_getter
@@ -111,43 +112,64 @@ class HashIndex:
 
     # -- maintenance ----------------------------------------------------------------
 
-    def add(self, row: Row, count: int = 1) -> None:
-        if count == 0:
-            return
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = Multiset()
-            self._totals[key] = 0
-        counts = bucket._counts
-        new = counts.get(row, 0) + count
-        if new == 0:
-            del counts[row]
-            if not counts:
-                del self._buckets[key]
-                del self._totals[key]
-                return
-        else:
-            counts[row] = new
-        self._totals[key] += count
+    def update(
+        self, olds: list[Row], news: list[Row], inserts: dict[Row, int], deletes: dict[Row, int]
+    ) -> tuple[int, int]:
+        """Apply a validated delta — (old, new) pairs, then inserts, then
+        deletes — and return the (read, written) index pages: per distinct
+        key of each part, one of each, except that a pair keeping its key
+        writes nothing. Such a pair swaps old for new inside its bucket: no
+        bucket is made or dropped and no total moves."""
+        key_of = self.key_of
+        reads = writes = 0
+        if olds:
+            kos, kns = list(map(key_of, olds)), list(map(key_of, news))
+            reads = len(set(kos).union(kns))
+            buckets = self._buckets
+            moved: list[tuple] = []
+            for old, new, ko, kn in zip(olds, news, kos, kns):
+                if ko != kn:
+                    moved += ((ko, old, -1), (kn, new, 1))
+                    continue
+                counts = buckets[ko]._counts
+                n = counts[old] - 1
+                if n:
+                    counts[old] = n
+                else:
+                    del counts[old]
+                counts[new] = counts.get(new, 0) + 1
+            if moved:
+                writes = len({key for key, _, _ in moved})
+                self._add_many(moved)
+        for rows, signed in ((inserts, inserts.values()), (deletes, map(neg, deletes.values()))):
+            if rows:
+                keys = list(map(key_of, rows))
+                pages = len(set(keys))
+                reads += pages
+                writes += pages
+                self._add_many(zip(keys, rows, signed))
+        return reads, writes
 
-    def apply(self, delta: Multiset) -> tuple[int, int]:
-        """Apply a signed delta; returns (index pages read, pages written).
-
-        One page is read per distinct key touched, and written when the
-        key's entries changed — which they always do for a nonzero delta, so
-        writes equal the distinct-key count; the caller decides whether to
-        charge them (a modification that leaves the indexed key unchanged
-        does not need an index write in the paper's accounting, because the
-        tuple's bucket membership is unchanged).
-        """
-        keys = {self.key_of(row) for row, _ in delta.items()}
-        for row, count in delta.items():
-            self.add(row, count)
-        return len(keys), len(keys)
-
-    def keys_touched(self, rows: Iterable[Row]) -> int:
-        return len({self.key_of(r) for r in rows})
+    def _add_many(self, entries: Iterable[tuple[tuple[Any, ...], Row, int]]) -> None:
+        """Apply signed ``(key, row, count)`` changes in order, creating
+        buckets as rows arrive and dropping those they empty."""
+        buckets = self._buckets
+        totals = self._totals
+        for key, row, count in entries:
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = Multiset()
+                totals[key] = 0
+            counts = bucket._counts
+            new = counts.get(row, 0) + count
+            if new:
+                counts[row] = new
+            else:
+                del counts[row]
+                if not counts:
+                    del buckets[key], totals[key]
+                    continue
+            totals[key] += count
 
     def distinct_keys(self) -> int:
         return len(self._buckets)
@@ -155,5 +177,5 @@ class HashIndex:
     def rebuild(self, data: Multiset) -> None:
         self._buckets.clear()
         self._totals.clear()
-        for row, count in data.items():
-            self.add(row, count)
+        key_of = self.key_of
+        self._add_many((key_of(row), row, count) for row, count in data.items())

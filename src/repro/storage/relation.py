@@ -11,6 +11,11 @@ The charging policy implements the paper's Section 3.6 accounting exactly:
 * **deletion** — one page write per tuple; per index, one index-page read
   and one index-page write per distinct key.
 
+A delta is validated whole (row types, absent tuples, candidate keys)
+before any of it is applied or charged, so a rejected delta changes
+nothing and charges nothing. The data, each key map and each index are
+then updated once per delta, and the charges are sums of distinct keys.
+
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
 aggregate push-down). Each key's map holds the row itself, so the same
@@ -19,6 +24,7 @@ structure answers point lookups by key (:meth:`StoredRelation.candidates`).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.compile import tuple_getter
@@ -45,8 +51,8 @@ class StoredRelation:
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
         # One incremental uniqueness map per declared candidate key
         # (key value -> the one row holding it), with the key's columns in
-        # value order and a compiled positional getter per key (this runs
-        # once per applied row).
+        # value order and a compiled positional getter per key (mapped over
+        # every row of an applied delta).
         self._keys: list[tuple[tuple[str, ...], Callable[[Row], tuple], dict[tuple, Row]]] = [
             (
                 tuple(sorted(key)),
@@ -86,22 +92,14 @@ class StoredRelation:
     def load(self, rows: Iterable[Row]) -> None:
         """Bulk load (uncharged — initial materialization is outside the
         paper's maintenance accounting)."""
-        loaded = Multiset()
-        with self.counter.suspended():
-            for row in rows:
-                row = self.schema.validate_tuple(row)
-                self._apply_row(row, 1)
-                loaded.add(row, 1)
-        if self._journal is not None and loaded:
-            self._journal.on_delta(self.name, Delta(inserts=loaded))
+        self.load_multiset(Multiset(map(self.schema.validate_tuple, rows)))
 
     def load_multiset(self, data: Multiset) -> None:
-        loaded = Multiset()
+        """Insert ``data`` through the same all-or-nothing apply as
+        :meth:`apply_delta`, uncharged."""
         with self.counter.suspended():
-            for row, count in data.items():
-                row = self.schema.validate_tuple(row)
-                self._apply_row(row, count)
-                loaded.add(row, count)
+            loaded = Multiset()
+            loaded._counts = self._apply(Delta(inserts=data))
         if self._journal is not None and loaded:
             self._journal.on_delta(self.name, Delta(inserts=loaded))
 
@@ -152,21 +150,13 @@ class StoredRelation:
         Raises :class:`StorageError` when no index on ``columns`` exists —
         the executor decides explicitly when to fall back to a scan.
         """
-        cols = tuple(self.schema.resolve(c) for c in columns)
-        index = self._indexes.get(cols)
-        if index is None:
-            raise StorageError(f"no index on {cols} for relation {self.name}")
-        return index.probe(key)
+        return self._index(columns).probe(key)
 
     def lookup_many(
         self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
     ) -> Multiset:
         """Batched indexed lookup; charges identically to per-key ``lookup``."""
-        cols = tuple(self.schema.resolve(c) for c in columns)
-        index = self._indexes.get(cols)
-        if index is None:
-            raise StorageError(f"no index on {cols} for relation {self.name}")
-        return index.probe_many(keys)
+        return self._index(columns).probe_many(keys)
 
     def lookup_buckets(
         self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
@@ -174,11 +164,14 @@ class StoredRelation:
         """Bucket-grained batched lookup (see :meth:`HashIndex.probe_buckets`);
         charges identically to :meth:`lookup_many`. The returned buckets are
         borrowed read-only views of the index."""
+        return self._index(columns).probe_buckets(keys)
+
+    def _index(self, columns: Iterable[str]) -> HashIndex:
         cols = tuple(self.schema.resolve(c) for c in columns)
         index = self._indexes.get(cols)
         if index is None:
             raise StorageError(f"no index on {cols} for relation {self.name}")
-        return index.probe_buckets(keys)
+        return index
 
     @property
     def row_count(self) -> int:
@@ -187,106 +180,90 @@ class StoredRelation:
     # -- maintenance ------------------------------------------------------------------
 
     def apply_delta(self, delta: Delta) -> Delta:
-        """Apply a delta with the paper's charging policy.
-
-        Returns the **inverse delta** (O(|delta|)): applying it restores
-        the pre-delta contents exactly — the engine layer's rollback
-        primitive. Application is atomic: if any row fails validation
-        (absent tuple, key violation), every row already applied is undone
-        (uncharged) before the error propagates, so the relation is never
-        left mid-delta.
-        """
-        applied: list[tuple[Row, int]] = []
-        try:
-            self._charge_and_apply_modifies(delta.modifies, applied)
-            self._charge_and_apply(delta.inserts, sign=+1, applied=applied)
-            self._charge_and_apply(delta.deletes, sign=-1, applied=applied)
-        except StorageError:
-            with self.counter.suspended():
-                for row, count in reversed(applied):
-                    self._apply_row(row, -count)
-            raise
+        """Apply a delta with the paper's charging policy; returns the
+        **inverse delta** (O(|delta|)), whose application restores the
+        pre-delta contents exactly — the engine layer's rollback primitive.
+        A delta with a mistyped row, an absent tuple or a key violation
+        raises before anything is charged or changed."""
+        self._apply(delta)
         if self._journal is not None:
             self._journal.on_delta(self.name, delta)
         return delta.inverted()
 
-    def _charge_and_apply_modifies(
-        self, modifies: list[tuple[Row, Row]], applied: list[tuple[Row, int]] | None = None
-    ) -> None:
-        if not modifies:
-            return
-        for index in self._indexes.values():
-            key_of = index.key_of
-            pairs = [(key_of(old), key_of(new)) for old, new in modifies]
-            self.counter.charge_index_read(len({k for pair in pairs for k in pair}))
-            changed_pages = {
-                key for ko, kn in pairs if ko != kn for key in (ko, kn)
-            }
-            if changed_pages:
-                self.counter.charge_index_write(len(changed_pages))
-        # Remove all old values before adding any new ones so that
-        # key-swapping batches do not trip the uniqueness check transiently.
-        validated = []
-        for old, new in modifies:
-            old = self.schema.validate_tuple(old)
-            new = self.schema.validate_tuple(new)
-            if old not in self._data:
-                raise StorageError(f"modify of absent tuple {old} in {self.name}")
-            self.counter.charge_tuple_read(1)
-            self.counter.charge_tuple_write(1)
-            self._apply_row(old, -1, applied)
-            validated.append(new)
-        for new in validated:
-            self._apply_row(new, 1, applied)
-
-    def _charge_and_apply(
-        self, rows: Multiset, sign: int, applied: list[tuple[Row, int]] | None = None
-    ) -> None:
-        if not rows:
-            return
-        for index in self._indexes.values():
-            keys = index.keys_touched(rows.rows())
-            self.counter.charge_index_read(keys)
-            self.counter.charge_index_write(keys)
-        for row, count in rows.items():
-            row = self.schema.validate_tuple(row)
-            if sign < 0 and self._data.count(row) < count:
-                raise StorageError(f"delete of absent tuple {row} from {self.name}")
-            self.counter.charge_tuple_write(count)
-            self._apply_row(row, sign * count, applied)
-
-    def _apply_row(
-        self, row: Row, count: int, applied: list[tuple[Row, int]] | None = None
-    ) -> None:
-        """Apply one row-count change to data, indexes, and key maps.
-
-        Validates every candidate key *before* mutating anything, so a key
-        violation leaves the relation untouched; when ``applied`` is given,
-        the change is journaled for the caller's atomicity rollback."""
-        staged = []
-        for columns, getter, key_map in self._keys:
-            kv = getter(row)
-            # A key value is held by at most one row, so any insert beyond
-            # one copy, or onto a held value, violates the key.
-            if count > 0 and (count > 1 or kv in key_map):
-                raise StorageError(f"key {list(columns)} violated in {self.name} by {kv}")
-            staged.append((key_map, kv))
-        for key_map, kv in staged:
-            if count > 0:
-                key_map[kv] = row
-            else:
-                key_map.pop(kv, None)
+    def _apply(self, delta: Delta) -> dict[Row, int]:
+        """The one apply core: validate the whole delta, then update the
+        data, each key map and each index in turn and charge what the
+        indexes report. Modifies go before inserts and inserts before
+        deletes, each checked against the state the earlier ones leave.
+        Returns the validated inserts."""
+        validate = self.schema.validate_tuple
+        olds = [validate(old) for old, _ in delta.modifies] if delta.modifies else []
+        news = [validate(new) for _, new in delta.modifies] if delta.modifies else []
+        ins = {validate(r): n for r, n in delta.inserts.items()} if delta.inserts else {}
+        dels = {validate(r): n for r, n in delta.deletes.items()} if delta.deletes else {}
         counts = self._data._counts
-        new = counts.get(row, 0) + count
-        if new == 0:
-            counts.pop(row, None)
-        else:
-            counts[row] = new
-        self._total += count
+        get = counts.get
+        removed: dict[Row, int] = {}
+        for old in olds:
+            n = removed[old] = removed.get(old, 0) + 1
+            if get(old, 0) < n:
+                raise StorageError(f"modify of absent tuple {old} in {self.name}")
+        added = Counter(news) if dels else {}
+        for row, n in dels.items():
+            if get(row, 0) - removed.get(row, 0) + added.get(row, 0) + ins.get(row, 0) < n:
+                raise StorageError(f"delete of absent tuple {row} from {self.name}")
+        n_ins, n_dels = sum(ins.values()), sum(dels.values())
+        key_values = []
+        for columns, getter, key_map in self._keys:
+            kos, kns = (list(map(getter, olds)), list(map(getter, news))) if olds else ([], [])
+            iks = list(map(getter, ins)) if ins else []
+            # One row per key value: a new row may re-take a value an old
+            # row frees (deletes free nothing for inserts); a value taken
+            # twice, or onto one still held, violates the key.
+            freed = set(kos) if kos != kns else ()
+            taken = kns + iks if freed else iks
+            clash = (key_map.keys() & taken).difference(freed) if taken else ()
+            if clash or taken and len(set(taken)) < len(taken) + n_ins - len(ins):
+                bad = clash or [k for k, n in Counter(taken).items() if n > 1]
+                bad = bad or [k for k, n in zip(iks, ins.values()) if n > 1]
+                raise StorageError(f"key {list(columns)} violated in {self.name} by {[*bad][0]}")
+            key_values.append((getter, key_map, freed, kns, iks))
+
+        # Validated: nothing below raises.
+        for old, n in removed.items():
+            n = counts[old] - n
+            if n:
+                counts[old] = n
+            else:
+                del counts[old]
+        for row in news:
+            counts[row] = get(row, 0) + 1
+        for row, n in ins.items():
+            counts[row] = get(row, 0) + n
+        for row, n in dels.items():
+            n = counts[row] - n
+            if n:
+                counts[row] = n
+            else:
+                del counts[row]
+        self._total += n_ins - n_dels
+        for getter, key_map, freed, kns, iks in key_values:
+            for k in freed:
+                del key_map[k]
+            key_map.update(zip(kns, news))  # an unchanged value keeps its slot
+            key_map.update(zip(iks, ins))
+            for k in map(getter, dels):
+                del key_map[k]
+        reads = writes = 0
         for index in self._indexes.values():
-            index.add(row, count)
-        if applied is not None:
-            applied.append((row, count))
+            index_reads, index_writes = index.update(olds, news, ins, dels)
+            reads += index_reads
+            writes += index_writes
+        self.counter.charge_index_read(reads)
+        self.counter.charge_index_write(writes)
+        self.counter.charge_tuple_read(len(olds))
+        self.counter.charge_tuple_write(len(olds) + n_ins + n_dels)
+        return ins
 
     def __repr__(self) -> str:
         return f"<StoredRelation {self.name}: {self.row_count} rows, {len(self._indexes)} indexes>"

@@ -46,22 +46,22 @@ class TestProbe:
 
 class TestMaintenance:
     def test_add_and_remove(self, index):
-        index.add((4, "y"), 1)
+        assert index.update([], [], {(4, "y"): 1, (5, "z"): 1}, {}) == (2, 2)
         assert index.probe_free(("y",)).total() == 2
-        index.add((4, "y"), -1)
+        assert index.update([], [], {}, {(4, "y"): 1}) == (1, 1)
         assert index.probe_free(("y",)).total() == 1
 
     def test_empty_bucket_dropped(self, index):
-        index.add((3, "y"), -1)
+        index.update([], [], {}, {(3, "y"): 1})
         assert index.distinct_keys() == 1
 
-    def test_apply_returns_pages(self, index):
-        delta = Multiset({(5, "x"): 1, (6, "z"): 1})
-        reads, writes = index.apply(delta)
-        assert reads == writes == 2
-
-    def test_keys_touched(self, index):
-        assert index.keys_touched([(1, "x"), (2, "x"), (3, "y")]) == 2
+    def test_modify_swaps_in_bucket_and_moves_across(self, index):
+        pages = index.update([(1, "x"), (3, "y")], [(7, "x"), (3, "z")], {}, {})
+        assert pages == (3, 2)  # reads x, y, z; writes only the moved row's y and z
+        assert index.probe_free(("x",)) == Multiset([(7, "x"), (2, "x")])
+        assert index._totals == {("x",): 2, ("z",): 1}
+        assert index.distinct_keys() == 2  # the emptied "y" bucket is dropped
+        assert index._counter.total == 0  # the owning relation charges
 
     def test_key_of(self, index):
         assert index.key_of((7, "q")) == ("q",)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.algebra.multiset import Multiset
 from repro.algebra.schema import Schema
-from repro.algebra.types import DataType
+from repro.algebra.types import DataType, TypeError_
 from repro.ivm.delta import Delta
-from repro.storage.pager import IOCounter
+from repro.storage.pager import IOCounter, IOStats
 from repro.storage.relation import StorageError, StoredRelation
 
 SCHEMA = Schema.of(
@@ -184,6 +185,61 @@ class TestCandidates:
         )
         assert rel.candidates({"K": 1}) == [(1, "b", 0)]
         assert rel.candidates({"K": 2}) == [(2, "a", 0)]
+
+
+class TestRejectedDelta:
+    """A rejected delta is validated whole before anything is applied or
+    charged: the relation and the counter are exactly as before."""
+
+    KV = Schema.of(("K", DataType.INT), ("V", DataType.INT), keys=[["K"]])
+
+    @pytest.fixture
+    def kv(self):
+        rel = StoredRelation("R", self.KV)
+        rel.load([(1, 10), (2, 20)])
+        rel.create_index(["V"])
+        return rel
+
+    def _assert_untouched(self, rel):
+        assert rel.contents() == Multiset([(1, 10), (2, 20)])
+        assert rel.row_count == 2
+        assert rel._keys[0][2] == {(1,): (1, 10), (2,): (2, 20)}
+        assert rel.candidates({"K": 1}) == [(1, 10)]
+        assert rel.candidates({"V": 20}) == [(2, 20)]
+        assert rel.index_on(["V"])._totals == {(10,): 1, (20,): 1}
+        assert rel.counter.snapshot() == IOStats()
+
+    def test_type_error_mid_delta_is_atomic(self, kv):
+        with pytest.raises(TypeError_):
+            kv.apply_delta(Delta.modification([((1, 10), (1, 11)), ((2, 20), (2, "x"))]))
+        self._assert_untouched(kv)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            Delta.modification([((1, 10), (1, 11)), ((3, 30), (3, 31))]),  # absent old
+            Delta(inserts=Multiset([(5, 50)]), deletes=Multiset([(9, 90)])),  # absent delete
+            Delta.insertion([(5, 50), (1, 99)]),  # key held
+            Delta.modification([((1, 10), (2, 10))]),  # modify onto a held key
+            Delta.insertion([(5, 50), (5, 51)]),  # key taken twice
+            Delta(inserts=Multiset({(5, 50): 2})),  # one row inserted twice
+            # Inserts go before deletes, so a delete frees nothing for them.
+            Delta(inserts=Multiset([(1, 70)]), deletes=Multiset([(1, 10)])),
+        ],
+        ids=[
+            "absent-old", "absent-delete", "key-held", "modify-onto-held",
+            "key-twice", "row-twice", "delete-frees-nothing",
+        ],
+    )
+    def test_storage_error_charges_nothing(self, kv, delta):
+        with pytest.raises(StorageError):
+            kv.apply_delta(delta)
+        self._assert_untouched(kv)
+
+    def test_accepted_delta_charges_as_before(self, kv):
+        kv.apply_delta(Delta.modification([((1, 10), (1, 11)), ((2, 20), (2, 20))]))
+        # V index: reads {10, 11, 20}, writes the moved row's {10, 11}.
+        assert kv.counter.snapshot() == IOStats(3, 2, 2, 2)
 
 
 def _assert_consistent(rel: StoredRelation) -> None:
