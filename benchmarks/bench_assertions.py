@@ -3,7 +3,8 @@
 Measures the real page-I/O cost of checking the paper's DeptConstraint per
 transaction, with and without the optimizer's auxiliary views, on a live
 200-department database. The auxiliary view (SumOfSals) must make checking
-several times cheaper — the paper's whole point.
+several times cheaper — the paper's whole point: exactly 3.50 against 12.00
+page I/Os per checked transaction.
 """
 
 import random
@@ -102,7 +103,7 @@ def test_assertion_checking_cost(benchmark):
         ["strategy", "I/Os per txn", "violations"],
         rows,
     ))
-    with_views = results["with auxiliary views"][0]
-    without = results["no auxiliary views"][0]
-    assert with_views < without
-    assert without / with_views > 2.0  # several-fold cheaper checking
+    # Exact, like E1: the auxiliary SumOfSals is self-maintained by the
+    # paper's 3-I/O read-modify-write, so any accounting drift shows here.
+    assert results["with auxiliary views"][0] == 3.5
+    assert results["no auxiliary views"][0] == 12.0

@@ -843,31 +843,6 @@ def _build_join_plan(
     return lambda source: kernel(left(source), right(source))
 
 
-class CompiledPlan:
-    """A compiled operator tree; call it with a relation source."""
-
-    __slots__ = ("expr", "_fn")
-
-    def __init__(self, expr: RelExpr, fn: Callable[[Any], Multiset]) -> None:
-        self.expr = expr
-        self._fn = fn
-
-    def __call__(self, source: Any) -> Multiset:
-        if isinstance(source, Mapping):
-            from repro.algebra.evaluate import MappingSource
-
-            source = MappingSource(source)
-        return self._fn(source)
-
-    def __repr__(self) -> str:
-        return f"<CompiledPlan {self.expr}>"
-
-
-def compile_plan(expr: RelExpr) -> CompiledPlan:
-    """Compile a whole operator tree (cached) into an executable plan."""
-    return CompiledPlan(expr, _plan(expr))
-
-
 def compiled_evaluate(expr: RelExpr, source: Any) -> Multiset:
     """Evaluate ``expr`` with the compiled backend (plans cached per shape)."""
     if isinstance(source, Mapping):

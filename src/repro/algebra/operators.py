@@ -302,13 +302,6 @@ class AggSpec:
             raise TypeError_(f"SUM over non-numeric type {arg_type.value}")
         return arg_type
 
-    @property
-    def is_self_maintainable(self) -> bool:
-        """Whether the aggregate can absorb inserts *and* deletes from its
-        old value alone (SUM/COUNT/AVG); MIN/MAX need group recomputation on
-        deletes."""
-        return self.func in ("sum", "count", "avg")
-
     def label(self) -> str:
         arg = "*" if self.arg is None else str(self.arg)
         return f"{self.func.upper()}({arg})"
@@ -359,10 +352,6 @@ class GroupAggregate(RelExpr):
     def with_children(self, children: Sequence[RelExpr]) -> "GroupAggregate":
         (child,) = children
         return GroupAggregate(child, self.group_by, self.aggregates)
-
-    @property
-    def is_self_maintainable(self) -> bool:
-        return all(a.is_self_maintainable for a in self.aggregates)
 
     def label(self) -> str:
         aggs = ", ".join(a.label() for a in self.aggregates)

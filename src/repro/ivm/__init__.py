@@ -16,6 +16,7 @@ from repro.ivm.propagate import (
     PropagationError,
     propagate_aggregate_full_groups,
     propagate_aggregate_recompute,
+    propagate_aggregate_self,
     propagate_dedup,
     propagate_difference,
     propagate_join,
@@ -50,6 +51,7 @@ __all__ = [
     "PropagationError",
     "propagate_aggregate_full_groups",
     "propagate_aggregate_recompute",
+    "propagate_aggregate_self",
     "propagate_dedup",
     "propagate_difference",
     "propagate_join",

@@ -22,8 +22,7 @@ materialized view against from-scratch re-evaluation.
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.compile import (
     apply_dedup,
@@ -31,11 +30,10 @@ from repro.algebra.compile import (
     apply_join,
     apply_project,
     apply_select,
-    scalar_fn,
     tuple_getter,
 )
 from repro.algebra.evaluate import evaluate
-from repro.algebra.multiset import Multiset, Row
+from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
     Difference,
     DuplicateElim,
@@ -63,10 +61,10 @@ from repro.ivm.cache import (
 )
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import (
-    affected_group_keys,
-    can_self_maintain,
+    can_self_maintain_delta,
     propagate_aggregate_full_groups,
     propagate_aggregate_recompute,
+    propagate_aggregate_self,
     propagate_dedup,
     propagate_difference,
     propagate_join,
@@ -115,7 +113,6 @@ class ViewMaintainer:
         tracks: Mapping[str, UpdateTrack],
         estimator: DagEstimator,
         cost_model: PageIOCostModel | None = None,
-        charge_base_updates: bool = False,
         charge_root_update: bool = False,
         commit_cache: bool | None = None,
         plan_cache: int | None = None,
@@ -128,7 +125,6 @@ class ViewMaintainer:
         self.tracks = {name: dict(track) for name, track in tracks.items()}
         self.estimator = estimator
         self.cost_model = cost_model or PageIOCostModel(self.memo, estimator)
-        self.charge_base_updates = charge_base_updates
         self.charge_root_update = charge_root_update
         self._roots = frozenset(self.memo.find(r) for r in dag.roots.values())
         # Commit-scoped shared-computation caching (see repro.ivm.cache):
@@ -143,17 +139,11 @@ class ViewMaintainer:
         self.plan_cache: AdhocPlanCache | None = (
             AdhocPlanCache(capacity) if capacity and capacity > 0 else None
         )
-        self._adhoc_seq = 0
-        # Concurrent sessions must not race to the same __adhoc_N name:
-        # a shared name would alias two different transactions' deltas in
-        # DagEstimator._deltas memos. The counter increment is atomic
-        # under this lock, so every caller draws a distinct N.
-        self._adhoc_lock = threading.Lock()
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
         # (txn_type, track) of the most recent apply — what explain_analyze
-        # renders, surviving apply_adhoc's transient type registration.
+        # renders, for declared and ad-hoc transactions alike.
         self.last_plan: tuple[TransactionType, UpdateTrack] | None = None
 
     # -- materialization ---------------------------------------------------------
@@ -475,11 +465,9 @@ class ViewMaintainer:
         track is chosen on the fly — memoized in the
         :class:`~repro.ivm.cache.AdhocPlanCache` by the spec's shape
         signature, so a stream of same-shaped DML plans once — and the
-        transaction is applied through the ordinary machinery (``undo``
-        is threaded through to :meth:`apply`). Useful for interactive DML
-        and composed batches. Unnamed transactions get a deterministic
-        ``__adhoc_<n>`` name from a monotonic per-maintainer counter
-        (never colliding with a live registration).
+        transaction is applied through the same machinery as a declared
+        one (``undo`` and ``tracer`` as in :meth:`apply`). The derived type
+        is never registered; ``name`` (default ``__adhoc``) only labels it.
         """
         from repro.workload.transactions import UpdateSpec
 
@@ -496,9 +484,7 @@ class ViewMaintainer:
             )
         if not updates:
             return {}
-        if name is None:
-            name = self._next_adhoc_name()
-        txn_type = TransactionType(name, updates)
+        txn_type = TransactionType(name or "__adhoc", updates)
         track: UpdateTrack | None = None
         signature: tuple | None = None
         if self.plan_cache is not None:
@@ -508,28 +494,7 @@ class ViewMaintainer:
             track = self.choose_track(txn_type)
             if self.plan_cache is not None and signature is not None:
                 self.plan_cache.put(signature, track)
-        self.txn_types[name] = txn_type
-        self.tracks[name] = track
-        adhoc = Transaction(name, dict(txn.deltas))
-        try:
-            return self.apply(adhoc, undo=undo, tracer=tracer)
-        finally:
-            self.txn_types.pop(name, None)
-            self.tracks.pop(name, None)
-
-    def _next_adhoc_name(self) -> str:
-        """A deterministic name for an unnamed ad-hoc transaction.
-
-        ``id(txn)``-based names varied run to run (unstable trace/metric
-        labels) and could collide with a live registration when CPython
-        reuses an address; a monotonic counter cannot.
-        """
-        while True:
-            with self._adhoc_lock:
-                self._adhoc_seq += 1
-                name = f"__adhoc_{self._adhoc_seq}"
-            if name not in self.txn_types:
-                return name
+        return self._apply(txn, txn_type, track, undo, tracer)
 
     def apply(
         self,
@@ -537,8 +502,9 @@ class ViewMaintainer:
         undo: "UndoLog | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> dict[int, Delta]:
-        """Process one transaction: compute all view deltas against the old
-        state, then apply base and view updates. Returns the view deltas.
+        """Process one transaction of a declared type: compute all view
+        deltas against the old state, then apply base and view updates.
+        Returns the view deltas.
 
         When an :class:`~repro.storage.undo.UndoLog` is passed, every
         applied delta's inverse is journaled in application order, so the
@@ -546,13 +512,24 @@ class ViewMaintainer:
         including any prefix applied before a storage error.
 
         ``tracer`` (default: the no-op tracer) records one "track_op" span
-        per propagation step, one "base_apply" per base relation and one
-        "view_apply" per marked view, each carrying its scoped I/O."""
-        tracer = tracer if tracer is not None else NULL_TRACER
+        per propagation step, one "fetch" span per join-side or group
+        fetch, one "base_apply" per base relation and one "view_apply" per
+        marked view, each carrying its scoped I/O."""
         txn_type = self.txn_types.get(txn.type_name)
         if txn_type is None:
             raise MaintenanceError(f"unknown transaction type {txn.type_name!r}")
         track = self.tracks.get(txn.type_name, {})
+        return self._apply(txn, txn_type, track, undo, tracer)
+
+    def _apply(
+        self,
+        txn: Transaction,
+        txn_type: TransactionType,
+        track: UpdateTrack,
+        undo: "UndoLog | None",
+        tracer: "Tracer | NullTracer | None",
+    ) -> dict[int, Delta]:
+        tracer = tracer if tracer is not None else NULL_TRACER
         self.last_plan = (txn_type, dict(track))
         self._self_maintained.clear()
         deltas: dict[int, Delta] = {}
@@ -578,12 +555,9 @@ class ViewMaintainer:
 
         for rel, delta in txn.deltas.items():
             relation = self.db.relation(rel)
-            with tracer.span("base_apply", relation=rel):
-                if self.charge_base_updates:
-                    inverse = relation.apply_delta(delta)
-                else:
-                    with self.db.counter.suspended():
-                        inverse = relation.apply_delta(delta)
+            # Base updates are the transaction itself: never charged.
+            with tracer.span("base_apply", relation=rel), self.db.counter.suspended():
+                inverse = relation.apply_delta(delta)
             if undo is not None:
                 undo.record(relation, inverse)
         for gid in sorted(self.marking):
@@ -670,23 +644,23 @@ class ViewMaintainer:
     ) -> Delta:
         if isinstance(template, Select):
             return propagate_select(template, child_deltas[0] or Delta())
-        if isinstance(template, Project) and not template.dedup:
-            return propagate_project(template, child_deltas[0] or Delta())
-        if isinstance(template, Project) and template.dedup:
-            return self._propagate_dedup_project(template, children[0], child_deltas[0] or Delta())
+        if isinstance(template, Project):
+            fetch_old = self._dedup_project_fetch(template, children[0]) if template.dedup else None
+            return propagate_project(template, child_deltas[0] or Delta(), fetch_old)
         if isinstance(template, Join):
             jc = frozenset(template.join_columns)
-            fetch_left = lambda keys: self.fetch(children[0], jc, keys)  # noqa: E731
-            fetch_right = lambda keys: self.fetch(children[1], jc, keys)  # noqa: E731
             buckets = self._bucket_fetch(children[1], jc)
-            if buckets is not None:
-                fetch_right.buckets = buckets
-            if self._commit_cache is not None:
-                fetch_left.cache_info = self._commit_cache.counts
-                fetch_right.cache_info = self._commit_cache.counts
             return propagate_join(
-                template, child_deltas[0], child_deltas[1], fetch_left, fetch_right,
-                tracer=tracer,
+                template,
+                child_deltas[0],
+                child_deltas[1],
+                self._traced(tracer, "L", lambda keys: self.fetch(children[0], jc, keys)),
+                self._traced(tracer, "R", lambda keys: self.fetch(children[1], jc, keys)),
+                right_buckets=(
+                    self._traced(tracer, "R", buckets, bucketed=True)
+                    if buckets is not None
+                    else None
+                ),
             )
         if isinstance(template, GroupAggregate):
             return self._propagate_aggregate(
@@ -706,45 +680,19 @@ class ViewMaintainer:
             return propagate_difference(template, left, right, old_left, old_right)
         raise MaintenanceError(f"cannot propagate through {type(template).__name__}")
 
-    def _propagate_dedup_project(
-        self, template: Project, child: int, delta: Delta
-    ) -> Delta:
-        """Project-with-DISTINCT: old projected counts come from fetching
-        the child rows whose projected image the delta touches."""
-        plain = Project(template.input, template.outputs, dedup=False)
-        inner = propagate_project(plain, delta)
-        touched: set[Row] = set(inner.net().rows())
-        for old, new in inner.modifies:
-            touched.add(old)
-            touched.add(new)
-        mapping = {
-            out: expr.name for out, expr in template.outputs if isinstance(expr, Col)
-        }
+    def _dedup_project_fetch(self, template: Project, child: int):
+        """The DISTINCT projection's old-input fetch: the child rows behind
+        a set of projected rows, by key when every output is a plain
+        column, else a scan of the child."""
+        mapping = {out: expr.name for out, expr in template.outputs if isinstance(expr, Col)}
+        if not all(out in mapping for out, _ in template.outputs):
+            return lambda rows: self._cached_scan(child)
         out_names = [out for out, _ in template.outputs]
-        if all(c in mapping for c in out_names):
-            ordered = sorted(out_names)
-            child_cols = frozenset(mapping[c] for c in ordered)
-            child_sorted = sorted(child_cols)
-            keys = set()
-            for row in touched:
-                values = dict(zip(out_names, row))
-                keys.add(tuple(values[c] for c in ordered))
-            # Translate key order from projected names to child names.
-            translated = {
-                tuple(
-                    dict(zip((mapping[c] for c in ordered), key))[c]
-                    for c in child_sorted
-                )
-                for key in keys
-            }
-            child_rows = self.fetch(child, child_cols, translated)
-        else:
-            child_rows = self._cached_scan(child)
-        old_counts = apply_project(plain, child_rows)
-        from repro.ivm.propagate import _dedup_from_counts
-
-        result = _dedup_from_counts(old_counts, inner)
-        return repair_modifications(template.schema, result)
+        # Each child column's value, read off one projected output that copies it.
+        position = {mapping[out]: i for i, out in enumerate(out_names)}
+        columns = sorted(position)
+        key_of = tuple_getter([position[c] for c in columns])
+        return lambda rows: self.fetch(child, frozenset(columns), {key_of(r) for r in rows})
 
     def _old_rows_for(self, gid: int, delta: Delta, extra: Delta | None = None) -> Multiset:
         """Old contents of the rows a delta touches (dedup / difference)."""
@@ -770,169 +718,59 @@ class ViewMaintainer:
         input_gid: int,
         delta: Delta,
         txn_type: TransactionType,
-        tracer: "Tracer | NullTracer" = NULL_TRACER,
+        tracer: "Tracer | NullTracer",
     ) -> Delta:
+        """Choose the γ rule: full groups (no query), self-maintenance from
+        the view's own rows (the paper's N3 read-modify-write), or
+        recomputation from the affected groups' input rows."""
         est_delta = self.estimator.delta(input_gid, txn_type)
-        complete = est_delta is not None and est_delta.is_complete_on(template.group_by)
-        materialized = gid in self._agg_specs
-        if complete:
+        if est_delta is not None and est_delta.is_complete_on(template.group_by):
             return propagate_aggregate_full_groups(template, delta)
-        allow_self_maintenance = getattr(
-            self.cost_model.config, "self_maintenance", True
-        )
-        if materialized and allow_self_maintenance and can_self_maintain(
-            template,
-            removals=self._delta_has_removals(template, delta),
-            modified_columns=delta.modified_columns(template.input.schema.names),
+        if (
+            gid in self._agg_specs
+            and getattr(self.cost_model.config, "self_maintenance", True)
+            and can_self_maintain_delta(template, delta)
         ):
-            result = self._self_maintain_aggregate(gid, template, delta)
             self._self_maintained.add(gid)
-            return result
-        in_info = self.estimator.info(input_gid)
-        reduced = in_info.reduce(set(template.group_by))
-        ordered_group = list(template.group_by)
-        reduced_positions = [ordered_group.index(c) for c in sorted(reduced)]
+            return propagate_aggregate_self(template, delta, self._view_group_fetch(gid, template))
+        reduced = self.estimator.info(input_gid).reduce(set(template.group_by))
+        reduced_positions = [template.group_by.index(c) for c in sorted(reduced)]
 
         def fetch_group(keys: set[tuple]) -> Multiset:
             reduced_keys = {tuple(k[p] for p in reduced_positions) for k in keys}
             return self.fetch(input_gid, frozenset(reduced), reduced_keys)
 
-        if self._commit_cache is not None:
-            fetch_group.cache_info = self._commit_cache.counts
-        return propagate_aggregate_recompute(template, delta, fetch_group, tracer=tracer)
-
-    @staticmethod
-    def _delta_has_removals(template: GroupAggregate, delta: Delta) -> bool:
-        """Whether some group may lose members: explicit deletions, or a
-        modification that moves a row to a different group."""
-        if delta.deletes:
-            return True
-        in_schema = template.input.schema
-        positions = [in_schema.index_of(g) for g in template.group_by]
-        for old, new in delta.modifies:
-            if tuple(old[i] for i in positions) != tuple(new[i] for i in positions):
-                return True
-        return False
-
-    def _self_maintain_aggregate(
-        self, gid: int, template: GroupAggregate, delta: Delta
-    ) -> Delta:
-        """Maintain a materialized SUM/COUNT/AVG aggregate from its own old
-        rows (one indexed probe) — the paper's read-modify-write of N3.
-
-        Preconditions are checked by :func:`can_self_maintain`: when a group
-        may lose members (or AVG is present) an explicit COUNT aggregate
-        exists in the view, and it is used to reconstruct running sums and
-        to detect emptied groups. Without a COUNT, the delta is guaranteed
-        not to shrink any group, so SUMs update in place and groups never
-        disappear.
-        """
-        relation = self._views[gid]
-        in_schema = template.input.schema
-        names = in_schema.names
-        group_of = tuple_getter([in_schema.index_of(g) for g in template.group_by])
-        keys = affected_group_keys(template, delta)
-        if not keys:
-            return Delta()
-        arg_fns = [
-            scalar_fn(spec.arg, names) if spec.arg is not None else None
-            for spec in template.aggregates
-        ]
-        contrib: dict[tuple, tuple[int, list[Any]]] = {}
-        extremes: dict[tuple, list[Any]] = {}
-        has_extreme = any(a.func in ("min", "max") for a in template.aggregates)
-        for row, count in delta.net().items():
-            key = group_of(row)
-            entry = contrib.setdefault(key, (0, [0] * len(template.aggregates)))
-            sums = entry[1]
-            for idx, spec in enumerate(template.aggregates):
-                if spec.arg is None:
-                    continue
-                if spec.func in ("min", "max"):
-                    continue
-                sums[idx] += arg_fns[idx](row) * count
-            contrib[key] = (entry[0] + count, sums)
-        if has_extreme:
-            # Growth-only (guaranteed by can_self_maintain): candidates come
-            # from the inserted side.
-            for row, count in delta.all_inserted().items():
-                key = group_of(row)
-                cands = extremes.setdefault(key, [None] * len(template.aggregates))
-                for idx, spec in enumerate(template.aggregates):
-                    if spec.func not in ("min", "max"):
-                        continue
-                    value = arg_fns[idx](row)
-                    current = cands[idx]
-                    if current is None:
-                        cands[idx] = value
-                    elif spec.func == "min":
-                        cands[idx] = min(current, value)
-                    else:
-                        cands[idx] = max(current, value)
-
-        index_cols = tuple(sorted(self.cost_model.index_columns(gid)))
-        group_names = template.group_by
-        key_positions = [group_names.index(c) for c in index_cols]
-        n_group = len(group_names)
-        count_idx = next(
-            (i for i, a in enumerate(template.aggregates) if a.func == "count"),
-            None,
+        return propagate_aggregate_recompute(
+            template, delta, self._traced(tracer, "input", fetch_group)
         )
-        out = Delta()
-        probed: dict[tuple, Multiset] = {}
-        for key in sorted(keys, key=repr):
-            lookup_key = tuple(key[p] for p in key_positions)
-            if lookup_key not in probed:
-                probed[lookup_key] = relation.lookup(index_cols, lookup_key)
-            old_row = None
-            for row in probed[lookup_key].rows():
-                if tuple(row[:n_group]) == key:
-                    old_row = row
-                    break
-            d_count, d_sums = contrib.get(key, (0, [0] * len(template.aggregates)))
-            if count_idx is not None:
-                old_gcount = old_row[n_group + count_idx] if old_row is not None else 0
-                new_gcount = old_gcount + d_count
-                if new_gcount < 0:
-                    raise MaintenanceError(f"group count underflow for {key}")
-            else:
-                # can_self_maintain guarantees no removals: the group count
-                # cannot reach zero through this path.
-                old_gcount = None
-                new_gcount = None
-            new_aggs = []
-            for idx, spec in enumerate(template.aggregates):
-                old_val = old_row[n_group + idx] if old_row is not None else 0
-                if spec.func == "count":
-                    new_aggs.append(old_val + d_count)
-                elif spec.func == "sum":
-                    new_aggs.append(old_val + d_sums[idx])
-                elif spec.func == "avg":
-                    assert old_gcount is not None and new_gcount is not None
-                    old_sum = old_val * old_gcount if old_row is not None else 0.0
-                    new_sum = old_sum + d_sums[idx]
-                    new_aggs.append(new_sum / new_gcount if new_gcount else 0.0)
-                elif spec.func in ("min", "max"):
-                    cand = extremes.get(key, [None] * len(template.aggregates))[idx]
-                    if old_row is None:
-                        new_aggs.append(cand)
-                    elif cand is None:
-                        new_aggs.append(old_val)
-                    elif spec.func == "min":
-                        new_aggs.append(min(old_val, cand))
-                    else:
-                        new_aggs.append(max(old_val, cand))
-                else:  # pragma: no cover - guarded by can_self_maintain
-                    raise MaintenanceError(f"{spec.func} is not self-maintainable")
-            new_row = key + tuple(new_aggs)
-            if old_row is None:
-                if d_count > 0 or any(d_sums):
-                    out.inserts.add(new_row, 1)
-            elif new_gcount == 0:
-                out.deletes.add(old_row, 1)
-            elif new_row != old_row:
-                out.modifies.append((old_row, new_row))
-        return out
+
+    def _view_group_fetch(self, gid: int, template: GroupAggregate):
+        """A materialized aggregate's old rows for a set of groups: one
+        charged probe of the view's index per distinct index key."""
+        index_cols = tuple(sorted(self.cost_model.index_columns(gid)))
+
+        def fetch_old(keys: set[tuple]) -> Multiset:
+            index_key = tuple_getter([template.group_by.index(c) for c in index_cols])
+            return self._views[gid].lookup_many(index_cols, {index_key(k) for k in keys})
+
+        return fetch_old
+
+    def _traced(self, tracer: "Tracer | NullTracer", side: str, fetch, bucketed: bool = False):
+        """``fetch`` under a "fetch" span carrying the probed side, the key
+        count and the commit cache's hits/misses during the call."""
+
+        def traced(keys):
+            with tracer.span("fetch", side=side, keys=len(keys), bucketed=bucketed) as span:
+                cache = self._commit_cache
+                if cache is None:
+                    return fetch(keys)
+                hits, misses = cache.counts()
+                result = fetch(keys)
+                after = cache.counts()
+                span.annotate(cache_hits=after[0] - hits, cache_misses=after[1] - misses)
+                return result
+
+        return traced
 
     # -- applying view deltas --------------------------------------------------------
 

@@ -8,9 +8,11 @@ queries may have to be set up on the inputs to the operation". The caller
 lookup on a materialized view, a recursive computation over the DAG, or a
 plain in-memory multiset in tests — and is charged accordingly.
 
-All functions are pure with respect to their inputs; correctness is pinned
-by property tests asserting ``new_state == old_state + delta`` against
-from-scratch re-evaluation for random update streams.
+This module is the only home of the delta rules; the maintainer only
+fetches, probes, traces and applies. All functions are pure with respect to
+their inputs; correctness is pinned by property tests asserting
+``new_state == old_state + delta`` against from-scratch re-evaluation for
+random update streams.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.algebra.compile import (
     apply_select,
     row_mapper,
     row_predicate,
+    scalar_fn,
     tuple_getter,
 )
 from repro.algebra.multiset import Multiset, Row
@@ -38,32 +41,12 @@ from repro.algebra.operators import (
 )
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
-from repro.obs.trace import NULL_TRACER
 
 # A fetch callback: given a set of key values over fixed columns, return all
 # matching rows of the *old* state of some relation, as a multiset.
 Fetch = Callable[[set[tuple[Any, ...]]], Multiset]
-
-
-def _cache_counts(fetch: Fetch) -> tuple[int, int] | None:
-    """Commit-cache (hits, misses) counters exposed by a fetch, if any.
-
-    A fetch backed by a live :class:`~repro.ivm.cache.CommitCache` carries
-    a ``cache_info`` attribute (the cache's ``counts`` accessor); plain
-    fetches — tests, cache-off runs — simply lack it.
-    """
-    info = getattr(fetch, "cache_info", None)
-    return info() if info is not None else None
-
-
-def _annotate_cache(span, fetch: Fetch, before: tuple[int, int] | None) -> None:
-    """Record how many cache hits/misses this fetch span caused."""
-    if before is None:
-        return
-    after = _cache_counts(fetch)
-    if after is None:
-        return
-    span.annotate(cache_hits=after[0] - before[0], cache_misses=after[1] - before[1])
+# A bucket-grained fetch: the same query, answered as ``{key: rows}``.
+BucketFetch = Callable[[set[tuple[Any, ...]]], dict[tuple[Any, ...], Multiset]]
 
 
 class PropagationError(Exception):
@@ -108,6 +91,24 @@ def can_self_maintain(
     return True
 
 
+def can_self_maintain_delta(expr: GroupAggregate, delta: Delta) -> bool:
+    """:func:`can_self_maintain` for a concrete delta, where a group may
+    lose members through deletions or modifications that move a row to
+    another group. The removal test and the modified columns each take a
+    pass over the delta, so each is made only when the aggregate list makes
+    its answer matter."""
+    funcs = {a.func for a in expr.aggregates}
+    extremes = "min" in funcs or "max" in funcs
+    removals = False
+    if extremes or "count" not in funcs:
+        group_of = _group_getter(expr)
+        removals = bool(delta.deletes) or any(
+            group_of(old) != group_of(new) for old, new in delta.modifies
+        )
+    modified = delta.modified_columns(expr.input.schema.names) if extremes else ()
+    return can_self_maintain(expr, removals, modified)
+
+
 def repair_modifications(schema: Schema, delta: Delta) -> Delta:
     """Re-pair inserts/deletes that share a candidate key into modifies.
 
@@ -143,16 +144,23 @@ def propagate_select(expr: Select, delta: Delta) -> Delta:
     return out
 
 
-def propagate_project(expr: Project, delta: Delta, old_input: Multiset | None = None) -> Delta:
-    """π maps deltas row-wise; dedup needs the old input to detect 0↔1
-    transitions of distinct counts."""
+def propagate_project(
+    expr: Project, delta: Delta, fetch_old: Callable[[set[Row]], Multiset] | None = None
+) -> Delta:
+    """π maps deltas row-wise. DISTINCT detects 0↔1 transitions of the
+    projected counts: ``fetch_old(touched)`` returns (at least) the old
+    input rows whose projection is one of the ``touched`` projected rows."""
     if expr.dedup:
-        if old_input is None:
-            raise PropagationError("dedup projection requires the old input state")
+        if fetch_old is None:
+            raise PropagationError("dedup projection requires a fetch of the old input")
         plain = Project(expr.input, expr.outputs, dedup=False)
-        old_out_counts = apply_project(plain, old_input)
         inner = propagate_project(plain, delta)
-        return _dedup_from_counts(old_out_counts, inner)
+        touched = set(inner.net().rows())
+        for old, new in inner.modifies:
+            touched.add(old)
+            touched.add(new)
+        old_counts = apply_project(plain, fetch_old(touched))
+        return repair_modifications(expr.schema, _dedup_from_counts(old_counts, inner))
     map_row = row_mapper(expr.outputs, expr.input.schema.names)
     out = Delta(
         inserts=apply_project(expr, delta.inserts),
@@ -197,42 +205,23 @@ def propagate_join(
     right_delta: Delta | None,
     fetch_left: Fetch | None,
     fetch_right: Fetch | None,
-    tracer=None,
+    right_buckets: BucketFetch | None = None,
 ) -> Delta:
     """Δ(L ⋈ R) = ΔL ⋈ R_old  +  L_new ⋈ ΔR   (counting form).
 
     ``fetch_left`` / ``fetch_right`` answer semijoin queries on the old
     states (the paper's Q2Re/Q5Ld-style queries), keyed by the join columns.
     A fetch is only invoked when the corresponding side has a delta, so an
-    unaffected side never requires one. ``tracer`` records one "fetch" span
-    per invoked fetch (I/O attributed to the probed side).
+    unaffected side never requires one. ``right_buckets``, when given,
+    answers the right side's query bucket-grained (an indexed base relation
+    or materialized view hashed on exactly the join key) and is used instead
+    of ``fetch_right``: the join then probes the index's own hash layout
+    rather than re-building one. The two charge the same page I/O unless
+    the caller's ``fetch_right`` is memoized, as the maintainer's commit
+    cache is; the bucketed fetch bypasses that memo (docs/cost_model.md).
     """
     left_net = left_delta.net() if left_delta is not None else Multiset()
     right_net = right_delta.net() if right_delta is not None else Multiset()
-    out_net = propagate_join_net(
-        expr, left_net, right_net, fetch_left, fetch_right, tracer=tracer
-    )
-    return repair_modifications(expr.schema, Delta.from_net(out_net))
-
-
-def propagate_join_net(
-    expr: Join,
-    left_net: Multiset,
-    right_net: Multiset,
-    fetch_left: Fetch | None,
-    fetch_right: Fetch | None,
-    tracer=None,
-) -> Multiset:
-    """Net-to-net core of :func:`propagate_join`.
-
-    Takes and returns signed multisets with no ``Delta`` boxing, so a chain
-    of joins (a left-deep spine) can thread one signed multiset through all
-    levels and pay the modification re-pairing cost once, at the node where
-    the delta is actually applied — pairing at intermediate nodes is
-    semantically invisible because the next level's ``net()`` flattens it
-    right back.
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
     shared = expr.join_columns
     left_schema, right_schema = expr.left.schema, expr.right.schema
     left_idx = [left_schema.index_of(c) for c in shared]
@@ -246,55 +235,44 @@ def propagate_join_net(
         getter = tuple_getter(idx)
         return {getter(r) for r in net.rows()}
 
-    left_part: Multiset | None = None
+    out_net = Multiset()
     if left_net:
         if fetch_right is None:
             raise PropagationError("left delta requires a fetch on the right input")
         keys = key_set(left_net, left_idx)
-        # A fetch that can serve bucket-grained results (an indexed base
-        # relation or materialized view, hashed on exactly the join key)
-        # exposes ``.buckets``; the join then probes the index's own hash
-        # layout instead of re-building one. Same I/O charges either way.
-        bucket_fetch = getattr(fetch_right, "buckets", None)
-        with tracer.span(
-            "fetch", side="R", keys=len(keys), bucketed=bucket_fetch is not None
-        ) as span:
-            before = _cache_counts(fetch_right)
-            if bucket_fetch is not None:
-                left_part = apply_join_fetched(expr, left_net, bucket_fetch(keys))
-            else:
-                right_old = fetch_right(keys)
-                left_part = apply_join(expr, left_net, right_old)
-            _annotate_cache(span, fetch_right, before)
+        if right_buckets is not None:
+            out_net = apply_join_fetched(expr, left_net, right_buckets(keys))
+        else:
+            out_net = apply_join(expr, left_net, fetch_right(keys))
     if right_net:
         if fetch_left is None:
             raise PropagationError("right delta requires a fetch on the left input")
         keys = key_set(right_net, [right_schema.index_of(c) for c in shared])
-        with tracer.span("fetch", side="L", keys=len(keys), bucketed=False) as span:
-            before = _cache_counts(fetch_left)
-            left_old = fetch_left(keys)
-            _annotate_cache(span, fetch_left, before)
         # L_new = L_old + ΔL restricted to the touched keys.
         left_key = tuple_getter(left_idx)
-        left_new = left_old.copy()
+        left_new = fetch_left(keys).copy()
         for row, count in left_net.items():
             if left_key(row) in keys:
                 left_new.add(row, count)
         right_part = apply_join(expr, left_new, right_net)
-        if left_part is None:
-            return right_part
-        left_part.update(right_part)
-        return left_part
-    return left_part if left_part is not None else Multiset()
+        if not left_net:
+            out_net = right_part
+        else:
+            out_net.update(right_part)
+    return repair_modifications(expr.schema, Delta.from_net(out_net))
 
 
 # -- aggregation ------------------------------------------------------------------------
 
 
+def _group_getter(expr: GroupAggregate) -> Callable[[Row], tuple[Any, ...]]:
+    in_schema = expr.input.schema
+    return tuple_getter([in_schema.index_of(g) for g in expr.group_by])
+
+
 def affected_group_keys(expr: GroupAggregate, delta: Delta) -> set[tuple[Any, ...]]:
     """The distinct group keys touched by an input delta."""
-    in_schema = expr.input.schema
-    group_of = tuple_getter([in_schema.index_of(g) for g in expr.group_by])
+    group_of = _group_getter(expr)
     keys: set[tuple[Any, ...]] = set()
     for source in (delta.inserts.rows(), delta.deletes.rows()):
         for row in source:
@@ -305,20 +283,46 @@ def affected_group_keys(expr: GroupAggregate, delta: Delta) -> set[tuple[Any, ..
     return keys
 
 
+def _partition(
+    expr: GroupAggregate, ms: Multiset, keys: set[tuple[Any, ...]]
+) -> dict[tuple[Any, ...], list[tuple[Row, int]]]:
+    """The ``(row, count)`` members of each group in ``keys``, in ``ms``'s
+    iteration order (so per-group sums add up in a fixed order)."""
+    group_of = _group_getter(expr)
+    groups: dict[tuple[Any, ...], list[tuple[Row, int]]] = {}
+    for row, count in ms.items():
+        key = group_of(row)
+        if key in keys:
+            groups.setdefault(key, []).append((row, count))
+    return groups
+
+
+def _emit(changes: Iterable[tuple[Row | None, Row | None]]) -> Delta:
+    """The output delta of per-group ``(old_row, new_row)`` pairs, ``None``
+    meaning the group is absent. Each group yields at most one change, so
+    no insert/delete pair shares the output key (the grouping columns) and
+    there is nothing to re-pair."""
+    out = Delta()
+    for old_row, new_row in changes:
+        if old_row is not None and new_row is not None:
+            if old_row != new_row:
+                out.modifies.append((old_row, new_row))
+        elif old_row is not None:
+            out.deletes.add(old_row, 1)
+        elif new_row is not None:
+            out.inserts.add(new_row, 1)
+    return out
+
+
 def propagate_aggregate_recompute(
-    expr: GroupAggregate, delta: Delta, fetch_group: Fetch, tracer=None
+    expr: GroupAggregate, delta: Delta, fetch_group: Fetch
 ) -> Delta:
     """γ by re-computation: fetch each affected group's old input rows (the
     paper's Q4e-style query), compute old and new aggregate rows."""
     keys = affected_group_keys(expr, delta)
     if not keys:
         return Delta()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("fetch", side="input", keys=len(keys), bucketed=False) as span:
-        before = _cache_counts(fetch_group)
-        old_rows = fetch_group(keys)
-        _annotate_cache(span, fetch_group, before)
-    return _aggregate_delta_from_states(expr, old_rows, delta, keys)
+    return _aggregate_delta_from_states(expr, fetch_group(keys), delta, keys)
 
 
 def propagate_aggregate_full_groups(expr: GroupAggregate, delta: Delta) -> Delta:
@@ -328,8 +332,7 @@ def propagate_aggregate_full_groups(expr: GroupAggregate, delta: Delta) -> Delta
     keys = affected_group_keys(expr, delta)
     if not keys:
         return Delta()
-    old_rows = delta.all_deleted()
-    return _aggregate_delta_from_states(expr, old_rows, delta, keys)
+    return _aggregate_delta_from_states(expr, delta.all_deleted(), delta, keys)
 
 
 def _aggregate_delta_from_states(
@@ -338,44 +341,103 @@ def _aggregate_delta_from_states(
     delta: Delta,
     keys: set[tuple[Any, ...]],
 ) -> Delta:
-    in_schema = expr.input.schema
-    names = in_schema.names
-    group_of = tuple_getter([in_schema.index_of(g) for g in expr.group_by])
-    agg_fns = [aggregate_fn(spec, names) for spec in expr.aggregates]
-
-    def partition(ms: Multiset) -> dict[tuple[Any, ...], list[tuple[Row, int]]]:
-        groups: dict[tuple[Any, ...], list[tuple[Row, int]]] = {}
-        for row, count in ms.items():
-            key = group_of(row)
-            if key in keys:
-                groups.setdefault(key, []).append((row, count))
-        return groups
-
-    old_by_group = partition(old_rows)
+    agg_fns = [aggregate_fn(spec, expr.input.schema.names) for spec in expr.aggregates]
+    old_by_group = _partition(expr, old_rows, keys)
     new_rows = old_rows.copy()
     new_rows.update(delta.net())
     if not new_rows.is_nonnegative():
         raise PropagationError("aggregate input would have negative counts")
-    new_by_group = partition(new_rows)
+    new_by_group = _partition(expr, new_rows, keys)
 
-    out = Delta()
-    for key in keys:
-        old_group = old_by_group.get(key)
-        new_group = new_by_group.get(key)
-        old_row = None
-        if old_group:
-            old_row = key + tuple(fn(old_group) for fn in agg_fns)
-        new_row = None
-        if new_group:
-            new_row = key + tuple(fn(new_group) for fn in agg_fns)
-        if old_row is not None and new_row is not None:
-            if old_row != new_row:
-                out.modifies.append((old_row, new_row))
-        elif old_row is not None:
-            out.deletes.add(old_row, 1)
-        elif new_row is not None:
-            out.inserts.add(new_row, 1)
-    return repair_modifications(expr.schema, out)
+    def aggregate(key: tuple[Any, ...], members: list | None) -> Row | None:
+        return key + tuple(fn(members) for fn in agg_fns) if members else None
+
+    return _emit(
+        (aggregate(key, old_by_group.get(key)), aggregate(key, new_by_group.get(key)))
+        for key in keys
+    )
+
+
+def propagate_aggregate_self(
+    expr: GroupAggregate, delta: Delta, fetch_old: Fetch
+) -> Delta:
+    """γ by self-maintenance — the paper's read-modify-write of N3: each
+    affected group's new row is its old *view* row plus the delta's
+    contribution, so the input is never queried. ``fetch_old(group_keys)``
+    returns the view's old rows for those groups (rows of other groups
+    sharing an index bucket may ride along).
+
+    Preconditions are :func:`can_self_maintain`'s: when a group may lose
+    members (or AVG is present) the view has an explicit COUNT, used to
+    reconstruct running sums and to detect emptied groups. Without a COUNT
+    no group shrinks, so SUMs update in place and groups never disappear;
+    MIN/MAX only grow, so their candidates come from the inserted side.
+    """
+    keys = affected_group_keys(expr, delta)
+    if not keys:
+        return Delta()
+    n_group = len(expr.group_by)
+    old_by_group = {}
+    for row in fetch_old(keys).rows():
+        if row[:n_group] in keys:
+            old_by_group[row[:n_group]] = row
+    aggs = expr.aggregates
+    names = expr.input.schema.names
+    arg_fns = [scalar_fn(a.arg, names) if a.arg is not None else None for a in aggs]
+    summed = [fn is not None and a.func not in ("min", "max") for a, fn in zip(aggs, arg_fns)]
+    net_by_group = _partition(expr, delta.net(), keys)
+    grown_by_group = (
+        _partition(expr, delta.all_inserted(), keys)
+        if any(a.func in ("min", "max") for a in aggs)
+        else {}
+    )
+    count_pos = next((n_group + i for i, a in enumerate(aggs) if a.func == "count"), None)
+    changes = []
+    for key in sorted(keys, key=repr):
+        old_row = old_by_group.get(key)
+        members = net_by_group.get(key, ())
+        d_count = sum(count for _, count in members)
+        d_sums = []
+        for fn, is_summed in zip(arg_fns, summed):
+            total = 0
+            if is_summed:
+                for row, count in members:
+                    total += fn(row) * count
+            d_sums.append(total)
+        old_gcount = new_gcount = None
+        if count_pos is not None:
+            old_gcount = old_row[count_pos] if old_row is not None else 0
+            new_gcount = old_gcount + d_count
+            if new_gcount < 0:
+                raise PropagationError(f"group count underflow for {key}")
+        new_aggs = []
+        for idx, spec in enumerate(aggs):
+            old_val = old_row[n_group + idx] if old_row is not None else 0
+            if spec.func == "count":
+                new_aggs.append(old_val + d_count)
+            elif spec.func == "sum":
+                new_aggs.append(old_val + d_sums[idx])
+            elif spec.func == "avg":
+                old_sum = old_val * old_gcount if old_row is not None else 0.0
+                new_sum = old_sum + d_sums[idx]
+                new_aggs.append(new_sum / new_gcount if new_gcount else 0.0)
+            else:
+                pick = min if spec.func == "min" else max
+                best = None
+                for row, _ in grown_by_group.get(key, ()):
+                    value = arg_fns[idx](row)
+                    best = value if best is None else pick(best, value)
+                if old_row is None:
+                    new_aggs.append(best)
+                else:
+                    new_aggs.append(old_val if best is None else pick(old_val, best))
+        new_row = key + tuple(new_aggs)
+        if old_row is None and not (d_count > 0 or any(d_sums)):
+            new_row = None
+        elif old_row is not None and new_gcount == 0:
+            new_row = None
+        changes.append((old_row, new_row))
+    return _emit(changes)
 
 
 # -- union / difference --------------------------------------------------------------------

@@ -127,13 +127,11 @@ def _render(
         lines.append(row)
 
     if analyze and measured.base_applies:
-        charged = maintainer.charge_base_updates
         names = ", ".join(sorted(measured.base_applies))
         base_total = sum(
             (io.total for io in measured.base_applies.values()), 0
         )
-        suffix = "" if charged else " (uncharged)"
-        row = f"  {'base: %s%s' % (names, suffix):<38}{_cell(None)}"
+        row = f"  {'base: %s (uncharged)' % names:<38}{_cell(None)}"
         row += f"  {_cell(base_total)}"
         lines.append(row)
     if analyze:

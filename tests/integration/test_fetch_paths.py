@@ -3,7 +3,9 @@
 Aggregates grouped across join sides with no helpful functional
 dependencies force the join-fetch decomposition with *rest* columns, and
 renamed projections force column-translation through fetches. Every view
-is verified against recomputation after each transaction.
+is verified against recomputation after each transaction. A join whose
+right input is indexed on the join columns pins the bucketed fetch's
+accounting.
 """
 
 import random
@@ -27,6 +29,7 @@ from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
+from repro.obs.trace import Tracer
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.workload.transactions import Transaction, TransactionType, UpdateSpec
@@ -176,3 +179,80 @@ class TestRenamedProjectionFetch:
                 )
             )
             maintainer.verify()
+
+
+class TestBucketedJoinFetch:
+    """R ⋈ S on A, S indexed on A: an R delta's semijoin query on S is
+    answered bucket-grained from S's index. It charges exactly what
+    ``probe_many`` charges for the same keys and, answered outside the
+    commit cache, leaves the cache's counters alone (docs/cost_model.md)."""
+
+    JOIN_TXNS = (
+        TransactionType("RIns", {"R": UpdateSpec(inserts=2)}),
+        TransactionType("SIns", {"S": UpdateSpec(inserts=1)}),
+    )
+
+    def _maintainer(self, **kwargs):
+        rng = random.Random(0)
+        db = Database()
+        db.create_relation(
+            "R", R_SCHEMA, [(rng.randrange(4), "x", v) for v in range(8)], indexes=[["A"]]
+        )
+        db.create_relation(
+            "S", S_SCHEMA, [(rng.randrange(4), "p") for _ in range(6)], indexes=[["A"]]
+        )
+        dag = build_dag(Join(Scan("R", R_SCHEMA), Scan("S", S_SCHEMA)))
+        estimator = DagEstimator(dag.memo, Catalog.from_database(db))
+        cost_model = PageIOCostModel(dag.memo, estimator, CostConfig(root_group=dag.root))
+        marking = frozenset({dag.root})
+        ev = evaluate_view_set(dag.memo, marking, self.JOIN_TXNS, cost_model, estimator)
+        maintainer = ViewMaintainer(
+            db,
+            dag,
+            marking,
+            self.JOIN_TXNS,
+            {name: plan.track for name, plan in ev.per_txn.items()},
+            estimator,
+            cost_model,
+            **kwargs,
+        )
+        maintainer.materialize()
+        return db, maintainer
+
+    def _insert_into_r(self, db, maintainer):
+        tracer = Tracer(db.counter)
+        rows = [(1, "y", 3), (2, "y", 4), (2, "z", 5)]
+        maintainer.apply(Transaction("RIns", {"R": Delta.insertion(rows)}), tracer=tracer)
+        (span,) = tracer.find("fetch")
+        assert span.attrs["side"] == "R" and span.attrs["bucketed"]
+        assert span.attrs["keys"] == 2
+        # S is unchanged by the commit: replay the same probe on its index.
+        before = db.counter.snapshot()
+        db.relation("S").index_on(["A"]).probe_many({(1,), (2,)})
+        assert span.io == db.counter.snapshot() - before
+        maintainer.verify()
+        return span
+
+    def test_charges_probe_many_and_bypasses_commit_cache(self):
+        db, maintainer = self._maintainer()
+        span = self._insert_into_r(db, maintainer)
+        assert span.attrs["cache_hits"] == span.attrs["cache_misses"] == 0
+        stats = maintainer.last_cache_stats
+        assert stats is not None and stats.hits == stats.misses == 0
+
+    def test_same_io_with_commit_cache_off(self):
+        on = self._insert_into_r(*self._maintainer())
+        off = self._insert_into_r(*self._maintainer(commit_cache=False))
+        assert on.io == off.io
+        assert "cache_hits" not in off.attrs
+
+    def test_flat_left_fetch_goes_through_commit_cache(self):
+        db, maintainer = self._maintainer()
+        tracer = Tracer(db.counter)
+        maintainer.apply(
+            Transaction("SIns", {"S": Delta.insertion([(1, "q")])}), tracer=tracer
+        )
+        (span,) = tracer.find("fetch")
+        assert span.attrs["side"] == "L" and not span.attrs["bucketed"]
+        assert span.attrs["cache_misses"] == 1
+        maintainer.verify()

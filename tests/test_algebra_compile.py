@@ -14,11 +14,11 @@ from repro.algebra.compile import (
     apply_join,
     apply_project,
     apply_select,
-    compile_plan,
     compile_predicate,
     compile_row_mapper,
     compile_scalar,
     compile_tuple_getter,
+    compiled_evaluate,
     default_backend,
     plan_cache,
     resolve_position,
@@ -269,11 +269,9 @@ class TestKernels:
         )
         assert apply_group_aggregate(agg, R_DATA) == eval_group_aggregate(agg, R_DATA)
 
-    def test_compile_plan_callable_with_mapping(self):
-        plan = compile_plan(Select(R, Compare(">", Col("b"), Const(15))))
-        out = plan({"R": R_DATA})
+    def test_compiled_evaluate_with_mapping(self):
+        out = compiled_evaluate(Select(R, Compare(">", Col("b"), Const(15))), {"R": R_DATA})
         assert out == Multiset([(2, 20, 1), (3, 30, 1), (3, 30, 1)])
-        assert "CompiledPlan" in repr(plan)
 
 
 class TestProbeMany:

@@ -149,13 +149,6 @@ class TestGroupAggregate:
         with pytest.raises(TypeError_):
             GroupAggregate(emp_scan(), ("DName",), (AggSpec("sum", col("EName"), "S"),))
 
-    def test_self_maintainability(self):
-        assert AggSpec("sum", col("Salary"), "s").is_self_maintainable
-        assert AggSpec("count", None, "c").is_self_maintainable
-        assert AggSpec("avg", col("Salary"), "a").is_self_maintainable
-        assert not AggSpec("min", col("Salary"), "m").is_self_maintainable
-        assert not AggSpec("max", col("Salary"), "m").is_self_maintainable
-
     def test_unknown_function_rejected(self):
         with pytest.raises(AlgebraError):
             AggSpec("median", col("Salary"), "m")

@@ -312,33 +312,6 @@ class TestMaintainerWiring:
         assert maintainer.plan_cache.stats.hits == 2
         maintainer.verify()
 
-    def test_adhoc_names_are_deterministic_and_collision_free(self):
-        db, maintainer = _paper_maintainer()
-        recorded = []
-        original = maintainer.apply
-
-        def spy(txn, undo=None, tracer=None):
-            recorded.append(txn.type_name)
-            return original(txn, undo=undo, tracer=tracer)
-
-        maintainer.apply = spy
-        # Pre-register the name the counter would produce first: the
-        # generator must skip it instead of clobbering the live entry.
-        maintainer.txn_types["__adhoc_1"] = TransactionType(
-            "__adhoc_1", {"Emp": UpdateSpec(inserts=1)}
-        )
-        rows = sorted(db.relation("Emp").contents().rows())
-        for old in rows[:2]:
-            maintainer.apply_adhoc(
-                Transaction(
-                    "ignored",
-                    {"Emp": Delta.modification([(old, (old[0], old[1], old[2] + 1))])},
-                ),
-                name=None,
-            )
-        assert recorded == ["__adhoc_2", "__adhoc_3"]
-        assert "__adhoc_1" in maintainer.txn_types  # live entry untouched
-
 
 class TestIterativeTopological:
     def test_deep_chain_does_not_recurse(self):

@@ -114,6 +114,11 @@ class TestProject:
         out = propagate_project(self.EXPR, delta)
         assert out.is_empty
 
+    @staticmethod
+    def _old_by_dname():
+        """The old Emp rows behind a set of projected (DName,) rows."""
+        return fetch_from(EMP_OLD, emp_scan().schema, ["DName"])
+
     def test_dedup_requires_old_input(self):
         expr = project_columns(emp_scan(), ["DName"], dedup=True)
         with pytest.raises(PropagationError):
@@ -125,7 +130,7 @@ class TestProject:
             inserts=Multiset([("x", "games", 1)]),
             deletes=Multiset([("c", "books", 40)]),
         )
-        out = propagate_project(expr, delta, old_input=EMP_OLD)
+        out = propagate_project(expr, delta, self._old_by_dname())
         assert out.inserts.count(("games",)) == 1
         assert out.deletes.count(("books",)) == 1
         check(expr, {"Emp": EMP_OLD}, {"Emp": delta}, out)
@@ -133,7 +138,7 @@ class TestProject:
     def test_dedup_no_transition_no_delta(self):
         expr = project_columns(emp_scan(), ["DName"], dedup=True)
         delta = Delta.deletion([("a", "toys", 50)])  # toys still has b, d
-        out = propagate_project(expr, delta, old_input=EMP_OLD)
+        out = propagate_project(expr, delta, self._old_by_dname())
         assert out.is_empty
 
 

@@ -184,28 +184,9 @@ class TestGroupCommitter:
 
 
 class TestAdhocNameRace:
-    def test_counter_is_unique_under_threads(self, engine):
-        """Two sessions drawing __adhoc_N concurrently must never collide
-        (a shared name would alias their deltas in estimator memos)."""
-        maintainer = engine.maintainer
-        names: list[str] = []
-        lock = threading.Lock()
-
-        def draw():
-            got = [maintainer._next_adhoc_name() for _ in range(200)]
-            with lock:
-                names.extend(got)
-
-        threads = [threading.Thread(target=draw) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(names) == len(set(names)) == 1600
-
     def test_interleaved_adhoc_dml_commits_cleanly(self, engine):
         """Unnamed (ad-hoc) DML from concurrent clients through the
-        committer: every commit gets a distinct ad-hoc registration."""
+        committer: every commit plans and applies on its own."""
         committer = GroupCommitter(engine, max_batch=1).start()
         rows = sorted(engine.db.relation("Emp").contents().rows())
 
