@@ -12,7 +12,8 @@ positions directly:
 * operator kernels fuse whole Select→Project chains (and chains sitting
   directly on a Join's probe loop) into a single per-row loop;
 * :class:`PlanCache` memoizes compiled artifacts keyed by the canonical
-  (structurally hashed) expression, so each shape compiles once.
+  (structurally hashed) expression, so each shape compiles once; it is a
+  bounded, thread-safe LRU.
 
 **Cost transparency.** Compilation never touches the storage layer: every
 ``IOCounter`` charge is made by exactly the same ``scan``/``lookup``/
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
+from collections import OrderedDict
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.algebra.multiset import Multiset, Row
@@ -99,6 +102,13 @@ def set_default_backend(name: str) -> None:
 # -- plan cache ----------------------------------------------------------------------
 
 
+#: Most compiled artifacts the session cache keeps. A literal is part of an
+#: expression's key, so reads that pin nothing a probe can answer (``WHERE
+#: Salary > n``) add one entry per distinct literal; the least recently used
+#: entry goes past this many.
+PLAN_CACHE_CAPACITY = 1024
+
+
 class PlanCache:
     """Session cache of compiled artifacts, keyed by canonical expression.
 
@@ -106,33 +116,47 @@ class PlanCache:
     excluded from their identity), so two views built independently from
     the same shape share one compiled kernel. Keys are ``(tag, ...)``
     tuples to keep the different artifact kinds (plans, kernels, row
-    functions) apart.
+    functions) apart. Bounded LRU (:data:`PLAN_CACHE_CAPACITY`), and
+    thread-safe: reader threads compile reads while the commit thread
+    compiles maintenance kernels. A build runs outside the lock (builds
+    nest), so two threads may build one key; the later store wins.
     """
 
     def __init__(self) -> None:
-        self._plans: dict[tuple, Any] = {}
+        self._plans: OrderedDict[tuple, Any] = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     def get(self, key: tuple, build: Callable[[], Any]) -> Any:
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.hits += 1
-            return plan
-        self.misses += 1
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self.hits += 1
+                return plan
+            self.misses += 1
         plan = build()
-        self._plans[key] = plan
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > PLAN_CACHE_CAPACITY:
+                self._plans.popitem(last=False)
+                self.evictions += 1
         return plan
 
     def invalidate(self, key: tuple) -> bool:
         """Drop one cached artifact; returns whether it was present."""
-        return self._plans.pop(key, None) is not None
+        with self._lock:
+            return self._plans.pop(key, None) is not None
 
     def clear(self) -> None:
-        self._plans.clear()
+        with self._lock:
+            self._plans.clear()
 
     def reset_stats(self) -> None:
-        self.hits = self.misses = 0
+        self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -142,7 +166,12 @@ class PlanCache:
 
     @property
     def stats(self) -> dict[str, int]:
-        return {"entries": len(self._plans), "hits": self.hits, "misses": self.misses}
+        return {
+            "entries": len(self._plans),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
 
 
 _SESSION_CACHE = PlanCache()

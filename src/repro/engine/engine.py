@@ -22,22 +22,28 @@ block commits, an exception discards the staged work.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
+from repro.algebra.compile import tuple_getter
 from repro.algebra.evaluate import evaluate
 from repro.algebra.multiset import Multiset, Row
-from repro.algebra.operators import RelExpr, Scan
+from repro.algebra.operators import RelExpr, Scan, Select
+from repro.algebra.predicates import TruePred, conjunction
 from repro.ivm.delta import Delta
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.pager import IOStats
+from repro.storage.relation import equality_pins
 from repro.storage.undo import UndoLog
 from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.engine.policy import MaintenancePolicy
     from repro.ivm.maintainer import ViewMaintainer
+    from repro.storage.database import Database
+    from repro.storage.pager import IOCounter
 
 
 class EngineError(Exception):
@@ -307,13 +313,16 @@ class Engine:
             m.counter("engine.violations_cleared").inc(
                 sum(rows.total() for rows in result.cleared_violations.values())
             )
-        # Refresh the compiled-plan cache's cumulative hit rate (gauges:
-        # last value wins, so folding it per commit is idempotent).
+        # Refresh the compiled-plan cache's cumulative hit rate, size and
+        # evictions (gauges: last value wins, so folding it per commit is
+        # idempotent).
         from repro.algebra.compile import plan_cache
 
         pc = plan_cache()
         if pc.hits or pc.misses:
             m.observe_cache("plan", pc.hits, pc.misses)
+            m.gauge("cache.plan.entries").set(len(pc))
+            m.gauge("cache.plan.evictions").set(pc.evictions)
         # Commit-scoped fetch/scan cache and the ad-hoc plan cache
         # (cumulative per maintainer; gauges, so idempotent per commit).
         cc = getattr(self.maintainer, "commit_cache_stats", None)
@@ -341,67 +350,57 @@ class Engine:
     def select(
         self, expr: RelExpr, epoch: int | None = None
     ) -> tuple[Multiset, IOStats]:
-        """Evaluate a query, charged as scans of the base relations it
-        reads (hash joins and aggregation are memory-resident, as in the
-        maintainer's scan accounting). Returns (rows, this query's I/O).
+        """Evaluate a query; returns (rows, this query's I/O).
 
-        Charged per *leaf occurrence*, not per distinct relation: a
-        self-join (Emp ⋈ Emp) reads the relation once per operand under
-        the Section 3.6 model, exactly as the analytic ``scan_cost``
-        prices each scan node.
+        One read planner serves both paths (:class:`_ReadPlan`). A scan
+        leaf whose parent selection pins a declared key or an indexed
+        column set with ``column = literal`` conjuncts is read by probe,
+        charged as the Section 3.6 lookup — one index page plus one tuple
+        page per probed row — and evaluated without the conjuncts the probe
+        answered. Every other leaf is copied whole and charged as a scan
+        (hash joins and aggregation are memory-resident, as in the
+        maintainer's scan accounting), per *leaf occurrence*, not per
+        distinct relation: a self-join (Emp ⋈ Emp) reads the relation once
+        per operand, exactly as the analytic ``scan_cost`` prices each scan
+        node.
 
-        ``epoch`` (from :meth:`pin_epoch`) selects the snapshot-read path:
-        the query sees the database exactly as of that epoch, regardless
-        of commits applied since. The reader copies the scanned relations
-        under the storage latch (a brief copy, not held for evaluation),
+        Without ``epoch`` the read sees the live database and is charged to
+        the shared counter. ``epoch`` (from :meth:`pin_epoch`) selects the
+        snapshot-read path: the query sees the database exactly as of that
+        epoch, regardless of commits applied since. The reader probes and
+        copies under the storage latch (briefly, not held for evaluation),
         replays the epoch log's inverse deltas newest-first down to the
-        pinned epoch with the I/O counter suspended — undoing to a
-        snapshot is bookkeeping, exactly like rollback — and evaluates
-        against the reconstructed contents. Scans are charged at the
-        *snapshot's* row counts, to a private counter: a snapshot reader
-        never touches the shared ledger, so it cannot race the writer."""
+        pinned epoch — uncharged, undoing to a snapshot is bookkeeping,
+        exactly like rollback; a probed leaf keeps only the inverse rows
+        that carry its probe key — and evaluates against the reconstructed
+        rows. It is charged at the *snapshot's* row counts, to a private
+        counter: a snapshot reader never touches the shared ledger, so it
+        cannot race the writer."""
         if epoch is not None:
             return self._select_at(expr, epoch)
         counter = self.db.counter
         with self.tracer.span("select", expr=type(expr).__name__):
             with self.db.latch:
+                read = _ReadPlan(expr, self.db)
                 with counter.scoped() as scope:
-                    for node in expr.walk():
-                        if isinstance(node, Scan):
-                            counter.charge_tuple_read(
-                                self.db.relation(node.name).row_count
-                            )
-                    with counter.suspended():
-                        result = evaluate(expr, self.db)
+                    result = read.run(counter)
         self.metrics.counter("engine.selects").inc()
         self.metrics.observe_io(scope.stats)
         return result, scope.stats
 
     def _select_at(self, expr: RelExpr, epoch: int) -> tuple[Multiset, IOStats]:
-        """Snapshot read: reconstruct the scanned relations as of ``epoch``
-        from the live contents plus the epoch log's inverse deltas."""
+        """Snapshot read: the planned rows as of ``epoch``, from the live
+        rows plus the epoch log's inverse deltas."""
         from repro.storage.pager import IOCounter
 
-        names = {node.name for node in expr.walk() if isinstance(node, Scan)}
         with self.tracer.span("select", expr=type(expr).__name__, epoch=epoch):
             with self.db.latch:
-                snapshot = {name: self.db.relation(name).contents() for name in names}
+                read = _ReadPlan(expr, self.db)
                 replay = self.db.epoch_log.inverses_since(epoch)
+            read.rewind(replay)
             counter = IOCounter()  # private: never races the shared ledger
-            with counter.suspended():
-                # Newest commit first, inverses within a commit newest
-                # first — the same order UndoLog.rollback applies them.
-                for _, entries in reversed(replay):
-                    for rel_name, inverse in reversed(entries):
-                        contents = snapshot.get(rel_name)
-                        if contents is not None:
-                            _apply_inverse(contents, inverse)
             with counter.scoped() as scope:
-                for node in expr.walk():
-                    if isinstance(node, Scan):
-                        counter.charge_tuple_read(snapshot[node.name].total())
-                with counter.suspended():
-                    result = evaluate(expr, snapshot)
+                result = read.run(counter)
         self.metrics.counter("engine.selects").inc()
         self.metrics.counter("engine.snapshot_selects").inc()
         return result, scope.stats
@@ -453,12 +452,118 @@ class Engine:
         )
 
 
-def _apply_inverse(contents: Multiset, inverse: Delta) -> None:
+class _ReadPlan:
+    """One read, planned under the storage latch: which scan leaves a probe
+    answers, the rows each relation contributes, and the expression to
+    evaluate over them.
+
+    A leaf is probed when its parent :class:`Select` pins a declared key or
+    an indexed column set (:func:`~repro.storage.relation.equality_pins`,
+    :meth:`~repro.storage.relation.StoredRelation.candidates` — the probe
+    choice DML makes too) and its relation occurs in no other leaf. The
+    conjuncts whose literals became the probe key are dropped from the
+    selection, so the evaluated plan carries no literal and its compiled
+    form is reused across keys. Any other leaf is a full copy.
+    """
+
+    def __init__(self, expr: RelExpr, db: "Database") -> None:
+        self._db = db
+        self._occurrences = Counter(n.name for n in expr.walk() if isinstance(n, Scan))
+        #: relation name -> its rows as this read sees them
+        self._rows: dict[str, Multiset] = {}
+        #: scanned relation name -> its row count (kept in step by rewind)
+        self._scanned: dict[str, int] = {}
+        #: probed relation name -> "the row carries the probe key"
+        self._filters: dict[str, Callable[[Row], bool]] = {}
+        #: one (relation name, probed?) per leaf occurrence, for the charge
+        self._leaves: list[tuple[str, bool]] = []
+        self._expr = self._plan(expr)
+
+    def _plan(self, node: RelExpr) -> RelExpr:
+        if isinstance(node, Select) and isinstance(node.input, Scan):
+            probed = self._probe(node)
+            if probed is not None:
+                return probed
+        if isinstance(node, Scan):
+            if node.name not in self._rows:
+                relation = self._db.relation(node.name)
+                self._rows[node.name] = relation.contents()
+                self._scanned[node.name] = relation.row_count
+            self._leaves.append((node.name, False))
+            return node
+        children = node.children
+        planned = tuple(self._plan(child) for child in children)
+        if all(a is b for a, b in zip(planned, children)):
+            return node
+        return node.with_children(planned)
+
+    def _probe(self, select: Select) -> RelExpr | None:
+        scan = select.input
+        if self._occurrences[scan.name] != 1:
+            return None
+        relation = self._db.relation(scan.name)
+        pins = equality_pins(select.predicate, relation.schema)
+        found = relation.candidates({column: value for column, (value, _) in pins.items()})
+        if found is None:
+            return None
+        columns, rows = found
+        self._rows[scan.name] = Multiset(rows)
+        getter = tuple_getter(tuple(relation.schema.index_of(c) for c in columns))
+        key = tuple(pins[c][0] for c in columns)
+        self._filters[scan.name] = lambda row: getter(row) == key
+        self._leaves.append((scan.name, True))
+        answered = {pins[c][1] for c in columns}
+        residual = conjunction(p for p in select.predicate.conjuncts() if p not in answered)
+        return scan if isinstance(residual, TruePred) else Select(scan, residual)
+
+    def rewind(self, replay: list[tuple[int, tuple[tuple[str, Delta], ...]]]) -> None:
+        """Undo the commits in ``replay`` (``EpochLog.inverses_since``) on
+        the planned rows: newest commit first, inverses within a commit
+        newest first — the order ``UndoLog.rollback`` applies them. A
+        probed relation keeps only the inverse rows with its probe key."""
+        for _, entries in reversed(replay):
+            for name, inverse in reversed(entries):
+                rows = self._rows.get(name)
+                if rows is None:
+                    continue
+                _apply_inverse(rows, inverse, self._filters.get(name))
+                if name in self._scanned:
+                    self._scanned[name] += inverse.inserts.total() - inverse.deletes.total()
+
+    def run(self, counter: "IOCounter") -> Multiset:
+        """Charge every leaf to ``counter`` and evaluate the planned
+        expression over the planned rows (which charges nothing)."""
+        for name, probed in self._leaves:
+            if probed:
+                counter.charge_index_read()
+                counter.charge_tuple_read(self._rows[name].total())
+            else:
+                counter.charge_tuple_read(self._scanned[name])
+        return evaluate(self._expr, self._rows)
+
+
+def _apply_inverse(
+    contents: Multiset, inverse: Delta, keep: Callable[[Row], bool] | None = None
+) -> None:
     """Apply one journaled inverse delta onto a bare multiset copy —
     the snapshot-read analogue of ``StoredRelation.apply_delta``, minus
-    indexes, constraints, and I/O charging."""
-    contents.update(inverse.inserts, 1)
-    contents.update(inverse.deletes, -1)
+    indexes, constraints, and I/O charging. With ``keep``, only the rows
+    it accepts are applied (selection distributes over the signed sum)."""
+    if keep is None:
+        contents.update(inverse.inserts, 1)
+        contents.update(inverse.deletes, -1)
+        for old, new in inverse.modifies:
+            contents.add(old, -1)
+            contents.add(new, 1)
+        return
+    for row, n in inverse.inserts.items():
+        if keep(row):
+            contents.add(row, n)
+    for row, n in inverse.deletes.items():
+        if keep(row):
+            contents.add(row, -n)
     for old, new in inverse.modifies:
-        contents.add(old, -1)
-        contents.add(new, 1)
+        if keep(old):
+            contents.add(old, -1)
+        if keep(new):
+            contents.add(new, 1)

@@ -21,8 +21,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import AlgebraError, RelExpr
-from repro.algebra.predicates import Compare, Predicate, TruePred
-from repro.algebra.scalar import Col, Const, Scalar
+from repro.algebra.predicates import Predicate, TruePred
+from repro.algebra.scalar import Scalar
 from repro.algebra.schema import SchemaError
 from repro.algebra.types import TypeError_
 from repro.engine.engine import EngineError
@@ -35,7 +35,7 @@ from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError, _AggregateCollector, _Scope
 from repro.sql.translate import _translate_condition, _translate_select
 from repro.storage.database import Database
-from repro.storage.relation import StorageError, StoredRelation
+from repro.storage.relation import StorageError, StoredRelation, equality_pins
 from repro.workload.transactions import Transaction
 
 DML_STATEMENTS = (ast.InsertStmt, ast.DeleteStmt, ast.UpdateStmt)
@@ -50,22 +50,6 @@ def is_dml(statement: object) -> bool:
     return isinstance(statement, DML_STATEMENTS)
 
 
-def _pins(predicate: Predicate, relation: StoredRelation) -> dict[str, Any]:
-    """The predicate's top-level ``column = literal`` conjuncts (either
-    operand order) as ``{schema column: value}``. A column pinned twice
-    keeps one pin; the full predicate rejects what the other excludes."""
-    pins: dict[str, Any] = {}
-    for part in predicate.conjuncts():
-        if not (isinstance(part, Compare) and part.op == "="):
-            continue
-        left, right = part.left, part.right
-        if isinstance(left, Const):
-            left, right = right, left
-        if isinstance(left, Col) and isinstance(right, Const):
-            pins.setdefault(relation.schema.resolve(left.name), right.value)
-    return pins
-
-
 def _matching_rows(
     relation: StoredRelation, predicate: Predicate, pending: Multiset | None
 ) -> Iterator[tuple[Row, dict[str, Any]]]:
@@ -73,9 +57,9 @@ def _matching_rows(
     column mapping: the stored rows — probed through a key or index the
     WHERE clause pins, else scanned in place — overlaid with ``pending``,
     the signed net delta of the transaction's earlier statements."""
-    rows: Iterable[Row] | None = relation.candidates(_pins(predicate, relation))
-    if rows is None:
-        rows = relation.rows()
+    pins = equality_pins(predicate, relation.schema)
+    found = relation.candidates({column: value for column, (value, _) in pins.items()})
+    rows: Iterable[Row] = relation.rows() if found is None else found[1]
     if pending:
         rows = _overlay(rows, pending)
     names = relation.schema.names

@@ -19,7 +19,9 @@ then updated once per delta, and the charges are sums of distinct keys.
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
 aggregate push-down). Each key's map holds the row itself, so the same
-structure answers point lookups by key (:meth:`StoredRelation.candidates`).
+structure answers point lookups by key (:meth:`StoredRelation.candidates`,
+pinned by :func:`equality_pins`): ``UPDATE``/``DELETE … WHERE`` and snapshot
+``SELECT`` make the one probe choice through it.
 """
 
 from __future__ import annotations
@@ -29,10 +31,30 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
+from repro.algebra.predicates import Compare, Predicate
+from repro.algebra.scalar import Col, Const
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
 from repro.storage.index import HashIndex
 from repro.storage.pager import IOCounter
+
+
+def equality_pins(predicate: Predicate, schema: Schema) -> dict[str, tuple[Any, Predicate]]:
+    """The predicate's top-level ``column = literal`` conjuncts (either
+    operand order) as ``{schema column: (value, conjunct)}`` — the pins
+    :meth:`StoredRelation.candidates` probes with. A column pinned twice
+    keeps its first conjunct; the others stay in the predicate and reject
+    what that pin admits."""
+    pins: dict[str, tuple[Any, Predicate]] = {}
+    for part in predicate.conjuncts():
+        if not (isinstance(part, Compare) and part.op == "="):
+            continue
+        left, right = part.left, part.right
+        if isinstance(left, Const):
+            left, right = right, left
+        if isinstance(left, Col) and isinstance(right, Const):
+            pins.setdefault(schema.resolve(left.name), (right.value, part))
+    return pins
 
 
 class StorageError(Exception):
@@ -117,27 +139,27 @@ class StoredRelation:
         copy): the relation must not change while it runs."""
         return self._data.items()
 
-    def candidates(self, pins: Mapping[str, Any]) -> list[Row] | None:
+    def candidates(self, pins: Mapping[str, Any]) -> tuple[tuple[str, ...], list[Row]] | None:
         """Uncharged point access: the stored rows (with multiplicity) that
         may hold ``pins`` (schema column -> value), found through a declared
         key's map when the pins cover a key (at most one row), else through
         the smallest matching bucket of a hash index on pinned columns.
-        ``None`` when the pins cover neither — the caller scans. Only the
-        pinned columns of the covering key or index are matched, so the
-        caller still checks its full predicate on each row."""
+        Returns ``(columns matched, rows)``, or ``None`` when the pins cover
+        neither — the caller scans. Only the matched columns are checked,
+        so the caller still checks its other pins on each row."""
         if not pins:
             return None
         for columns, _, key_map in self._keys:
             if all(c in pins for c in columns):
                 row = key_map.get(tuple(pins[c] for c in columns))
-                return [] if row is None else [row]
-        best: Multiset | None = None
+                return columns, [] if row is None else [row]
+        best: tuple[tuple[str, ...], Multiset] | None = None
         for columns, index in self._indexes.items():
             if all(c in pins for c in columns):
                 bucket = index.probe_free(tuple(pins[c] for c in columns))
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-        return None if best is None else list(best.expand())
+                if best is None or len(bucket) < len(best[1]):
+                    best = columns, bucket
+        return None if best is None else (best[0], list(best[1].expand()))
 
     def scan(self) -> Multiset:
         """Full scan: one tuple-page read per tuple."""

@@ -149,7 +149,46 @@ class TestPlanCache:
         cache.clear()
         assert len(cache) == 0
         cache.reset_stats()
-        assert cache.stats == {"entries": 0, "hits": 0, "misses": 0}
+        assert cache.stats == {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
+
+    def test_lru_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(compile_mod, "PLAN_CACHE_CAPACITY", 2)
+        cache = PlanCache()
+        cache.get(("k", 1), lambda: "one")
+        cache.get(("k", 2), lambda: "two")
+        cache.get(("k", 1), lambda: "unused")  # 1 is now the most recent
+        cache.get(("k", 3), lambda: "three")
+        assert ("k", 1) in cache and ("k", 3) in cache and ("k", 2) not in cache
+        assert cache.stats == {"entries": 2, "hits": 1, "misses": 3, "evictions": 1}
+
+    def test_concurrent_gets_keep_counts_and_bound(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(compile_mod, "PLAN_CACHE_CAPACITY", 16)
+        cache = PlanCache()
+        wrong = []
+
+        def work(seed):
+            for i in range(2000):
+                key = ("k", (seed * 7 + i) % 40)
+                if cache.get(key, lambda: key) != key:
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert cache.hits + cache.misses == 8 * 2000
+        assert len(cache) <= 16
 
     def test_session_cache_hits_on_repeated_evaluate(self):
         cache = plan_cache()

@@ -7,7 +7,12 @@ policies, and atomicity of failed commits across relations and views.
 
 import pytest
 
-from repro.algebra.operators import Scan
+from repro.algebra.compile import PLAN_CACHE_CAPACITY, plan_cache
+from repro.algebra.evaluate import evaluate
+from repro.algebra.multiset import Multiset
+from repro.algebra.operators import Scan, Select
+from repro.algebra.predicates import Compare
+from repro.algebra.scalar import col, lit
 from repro.constraints.assertions import AssertionSystem, AssertionViolation
 from repro.core.optimizer import evaluate_view_set
 from repro.cost.estimates import DagEstimator
@@ -397,6 +402,48 @@ class TestSelect:
         emp = engine.db.relation("Emp")
         _, io = engine.select(Join(Scan("Emp", emp.schema), Scan("Emp", emp.schema)))
         assert io.tuple_reads == 2 * emp.row_count
+
+
+class TestProbeRead:
+    """A leaf whose selection pins a key or an indexed column is read by
+    probe: charged as a lookup, evaluated without the answered conjuncts."""
+
+    def test_key_pin_is_charged_as_a_lookup(self, engine):
+        emp = engine.db.relation("Emp")
+        row = sorted(emp.contents().rows())[3]
+        expr = Select(Scan("Emp", emp.schema), Compare("=", col("EName"), lit(row[0])))
+        rows, io = engine.select(expr)
+        assert rows == Multiset([row])
+        assert (io.index_reads, io.tuple_reads, io.total) == (1, 1, 2)
+
+    def test_probed_reads_share_one_compiled_plan(self, engine):
+        emp = engine.db.relation("Emp")
+        names = sorted(r[0] for r in emp.contents().rows())
+        scan = Scan("Emp", emp.schema)
+        engine.select(Select(scan, Compare("=", col("EName"), lit(names[0]))))
+        cache = plan_cache()
+        misses = cache.misses
+        for name in names[1:20]:
+            engine.select(Select(scan, Compare("=", col("EName"), lit(name))))
+        assert cache.misses == misses
+
+    def test_unpinned_reads_leave_the_plan_cache_bounded(self, engine):
+        emp = engine.db.relation("Emp")
+        scan = Scan("Emp", emp.schema)
+        contents = {"Emp": emp.contents()}
+        cache = plan_cache()
+        evictions = cache.evictions
+        for n in range(2 * PLAN_CACHE_CAPACITY):
+            expr = Select(scan, Compare(">", col("Salary"), lit(n - 100)))
+            rows, _ = engine.select(expr)
+            assert rows == evaluate(expr, contents, backend="interpreted")
+            assert len(cache) <= PLAN_CACHE_CAPACITY
+        assert cache.evictions - evictions >= PLAN_CACHE_CAPACITY
+        old, new = emp_raise(engine.db)
+        engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(old, new)])}))
+        gauges = engine.metrics.snapshot()
+        assert gauges["cache.plan.entries"] == len(cache)
+        assert gauges["cache.plan.evictions"] == cache.evictions
 
 
 class TestDeferredPolicy:

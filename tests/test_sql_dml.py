@@ -166,15 +166,15 @@ class TestPointDmlProbes:
             engine.execute(txn)
         assert emp.contents() == before
         assert emp.row_count == before.total()
-        assert emp.candidates({"EName": "emp00001_000"}) == [
-            row for row in before.rows() if row[0] == "emp00001_000"
-        ]
+        assert emp.candidates({"EName": "emp00001_000"}) == (
+            ("EName",), [row for row in before.rows() if row[0] == "emp00001_000"]
+        )
         # The key map still serves the next statement.
         txn = execute_dml_text(
             "UPDATE Emp SET Salary = 1 WHERE EName = 'emp00001_000'", db, txn_name="fix"
         )
         engine.execute(txn)
-        assert emp.candidates({"EName": "emp00001_000"})[0][2] == 1
+        assert emp.candidates({"EName": "emp00001_000"})[1][0][2] == 1
         engine.maintainer.verify()
 
 

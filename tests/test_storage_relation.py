@@ -136,24 +136,24 @@ class TestIndexManagement:
 
 class TestCandidates:
     def test_key_pin_returns_the_one_row(self, relation):
-        assert relation.candidates({"K": 4}) == [(4, "g1", 40)]
-        assert relation.candidates({"K": 4, "V": 0}) == [(4, "g1", 40)]
+        assert relation.candidates({"K": 4}) == (("K",), [(4, "g1", 40)])
+        assert relation.candidates({"K": 4, "V": 0}) == (("K",), [(4, "g1", 40)])
 
     def test_absent_key_returns_empty(self, relation):
-        assert relation.candidates({"K": 99}) == []
+        assert relation.candidates({"K": 99}) == (("K",), [])
 
     def test_float_pin_finds_equal_int_key(self, relation):
-        assert relation.candidates({"K": 4.0}) == [(4, "g1", 40)]
+        assert relation.candidates({"K": 4.0}) == (("K",), [(4, "g1", 40)])
 
     def test_index_pin_returns_the_bucket(self, relation):
-        assert sorted(relation.candidates({"G": "g0"})) == [
-            (0, "g0", 0), (3, "g0", 30), (6, "g0", 60)
-        ]
-        assert relation.candidates({"G": "nope"}) == []
+        columns, rows = relation.candidates({"G": "g0"})
+        assert columns == ("G",)
+        assert sorted(rows) == [(0, "g0", 0), (3, "g0", 30), (6, "g0", 60)]
+        assert relation.candidates({"G": "nope"}) == (("G",), [])
 
     def test_smallest_covering_bucket_wins(self, relation):
         relation.create_index(["V"])
-        assert relation.candidates({"G": "g0", "V": 30}) == [(3, "g0", 30)]
+        assert relation.candidates({"G": "g0", "V": 30}) == (("V",), [(3, "g0", 30)])
 
     def test_uncovered_pins_return_none(self, relation):
         assert relation.candidates({}) is None
@@ -163,7 +163,7 @@ class TestCandidates:
         rel = StoredRelation("B", Schema.of(("A", DataType.INT), ("G", DataType.STRING)))
         rel.load([(1, "x"), (1, "x"), (2, "x")])
         rel.create_index(["G"])
-        assert sorted(rel.candidates({"G": "x"})) == [(1, "x"), (1, "x"), (2, "x")]
+        assert sorted(rel.candidates({"G": "x"})[1]) == [(1, "x"), (1, "x"), (2, "x")]
 
     def test_uncharged(self, relation):
         relation.candidates({"K": 1})
@@ -172,10 +172,10 @@ class TestCandidates:
 
     def test_key_map_follows_modifies(self, relation):
         relation.apply_delta(Delta.modification([((4, "g1", 40), (4, "g2", 41))]))
-        assert relation.candidates({"K": 4}) == [(4, "g2", 41)]
+        assert relation.candidates({"K": 4}) == (("K",), [(4, "g2", 41)])
         relation.apply_delta(Delta.modification([((4, "g2", 41), (44, "g2", 41))]))
-        assert relation.candidates({"K": 4}) == []
-        assert relation.candidates({"K": 44}) == [(44, "g2", 41)]
+        assert relation.candidates({"K": 4}) == (("K",), [])
+        assert relation.candidates({"K": 44}) == (("K",), [(44, "g2", 41)])
 
     def test_key_swap_batch_moves_rows(self):
         rel = StoredRelation("S", SCHEMA)
@@ -183,8 +183,8 @@ class TestCandidates:
         rel.apply_delta(
             Delta.modification([((1, "a", 0), (2, "a", 0)), ((2, "b", 0), (1, "b", 0))])
         )
-        assert rel.candidates({"K": 1}) == [(1, "b", 0)]
-        assert rel.candidates({"K": 2}) == [(2, "a", 0)]
+        assert rel.candidates({"K": 1}) == (("K",), [(1, "b", 0)])
+        assert rel.candidates({"K": 2}) == (("K",), [(2, "a", 0)])
 
 
 class TestRejectedDelta:
@@ -204,8 +204,8 @@ class TestRejectedDelta:
         assert rel.contents() == Multiset([(1, 10), (2, 20)])
         assert rel.row_count == 2
         assert rel._keys[0][2] == {(1,): (1, 10), (2,): (2, 20)}
-        assert rel.candidates({"K": 1}) == [(1, 10)]
-        assert rel.candidates({"V": 20}) == [(2, 20)]
+        assert rel.candidates({"K": 1}) == (("K",), [(1, 10)])
+        assert rel.candidates({"V": 20}) == (("V",), [(2, 20)])
         assert rel.index_on(["V"])._totals == {(10,): 1, (20,): 1}
         assert rel.counter.snapshot() == IOStats()
 
