@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from repro.algebra.predicates import Predicate, TruePred
 from repro.algebra.scalar import Col, Scalar
 from repro.algebra.schema import Column, Schema, SchemaError
-from repro.algebra.types import DataType, TypeError_
+from repro.algebra.types import DataType, TypeError_, hash_once
 
 
 class AlgebraError(Exception):
@@ -73,6 +73,7 @@ class RelExpr:
         object.__setattr__(self, "schema", schema)
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Scan(RelExpr):
     """Leaf: a base relation with bare column names.
@@ -106,6 +107,7 @@ class Scan(RelExpr):
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Select(RelExpr):
     """Selection: keep tuples satisfying a predicate."""
@@ -133,6 +135,7 @@ class Select(RelExpr):
         return f"σ[{self.predicate}]({self.input})"
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Project(RelExpr):
     """Generalized projection: named scalar outputs, optional dedup.
@@ -197,6 +200,7 @@ class Project(RelExpr):
         return f"π[{', '.join(n for n, _ in self.outputs)}]({self.input})"
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Join(RelExpr):
     """Natural join: equality on all shared column names, which are merged.
@@ -272,6 +276,7 @@ class Join(RelExpr):
 _AGG_FUNCS = ("sum", "count", "min", "max", "avg")
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class AggSpec:
     """One aggregate in a GROUP BY: ``func(arg) AS out``.
@@ -310,6 +315,7 @@ class AggSpec:
         return f"{self.label()} AS {self.out}"
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class GroupAggregate(RelExpr):
     """Grouping with aggregation. Output: group columns then aggregates.
@@ -362,6 +368,7 @@ class GroupAggregate(RelExpr):
         return f"γ[{', '.join(self.group_by)}; {aggs}]({self.input})"
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class DuplicateElim(RelExpr):
     """Duplicate elimination (SELECT DISTINCT)."""
@@ -396,6 +403,7 @@ def _require_union_compatible(left: Schema, right: Schema, what: str) -> None:
         raise AlgebraError(f"{what} operands have incompatible schemas: {left} vs {right}")
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Union(RelExpr):
     """Multiset (bag) union — SQL UNION ALL."""
@@ -423,6 +431,7 @@ class Union(RelExpr):
         return f"({self.left} ∪ {self.right})"
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class Difference(RelExpr):
     """Multiset difference with clamping (SQL EXCEPT ALL)."""

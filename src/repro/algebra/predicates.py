@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.algebra.scalar import Col, Scalar
 from repro.algebra.schema import Schema
-from repro.algebra.types import TypeError_, comparable
+from repro.algebra.types import TypeError_, comparable, hash_once
 
 
 class Predicate:
@@ -38,6 +38,7 @@ class Predicate:
         return (self,)
 
 
+@hash_once
 @dataclass(frozen=True)
 class TruePred(Predicate):
     """The always-true predicate (empty WHERE clause)."""
@@ -71,6 +72,7 @@ _CMP_OPS = {
 }
 
 
+@hash_once
 @dataclass(frozen=True)
 class Compare(Predicate):
     """A binary comparison between two scalar expressions."""
@@ -108,6 +110,7 @@ class Compare(Predicate):
         return f"{self.left} {self.op} {self.right}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Not(Predicate):
     """Logical negation."""
@@ -130,6 +133,7 @@ class Not(Predicate):
         return f"NOT ({self.inner})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class And(Predicate):
     """Conjunction, stored as a canonically-ordered flat tuple of conjuncts."""
@@ -159,6 +163,7 @@ class And(Predicate):
         return " AND ".join(f"({p})" for p in self.parts)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Or(Predicate):
     """Disjunction of two predicates."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.algebra.schema import Schema
-from repro.algebra.types import DataType, TypeError_, infer_type, unify_numeric
+from repro.algebra.types import DataType, TypeError_, hash_once, infer_type, unify_numeric
 
 
 class Scalar:
@@ -33,6 +33,7 @@ class Scalar:
         raise NotImplementedError
 
 
+@hash_once
 @dataclass(frozen=True)
 class Col(Scalar):
     """Reference to a column by (possibly qualified) name."""
@@ -61,6 +62,7 @@ class Col(Scalar):
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class Const(Scalar):
     """A literal constant."""
@@ -93,6 +95,7 @@ _ARITH_OPS = {
 }
 
 
+@hash_once
 @dataclass(frozen=True)
 class Arith(Scalar):
     """Binary arithmetic over numeric scalars."""

@@ -8,15 +8,17 @@ I/O) are licensed by declared keys, e.g. ``DName`` being a key of ``Dept``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.algebra.types import DataType, TypeError_, check_value
+from repro.algebra.types import DataType, TypeError_, check_value, hash_once
 
 
 class SchemaError(Exception):
     """Raised for malformed schemas or column-resolution failures."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class Column:
     """A named, typed column."""
@@ -32,6 +34,7 @@ class Column:
         return f"{self.name}:{self.dtype.value}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Schema:
     """An ordered collection of columns with optional candidate keys.
@@ -67,7 +70,7 @@ class Schema:
 
     # -- lookup ----------------------------------------------------------------
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 

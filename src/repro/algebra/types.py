@@ -9,7 +9,31 @@ defined rather than when the first tuple flows through them.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, TypeVar
+
+_T = TypeVar("_T", bound=type)
+
+
+def hash_once(cls: _T) -> _T:
+    """Class decorator for a frozen dataclass: keep its structural hash.
+
+    The dataclass ``__hash__`` rehashes the whole field tree on every call
+    — an expression's children, predicates, schemas and their column types
+    — and plan-cache keys are hashed on every commit. The wrapped hash
+    computes that value once per instance and keeps it; equality is
+    untouched. Apply it on top of ``@dataclass(frozen=True)``.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        state = self.__dict__
+        value = state.get("_structural_hash")
+        if value is None:
+            value = state["_structural_hash"] = structural(self)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class DataType(enum.Enum):

@@ -23,8 +23,10 @@ from typing import Iterator
 
 from repro.algebra.operators import RelExpr, Scan
 from repro.algebra.schema import Schema
+from repro.algebra.types import hash_once
 
 
+@hash_once
 @dataclass(frozen=True, eq=True)
 class GroupLeaf(RelExpr):
     """A placeholder leaf standing for an equivalence node.

@@ -142,6 +142,8 @@ class ViewMaintainer:
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
+        # op id -> (template, the op's implicit projection over it)
+        self._implicit_projects: dict[int, tuple[RelExpr, Project]] = {}
         # (txn_type, track) of the most recent apply — what explain_analyze
         # renders, for declared and ad-hoc transactions alike.
         self.last_plan: tuple[TransactionType, UpdateTrack] | None = None
@@ -628,10 +630,18 @@ class ViewMaintainer:
             gid, template, children, child_deltas, txn_type, tracer
         )
         if op.projection is not None:
-            project = Project(template, tuple((n, Col(n)) for n in op.projection))
-            result = propagate_project(project, result)
+            result = propagate_project(self._implicit_project(op), result)
             result = repair_modifications(self.memo.group(gid).schema, result)
         return result
+
+    def _implicit_project(self, op: OperationNode) -> Project:
+        """The op's implicit projection as a :class:`Project`, built once per
+        template (DAG normalization may swap an op's template)."""
+        cached = self._implicit_projects.get(op.id)
+        if cached is None or cached[0] is not op.template:
+            project = Project(op.template, tuple((n, Col(n)) for n in op.projection))
+            cached = self._implicit_projects[op.id] = (op.template, project)
+        return cached[1]
 
     def _propagate_template(
         self,

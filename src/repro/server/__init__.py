@@ -1,9 +1,10 @@
 """Concurrent multi-client front-end: socket server + group commit.
 
 The engine is single-writer by design (one latch, one undo journal); this
-package makes that safe to share. Writers submit ready-made transactions
-to a bounded commit queue; a single commit thread drains the queue in
-batches, composes same-shaped staged deltas from many clients with
+package makes that safe to share. Writers submit ready-made transactions,
+or parsed DML the commit thread derives in queue order, to a bounded
+commit queue; a single commit thread drains the queue in batches,
+composes same-shaped staged deltas from many clients with
 :func:`~repro.ivm.deferred.compose_batch`, and runs **one** maintenance
 pass — and, when durable, one WAL barrier/fsync — per batch (the paper's
 §2.3 deferral, finally paying off *across* clients). Readers never wait:

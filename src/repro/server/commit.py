@@ -1,19 +1,26 @@
 """Group commit: a single-writer thread draining a bounded commit queue.
 
-Clients (server connections, the multi-client workload driver, tests)
-submit ready-made :class:`~repro.workload.transactions.Transaction`
-objects and block on a per-request event. The committer thread drains the
-queue in batches, composes each batch's deltas into **one** transaction
+A client submits a *rider*: a ready-made
+:class:`~repro.workload.transactions.Transaction` (the multi-client
+workload driver, tests), or a :class:`~repro.sql.dml.StatementRider` —
+parsed DML whose delta is derived on the commit thread (the socket
+server). It then either blocks on the request (:meth:`CommitRequest.wait`)
+or is called back from the commit thread when the request resolves. The
+committer thread drains the queue in batches, derives each statement rider
+in queue order against the stored rows overlaid with the net delta of the
+riders before it, composes the batch's deltas into **one** transaction
 with :func:`~repro.ivm.deferred.compose_batch` — the composer every
 batching write path shares — and commits it through the engine's
 ordinary policy pipeline — one maintenance pass (and, when
 durable, one WAL barrier/fsync) no matter how many clients rode along.
+A rider whose derivation raises fails alone.
 
 Failure isolation: a composed batch that raises (an
 :class:`~repro.constraints.assertions.AssertionViolation` under
 ``EnforcingPolicy``, or any storage error) falls back to per-client
 replay, so only the offending client is rejected while innocent
-bystanders in the same batch still commit.
+bystanders in the same batch still commit. The replay re-derives each
+statement rider against the state the riders before it left.
 
 Every batch is recorded as a :class:`BatchRecord`; :func:`replay_batches`
 re-commits the recorded batch sequence through a fresh engine on the
@@ -28,8 +35,9 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.algebra.multiset import Multiset
 from repro.engine.engine import EngineError, TransactionResult
 from repro.ivm.deferred import compose_batch
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -37,13 +45,23 @@ from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.engine.engine import Engine
+    from repro.sql.dml import StatementRider
 
 
 @dataclass
 class CommitRequest:
-    """One client's submitted transaction, awaiting its batch."""
+    """One client's submitted rider, awaiting its batch.
 
-    txn: Transaction
+    ``txn`` is the transaction the rider came to: the rider itself when it
+    is a ready transaction, else what the commit thread derived (None until
+    then, or when derivation failed). ``callback``, if given, is called
+    with the request on the commit thread once it resolves; it must not
+    raise.
+    """
+
+    rider: "Transaction | StatementRider"
+    callback: Callable[["CommitRequest"], None] | None = None
+    txn: Transaction | None = None
     submitted_at: float = field(default_factory=time.monotonic)
     resolved_at: float | None = None
     result: TransactionResult | None = None
@@ -52,20 +70,24 @@ class CommitRequest:
 
     def resolve(self, result: TransactionResult) -> None:
         self.result = result
-        self.resolved_at = time.monotonic()
-        self._done.set()
+        self._finish()
 
     def fail(self, error: BaseException) -> None:
         self.error = error
+        self._finish()
+
+    def _finish(self) -> None:
         self.resolved_at = time.monotonic()
         self._done.set()
+        if self.callback is not None:
+            self.callback(self)
 
     def wait(self, timeout: float | None = None) -> TransactionResult:
         """Block until the committer resolves this request; re-raises the
         per-client error (e.g. an ``AssertionViolation``) on rejection."""
         if not self._done.wait(timeout):
             raise TimeoutError(
-                f"commit of {self.txn.type_name!r} did not resolve in {timeout}s"
+                f"commit of {self.rider.type_name!r} did not resolve in {timeout}s"
             )
         if self.error is not None:
             raise self.error
@@ -84,13 +106,17 @@ class CommitRequest:
 class BatchRecord:
     """What one drained batch did — the serial-schedule witness.
 
-    ``txns`` preserves queue (arrival) order; replaying the records in
-    sequence through a fresh engine is *the* serial permutation the
-    concurrent run claims equivalence with.
+    ``riders`` are the batch's riders as submitted, in queue (arrival)
+    order; replaying the records in sequence through a fresh engine is
+    *the* serial permutation the concurrent run claims equivalence with.
+    ``txns`` are the transactions as finally committed or rejected: a
+    statement rider's as derived (re-derived when the batch replayed),
+    none for a rider whose derivation failed.
     """
 
     seq: int
-    txns: tuple[Transaction, ...]
+    riders: tuple["Transaction | StatementRider", ...]
+    txns: tuple[Transaction, ...] = ()
     replayed: bool = False  # composed commit failed; fell back to per-client
     empty: bool = False  # batch deltas cancelled to nothing
     results: list[TransactionResult] = field(default_factory=list)
@@ -101,11 +127,11 @@ class BatchRecord:
 
     @property
     def size(self) -> int:
-        return len(self.txns)
+        return len(self.riders)
 
     @property
     def txn_names(self) -> tuple[str, ...]:
-        return tuple(t.type_name for t in self.txns)
+        return tuple(t.type_name for t in self.riders)
 
 
 _SHUTDOWN = object()
@@ -159,15 +185,21 @@ class GroupCommitter:
         self._thread.start()
         return self
 
-    def submit(self, txn: Transaction, timeout: float | None = None) -> CommitRequest:
-        """Enqueue one transaction; returns its pending :class:`CommitRequest`.
+    def submit(
+        self,
+        txn: "Transaction | StatementRider",
+        timeout: float | None = None,
+        callback: Callable[[CommitRequest], None] | None = None,
+    ) -> CommitRequest:
+        """Enqueue one rider; returns its pending :class:`CommitRequest`.
 
-        Blocks when the queue is full (bounded back-pressure). Raises
-        :class:`EngineError` once the committer is closed.
+        Blocks when the queue is full (bounded back-pressure). ``callback``
+        is called with the request on the commit thread once it resolves.
+        Raises :class:`EngineError` once the committer is closed.
         """
         if self._closed:
             raise EngineError("committer is closed")
-        request = CommitRequest(txn)
+        request = CommitRequest(txn, callback)
         self._queue.put(request, timeout=timeout)
         self.metrics.counter("commit_queue.submitted").inc()
         return request
@@ -211,16 +243,18 @@ class GroupCommitter:
             self._commit_batch(batch)
 
     def _commit_batch(self, requests: list[CommitRequest]) -> None:
-        """Compose, commit once, distribute per-client results; on failure
-        replay per client so only the violator is rejected."""
+        """Derive, compose, commit once, distribute per-client results; on
+        failure replay per client so only the violator is rejected."""
         engine = self.engine
         self._batch_seq += 1
         seq = self._batch_seq
-        record = BatchRecord(seq=seq, txns=tuple(r.txn for r in requests))
+        record = BatchRecord(seq=seq, riders=tuple(r.rider for r in requests))
         self.batches.append(record)
         self.metrics.counter("commit_queue.batches").inc()
         self.metrics.histogram("commit_queue.batch_size").observe(len(requests))
         with engine.tracer.span("group_commit", batch=seq, size=len(requests)):
+            requests = self._derive(requests)
+            record.txns = tuple(r.txn for r in requests)
             composed = compose_batch(engine.db, record.txns, f"__group_{seq}")
             if composed is None:
                 # The riders' deltas cancelled each other: nothing reaches
@@ -239,6 +273,10 @@ class GroupCommitter:
             except Exception:
                 self._replay(record, requests)
                 return
+            # The batch's maintenance I/O and violation report belong to
+            # the composed commit, not to any single rider; keep them on
+            # the record for the report/bench layer to fold exactly once.
+            record.batch_result = batch_result
             for request in requests:
                 result = TransactionResult(
                     txn=request.txn,
@@ -248,19 +286,46 @@ class GroupCommitter:
                 )
                 record.results.append(result)
                 request.resolve(result)
-            # The batch's maintenance I/O and violation report belong to
-            # the composed commit, not to any single rider; keep them on
-            # the record for the report/bench layer to fold exactly once.
-            record.batch_result = batch_result
+
+    def _derive(self, requests: list[CommitRequest]) -> list[CommitRequest]:
+        """Derive each statement rider in queue order against the stored
+        rows overlaid with the net delta of the riders ahead of it; a rider
+        whose derivation raises fails alone. Returns the riders that now
+        carry a transaction."""
+        db = self.engine.db
+        pending: dict[str, Multiset] = {}
+        derived: list[CommitRequest] = []
+        folded = 0
+        for request in requests:
+            rider = request.rider
+            if isinstance(rider, Transaction):
+                request.txn = rider
+            else:
+                for earlier in derived[folded:]:
+                    for relation, delta in earlier.txn.deltas.items():
+                        pending.setdefault(relation, Multiset()).update(delta.net())
+                folded = len(derived)
+                try:
+                    request.txn = rider.derive(db, pending)
+                except Exception as exc:  # the statement's own fault, or a bug
+                    request.fail(exc)
+                    continue
+            derived.append(request)
+        return derived
 
     def _replay(self, record: BatchRecord, requests: list[CommitRequest]) -> None:
         """Per-client fallback: the composed commit failed (it already
-        rolled the database back), so commit each rider individually and
-        reject only the ones that fail on their own."""
+        rolled the database back), so commit each rider individually —
+        a statement rider re-derived against the state the riders before
+        it left — and reject only the ones that fail on their own."""
         record.replayed = True
         self.metrics.counter("commit_queue.replays").inc()
         for request in requests:
+            rider = request.rider
             try:
+                if not isinstance(rider, Transaction):
+                    request.txn = None  # stays None if re-derivation fails
+                    request.txn = rider.derive(self.engine.db)
                 result = self.engine.execute(request.txn)
             except Exception as exc:  # AssertionViolation, storage errors
                 request.fail(exc)
@@ -268,6 +333,7 @@ class GroupCommitter:
                 result.batch = record.seq
                 record.results.append(result)
                 request.resolve(result)
+        record.txns = tuple(r.txn for r in requests if r.txn is not None)
 
 
 def replay_batches(
@@ -275,13 +341,15 @@ def replay_batches(
 ) -> tuple[list[BatchRecord], TransactionResult | None]:
     """Re-commit a recorded batch sequence serially on the caller's thread.
 
-    Runs each recorded batch through an unstarted committer's
-    ``_commit_batch`` (same compose, same fallback), then flushes the
+    Runs each recorded batch's riders through an unstarted committer's
+    ``_commit_batch`` (same derivation, same compose, same fallback — a
+    statement rider derives against the oracle's own state, which is the
+    state the live run derived it against), then flushes the
     policy tail — the deterministic serial schedule a live concurrent run
     must be bit-identical to. Returns (replayed records, tail result).
     """
     oracle = GroupCommitter(engine)
     for record in batches:
-        oracle._commit_batch([CommitRequest(t) for t in record.txns])
+        oracle._commit_batch([CommitRequest(rider) for rider in record.riders])
     tail = engine.flush()
     return oracle.batches, tail

@@ -1,13 +1,20 @@
 """The asyncio socket server: many clients, one engine, one committer.
 
-Connections are cheap asyncio tasks; every write funnels into the
-:class:`~repro.server.commit.GroupCommitter`'s bounded queue (blocking
-work — the commit wait, delta derivation under the storage latch — runs
-in the default executor so the event loop never stalls on the engine).
-Reads pin an epoch and run as snapshot selects, so a long SELECT neither
-blocks nor is torn by concurrent group commits. Statements take the
-shell's path through :mod:`repro.sql.dml`, and a failed request's error
-kind is its :func:`~repro.sql.dml.error_tier`.
+Connections are cheap asyncio tasks. The event loop decodes and parses
+every request and answers ``ping``/``quit``/``metrics`` itself. A write
+makes one thread hop each way: its parsed statements go to the
+:class:`~repro.server.commit.GroupCommitter` as a
+:class:`~repro.sql.dml.StatementRider` — the commit thread derives the
+delta in queue order, commits the batch, builds the reply and hands it
+back to the loop with ``call_soon_threadsafe``, so no thread parks on a
+commit. An in-flight bound of ``queue_size`` writes keeps the commit queue
+from ever filling, so back-pressure makes a connection ``await`` and never
+blocks the loop. Reads pin an epoch and run as snapshot selects in the
+default executor (they take the storage latch, which a commit holds
+through its fsync), so a long SELECT neither blocks nor is torn by
+concurrent group commits. Statements take the shell's path through
+:mod:`repro.sql.dml`, and a failed request's error kind is its
+:func:`~repro.sql.dml.error_tier`.
 
 ``python -m repro serve`` wraps :func:`run_server`.
 """
@@ -15,16 +22,17 @@ kind is its :func:`~repro.sql.dml.error_tier`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 from typing import Any
 
 from repro.obs.metrics import get_metrics
 from repro.server import protocol
-from repro.server.commit import GroupCommitter
+from repro.server.commit import CommitRequest, GroupCommitter
 from repro.server.protocol import ProtocolError
 from repro.shell import corporate_world
 from repro.sql import ast
-from repro.sql.dml import dml_transaction, error_tier, translate_query
+from repro.sql.dml import StatementRider, error_tier, translate_query
 from repro.sql.parser import parse
 
 
@@ -67,13 +75,18 @@ class ReproServer:
         self.committer = GroupCommitter(
             self.engine, max_batch=max_batch, queue_size=queue_size
         )
+        # Writes in flight never exceed the commit queue's capacity, so
+        # submitting one never blocks the loop.
+        self._in_flight = asyncio.Semaphore(max(queue_size, 1))
         self._conn_ids = itertools.count(1)
         self._server: asyncio.base_events.Server | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listener and start the commit thread."""
+        self._loop = asyncio.get_running_loop()
         self.committer.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=protocol.MAX_LINE
@@ -103,7 +116,6 @@ class ReproServer:
         conn = next(self._conn_ids)
         self.metrics.counter("server.connections").inc()
         txn_seq = itertools.count(1)
-        loop = asyncio.get_running_loop()
         try:
             while True:
                 try:
@@ -123,12 +135,8 @@ class ReproServer:
                     continue
                 self.metrics.counter("server.requests").inc()
                 try:
-                    request = protocol.decode(line)
-                    # Engine work (parse, latch, commit wait) stays off the
-                    # event loop: other connections keep multiplexing while
-                    # this one's request runs in the executor.
-                    response = await loop.run_in_executor(
-                        None, self._dispatch, request, conn, txn_seq
+                    response = await self._dispatch(
+                        protocol.decode(line), conn, txn_seq
                     )
                 except Exception as exc:  # noqa: BLE001 - connection boundary
                     tier = error_tier(exc)
@@ -149,9 +157,9 @@ class ReproServer:
             except (ConnectionError, OSError):  # pragma: no cover - peer reset
                 pass
 
-    # -- request dispatch (runs in the executor) ---------------------------------
+    # -- request dispatch (on the event loop) ------------------------------------
 
-    def _dispatch(
+    async def _dispatch(
         self, request: dict[str, Any], conn: int, txn_seq: "itertools.count"
     ) -> dict[str, Any]:
         op = request.get("op")
@@ -164,28 +172,49 @@ class ReproServer:
         if op == "sql":
             statement = parse(str(request.get("q", "")))
             if isinstance(statement, ast.SelectStmt):
-                return self._run_select(statement)
-            return self._commit([statement], conn, txn_seq)
+                return await self._loop.run_in_executor(
+                    None, self._run_select, statement
+                )
+            return await self._commit((statement,), conn, txn_seq)
         if op == "txn":
             statements = request.get("statements")
             if not isinstance(statements, list) or not statements:
                 raise ProtocolError("txn op needs a non-empty 'statements' list")
-            return self._commit([parse(str(s)) for s in statements], conn, txn_seq)
+            return await self._commit(
+                tuple(parse(str(s)) for s in statements), conn, txn_seq
+            )
         raise ProtocolError(f"unknown op {op!r}")
 
-    def _commit(
-        self, statements: list, conn: int, txn_seq: "itertools.count"
+    async def _commit(
+        self, statements: tuple, conn: int, txn_seq: "itertools.count"
     ) -> dict[str, Any]:
-        """Derive one transaction, submit it, wait for its batch."""
-        txn = dml_transaction(statements, self.db, f"__c{conn}_{next(txn_seq)}")
-        if not txn.updated_relations:
-            return protocol.ok(status="committed", empty=True)
-        result = self.committer.execute(txn)
-        return protocol.ok(
-            status="deferred" if result.deferred else "committed",
-            batch=result.batch,
-            violations=sorted(result.new_violations),
-        )
+        """Queue one transaction's statements and await the commit thread's
+        reply (derivation runs there, in queue order)."""
+        async with self._in_flight:
+            reply = self._loop.create_future()
+            self.committer.submit(
+                StatementRider(f"__c{conn}_{next(txn_seq)}", statements),
+                callback=functools.partial(self._reply, reply),
+            )
+            return await reply
+
+    def _reply(self, reply: asyncio.Future, request: CommitRequest) -> None:
+        """Completion callback, on the commit thread: build the response and
+        hand it to the event loop."""
+        if request.error is not None:
+            outcome: Any = request.error
+        elif not request.txn.updated_relations:
+            outcome = protocol.ok(status="committed", empty=True)
+        else:
+            result = request.result
+            outcome = protocol.ok(
+                status="deferred" if result.deferred else "committed",
+                batch=result.batch,
+                violations=sorted(result.new_violations),
+            )
+        self._loop.call_soon_threadsafe(_settle, reply, outcome)
+
+    # -- reads (in the executor) -------------------------------------------------
 
     def _run_select(self, statement: ast.SelectStmt) -> dict[str, Any]:
         expr = translate_query(statement, self.db)
@@ -201,6 +230,16 @@ class ReproServer:
             io=io.total,
             epoch=epoch,
         )
+
+
+def _settle(reply: asyncio.Future, outcome: Any) -> None:
+    """Resolve ``reply`` on the loop, unless its connection gave up on it."""
+    if reply.done():
+        return
+    if isinstance(outcome, BaseException):
+        reply.set_exception(outcome)
+    else:
+        reply.set_result(outcome)
 
 
 def run_server(

@@ -17,6 +17,7 @@ row selection.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.multiset import Multiset, Row
@@ -130,13 +131,20 @@ def dml_to_delta(
     return statement.table, Delta.modification(pairs)
 
 
-def dml_transaction(statements: Sequence, db: Database, name: str) -> Transaction:
+def dml_transaction(
+    statements: Sequence,
+    db: Database,
+    name: str,
+    pending: Mapping[str, Multiset] | None = None,
+) -> Transaction:
     """Derive one transaction named ``name`` from parsed DML statements, in
     order. Nothing is applied.
 
-    A lone statement's deltas are :func:`dml_to_delta`'s as they are.
-    Statement *k* of several sees the stored rows overlaid with the net
-    delta of statements 1..*k*−1, and the steps compose through
+    Statement 1 sees the stored rows overlaid with ``pending``, the net
+    delta per relation of work that will commit ahead of this transaction
+    (the group committer passes the riders before this one in its batch);
+    ``pending`` itself is not changed. Statement *k* of several also sees
+    the net delta of statements 1..*k*−1, and the steps compose through
     :func:`~repro.ivm.deferred.compose_relations`. Derivation reads the
     current contents, so it holds the storage latch. A type or column
     mistake found here is the statement's fault and is raised as
@@ -145,17 +153,36 @@ def dml_transaction(statements: Sequence, db: Database, name: str) -> Transactio
     with db.latch:
         try:
             if len(statements) == 1:
-                relation, delta = dml_to_delta(statements[0], db)
+                relation, delta = dml_to_delta(statements[0], db, pending)
                 return Transaction(name, {relation: delta})
             steps: list[dict[str, Delta]] = []
-            pending: dict[str, Multiset] = {}
+            overlay = {r: rows.copy() for r, rows in (pending or {}).items()}
             for statement in statements:
-                relation, delta = dml_to_delta(statement, db, pending)
+                relation, delta = dml_to_delta(statement, db, overlay)
                 steps.append({relation: delta})
-                pending.setdefault(relation, Multiset()).update(delta.net())
+                overlay.setdefault(relation, Multiset()).update(delta.net())
             return Transaction(name, compose_relations(db, steps))
         except _STATEMENT_ERRORS as exc:
             raise SQLTranslationError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class StatementRider:
+    """Parsed DML statements queued for the group committer as they are.
+
+    The commit thread derives the transaction (:meth:`derive`) when it
+    drains the batch, against the rows the riders ahead of it leave, so
+    two writers racing on one row both commit instead of the later one
+    carrying a stale modify. ``type_name`` names the derived transaction.
+    """
+
+    type_name: str
+    statements: tuple
+
+    def derive(
+        self, db: Database, pending: Mapping[str, Multiset] | None = None
+    ) -> Transaction:
+        return dml_transaction(self.statements, db, self.type_name, pending)
 
 
 def translate_query(statement: ast.SelectStmt, db: Database) -> RelExpr:

@@ -13,11 +13,14 @@ those records through a fresh identical engine on one thread
 
 across all three maintenance policies × execution backends, with the
 durable WAL shadow on or off. A degenerate-batch law pins ``max_batch=1``
-to plain sequential ``run_transactions``.
+to plain sequential ``run_transactions``. SQL riders, derived on the
+commit thread against the rows the riders ahead of them leave, are held
+to the same oracle on rows every client shares.
 """
 
 import random
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,9 @@ from repro.algebra.compile import set_default_backend
 from repro.constraints.assertions import AssertionSystem
 from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
-from repro.server.commit import replay_batches
+from repro.server.commit import GroupCommitter, replay_batches
+from repro.sql.dml import StatementRider
+from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA
 from repro.workload.runner import run_concurrent_transactions, run_transactions
@@ -224,3 +229,105 @@ class TestGroupCommitIsSerial:
         assert sequential.db.counter.snapshot() == concurrent.db.counter.snapshot()
         assert seq_report.committed == report.committed
         assert all(record.size == 1 for record in batches)
+
+
+def _sql_streams(seed, n_clients, per_client):
+    """Per-client SQL riders over a few hot rows that every client shares:
+    ``e0``/``e6`` in ``dp0`` and ``dp0`` itself. The pool holds a rider
+    whose derivation fails (a type error) and one that pushes ``dp0`` over
+    budget — an assertion violator under ``EnforcingPolicy``."""
+    pool = [
+        "UPDATE Emp SET Salary = Salary + {k} WHERE EName = 'e0'",
+        "UPDATE Emp SET Salary = Salary + {k} WHERE EName = 'e6'",
+        "UPDATE Emp SET Salary = Salary - {k} WHERE DName = 'dp0' AND Salary > 10",
+        "UPDATE Dept SET Budget = Budget - {k} WHERE DName = 'dp0'",
+        "UPDATE Emp SET Salary = Salary + 5000 WHERE EName = 'e0'",
+        "UPDATE Emp SET Salary = 'abc' WHERE EName = 'e6'",
+        "INSERT INTO Emp VALUES ('{name}', 'dp0', {k})",
+        "DELETE FROM Emp WHERE EName = 'e6'",
+    ]
+    streams = []
+    for client in range(n_clients):
+        rng = random.Random(seed * 17 + client)
+        riders = []
+        for t in range(per_client):
+            name = f"s{client}_{t}"
+            statements = [
+                rng.choice(pool).format(k=rng.randint(1, 8), name=f"h{name}_{i}")
+                for i in range(rng.choice((1, 1, 2)))
+            ]
+            riders.append(StatementRider(name, tuple(parse(s) for s in statements)))
+        streams.append(riders)
+    return streams
+
+
+def _rider_signature(records):
+    """Shape + per-rider outcome, by rider name: committed, rejected (its
+    transaction was derived but did not commit) or failed derivation."""
+    out = []
+    for record in records:
+        committed = {r.txn.type_name for r in record.results}
+        derived = {t.type_name for t in record.txns}
+        out.append(
+            (
+                record.empty,
+                record.replayed,
+                tuple(
+                    "committed" if n in committed else "rejected" if n in derived
+                    else "failed"
+                    for n in record.txn_names
+                ),
+            )
+        )
+    return out
+
+
+class TestStatementRidersAreSerial:
+    @pytest.mark.parametrize("policy", ["immediate", "enforce"])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_clients=st.integers(min_value=2, max_value=4),
+        per_client=st.integers(min_value=2, max_value=6),
+    )
+    def test_sql_riders_equal_recorded_serial_schedule(
+        self, policy, seed, n_clients, per_client
+    ):
+        """SQL riders derived on the commit thread, hitting the same rows
+        from concurrent clients: the live run equals the replay of its
+        recorded batches in bases, views, outcomes and the I/O ledger."""
+        streams = _sql_streams(seed, n_clients, per_client)
+        engine, system = _make_engine(seed, policy)
+        committer = GroupCommitter(engine, max_batch=4)
+        # Every client's first rider is queued before the commit thread
+        # starts, so the first batch holds riders on the same rows.
+        first = [committer.submit(stream[0]) for stream in streams]
+        committer.start()
+
+        def drive(stream, request):
+            for rider in stream[1:] + [None]:
+                try:
+                    request.wait(30)
+                except Exception:  # noqa: BLE001 - outcomes are checked below
+                    pass
+                if rider is not None:
+                    request = committer.submit(rider)
+
+        threads = [
+            threading.Thread(target=drive, args=(stream, request))
+            for stream, request in zip(streams, first)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        committer.close()
+        system.maintainer.verify()
+        batches = committer.batches
+        assert sum(b.size for b in batches) == n_clients * per_client
+
+        oracle, _ = _make_engine(seed, policy)
+        oracle_records, _ = replay_batches(oracle, batches)
+        assert _state(oracle) == _state(engine)
+        assert _rider_signature(oracle_records) == _rider_signature(batches)
+        assert oracle.db.counter.snapshot() == engine.db.counter.snapshot()

@@ -18,6 +18,9 @@ from repro.server.commit import (
     compose_batch,
     replay_batches,
 )
+from repro.sql.dml import StatementRider
+from repro.sql.parser import parse
+from repro.sql.translate import SQLTranslationError
 from repro.workload.transactions import Transaction, paper_transactions
 from tests.test_engine import DEPT_CONSTRAINT, build_maintainer, emp_raise
 
@@ -181,6 +184,87 @@ class TestGroupCommitter:
         committer.close()
         assert len(results) == 16 and all(r.committed for r in results)
         engine.maintainer.verify()
+
+
+class TestStatementRiders:
+    """Parsed DML derived on the commit thread, in queue order."""
+
+    @staticmethod
+    def _rider(name, *statements):
+        return StatementRider(name, tuple(parse(s) for s in statements))
+
+    def test_same_row_riders_in_one_batch_both_commit(self, engine):
+        row = sorted(engine.db.relation("Emp").contents().rows())[0]
+        raise_ = f"UPDATE Emp SET Salary = Salary + 1 WHERE EName = '{row[0]}'"
+        committer = GroupCommitter(engine, max_batch=4)
+        first = committer.submit(self._rider("__a", raise_))
+        second = committer.submit(self._rider("__b", raise_, raise_))
+        committer.start()
+        assert first.wait(10).committed and second.wait(10).committed
+        committer.close()
+        [batch] = committer.batches
+        assert not batch.replayed and batch.txn_names == ("__a", "__b")
+        assert [t.type_name for t in batch.txns] == ["__a", "__b"]
+        # The second rider saw the first one's raise: 1 + 2 in all.
+        assert (row[0], row[1], row[2] + 3) in engine.db.relation("Emp").contents()
+        engine.maintainer.verify()
+
+    def test_failed_derivation_fails_alone(self, engine):
+        committer = GroupCommitter(engine, max_batch=4)
+        bad = committer.submit(self._rider("__bad", "UPDATE Emp SET Salary = 'x'"))
+        empty = committer.submit(
+            self._rider("__empty", "DELETE FROM Emp WHERE EName = 'nobody'")
+        )
+        good = committer.submit(
+            self._rider("__good", "INSERT INTO Emp VALUES ('zz', 'Toy', 5)")
+        )
+        committer.start()
+        with pytest.raises(SQLTranslationError):
+            bad.wait(10)
+        assert empty.wait(10).committed and not empty.txn.updated_relations
+        assert good.wait(10).committed
+        committer.close()
+        [batch] = committer.batches
+        assert batch.size == 3 and [t.type_name for t in batch.txns] == [
+            "__empty",
+            "__good",
+        ]
+        assert bad.txn is None
+
+    def test_replay_rederives_after_a_rejected_rider(self, enforcing):
+        """The violator is rejected on replay, so the rider behind it is
+        re-derived against the rows without the violator's raise."""
+        name, dept, salary = sorted(enforcing.db.relation("Emp").contents().rows())[1]
+        committer = GroupCommitter(enforcing, max_batch=4)
+        calls = []
+        bad = committer.submit(
+            self._rider(
+                "__bad", f"UPDATE Emp SET Salary = Salary + 100000 WHERE EName = '{name}'"
+            ),
+            callback=calls.append,
+        )
+        ok = committer.submit(
+            self._rider("__ok", f"UPDATE Emp SET Salary = Salary + 1 WHERE EName = '{name}'"),
+            callback=calls.append,
+        )
+        committer.start()
+        with pytest.raises(AssertionViolation):
+            bad.wait(10)
+        assert ok.wait(10).committed
+        committer.close()
+        assert calls == [bad, ok]  # each callback ran once, in queue order
+        [batch] = committer.batches
+        assert batch.replayed
+        assert (name, dept, salary + 1) in enforcing.db.relation("Emp").contents()
+
+        oracle = AssertionSystem(
+            _fresh_engine().db, [DEPT_CONSTRAINT], paper_transactions(), enforce=True
+        ).engine
+        records, _ = replay_batches(oracle, committer.batches)
+        assert records[0].replayed
+        assert oracle.db.relation("Emp").contents() == (
+            enforcing.db.relation("Emp").contents()
+        )
 
 
 class TestAdhocNameRace:
