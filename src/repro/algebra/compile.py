@@ -504,14 +504,15 @@ def _compile_join(join: Join, ops_top_down: Sequence[RelExpr]) -> JoinKernel:
     return _exec_fn("_k", lines, ctx)
 
 
-def _compile_probe_join(join: Join) -> Callable[[Multiset, Mapping], Multiset]:
+def _compile_probe_join(join: Join, keyed: bool) -> Callable[[Multiset, Mapping], Multiset]:
     """Probe-side join kernel ``(left_rows, right_buckets) -> result``.
 
     ``right_buckets`` maps join-key tuples (over the sorted join columns, the
     index key layout) to the bucket multisets of matching right rows — the
-    shape :meth:`HashIndex.probe_buckets` returns. The index already hashed
-    the right side by exactly this key, so the kernel has no build phase:
-    it probes the borrowed buckets directly.
+    shape :meth:`HashIndex.probe_buckets` returns — or, when ``keyed``, to
+    the one matching row itself (:meth:`KeyIndex.probe_buckets`). The index
+    already hashed the right side by exactly this key, so the kernel has no
+    build phase: it probes the borrowed buckets directly.
     """
     ctx = _Ctx()
     left_schema, right_schema = join.left.schema, join.right.schema
@@ -528,22 +529,94 @@ def _compile_probe_join(join: Join) -> Callable[[Multiset, Mapping], Multiset]:
             f"if not {_pred_src(join.residual, _TupleEnv(join.schema.names, '_m'), ctx)}: continue"
         )
     inner.extend([
-        "_c = _get(_m, 0) + _pn * _bn",
+        f"_c = _get(_m, 0) + {'_pn' if keyed else '_pn * _bn'}",
         "if _c == 0: del _acc[_m]",
         "else: _acc[_m] = _c",
     ])
+    if keyed:
+        probe = [
+            f"        _b = _bget({_tuple_src('_p', left_key)})",
+            "        if _b is None: continue",
+            *[f"        {stmt}" for stmt in inner],
+        ]
+    else:
+        probe = [
+            f"        _e = _bget({_tuple_src('_p', left_key)})",
+            "        if _e is None: continue",
+            "        for _b, _bn in _e._counts.items():",
+            *[f"            {stmt}" for stmt in inner],
+        ]
     lines = [
         "def _k(_P, _B):",
         "    _acc = {}",
         "    _get = _acc.get",
         "    _bget = _B.get",
         "    for _p, _pn in _P.items():",
-        f"        _e = _bget({_tuple_src('_p', left_key)})",
-        "        if _e is None: continue",
-        "        for _b, _bn in _e._counts.items():",
-        *[f"            {stmt}" for stmt in inner],
+        *probe,
         "    _out = _Multiset()",
         "    _out._counts = _acc",
+        "    return _out",
+    ]
+    return _exec_fn("_k", lines, ctx)
+
+
+def _compile_modify_join(join: Join, from_left: bool, shape: str) -> Callable:
+    """Modify-pair join kernel ``(pairs, other) -> [(old ⋈ o, new ⋈ o), …]``.
+
+    ``pairs`` are (old, new) rows of one input that keep the join columns;
+    each is joined with every matching row ``o`` of the other input, once
+    per copy of ``o``. ``other`` is shaped as ``shape`` says: ``"rows"``, a
+    multiset of the other input's rows (hashed here); ``"buckets"``, the
+    ``{join_key: bucket}`` of :meth:`HashIndex.probe_buckets`; ``"keyed"``,
+    the ``{join_key: row}`` of :meth:`KeyIndex.probe_buckets`. The join has
+    no residual predicate.
+    """
+    ctx = _Ctx()
+    left_schema, right_schema = join.left.schema, join.right.schema
+    own, other = (left_schema, right_schema) if from_left else (right_schema, left_schema)
+    own_key = [own.index_of(c) for c in join.join_columns]
+    other_key = [other.index_of(c) for c in join.join_columns]
+
+    def merged(var: str) -> str:
+        # Shared columns come from the pair's own row (they are kept).
+        return "(" + "".join(
+            f"{var}[{own.index_of(name)}], " if name in own else f"_b[{other.index_of(name)}], "
+            for name in join.schema.names
+        ) + ")"
+
+    emit = [f"_mo = {merged('_o')}", f"_mn = {merged('_n')}"]
+    match = "_b" if shape == "keyed" else "_e"
+    if shape == "keyed":
+        body = [*emit, "_app((_mo, _mn))"]
+    else:
+        source = "_e" if shape == "rows" else "_e._counts.items()"
+        body = [
+            f"for _b, _bn in {source}:",
+            *[f"    {stmt}" for stmt in emit],
+            "    if _bn == 1: _app((_mo, _mn))",
+            "    else: _out.extend([(_mo, _mn)] * _bn)",
+        ]
+    if shape == "rows":
+        build = [
+            "    _t = {}",
+            "    for _b, _bn in _O.items():",
+            f"        _bk = {_tuple_src('_b', other_key)}",
+            "        _x = _t.get(_bk)",
+            "        if _x is None: _t[_bk] = [(_b, _bn)]",
+            "        else: _x.append((_b, _bn))",
+            "    _oget = _t.get",
+        ]
+    else:
+        build = ["    _oget = _O.get"]
+    lines = [
+        "def _k(_pairs, _O):",
+        "    _out = []",
+        "    _app = _out.append",
+        *build,
+        "    for _o, _n in _pairs:",
+        f"        {match} = _oget({_tuple_src('_o', own_key)})",
+        f"        if {match} is None: continue",
+        *[f"        {stmt}" for stmt in body],
         "    return _out",
     ]
     return _exec_fn("_k", lines, ctx)
@@ -926,12 +999,13 @@ def apply_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
 
 
 def apply_join_fetched(
-    expr: Join, left: Multiset, right_buckets: Mapping
+    expr: Join, left: Multiset, right_buckets: Mapping, keyed: bool = False
 ) -> Multiset:
     """Join ``left`` against index buckets fetched for its keys.
 
     ``right_buckets`` is the borrowed ``{join_key: bucket}`` mapping of
-    :meth:`HashIndex.probe_buckets` (keys over the sorted join columns).
+    :meth:`HashIndex.probe_buckets` (keys over the sorted join columns), or
+    with ``keyed`` the ``{join_key: row}`` of :meth:`KeyIndex.probe_buckets`.
     The compiled kernel probes the buckets in place; the interpreted
     reference flattens them (distinct keys have disjoint buckets) and joins
     normally. Results are bit-identical, and no I/O is charged here — the
@@ -940,15 +1014,50 @@ def apply_join_fetched(
     if _default_backend == "interpreted":
         from repro.algebra.evaluate import eval_join
 
-        right = Multiset()
-        counts = right._counts
-        for bucket in right_buckets.values():
-            counts.update(bucket._counts)
-        return eval_join(expr, left, right)
+        return eval_join(expr, left, _flatten_buckets(right_buckets, keyed))
     kernel = _SESSION_CACHE.get(
-        ("probe_join", expr), lambda: _compile_probe_join(expr)
+        ("probe_join", expr, keyed), lambda: _compile_probe_join(expr, keyed)
     )
     return kernel(left, right_buckets)
+
+
+def _flatten_buckets(buckets: Mapping, keyed: bool) -> Multiset:
+    """The rows of fetched buckets as one multiset (distinct keys have
+    disjoint buckets; a keyed mapping holds one row per key)."""
+    out = Multiset()
+    if keyed:
+        out._counts = dict.fromkeys(buckets.values(), 1)
+    else:
+        for bucket in buckets.values():
+            out._counts.update(bucket._counts)
+    return out
+
+
+def apply_join_modifies(
+    expr: Join,
+    pairs: Sequence[tuple[Row, Row]],
+    other: Multiset | Mapping,
+    from_left: bool,
+    shape: str = "rows",
+) -> list[tuple[Row, Row]]:
+    """Join modify pairs of one input with the other input's matching rows:
+    ``(old ⋈ o, new ⋈ o)`` for each pair and each matching ``o``, once per
+    copy of ``o``. ``other`` is a multiset of rows (``shape="rows"``) or a
+    fetched bucket mapping (``"buckets"`` / ``"keyed"``, see
+    :func:`apply_join_fetched`). Every pair keeps the join columns and the
+    join has no residual; no I/O is charged here.
+    """
+    if _default_backend == "interpreted":
+        from repro.algebra.evaluate import eval_join_modifies
+
+        if shape != "rows":
+            other = _flatten_buckets(other, shape == "keyed")
+        return eval_join_modifies(expr, pairs, other, from_left)
+    kernel = _SESSION_CACHE.get(
+        ("modify_join", expr, from_left, shape),
+        lambda: _compile_modify_join(expr, from_left, shape),
+    )
+    return kernel(pairs, other)
 
 
 def apply_group_aggregate(expr: GroupAggregate, input_: Multiset) -> Multiset:

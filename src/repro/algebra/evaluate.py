@@ -23,7 +23,7 @@ enforces it.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Protocol
+from typing import Any, Mapping, Protocol, Sequence
 
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import (
@@ -184,6 +184,32 @@ def eval_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
             if has_residual and not expr.residual.eval(dict(zip(names, merged))):
                 continue
             out.add(merged, pcount * bcount)
+    return out
+
+
+def eval_join_modifies(
+    expr: Join, pairs: Sequence[tuple[Row, Row]], other: Multiset, from_left: bool
+) -> list[tuple[Row, Row]]:
+    """Reference modify-pair join: each (old, new) pair of one input (the
+    left when ``from_left``), keeping the join columns, joined with every
+    matching row of ``other``, once per copy — ``(old ⋈ o, new ⋈ o)``."""
+    own, theirs = (expr.left, expr.right) if from_left else (expr.right, expr.left)
+    shared = expr.join_columns
+    own_idx = [own.schema.index_of(c) for c in shared]
+    other_idx = [theirs.schema.index_of(c) for c in shared]
+    table: dict[tuple[Any, ...], list[tuple[Row, int]]] = {}
+    for row, count in other.items():
+        table.setdefault(tuple(row[i] for i in other_idx), []).append((row, count))
+
+    def merge(mine: Row, o: Row) -> Row:
+        values = dict(zip(theirs.schema.names, o))
+        values.update(zip(own.schema.names, mine))
+        return tuple(values[name] for name in expr.schema.names)
+
+    out: list[tuple[Row, Row]] = []
+    for old, new in pairs:
+        for o, count in table.get(tuple(old[i] for i in own_idx), ()):
+            out.extend([(merge(old, o), merge(new, o))] * count)
     return out
 
 

@@ -119,6 +119,16 @@ class Schema:
 
     # -- key reasoning ---------------------------------------------------------
 
+    @cached_property
+    def pairing_key(self) -> tuple[int, ...]:
+        """Positions of the smallest declared candidate key's columns (ties
+        broken by their names), in name order; ``()`` when keyless. A
+        delta's deletes and inserts that agree on it pair up as modifies."""
+        if not self.keys:
+            return ()
+        key = min(self.keys, key=lambda k: (len(k), sorted(k)))
+        return tuple(self.index_of(a) for a in sorted(key))
+
     def has_key(self, attrs: Iterable[str]) -> bool:
         """Whether some declared candidate key is contained in ``attrs``."""
         resolved = {self.resolve(a) for a in attrs}

@@ -47,9 +47,7 @@ def compose_deltas(schema: Schema, deltas: Iterable[Delta]) -> Delta:
         return Delta()
     composed = Delta.from_net(net)
     if schema.keys:
-        key = min(schema.keys, key=lambda k: (len(k), sorted(k)))
-        positions = [schema.index_of(a) for a in sorted(key)]
-        composed = composed.pair_modifications(positions)
+        composed = composed.pair_modifications(schema.pairing_key)
     return composed
 
 

@@ -75,6 +75,7 @@ from repro.ivm.propagate import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.storage.database import Database
+from repro.storage.index import HashIndex, KeyIndex
 from repro.storage.relation import StoredRelation
 from repro.workload.transactions import Transaction, TransactionType
 
@@ -247,12 +248,12 @@ class ViewMaintainer:
             return self._scan_group(gid)
         return cache.scan(gid, lambda: self._scan_group(gid))
 
-    def _bucket_fetch(self, gid: int, columns: frozenset[str]):
-        """A bucket-grained fetch callable for group ``gid`` on ``columns``,
-        or ``None`` when the group cannot answer key lookups directly from
-        one hash index (see :meth:`HashIndex.probe_buckets`). Only direct
-        storage — a base relation or a materialized view — qualifies; key
-        reduction or operator decomposition falls back to plain fetches.
+    def _bucket_index(self, gid: int, columns: frozenset[str]) -> HashIndex | KeyIndex | None:
+        """The index whose ``probe_buckets`` answers group ``gid``'s key
+        lookups on ``columns`` bucket-grained, or ``None`` when the group
+        cannot answer them directly from one index. Only direct storage — a
+        base relation or a materialized view — qualifies; key reduction or
+        operator decomposition falls back to plain fetches.
         """
         gid = self.memo.find(gid)
         if not columns or self.estimator.info(gid).reduce(columns) != columns:
@@ -268,7 +269,7 @@ class ViewMaintainer:
         index = relation.index_on(cols)
         if index is None:
             index = relation.create_index(cols)
-        return index.probe_buckets
+        return index
 
     def _indexed_fetch(
         self, relation: StoredRelation, columns: Iterable[str], keys: set[tuple]
@@ -659,7 +660,7 @@ class ViewMaintainer:
             return propagate_project(template, child_deltas[0] or Delta(), fetch_old)
         if isinstance(template, Join):
             jc = frozenset(template.join_columns)
-            buckets = self._bucket_fetch(children[1], jc)
+            index = self._bucket_index(children[1], jc)
             return propagate_join(
                 template,
                 child_deltas[0],
@@ -667,10 +668,11 @@ class ViewMaintainer:
                 self._traced(tracer, "L", lambda keys: self.fetch(children[0], jc, keys)),
                 self._traced(tracer, "R", lambda keys: self.fetch(children[1], jc, keys)),
                 right_buckets=(
-                    self._traced(tracer, "R", buckets, bucketed=True)
-                    if buckets is not None
+                    self._traced(tracer, "R", index.probe_buckets, bucketed=True)
+                    if index is not None
                     else None
                 ),
+                right_keyed=isinstance(index, KeyIndex),
             )
         if isinstance(template, GroupAggregate):
             return self._propagate_aggregate(

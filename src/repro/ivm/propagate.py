@@ -17,12 +17,15 @@ random update streams.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from functools import lru_cache
+from operator import eq
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.algebra.compile import (
     aggregate_fn,
     apply_join,
     apply_join_fetched,
+    apply_join_modifies,
     apply_project,
     apply_select,
     row_mapper,
@@ -45,8 +48,9 @@ from repro.ivm.delta import Delta
 # A fetch callback: given a set of key values over fixed columns, return all
 # matching rows of the *old* state of some relation, as a multiset.
 Fetch = Callable[[set[tuple[Any, ...]]], Multiset]
-# A bucket-grained fetch: the same query, answered as ``{key: rows}``.
-BucketFetch = Callable[[set[tuple[Any, ...]]], dict[tuple[Any, ...], Multiset]]
+# A bucket-grained fetch: the same query, answered as ``{key: rows}`` — or,
+# from an index on a declared key, as ``{key: row}`` (one row per key).
+BucketFetch = Callable[[set[tuple[Any, ...]]], dict[tuple[Any, ...], Multiset | Row]]
 
 
 class PropagationError(Exception):
@@ -115,12 +119,11 @@ def repair_modifications(schema: Schema, delta: Delta) -> Delta:
     Propagation works on signed multisets internally; when the output schema
     has a declared key, a (delete old, insert new) pair on the same key is
     semantically a modification, and pairing it back up lets storage charge
-    read-modify-write (paper nodes N3/N4)."""
+    read-modify-write (paper nodes N3/N4). The pairing key is the schema's
+    smallest candidate key (:attr:`Schema.pairing_key`)."""
     if not schema.keys or (not delta.inserts and not delta.deletes):
         return delta
-    key = min(schema.keys, key=lambda k: (len(k), sorted(k)))
-    positions = [schema.index_of(a) for a in sorted(key)]
-    return delta.pair_modifications(positions)
+    return delta.pair_modifications(schema.pairing_key)
 
 
 # -- unary operators -----------------------------------------------------------------
@@ -206,6 +209,7 @@ def propagate_join(
     fetch_left: Fetch | None,
     fetch_right: Fetch | None,
     right_buckets: BucketFetch | None = None,
+    right_keyed: bool = False,
 ) -> Delta:
     """Δ(L ⋈ R) = ΔL ⋈ R_old  +  L_new ⋈ ΔR   (counting form).
 
@@ -214,12 +218,38 @@ def propagate_join(
     A fetch is only invoked when the corresponding side has a delta, so an
     unaffected side never requires one. ``right_buckets``, when given,
     answers the right side's query bucket-grained (an indexed base relation
-    or materialized view hashed on exactly the join key) and is used instead
-    of ``fetch_right``: the join then probes the index's own hash layout
-    rather than re-building one. The two charge the same page I/O unless
-    the caller's ``fetch_right`` is memoized, as the maintainer's commit
-    cache is; the bucketed fetch bypasses that memo (docs/cost_model.md).
+    or materialized view hashed on exactly the join key; one row per key
+    when ``right_keyed``) and is used instead of ``fetch_right``: the join
+    then probes the index's own hash layout rather than re-building one.
+    The two charge the same page I/O unless the caller's ``fetch_right`` is
+    memoized, as the maintainer's commit cache is; the bucketed fetch
+    bypasses that memo (docs/cost_model.md).
+
+    A delta of key-preserving modifies on one input passes through as pairs
+    (:func:`_propagate_join_modifies`); everything else is joined as a
+    signed multiset and re-paired on the output key.
     """
+    out = _propagate_join_modifies(
+        expr, left_delta, right_delta, fetch_left, fetch_right, right_buckets, right_keyed
+    )
+    if out is not None:
+        return out
+    return _propagate_join_net(
+        expr, left_delta, right_delta, fetch_left, fetch_right, right_buckets, right_keyed
+    )
+
+
+def _propagate_join_net(
+    expr: Join,
+    left_delta: Delta | None,
+    right_delta: Delta | None,
+    fetch_left: Fetch | None,
+    fetch_right: Fetch | None,
+    right_buckets: BucketFetch | None,
+    right_keyed: bool,
+) -> Delta:
+    """The general join rule: both deltas as signed multisets, the output
+    split into inserts and deletes and re-paired on its pairing key."""
     left_net = left_delta.net() if left_delta is not None else Multiset()
     right_net = right_delta.net() if right_delta is not None else Multiset()
     shared = expr.join_columns
@@ -241,7 +271,7 @@ def propagate_join(
             raise PropagationError("left delta requires a fetch on the right input")
         keys = key_set(left_net, left_idx)
         if right_buckets is not None:
-            out_net = apply_join_fetched(expr, left_net, right_buckets(keys))
+            out_net = apply_join_fetched(expr, left_net, right_buckets(keys), right_keyed)
         else:
             out_net = apply_join(expr, left_net, fetch_right(keys))
     if right_net:
@@ -260,6 +290,95 @@ def propagate_join(
         else:
             out_net.update(right_part)
     return repair_modifications(expr.schema, Delta.from_net(out_net))
+
+
+@lru_cache(maxsize=1024)
+def _modify_rule(
+    expr: Join, from_left: bool
+) -> tuple[Callable[[Row], tuple], Callable[[Row], tuple] | None] | None:
+    """The static half of the join's modify rule for a delta on one input:
+    ``None`` when it never applies (a residual predicate, or an output with
+    no declared key), else ``(join_key, kept)``. ``join_key`` reads an input
+    row's join columns; ``kept`` is ``None`` when the output's pairing key
+    lies wholly in the other input — a pair keeping its join columns then
+    keeps the output key too — and otherwise reads the join columns plus
+    the pairing key's columns found only in this input."""
+    if expr.residual.conjuncts() or not expr.schema.keys:
+        return None
+    names = expr.schema.names
+    own, other = (expr.left, expr.right) if from_left else (expr.right, expr.left)
+    shared = expr.join_columns
+    join_key = tuple_getter([own.schema.index_of(c) for c in shared])
+    extra = [names[i] for i in expr.schema.pairing_key if names[i] not in other.schema.names]
+    if not extra:
+        return join_key, None
+    return join_key, tuple_getter([own.schema.index_of(c) for c in (*shared, *extra)])
+
+
+def _kept_pair_keys(
+    rule: tuple[Callable[[Row], tuple], Callable[[Row], tuple] | None],
+    pairs: Sequence[tuple[Row, Row]],
+) -> set[tuple[Any, ...]] | None:
+    """The join keys to fetch for ``pairs`` when each pair keeps the join
+    columns and the output's pairing key, none is a no-op, and no two share
+    a kept key (so no row is on both sides and nothing cancels); else
+    ``None``. Under valid key facts distinct rows never share a kept key,
+    so that test only turns away deltas that chain or repeat rows."""
+    join_key, kept = rule
+    olds, news = zip(*pairs)
+    if any(map(eq, olds, news)):
+        return None
+    check = join_key if kept is None else kept
+    kos = list(map(check, olds))
+    if kos != list(map(check, news)):
+        return None
+    distinct = set(kos)
+    if len(distinct) < len(kos):
+        return None
+    return distinct if kept is None else set(map(join_key, olds))
+
+
+def _propagate_join_modifies(
+    expr: Join,
+    left_delta: Delta | None,
+    right_delta: Delta | None,
+    fetch_left: Fetch | None,
+    fetch_right: Fetch | None,
+    right_buckets: BucketFetch | None,
+    right_keyed: bool,
+) -> Delta | None:
+    """The join's modify rule: when only one input changes, and only by
+    modifies that keep the join columns and the output's pairing key, each
+    pair ``(old, new)`` becomes ``(old ⋈ r, new ⋈ r)`` for every matching
+    ``r`` — the pairs the signed-multiset rule would re-pair, without the
+    round trip. The fetch and its keys are the general rule's. ``None``
+    when the rule does not apply."""
+    left_live = left_delta is not None and not left_delta.is_empty
+    right_live = right_delta is not None and not right_delta.is_empty
+    if left_live == right_live:
+        return None
+    delta = left_delta if left_live else right_delta
+    assert delta is not None
+    if delta.inserts or delta.deletes:
+        return None
+    rule = _modify_rule(expr, left_live)
+    if rule is None:
+        return None
+    keys = _kept_pair_keys(rule, delta.modifies)
+    if keys is None:
+        return None
+    if not left_live:
+        if fetch_left is None:
+            raise PropagationError("right delta requires a fetch on the left input")
+        pairs = apply_join_modifies(expr, delta.modifies, fetch_left(keys), False)
+    elif fetch_right is None:
+        raise PropagationError("left delta requires a fetch on the right input")
+    elif right_buckets is not None:
+        shape = "keyed" if right_keyed else "buckets"
+        pairs = apply_join_modifies(expr, delta.modifies, right_buckets(keys), True, shape)
+    else:
+        pairs = apply_join_modifies(expr, delta.modifies, fetch_right(keys), True)
+    return Delta(modifies=pairs)
 
 
 # -- aggregation ------------------------------------------------------------------------

@@ -4,6 +4,11 @@ An index maps a key (values of the indexed columns) to the multiset of rows
 with that key. Following the paper's model, a probe costs one index-page
 I/O; maintenance (charged per delta by the owning relation) touches one index
 page per distinct key, written only when a row enters or leaves its bucket.
+
+An index on exactly a declared candidate key is a :class:`KeyIndex`: each
+of its buckets would hold one row, so the relation's own key map (key value
+-> the row) answers it, and it keeps no buckets of its own. Both classes
+charge through :func:`index_pages`, so the choice never moves a page count.
 """
 
 from __future__ import annotations
@@ -15,6 +20,27 @@ from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.schema import Schema
 from repro.storage.pager import IOCounter
+
+
+def index_pages(kos: list, kns: list, iks: list, dks: list) -> tuple[int, int]:
+    """The (read, written) index pages of a validated delta, given the index
+    keys of its modifies' old and new sides, its inserts and its deletes:
+    per distinct key of each part, one of each, except that a modify keeping
+    its key writes nothing."""
+    reads = writes = 0
+    if kos:
+        if kos == kns:
+            reads = len(set(kos))
+        else:
+            reads = len(set(kos).union(kns))
+            moved = [(ko, kn) for ko, kn in zip(kos, kns) if ko != kn]
+            writes = len({key for pair in moved for key in pair})
+    for keys in (iks, dks):
+        if keys:
+            pages = len(set(keys))
+            reads += pages
+            writes += pages
+    return reads, writes
 
 
 class HashIndex:
@@ -116,15 +142,13 @@ class HashIndex:
         self, olds: list[Row], news: list[Row], inserts: dict[Row, int], deletes: dict[Row, int]
     ) -> tuple[int, int]:
         """Apply a validated delta — (old, new) pairs, then inserts, then
-        deletes — and return the (read, written) index pages: per distinct
-        key of each part, one of each, except that a pair keeping its key
-        writes nothing. Such a pair swaps old for new inside its bucket: no
-        bucket is made or dropped and no total moves."""
+        deletes — and return the (read, written) index pages of
+        :func:`index_pages`. A pair keeping its key swaps old for new inside
+        its bucket: no bucket is made or dropped and no total moves."""
         key_of = self.key_of
-        reads = writes = 0
+        kos, kns = list(map(key_of, olds)), list(map(key_of, news))
+        iks, dks = list(map(key_of, inserts)), list(map(key_of, deletes))
         if olds:
-            kos, kns = list(map(key_of, olds)), list(map(key_of, news))
-            reads = len(set(kos).union(kns))
             buckets = self._buckets
             moved: list[tuple] = []
             for old, new, ko, kn in zip(olds, news, kos, kns):
@@ -139,16 +163,12 @@ class HashIndex:
                     del counts[old]
                 counts[new] = counts.get(new, 0) + 1
             if moved:
-                writes = len({key for key, _, _ in moved})
                 self._add_many(moved)
-        for rows, signed in ((inserts, inserts.values()), (deletes, map(neg, deletes.values()))):
-            if rows:
-                keys = list(map(key_of, rows))
-                pages = len(set(keys))
-                reads += pages
-                writes += pages
-                self._add_many(zip(keys, rows, signed))
-        return reads, writes
+        if inserts:
+            self._add_many(zip(iks, inserts, inserts.values()))
+        if deletes:
+            self._add_many(zip(dks, deletes, map(neg, deletes.values())))
+        return index_pages(kos, kns, iks, dks)
 
     def _add_many(self, entries: Iterable[tuple[tuple[Any, ...], Row, int]]) -> None:
         """Apply signed ``(key, row, count)`` changes in order, creating
@@ -179,3 +199,88 @@ class HashIndex:
         self._totals.clear()
         key_of = self.key_of
         self._add_many((key_of(row), row, count) for row, count in data.items())
+
+
+class KeyIndex:
+    """An index on exactly a declared candidate key, answered from the owning
+    relation's key map (key value -> the one row holding it).
+
+    It probes and charges exactly as a :class:`HashIndex` on the same
+    columns would (each bucket holding one row of count one), but keeps
+    nothing of its own: the relation maintains the map while checking the
+    key and prices each delta with :func:`index_pages` from the key values
+    it computed for that check. :meth:`probe_buckets` hands out the row
+    itself rather than a one-row bucket.
+    """
+
+    def __init__(
+        self, schema: Schema, columns: tuple[str, ...], counter: IOCounter, rows: dict
+    ) -> None:
+        self.columns = tuple(schema.resolve(c) for c in columns)
+        self._rows = rows
+        self._counter = counter
+        self.key_of: Callable[[Row], tuple[Any, ...]] = tuple_getter(
+            tuple(schema.index_of(c) for c in self.columns)
+        )
+
+    # -- probes -------------------------------------------------------------------
+
+    def probe(self, key: tuple[Any, ...]) -> Multiset:
+        """Look up a key: one index-page read, one tuple read on a match."""
+        self._counter.charge_index_read()
+        out = Multiset()
+        row = self._rows.get(key)
+        if row is not None:
+            self._counter.charge_tuple_read(1)
+            out._counts[row] = 1
+        return out
+
+    def probe_many(self, keys: Iterable[tuple[Any, ...]]) -> Multiset:
+        """Look up a batch of keys, charged as the :meth:`probe` loop."""
+        get = self._rows.get
+        out = Multiset()
+        if isinstance(keys, (set, frozenset, dict)):
+            # Distinct keys hold distinct rows.
+            out._counts = {row: 1 for row in map(get, keys) if row is not None}
+            n_keys, matches = len(keys), len(out._counts)
+        else:
+            counts = out._counts
+            n_keys = matches = 0
+            for key in keys:
+                n_keys += 1
+                row = get(key)
+                if row is not None:
+                    matches += 1
+                    counts[row] = counts.get(row, 0) + 1
+        self._counter.charge_index_read(n_keys)
+        self._counter.charge_tuple_read(matches)
+        return out
+
+    def probe_buckets(self, keys: Iterable[tuple[Any, ...]]) -> dict[tuple[Any, ...], Row]:
+        """Batched lookup as ``{key: row}`` — one row per key, where a
+        :class:`HashIndex` returns ``{key: bucket}`` — charged as
+        :meth:`probe_many`."""
+        get = self._rows.get
+        if isinstance(keys, (set, frozenset, dict)):
+            out = {key: row for key in keys if (row := get(key)) is not None}
+            n_keys, matches = len(keys), len(out)
+        else:
+            out = {}
+            n_keys = matches = 0
+            for key in keys:
+                n_keys += 1
+                row = get(key)
+                if row is not None:
+                    matches += 1
+                    out[key] = row
+        self._counter.charge_index_read(n_keys)
+        self._counter.charge_tuple_read(matches)
+        return out
+
+    def probe_free(self, key: tuple[Any, ...]) -> Multiset:
+        """Look up a key without charging I/O."""
+        row = self._rows.get(key)
+        return Multiset() if row is None else Multiset((row,))
+
+    def distinct_keys(self) -> int:
+        return len(self._rows)

@@ -15,6 +15,9 @@ A delta is validated whole (row types, absent tuples, candidate keys)
 before any of it is applied or charged, so a rejected delta changes
 nothing and charges nothing. The data, each key map and each index are
 then updated once per delta, and the charges are sums of distinct keys.
+An index on exactly a declared key's columns is that key's map
+(:class:`~repro.storage.index.KeyIndex`): the key check maintains it and a
+modify that keeps its key costs it nothing beyond its charges.
 
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
@@ -35,7 +38,7 @@ from repro.algebra.predicates import Compare, Predicate
 from repro.algebra.scalar import Col, Const
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
-from repro.storage.index import HashIndex
+from repro.storage.index import HashIndex, KeyIndex, index_pages
 from repro.storage.pager import IOCounter
 
 
@@ -70,7 +73,9 @@ class StoredRelation:
         self.counter = counter if counter is not None else IOCounter()
         self._data = Multiset()
         self._total = 0  # running sum of counts, so row_count is O(1)
-        self._indexes: dict[tuple[str, ...], HashIndex] = {}
+        self._indexes: dict[tuple[str, ...], HashIndex | KeyIndex] = {}
+        # The indexes that keep buckets of their own (not a key's map).
+        self._hash_indexes: list[HashIndex] = []
         # One incremental uniqueness map per declared candidate key
         # (key value -> the one row holding it), with the key's columns in
         # value order and a compiled positional getter per key (mapped over
@@ -90,18 +95,26 @@ class StoredRelation:
 
     # -- indexes -----------------------------------------------------------------
 
-    def create_index(self, columns: Iterable[str]) -> HashIndex:
+    def create_index(self, columns: Iterable[str]) -> HashIndex | KeyIndex:
+        """An index on ``columns``: the key's map when they are exactly a
+        declared candidate key's (in sorted order), else a hash index."""
         cols = tuple(self.schema.resolve(c) for c in columns)
         if cols in self._indexes:
             return self._indexes[cols]
-        index = HashIndex(self.schema, cols, self.counter)
-        index.rebuild(self._data)
+        key_map = next((m for key_cols, _, m in self._keys if key_cols == cols), None)
+        index: HashIndex | KeyIndex
+        if key_map is not None:
+            index = KeyIndex(self.schema, cols, self.counter, key_map)
+        else:
+            index = HashIndex(self.schema, cols, self.counter)
+            index.rebuild(self._data)
+            self._hash_indexes.append(index)
         self._indexes[cols] = index
         if self._journal is not None:
             self._journal.on_index(self.name, cols)
         return index
 
-    def index_on(self, columns: Iterable[str]) -> HashIndex | None:
+    def index_on(self, columns: Iterable[str]) -> HashIndex | KeyIndex | None:
         cols = tuple(self.schema.resolve(c) for c in columns)
         return self._indexes.get(cols)
 
@@ -182,13 +195,14 @@ class StoredRelation:
 
     def lookup_buckets(
         self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
-    ) -> dict[tuple[Any, ...], Multiset]:
+    ) -> dict[tuple[Any, ...], Multiset | Row]:
         """Bucket-grained batched lookup (see :meth:`HashIndex.probe_buckets`);
         charges identically to :meth:`lookup_many`. The returned buckets are
-        borrowed read-only views of the index."""
+        borrowed read-only views of the index — or, on a key's index, the
+        one row per key itself (:meth:`KeyIndex.probe_buckets`)."""
         return self._index(columns).probe_buckets(keys)
 
-    def _index(self, columns: Iterable[str]) -> HashIndex:
+    def _index(self, columns: Iterable[str]) -> HashIndex | KeyIndex:
         cols = tuple(self.schema.resolve(c) for c in columns)
         index = self._indexes.get(cols)
         if index is None:
@@ -249,7 +263,7 @@ class StoredRelation:
                 bad = clash or [k for k, n in Counter(taken).items() if n > 1]
                 bad = bad or [k for k, n in zip(iks, ins.values()) if n > 1]
                 raise StorageError(f"key {list(columns)} violated in {self.name} by {[*bad][0]}")
-            key_values.append((getter, key_map, freed, kns, iks))
+            key_values.append((columns, getter, key_map, freed, kos, kns, iks))
 
         # Validated: nothing below raises.
         for old, n in removed.items():
@@ -269,15 +283,20 @@ class StoredRelation:
             else:
                 del counts[row]
         self._total += n_ins - n_dels
-        for getter, key_map, freed, kns, iks in key_values:
+        reads = writes = 0
+        for columns, getter, key_map, freed, kos, kns, iks in key_values:
             for k in freed:
                 del key_map[k]
             key_map.update(zip(kns, news))  # an unchanged value keeps its slot
             key_map.update(zip(iks, ins))
-            for k in map(getter, dels):
+            dks = list(map(getter, dels)) if dels else []
+            for k in dks:
                 del key_map[k]
-        reads = writes = 0
-        for index in self._indexes.values():
+            if columns in self._indexes:  # the map is this key's index
+                index_reads, index_writes = index_pages(kos, kns, iks, dks)
+                reads += index_reads
+                writes += index_writes
+        for index in self._hash_indexes:
             index_reads, index_writes = index.update(olds, news, ins, dels)
             reads += index_reads
             writes += index_writes
