@@ -1,9 +1,11 @@
 """Operating maintained views in production: batching.
 
-**Deferred maintenance** — commit through the transactional engine under
-a ``DeferredPolicy``: transactions queue and views refresh once per batch;
-composed deltas collapse repeated work (demonstrated on a hot-spot stream
-with batch sizes 1 / 5 / 20).
+**Batched maintenance** — cut a stream of SQL statements into chunks and
+commit each chunk through an unstarted group committer's ``commit_batch``:
+every statement derives against the ones ahead of it in its chunk, the
+chunk is composed into one transaction, and the views are refreshed once
+per chunk; composed deltas collapse repeated work (demonstrated on a
+hot-spot stream with batch sizes 1 / 5 / 20).
 
 Run:  python examples/operations.py
 """
@@ -12,15 +14,15 @@ from repro import (
     Catalog,
     CostConfig,
     DagEstimator,
-    DeferredPolicy,
-    Delta,
     Engine,
     PageIOCostModel,
-    Transaction,
     build_dag,
 )
 from repro.core.optimizer import optimal_view_set
 from repro.ivm.maintainer import ViewMaintainer
+from repro.server.commit import GroupCommitter
+from repro.sql.dml import StatementRider
+from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.workload.paperdb import (
     DEPT_SCHEMA,
@@ -31,8 +33,8 @@ from repro.workload.paperdb import (
 from repro.workload.transactions import paper_transactions
 
 
-def deferred_demo() -> None:
-    print("=== Deferred maintenance (hot-spot salary churn) ===")
+def batched_demo() -> None:
+    print("=== Batched maintenance (hot-spot salary churn) ===")
     data = generate_corporate_db(100, 10, seed=5)
     for batch_size in (1, 5, 20):
         db = Database()
@@ -51,24 +53,22 @@ def deferred_demo() -> None:
             estimator, cost_model,
         )
         maintainer.materialize()
-        engine = Engine(maintainer, policy=DeferredPolicy(batch_size=batch_size))
+        committer = GroupCommitter(Engine(maintainer))
         # Hot spot: the same three employees get repeated raises.
-        emps = {r[0]: r for r in db.relation("Emp").contents().rows()}
-        hot = sorted(emps)[:3]
+        hot = sorted(r[0] for r in db.relation("Emp").contents().rows())[:3]
         n = 60
-        io = 0
-        for i in range(n):
-            name = hot[i % 3]
-            old = emps[name]
-            new = (old[0], old[1], old[2] + 1)
-            emps[name] = new
-            result = engine.execute(
-                Transaction(">Emp", {"Emp": Delta.modification([(old, new)])})
+        riders = [
+            StatementRider(
+                f"raise_{i}",
+                (parse(f"UPDATE Emp SET Salary = Salary + 1 WHERE EName = '{hot[i % 3]}'"),),
             )
-            io += result.io.total
-        tail = engine.flush()
-        if tail is not None:
-            io += tail.io.total
+            for i in range(n)
+        ]
+        before = db.counter.total
+        for start in range(0, n, batch_size):
+            for request in committer.commit_batch(riders[start : start + batch_size]):
+                request.wait()
+        io = db.counter.total - before
         maintainer.verify()
         print(f"  batch size {batch_size:2d}: "
               f"{io / n:5.2f} page I/Os per transaction")
@@ -76,4 +76,4 @@ def deferred_demo() -> None:
 
 
 if __name__ == "__main__":
-    deferred_demo()
+    batched_demo()

@@ -55,13 +55,9 @@ from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import ViewDag, build_dag, build_multi_dag
 from repro.dag.display import count_trees, render_dag
 from repro.engine import (
-    DeferredPolicy,
     Engine,
     EngineError,
     EngineTransaction,
-    EnforcingPolicy,
-    ImmediatePolicy,
-    MaintenancePolicy,
     TransactionResult,
     UndoLog,
 )
@@ -97,15 +93,11 @@ __all__ = [
     "DagEstimator",
     "DataType",
     "Database",
-    "DeferredPolicy",
     "Delta",
     "Engine",
     "EngineError",
     "EngineTransaction",
-    "EnforcingPolicy",
     "GroupAggregate",
-    "ImmediatePolicy",
-    "MaintenancePolicy",
     "MetricsRegistry",
     "Join",
     "Multiset",

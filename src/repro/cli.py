@@ -7,7 +7,7 @@ Subcommands:
   materialization advisor report;
 * ``run`` — generate a paper-workload transaction stream and commit it
   through the transactional engine under a chosen maintenance policy
-  (``immediate``, ``deferred``, or ``enforce``), reporting throughput,
+  (``immediate`` or ``enforce``), reporting throughput,
   page I/O, and assertion outcomes;
 * ``shell`` — interactive SQL shell over a maintained database.
 
@@ -172,7 +172,6 @@ def advise(
 def run_stream(
     policy: str = "immediate",
     n_txns: int = 100,
-    batch_size: int = 10,
     n_depts: int = 50,
     emps_per_dept: int = 10,
     seed: int = 0,
@@ -212,7 +211,6 @@ def run_stream(
 
     db, _system, engine = corporate_world(
         policy,
-        batch_size=batch_size,
         n_depts=n_depts,
         emps_per_dept=emps_per_dept,
         seed=seed,
@@ -222,34 +220,11 @@ def run_stream(
     column = {"Emp": "Salary", "Dept": "Budget"}
 
     def stream():
-        # Deferred commits are invisible until flush, so the generator
-        # tracks the logical (queued-inclusive) rows itself; under the
-        # immediate/enforcing policies the database is always current
-        # (rejected transactions are rolled back), so it reads live state.
-        if policy == "deferred":
-            from repro.ivm.delta import Delta
-            from repro.workload.transactions import Transaction
-
-            logical = {
-                rel: sorted(db.relation(rel).contents().rows())
-                for rel in column
-            }
-            for _ in range(n_txns):
-                rel = "Emp" if rng.random() < 0.5 else "Dept"
-                rows = logical[rel]
-                i = rng.randrange(len(rows))
-                old = rows[i]
-                idx = db.relation(rel).schema.index_of(column[rel])
-                change = rng.randint(-10, 10) or 1
-                new = old[:idx] + (old[idx] + change,) + old[idx + 1 :]
-                rows[i] = new
-                yield Transaction(
-                    f">{rel}", {rel: Delta.modification([(old, new)])}
-                )
-        else:
-            for _ in range(n_txns):
-                rel = "Emp" if rng.random() < 0.5 else "Dept"
-                yield random_modify(db, f">{rel}", rel, column[rel], rng)
+        # Every commit is applied (or rolled back) before the next
+        # transaction is drawn, so the generator reads live state.
+        for _ in range(n_txns):
+            rel = "Emp" if rng.random() < 0.5 else "Dept"
+            yield random_modify(db, f">{rel}", rel, column[rel], rng)
 
     tracer = None
     if trace_path is not None:
@@ -342,7 +317,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run_stream(
             policy=args.policy,
             n_txns=args.n_txns,
-            batch_size=args.batch_size,
             seed=args.seed,
             trace_path=args.trace,
             durable_path=args.durable,
@@ -412,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         policy=args.policy,
-        batch_size=args.batch_size,
         durable_path=args.durable,
         wal_sync=args.wal_sync,
         max_batch=args.max_batch,
@@ -449,10 +422,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default="immediate", help="maintenance policy for the engine",
     )
     run.add_argument("--n-txns", type=int, default=100, help="stream length")
-    run.add_argument(
-        "--batch-size", type=int, default=10,
-        help="flush threshold for --policy deferred",
-    )
     run.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     run.add_argument(
         "--trace", metavar="OUT.json", default=None,
@@ -490,10 +459,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     serve.add_argument(
         "--policy", choices=list(POLICIES), default="immediate",
         help="maintenance policy for the shared engine",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=None,
-        help="flush threshold for --policy deferred",
     )
     serve.add_argument(
         "--durable", metavar="DIR", default=None,

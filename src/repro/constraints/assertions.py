@@ -21,7 +21,7 @@ from repro.cost.page_io import PageIOCostModel
 from repro.core.optimizer import OptimizationResult, optimal_view_set
 from repro.core.heuristics import greedy_view_set
 from repro.dag.builder import build_multi_dag
-from repro.engine import Engine, EnforcingPolicy, ImmediatePolicy
+from repro.engine import Engine
 from repro.ivm.maintainer import ViewMaintainer
 from repro.sql.translate import translate_sql
 from repro.storage.database import Database
@@ -118,18 +118,12 @@ class AssertionSystem:
         # default engine reports violations, the enforcing one rejects
         # violating transactions with an atomic (uncharged) rollback.
         self.engine = Engine(
-            self.maintainer,
-            policy=EnforcingPolicy() if self.enforce else ImmediatePolicy(),
-            assertion_roots=self._roots,
+            self.maintainer, enforce=self.enforce, assertion_roots=self._roots
         )
         self._enforcer = (
             self.engine
             if self.enforce
-            else Engine(
-                self.maintainer,
-                policy=EnforcingPolicy(),
-                assertion_roots=self._roots,
-            )
+            else Engine(self.maintainer, enforce=True, assertion_roots=self._roots)
         )
 
     def use_maintainer(self, maintainer: ViewMaintainer) -> None:
@@ -158,8 +152,7 @@ class AssertionSystem:
         """Apply a transaction through the engine, maintaining every
         assertion view.
 
-        In ``enforce`` mode (the engine's
-        :class:`~repro.engine.policy.EnforcingPolicy`) a transaction that
+        In ``enforce`` mode (an ``Engine(enforce=True)``) a transaction that
         introduces violations is rejected **atomically**: base relations
         and all materialized views are rolled back to the exact
         pre-transaction state (uncharged, via the inverse-delta undo log)

@@ -2,11 +2,12 @@
 
 ``Engine`` wraps a materialized :class:`~repro.ivm.maintainer.ViewMaintainer`
 behind an explicit ``begin() → stage → commit() / rollback()`` transaction
-lifecycle with pluggable maintenance policies (immediate, deferred,
-enforcing). Commits are measured with scoped I/O attribution and journaled
-as inverse deltas, so any policy can roll a transaction back atomically —
-the shell, CLI, assertion system, deferred maintainer, and workload
-runners all route their writes through here.
+lifecycle and one commit body, which maintains every view within the
+transaction and, with ``enforce=True``, rejects assertion violations.
+Commits are measured with scoped I/O attribution and journaled as inverse
+deltas, so a failed or rejected transaction rolls back atomically — the
+shell, CLI, assertion system, group committer, and workload runners all
+route their writes through here.
 """
 
 from repro.engine.engine import (
@@ -15,22 +16,12 @@ from repro.engine.engine import (
     EngineTransaction,
     TransactionResult,
 )
-from repro.engine.policy import (
-    DeferredPolicy,
-    EnforcingPolicy,
-    ImmediatePolicy,
-    MaintenancePolicy,
-)
 from repro.storage.undo import UndoLog
 
 __all__ = [
-    "DeferredPolicy",
     "Engine",
     "EngineError",
     "EngineTransaction",
-    "EnforcingPolicy",
-    "ImmediatePolicy",
-    "MaintenancePolicy",
     "TransactionResult",
     "UndoLog",
 ]

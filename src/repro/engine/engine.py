@@ -7,14 +7,16 @@ One lifecycle for every write path in the system::
     txn.stage("Emp", Delta.modification([(old, new)]))
     result = txn.commit()          # or txn.rollback() to discard
 
-``commit()`` hands the staged transaction to the engine's
-:class:`~repro.engine.policy.MaintenancePolicy`, which decides *when and
-how* views are maintained (immediately, per batch, or with atomic
-rejection of assertion violations). Every commit is measured with a scoped
-I/O counter (per-transaction attribution) and journaled in an
-:class:`~repro.storage.undo.UndoLog` of inverse deltas, so any policy —
-and any storage error — can roll the database and all materialized views
-back to the exact pre-transaction state, uncharged.
+``commit()`` hands the staged transaction to the engine's one commit
+body, which maintains every materialized view within the transaction (the
+paper's setting) and, on an enforcing engine, rejects a transaction that
+enters an assertion violation. Every commit is measured with a scoped I/O
+counter (per-transaction attribution) and journaled in an
+:class:`~repro.storage.undo.UndoLog` of inverse deltas, so a rejection —
+or any storage error — rolls the database and all materialized views back
+to the exact pre-transaction state, uncharged. Batching several
+transactions into one commit is the group committer's job
+(:meth:`~repro.server.commit.GroupCommitter.commit_batch`).
 
 :class:`EngineTransaction` is also a context manager: a clean ``with``
 block commits, an exception discards the staged work.
@@ -40,7 +42,6 @@ from repro.storage.undo import UndoLog
 from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.engine.policy import MaintenancePolicy
     from repro.ivm.maintainer import ViewMaintainer
     from repro.storage.database import Database
     from repro.storage.pager import IOCounter
@@ -52,16 +53,10 @@ class EngineError(Exception):
 
 @dataclass
 class TransactionResult:
-    """Outcome of one committed transaction.
-
-    ``deferred`` marks a commit that only queued the transaction (its
-    maintenance I/O will be attributed to the flushing commit);
-    ``view_deltas`` / ``io`` / violation maps are empty for those.
-    """
+    """Outcome of one committed transaction."""
 
     txn: Transaction
     committed: bool
-    deferred: bool = False
     view_deltas: dict[int, Delta] = field(default_factory=dict)
     io: IOStats = field(default_factory=IOStats)
     new_violations: dict[str, Multiset] = field(default_factory=dict)
@@ -136,10 +131,10 @@ class EngineTransaction:
     # -- lifecycle ---------------------------------------------------------------
 
     def commit(self) -> TransactionResult:
-        """Hand the staged transaction to the engine's policy.
+        """Hand the staged transaction to the engine's commit body.
 
-        On success the transaction is ``committed``. If the policy rejects
-        it (e.g. :class:`EnforcingPolicy` on an assertion violation) the
+        On success the transaction is ``committed``. If the engine rejects
+        it (an enforcing engine on an assertion violation) the
         database is already rolled back when the exception propagates and
         the transaction is marked ``rolled back``.
         """
@@ -176,35 +171,37 @@ class EngineTransaction:
 
 
 class Engine:
-    """The single write path: database + maintainer + maintenance policy.
+    """The single write path: database + maintainer + one commit body.
 
     Wraps a materialized :class:`~repro.ivm.maintainer.ViewMaintainer` and
-    routes every transaction through one policy-driven commit pipeline;
-    ``assertion_roots`` (assertion name → DAG root group) lets results
-    carry per-assertion violation reports, and is what
-    :class:`~repro.engine.policy.EnforcingPolicy` enforces against.
+    commits every transaction through :meth:`execute`. ``assertion_roots``
+    (assertion name → DAG root group) lets results carry per-assertion
+    violation reports; with ``enforce=True`` a transaction that enters any
+    violation is rolled back atomically (base relations and every view
+    restored bit-identically, the rollback uncharged) and
+    :class:`~repro.constraints.assertions.AssertionViolation` is raised —
+    the paper's §6 integrity checking upgraded from "report" to "enforce".
     """
 
     def __init__(
         self,
         maintainer: "ViewMaintainer",
-        policy: "MaintenancePolicy | None" = None,
+        enforce: bool = False,
         assertion_roots: Mapping[str, int] | None = None,
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        from repro.engine.policy import ImmediatePolicy
-
         self.maintainer = maintainer
         self.db = maintainer.db
         self.assertion_roots = dict(assertion_roots or {})
-        self.policy = policy if policy is not None else ImmediatePolicy()
+        if enforce and not self.assertion_roots:
+            raise EngineError("an enforcing Engine needs assertion_roots")
+        self.enforce = enforce
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer: "Tracer | NullTracer" = NULL_TRACER
         self.set_tracer(tracer)
         self._txn_seq = 0
         self._active_txn: EngineTransaction | None = None
-        self.policy.bind(self)
 
     def set_tracer(self, tracer: "Tracer | NullTracer | None") -> None:
         """Attach (or detach, with ``None``) a tracer; it is bound to this
@@ -238,27 +235,18 @@ class Engine:
         return txn
 
     def execute(self, txn: Transaction) -> TransactionResult:
-        """Commit a ready-made :class:`Transaction` through the policy.
+        """Commit a ready-made :class:`Transaction` — the one commit entry.
 
         Serialized on the database's write latch: the single-writer server
         thread and any single-session caller mutate storage one commit at
-        a time (the latch is reentrant, so a deferred flush nested inside
-        a commit still works)."""
+        a time. A failure is counted (``engine.rollbacks``;
+        ``engine.rejected`` for an assertion violation) and re-raised with
+        the database already rolled back."""
         if not any(not d.is_empty for d in txn.deltas.values()):
             return TransactionResult(txn=txn, committed=True)
-        return self._run_policy(self.policy.commit, txn)
-
-    def flush(self) -> TransactionResult | None:
-        """Flush policy-deferred work (no-op for immediate policies)."""
-        return self._run_policy(self.policy.flush)
-
-    def _run_policy(self, step, *args) -> TransactionResult | None:
-        """Run one policy step under the write latch, counting failures
-        (``engine.rollbacks``; ``engine.rejected`` for assertion
-        violations) and folding a result into the metrics."""
         with self.db.latch:
             try:
-                result = step(self, *args)
+                result = self._commit(txn)
             except Exception as exc:
                 self.metrics.counter("engine.rollbacks").inc()
                 from repro.constraints.assertions import AssertionViolation
@@ -266,9 +254,81 @@ class Engine:
                 if isinstance(exc, AssertionViolation):
                     self.metrics.counter("engine.rejected").inc()
                 raise
-        if result is not None:
-            self._observe(result)
+        self._observe(result)
         return result
+
+    def _commit(self, txn: Transaction) -> TransactionResult:
+        """The one commit body: scoped I/O, undo journal, violation report.
+        *Everything* between begin and the result — the maintainer apply,
+        the assertion check, and the durable WAL commit — sits inside one
+        rollback guard: an exception from any of them rolls back the
+        applied base/view deltas before propagating, so even failed commits
+        leave a consistent state. (Guarding only the apply would let a
+        raising assertion check strand the applied deltas with the undo log
+        dropped.) The durable commit only ever raises *before* its WAL
+        barrier — the one step after it, the automatic checkpoint, has its
+        I/O failures absorbed by the store — so this rollback never
+        contradicts a durable commit record.
+
+        On an enforcing engine a commit that enters any assertion violation
+        is rolled back (before the durable commit, uncharged) and
+        :class:`AssertionViolation` is raised. The attempted maintenance
+        work stays charged — ``scope`` already measured it.
+
+        The "txn" span wraps exactly the scoped region plus the assertion
+        check, so its measured I/O equals the commit's
+        ``TransactionResult.io`` — the tie-out the observability layer
+        promises. The durable commit is outside the scoped region and never
+        charges the I/O counter: actual log traffic is accounted separately
+        in ``PagerStats``."""
+        tracer = self.tracer
+        undo = UndoLog()
+        durable = self.db.durable
+        label = "enforce" if self.enforce else "immediate"
+        with tracer.span("txn", txn=txn.type_name, policy=label) as span:
+            if durable is not None:
+                durable.begin(txn.type_name)
+            try:
+                with self.db.counter.scoped() as scope:
+                    view_deltas = self.apply_with_undo(txn, undo)
+                    with tracer.span(
+                        "assertion_check", assertions=len(self.assertion_roots)
+                    ):
+                        new, cleared = self.violations(view_deltas)
+                rejected = min(new) if self.enforce and new else None
+                if rejected is None and durable is not None:
+                    durable.commit(tracer=tracer)
+            except Exception:
+                self._rollback(undo, reason="commit-error")
+                raise
+            if rejected is not None:
+                from repro.constraints.assertions import AssertionViolation
+
+                self._rollback(undo, reason="assertion-violation")
+                span.annotate(outcome="rejected", violation=rejected)
+                raise AssertionViolation(rejected, new[rejected])
+            # Past the point of no return: advance the snapshot epoch (and
+            # retain the undo journal's inverses for any pinned readers)
+            # before the journal is discarded.
+            self.db.epoch_log.note_commit(undo)
+            span.annotate(outcome="committed")
+        return TransactionResult(
+            txn=txn,
+            committed=True,
+            view_deltas=view_deltas,
+            io=scope.stats,
+            new_violations=new,
+            cleared_violations=cleared,
+        )
+
+    def _rollback(self, undo: UndoLog, reason: str) -> None:
+        """The failure path: undo everything (journaling rollback progress
+        into the WAL when durable) and discard the durable transaction."""
+        durable = self.db.durable
+        with self.tracer.span("rollback", reason=reason):
+            undo.rollback(journal=durable.journal_undo if durable is not None else None)
+        if durable is not None:
+            durable.abort()
 
     # -- epochs (snapshot reads) ---------------------------------------------------
 
@@ -290,18 +350,9 @@ class Engine:
         """Release an epoch pin taken with :meth:`pin_epoch`."""
         self.db.epoch_log.unpin(epoch)
 
-    def note_commit(self, undo: UndoLog) -> None:
-        """Policy hook: one commit reached its success point. Advances the
-        shared epoch and retains the commit's inverse deltas while any
-        reader holds an epoch pin."""
-        self.db.epoch_log.note_commit(undo)
-
     def _observe(self, result: TransactionResult) -> None:
-        """Fold one policy result into the metrics registry (no page I/O)."""
+        """Fold one commit's result into the metrics registry (no page I/O)."""
         m = self.metrics
-        if result.deferred:
-            m.counter("engine.deferrals").inc()
-            return
         m.counter("engine.commits").inc()
         m.observe_io(result.io)
         m.histogram("engine.commit_io").observe(result.io.total)
@@ -339,11 +390,6 @@ class Engine:
         if durable is not None:
             for key, value in durable.stats.snapshot().items():
                 m.gauge(f"durable.{key}").set(value)
-
-    @property
-    def pending(self) -> int:
-        """Transactions the policy has accepted but not yet applied."""
-        return self.policy.pending
 
     # -- reads -------------------------------------------------------------------
 
@@ -409,7 +455,7 @@ class Engine:
         """Cumulative I/O of the underlying database counter."""
         return self.db.counter.snapshot()
 
-    # -- policy plumbing ---------------------------------------------------------
+    # -- commit plumbing ---------------------------------------------------------
 
     def apply_with_undo(self, txn: Transaction, undo: UndoLog) -> dict[int, Delta]:
         """Apply through the maintainer, journaling inverse deltas.
@@ -447,8 +493,8 @@ class Engine:
 
     def __repr__(self) -> str:
         return (
-            f"<Engine policy={type(self.policy).__name__} "
-            f"views={len(self.maintainer.marking)} pending={self.pending}>"
+            f"<Engine enforce={self.enforce} "
+            f"views={len(self.maintainer.marking)}>"
         )
 
 

@@ -24,7 +24,7 @@ transaction. This module closes both gaps:
   winning update track by a canonical *shape* signature of the ad-hoc
   update spec (relations touched, which of insert/delete/modify occur,
   the modified-column sets, and the current marking). A stream of
-  same-shaped shell DML statements or deferred batch flushes plans once.
+  same-shaped shell DML statements or group-commit batches plans once.
   Any track valid for a relation set is valid for every transaction
   touching exactly those relations (affectedness depends only on the
   updated relations), so a cached track is always *correct*; if the new
@@ -248,8 +248,8 @@ def adhoc_signature(
     relations with the same *kinds* of updates (insert/delete/modify
     presence) and the same modified-column sets, under the same marking.
     Sizes are deliberately excluded — any track for the relation set is
-    correct, and same-shaped streams (repeated shell DML, deferred batch
-    flushes) should plan once.
+    correct, and same-shaped streams (repeated shell DML, group-commit
+    batches) should plan once.
     """
     shape = tuple(
         (
@@ -268,8 +268,8 @@ class AdhocPlanCache:
     """LRU memo: ad-hoc update-spec signature → winning update track.
 
     ``choose_track`` re-enumerates every update track and re-costs every
-    maintenance query per call; for interactive DML streams and deferred
-    flushes the same shape recurs endlessly. Conventions follow
+    maintenance query per call; for interactive DML streams and
+    group-commit batches the same shape recurs endlessly. Conventions follow
     :class:`~repro.core.memoize.SearchCache`: canonical keys, stats on the
     cache, validity tied to a fixed (memo, estimator, cost model, marking)
     — all per-maintainer state, which is why the cache lives on the

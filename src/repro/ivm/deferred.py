@@ -10,13 +10,14 @@ transactions.
 :func:`compose_relations` is the one place deltas are composed per
 relation, and :func:`compose_batch` names its result as a transaction.
 Every write path that folds several transactions (or statements) into one
-commit uses them: deferred maintenance
-(:class:`~repro.engine.policy.DeferredPolicy`), group commit
-(:class:`~repro.server.commit.GroupCommitter`), multi-statement engine
-transactions (:meth:`~repro.engine.engine.EngineTransaction.staged_transaction`)
-and multi-statement SQL (:func:`~repro.sql.dml.dml_transaction`). The composed transaction is
-then committed through the ordinary :class:`~repro.engine.engine.Engine`
-pipeline like any other.
+commit uses them: group commit
+(:meth:`~repro.server.commit.GroupCommitter.commit_batch`, the only caller
+of :func:`compose_batch` and the only code that batches commits, in the
+server and in process alike), multi-statement engine transactions
+(:meth:`~repro.engine.engine.EngineTransaction.staged_transaction`) and
+multi-statement SQL (:func:`~repro.sql.dml.dml_transaction`). The composed
+transaction is then committed through the ordinary
+:class:`~repro.engine.engine.Engine` commit body like any other.
 """
 
 from __future__ import annotations

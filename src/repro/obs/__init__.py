@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics, and EXPLAIN ANALYZE.
 
-The tracer records a span tree per commit (transaction → policy decision →
+The tracer records a span tree per commit (transaction →
 per-track-op propagation → per-view apply → assertion check), each span
 carrying its scoped page I/O and wall time; per-span I/Os tie out exactly
 to the engine's :class:`~repro.storage.pager.IOCounter`. The default

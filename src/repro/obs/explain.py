@@ -190,7 +190,7 @@ def explain_analyze(
     estimated vs measured cost per track op / view / phase.
 
     Returns ``(rendered text, TransactionResult)``. The transaction *is*
-    committed (this is EXPLAIN ANALYZE, not EXPLAIN). An enforcing policy
+    committed (this is EXPLAIN ANALYZE, not EXPLAIN). An enforcing engine
     that rejects the transaction propagates its
     :class:`AssertionViolation` after the engine's usual atomic rollback.
     """
@@ -203,17 +203,6 @@ def explain_analyze(
         engine.set_tracer(previous)
 
     header = f"=== EXPLAIN ANALYZE {txn.type_name} ==="
-    if result.deferred:
-        text = "\n".join(
-            [
-                header,
-                f"transaction queued by {type(engine.policy).__name__} "
-                f"({engine.pending} pending); maintenance I/O will be "
-                "attributed to the flushing commit",
-            ]
-        )
-        return text, result
-
     plan = engine.maintainer.last_plan
     if plan is None:  # pragma: no cover - empty transactions short-circuit
         return "\n".join([header, "no maintenance work recorded"]), result

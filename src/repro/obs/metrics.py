@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` holds named counters (monotonic), gauges (last
 value wins) and histograms (count / total / min / max). The engine layer
-increments commits, rollbacks, deferrals and violations, attributes page
+increments commits, rollbacks, rejections and violations, attributes page
 I/Os by kind, and snapshots cache hit rates from the optimizer's
 :class:`~repro.core.memoize.SearchCache` and the execution backend's
 :class:`~repro.algebra.compile.PlanCache`.

@@ -1,8 +1,7 @@
 """Structured tracing for the maintenance pipeline.
 
 A :class:`Tracer` records a tree of :class:`Span` events — transaction →
-policy decision → per-track-op delta propagation → per-view apply →
-assertion check — each carrying its scoped :class:`IOStats` (measured by
+per-track-op delta propagation → per-view apply → assertion check — each carrying its scoped :class:`IOStats` (measured by
 diffing the shared :class:`~repro.storage.pager.IOCounter`, exactly like
 the engine's per-transaction attribution) and wall-clock time.
 

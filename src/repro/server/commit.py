@@ -9,18 +9,22 @@ or is called back from the commit thread when the request resolves. The
 committer thread drains the queue in batches, derives each statement rider
 in queue order against the stored rows overlaid with the net delta of the
 riders before it, composes the batch's deltas into **one** transaction
-with :func:`~repro.ivm.deferred.compose_batch` — the composer every
-batching write path shares — and commits it through the engine's
-ordinary policy pipeline — one maintenance pass (and, when
-durable, one WAL barrier/fsync) no matter how many clients rode along.
-A rider whose derivation raises fails alone.
+with :func:`~repro.ivm.deferred.compose_batch` and commits it through the
+engine's one commit body — one maintenance pass (and, when durable, one
+WAL barrier/fsync) no matter how many clients rode along. A rider whose
+derivation raises fails alone.
+
+:meth:`GroupCommitter.commit_batch` is the only code that batches commits.
+The commit thread calls it on each drained batch; an unstarted committer
+runs it on the caller's thread, which is how in-process batching (E7,
+:func:`replay_batches`, the tests) commits a chunk of riders at once.
 
 Failure isolation: a composed batch that raises (an
-:class:`~repro.constraints.assertions.AssertionViolation` under
-``EnforcingPolicy``, or any storage error) falls back to per-client
-replay, so only the offending client is rejected while innocent
-bystanders in the same batch still commit. The replay re-derives each
-statement rider against the state the riders before it left.
+:class:`~repro.constraints.assertions.AssertionViolation` on an enforcing
+engine, or any storage error) falls back to per-client replay, so only the
+offending client is rejected while innocent bystanders in the same batch
+still commit. The replay re-derives each statement rider against the state
+the riders before it left.
 
 Every batch is recorded as a :class:`BatchRecord`; :func:`replay_batches`
 re-commits the recorded batch sequence through a fresh engine on the
@@ -148,7 +152,10 @@ class GroupCommitter:
             request = committer.submit(txn)   # any thread
             result = request.wait()
         finally:
-            committer.close()                 # drains, then flushes policy
+            committer.close()                 # drains the queue
+
+    Unstarted, ``committer.commit_batch(riders)`` commits one batch on the
+    caller's thread.
 
     The queue is bounded (queue-based load leveling): when ``queue_size``
     requests are in flight, ``submit`` blocks, back-pressuring producers
@@ -172,7 +179,6 @@ class GroupCommitter:
         self._closed = False
         self._batch_seq = 0
         self.batches: list[BatchRecord] = []
-        self.tail_result: TransactionResult | None = None
 
     # -- producer side -----------------------------------------------------------
 
@@ -208,10 +214,8 @@ class GroupCommitter:
         """Submit and wait — the blocking convenience used by clients."""
         return self.submit(txn, timeout=timeout).wait(timeout)
 
-    def close(self, flush: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting work, drain the queue, join the thread, then (by
-        default) flush the policy's deferred tail on the caller's thread;
-        the tail's result lands in ``tail_result``."""
+    def close(self, timeout: float | None = None) -> None:
+        """Stop accepting work, drain the queue and join the thread."""
         if self._closed:
             return
         self._closed = True
@@ -219,8 +223,6 @@ class GroupCommitter:
             self._queue.put(_SHUTDOWN)
             self._thread.join(timeout)
             self._thread = None
-        if flush:
-            self.tail_result = self.engine.flush()
 
     # -- committer thread --------------------------------------------------------
 
@@ -236,13 +238,32 @@ class GroupCommitter:
                 except queue.Empty:
                     break
                 if item is _SHUTDOWN:
-                    self._commit_batch(batch)
+                    self._commit(batch)
                     return
                 batch.append(item)
             self.metrics.gauge("commit_queue.depth").set(self._queue.qsize())
-            self._commit_batch(batch)
+            self._commit(batch)
 
-    def _commit_batch(self, requests: list[CommitRequest]) -> None:
+    def commit_batch(
+        self, riders: Iterable["Transaction | StatementRider"]
+    ) -> list[CommitRequest]:
+        """Commit ``riders`` as one batch on the caller's thread.
+
+        Each statement rider derives against the stored rows overlaid with
+        the net delta of the riders ahead of it; the batch is composed and
+        committed once, and replayed rider by rider if that commit fails.
+        Returns one resolved :class:`CommitRequest` per rider, in order:
+        its ``result`` when it committed, its ``error`` when it failed
+        alone. Call it only on an unstarted committer — the commit thread
+        is the one writer of a started one."""
+        if self._thread is not None:
+            raise EngineError("commit_batch runs on an unstarted committer")
+        requests = [CommitRequest(rider) for rider in riders]
+        if requests:
+            self._commit(requests)
+        return requests
+
+    def _commit(self, requests: list[CommitRequest]) -> None:
         """Derive, compose, commit once, distribute per-client results; on
         failure replay per client so only the violator is rejected."""
         engine = self.engine
@@ -278,12 +299,7 @@ class GroupCommitter:
             # the record for the report/bench layer to fold exactly once.
             record.batch_result = batch_result
             for request in requests:
-                result = TransactionResult(
-                    txn=request.txn,
-                    committed=True,
-                    deferred=batch_result.deferred,
-                    batch=seq,
-                )
+                result = TransactionResult(txn=request.txn, committed=True, batch=seq)
                 record.results.append(result)
                 request.resolve(result)
 
@@ -338,18 +354,17 @@ class GroupCommitter:
 
 def replay_batches(
     engine: "Engine", batches: Iterable[BatchRecord]
-) -> tuple[list[BatchRecord], TransactionResult | None]:
+) -> list[BatchRecord]:
     """Re-commit a recorded batch sequence serially on the caller's thread.
 
     Runs each recorded batch's riders through an unstarted committer's
-    ``_commit_batch`` (same derivation, same compose, same fallback — a
-    statement rider derives against the oracle's own state, which is the
-    state the live run derived it against), then flushes the
-    policy tail — the deterministic serial schedule a live concurrent run
-    must be bit-identical to. Returns (replayed records, tail result).
+    :meth:`~GroupCommitter.commit_batch` (same derivation, same compose,
+    same fallback — a statement rider derives against the oracle's own
+    state, which is the state the live run derived it against): the
+    deterministic serial schedule a live concurrent run must be
+    bit-identical to. Returns the replayed records.
     """
     oracle = GroupCommitter(engine)
     for record in batches:
-        oracle._commit_batch([CommitRequest(rider) for rider in record.riders])
-    tail = engine.flush()
-    return oracle.batches, tail
+        oracle.commit_batch(record.riders)
+    return oracle.batches

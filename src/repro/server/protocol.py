@@ -17,8 +17,8 @@ Requests are objects with an ``op``:
 Responses always carry ``ok``:
 
 ``{"ok": true, ...payload...}``
-    ``rows``/``columns`` for SELECT, ``status`` for DML ("committed" or
-    "deferred"), ``batch`` (the group-commit batch sequence) when known.
+    ``rows``/``columns`` for SELECT, ``status`` for DML ("committed"),
+    ``batch`` (the group-commit batch sequence) when known.
 ``{"ok": false, "error": "<kind>", "message": "..."}``
     ``error`` is ``"rejected"`` (constraint violation), ``"invalid"``
     (parse/semantic error in the request), or ``"internal"``.

@@ -40,7 +40,8 @@ class ReproServer:
     """A maintained corporate database behind a TCP listener.
 
     Builds the same world as the shell — the paper's corporate data with
-    the DeptConstraint assertion — an engine under the requested policy,
+    the DeptConstraint assertion — an engine under the requested policy
+    (``"immediate"`` reports violations, ``"enforce"`` rejects them),
     and a started :class:`GroupCommitter`. ``port=0`` binds an ephemeral
     port (read it back from ``self.port`` after :meth:`start`).
     """
@@ -50,7 +51,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         policy: str = "immediate",
-        batch_size: int | None = None,
         durable_path: str | None = None,
         wal_sync: str | None = None,
         n_depts: int = 50,
@@ -64,7 +64,6 @@ class ReproServer:
         self.metrics = get_metrics()
         self.db, _system, self.engine = corporate_world(
             policy,
-            batch_size=batch_size,
             n_depts=n_depts,
             emps_per_dept=emps_per_dept,
             seed=seed,
@@ -99,7 +98,7 @@ class ReproServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener, drain the commit queue, flush, checkpoint."""
+        """Close the listener, drain the commit queue, checkpoint."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -208,7 +207,7 @@ class ReproServer:
         else:
             result = request.result
             outcome = protocol.ok(
-                status="deferred" if result.deferred else "committed",
+                status="committed",
                 batch=result.batch,
                 violations=sorted(result.new_violations),
             )
@@ -246,7 +245,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 0,
     policy: str = "immediate",
-    batch_size: int | None = None,
     durable_path: str | None = None,
     wal_sync: str | None = None,
     max_batch: int = 32,
@@ -263,7 +261,6 @@ def run_server(
             host=host,
             port=port,
             policy=policy,
-            batch_size=batch_size,
             durable_path=durable_path,
             wal_sync=wal_sync,
             max_batch=max_batch,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.constraints.assertions import AssertionSystem
-from repro.engine import DeferredPolicy, Engine
+from repro.engine import Engine
 from repro.sql import ast
 from repro.sql.dml import dml_transaction, error_tier, translate_query
 from repro.sql.parser import parse
@@ -54,13 +54,13 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
     HAVING SUM(Salary) > Budget))
 """
 
-#: Maintenance policies :func:`corporate_world` accepts, in help order.
-POLICIES = ("immediate", "deferred", "enforce")
+#: Maintenance policies :func:`corporate_world` accepts, in help order:
+#: ``immediate`` reports assertion violations, ``enforce`` rejects them.
+POLICIES = ("immediate", "enforce")
 
 
 def corporate_world(
     policy: str = "immediate",
-    batch_size: int | None = None,
     n_depts: int = 50,
     emps_per_dept: int = 10,
     seed: int = 0,
@@ -73,8 +73,7 @@ def corporate_world(
 
     A recovered durable directory keeps its relations (the WAL replay is
     authoritative, not the seed); otherwise Dept/Emp are seeded from
-    :func:`generate_corporate_db`. ``batch_size`` is the deferred policy's
-    flush threshold.
+    :func:`generate_corporate_db`.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -90,14 +89,7 @@ def corporate_world(
     system = AssertionSystem(
         db, [DEPT_CONSTRAINT], paper_transactions(), enforce=(policy == "enforce")
     )
-    engine = system.engine
-    if policy == "deferred":
-        engine = Engine(
-            system.maintainer,
-            policy=DeferredPolicy(batch_size=batch_size),
-            assertion_roots=system.roots,
-        )
-    return db, system, engine
+    return db, system, system.engine
 
 
 HELP = """\

@@ -3,10 +3,10 @@
 Benchmarks, examples, and the CLI all used to hand-roll the same loop:
 apply each transaction, diff the I/O counter, tally violations. The
 :func:`run_transactions` runner replaces that wiring — it commits every
-transaction through one :class:`~repro.engine.engine.Engine` (so the
-active :class:`~repro.engine.policy.MaintenancePolicy` decides immediate
-vs. batched maintenance, and enforcement rejects violators atomically)
-and returns a :class:`StreamReport` of what happened.
+transaction through one :class:`~repro.engine.engine.Engine` (an
+enforcing engine rejects violators atomically) and returns a
+:class:`StreamReport` of what happened. Batching is the group committer's:
+:func:`run_concurrent_transactions` drives one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class StreamReport:
 
     submitted: int = 0
     committed: int = 0
-    deferred: int = 0
     rejected: int = 0
     io: IOStats = field(default_factory=IOStats)
     new_violations: dict[str, int] = field(default_factory=dict)
@@ -64,8 +63,6 @@ class StreamReport:
             f"{self.rejected} rejected",
             f"{self.io.total} page I/Os",
         ]
-        if self.deferred:
-            pieces.insert(3, f"{self.deferred} still queued")
         if self.batches:
             pieces.append(f"{self.batches} group-commit batches")
         if self.new_violations:
@@ -77,23 +74,17 @@ class StreamReport:
 def run_transactions(
     engine: "Engine",
     txns: Iterable[Transaction],
-    flush: bool = True,
     keep_results: bool = False,
     on_result: "Callable[[TransactionResult], None] | None" = None,
 ) -> StreamReport:
     """Commit every transaction in ``txns`` through ``engine``.
 
-    A transaction the :class:`~repro.engine.policy.EnforcingPolicy`
-    rejects (rolled back atomically) counts as ``rejected``. Under a
-    :class:`~repro.engine.policy.DeferredPolicy` commits queue until a
-    batch flush; the final ``flush`` (enabled by default) applies the tail
-    batch — if an enforcing flush rejects that batch, its transactions
-    count as ``rejected`` and the report is still returned — and anything
-    still queued afterwards is reported ``deferred``. I/O and violation
-    tallies fold in every applied result, batch flushes included.
-    ``keep_results`` retains each :class:`TransactionResult`; ``on_result``
-    is called per engine result (e.g. for adaptive hooks). ``metrics``
-    carries the engine metrics delta over the run.
+    A transaction an enforcing engine rejects (rolled back atomically)
+    counts as ``rejected``. I/O and violation tallies fold in every
+    committed result. ``keep_results`` retains each
+    :class:`TransactionResult`; ``on_result`` is called per engine result
+    (e.g. for adaptive hooks). ``metrics`` carries the engine metrics
+    delta over the run.
     """
     from repro.constraints.assertions import AssertionViolation
 
@@ -112,20 +103,7 @@ def run_transactions(
         _fold(report, result, keep_results)
         if on_result is not None:
             on_result(result)
-    if flush:
-        # An enforcing policy can reject the tail batch; the batch's
-        # transactions then count as rejected (they were rolled back
-        # atomically) and the report survives.
-        pending_before = engine.pending
-        try:
-            flushed = engine.flush()
-        except AssertionViolation:
-            report.rejected += pending_before
-        else:
-            if flushed is not None:
-                _fold(report, flushed, keep_results)
-    report.deferred = engine.pending
-    report.committed = report.submitted - report.rejected - report.deferred
+    report.committed = report.submitted - report.rejected
     if metrics is not None and metrics_before is not None:
         report.metrics = metrics.since(metrics_before)
         if durable is not None and pager_before is not None:
@@ -156,7 +134,6 @@ def run_concurrent_transactions(
     streams: "Sequence[Iterable[Transaction]]",
     max_batch: int = 32,
     queue_size: int = 256,
-    flush: bool = True,
     keep_results: bool = False,
 ) -> tuple[StreamReport, list["BatchRecord"]]:
     """Drive one transaction stream per client through the group committer.
@@ -165,8 +142,8 @@ def run_concurrent_transactions(
     its transactions in order to a shared single-writer
     :class:`~repro.server.commit.GroupCommitter`; the committer drains the
     queue in batches of up to ``max_batch``, composes each batch into one
-    transaction, and commits it through ``engine``'s policy — one
-    maintenance pass (and one WAL barrier, when durable) per batch.
+    transaction, and commits it through ``engine`` — one maintenance pass
+    (and one WAL barrier, when durable) per batch.
 
     A client stops at its first exception other than a rejection, as
     :func:`run_transactions` does; the first such exception, in client
@@ -223,19 +200,10 @@ def run_concurrent_transactions(
         thread.start()
     for thread in threads:
         thread.join()
-    committer.close(flush=False)
+    committer.close()
     for failure in failures:
         if failure is not None:
             raise failure
-    # Riders whose batch was accepted under a deferred policy are queued,
-    # not applied; the tail flush below applies them (mirroring
-    # run_transactions' accounting).
-    deferred_riders = sum(
-        1
-        for record in committer.batches
-        for result in record.results
-        if result.deferred
-    )
     report.clients = clients
     report.batches = len(committer.batches)
     report.submitted = sum(c.submitted for c in clients)
@@ -246,17 +214,7 @@ def run_concurrent_transactions(
         elif record.replayed:
             for result in record.results:
                 _fold(report, result, keep=False)
-    if flush:
-        try:
-            flushed = engine.flush()
-        except AssertionViolation:
-            report.rejected += deferred_riders
-            deferred_riders = 0
-        else:
-            if flushed is not None:
-                _fold(report, flushed, keep_results)
-    report.deferred = deferred_riders if engine.pending else 0
-    report.committed = report.submitted - report.rejected - report.deferred
+    report.committed = report.submitted - report.rejected
     if metrics is not None and metrics_before is not None:
         report.metrics = metrics.since(metrics_before)
         if durable is not None and pager_before is not None:

@@ -23,14 +23,17 @@ CLI (used by the ``recovery-smoke`` CI job)::
 
     python -m tests.fault run    --dir D --policy enforce --seed 3 --n-txns 12
     python -m tests.fault verify --dir D --policy enforce --seed 3 --n-txns 12
-    python -m tests.fault matrix [--policies immediate,deferred,enforce] [--points ...]
+    python -m tests.fault matrix [--policies immediate,batched,enforce] [--points ...]
 
 ``run`` executes the stream (crashing mid-commit if ``REPRO_CRASH_AT`` is
 set); ``verify`` recovers the directory and asserts the recovered state
 equals one of the oracle's prefix states (commit-or-nothing at *some*
 transaction boundary — the in-process property test pins down *which*).
 ``matrix`` spawns run+verify child pairs for every policy × crash point
-and reports a table; exit status is non-zero on any divergence, and on
+and reports a table (``batched`` is the report-only engine with the stream
+committed in chunks of :data:`BATCH` through
+:meth:`~repro.server.commit.GroupCommitter.commit_batch`, so composed
+commits are crashed too); exit status is non-zero on any divergence, and on
 any crash point no (policy, nth) cell reached — a point the stream never
 arrives at is coverage silently lost.
 """
@@ -46,9 +49,8 @@ from repro.constraints.assertions import AssertionSystem, AssertionViolation
 from repro.ivm.maintainer import MaintenanceError
 from repro.ivm.propagate import PropagationError
 from repro.storage.relation import StorageError
-from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
-from repro.obs.metrics import MetricsRegistry
+from repro.server.commit import GroupCommitter
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.storage.durable import CRASH_EXIT_CODE, CRASH_POINTS, CrashPoint, DurableStore
@@ -65,7 +67,9 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
 
 DEPTS = ("dp0", "dp1", "dp2")
 KINDS = ("raise", "big_raise", "hire", "fire", "transfer", "budget_cut")
-POLICIES = ("immediate", "deferred", "enforce")
+POLICIES = ("immediate", "batched", "enforce")
+#: riders per composed commit under the ``batched`` policy
+BATCH = 3
 
 
 class CrashInjector:
@@ -111,7 +115,6 @@ def build_system(
     durable_path: str | None,
     policy: str,
     seed: int,
-    batch_size: int = 3,
     checkpoint_every: int = 4,
 ):
     """Corporate db + DeptConstraint + engine; durable when a path is given.
@@ -146,16 +149,7 @@ def build_system(
         catalog=Catalog.from_database(scratch),
         enforce=(policy == "enforce"),
     )
-    if policy == "deferred":
-        engine = Engine(
-            system.maintainer,
-            policy=DeferredPolicy(batch_size=batch_size),
-            assertion_roots=system.roots,
-            metrics=MetricsRegistry(),
-        )
-    else:
-        engine = system.engine
-    return db, system, engine
+    return db, system, system.engine
 
 
 def make_txn(kind: str, emps: list, depts: list, rng: random.Random) -> Transaction | None:
@@ -185,16 +179,18 @@ def make_txn(kind: str, emps: list, depts: list, rng: random.Random) -> Transact
     return None
 
 
-def stream_events(engine, seed: int, n_txns: int, kinds=KINDS):
+def stream_events(engine, seed: int, n_txns: int, policy: str = "immediate", kinds=KINDS):
     """Yield the engine-level events of a deterministic stream.
 
-    Each event is ``("txn", Transaction)`` or ``("flush", None)`` (tail
-    flush for deferred policies). Transactions are generated against a
-    queued-inclusive mirror, so generation depends only on the seed and
-    the committed/queued history — identical for a run and its oracle.
+    Each event is ``("txn", Transaction)``, or under the ``batched``
+    policy ``("batch", transactions)`` — up to :data:`BATCH` of them, one
+    composed commit. Transactions are generated against a mirror of the
+    generated history, so generation depends only on the seed — identical
+    for a run and its oracle, and consistent within a batch.
     """
     db = engine.db
     rng = random.Random(seed + 1)
+    batch: list[Transaction] = []
     mirror = {
         "Emp": sorted(db.relation("Emp").contents().rows()),
         "Dept": sorted(db.relation("Dept").contents().rows()),
@@ -212,30 +208,62 @@ def stream_events(engine, seed: int, n_txns: int, kinds=KINDS):
                 rows.add(row, 1)
             rows.update(delta.net())
             mirror[rel] = sorted(rows.rows())
-        yield ("txn", txn)
-    yield ("flush", None)
+        if policy != "batched":
+            yield ("txn", txn)
+            continue
+        batch.append(txn)
+        if len(batch) == BATCH:
+            yield ("batch", tuple(batch))
+            batch = []
+    if batch:
+        yield ("batch", tuple(batch))
+
+
+#: what a generated rider may raise on its own (see apply_event)
+_RIDER_ERRORS = (StorageError, MaintenanceError, PropagationError)
 
 
 def apply_event(engine, event) -> str:
-    """Apply one event; returns 'committed' | 'deferred' | 'rejected'."""
-    kind, txn = event
+    """Apply one event; returns 'committed' | 'rejected' | 'error', one
+    comma-separated outcome per rider for a batch."""
+    kind, payload = event
+    if kind == "batch":
+        return _apply_batch(engine, payload)
     try:
-        if kind == "flush":
-            engine.flush()
-            return "committed"
-        result = engine.execute(txn)
-        return "deferred" if result.deferred else "committed"
+        engine.execute(payload)
+        return "committed"
     except AssertionViolation:
-        if kind == "flush":
-            # An enforcing tail flush rejects the whole batch atomically;
-            # drop it so the oracle and the crashed run stay in lockstep.
-            engine.policy.compose(engine)
         return "rejected"
-    except (StorageError, MaintenanceError, PropagationError):
+    except _RIDER_ERRORS:
         # A generated delta can reference a row an earlier *rejected*
         # transaction would have created; the rollback guard restores the
         # pre-transaction state, identically in the run and its oracle.
         return "error"
+
+
+def _apply_batch(engine, txns) -> str:
+    """Commit ``txns`` as one composed commit through an unstarted group
+    committer. The committer replays a batch whose commit raised rider by
+    rider, so an injected crash would be absorbed: the store is frozen
+    (a dead process) and the replay only touches memory. The crash is
+    re-raised here, as the process death it stands for."""
+    store = engine.db.durable
+    hook = store.crash_hook if store is not None else None
+    fired = getattr(hook, "fired", False)
+    outcomes = []
+    for request in GroupCommitter(engine).commit_batch(txns):
+        error = request.error
+        if error is None:
+            outcomes.append("committed")
+        elif isinstance(error, AssertionViolation):
+            outcomes.append("rejected")
+        elif isinstance(error, _RIDER_ERRORS):
+            outcomes.append("error")
+        elif not isinstance(error, CrashPoint):
+            raise error
+    if not fired and getattr(hook, "fired", False):
+        raise CrashPoint(f"{hook.point}:{hook.nth}")
+    return ",".join(outcomes)
 
 
 def snapshot(db: Database) -> dict[str, list[tuple]]:
@@ -254,7 +282,7 @@ def oracle_states(policy: str, seed: int, n_txns: int) -> list[dict]:
     recovery must land in."""
     db, _system, engine = build_system(None, policy, seed)
     states = [snapshot(db)]
-    for event in stream_events(engine, seed, n_txns):
+    for event in stream_events(engine, seed, n_txns, policy):
         apply_event(engine, event)
         states.append(snapshot(db))
     return states
@@ -285,7 +313,7 @@ def _cmd_run(args) -> int:
         from repro.storage.durable import _env_crash_hook
 
         db.durable.crash_hook = _env_crash_hook(spec)
-    for event in stream_events(engine, args.seed, args.n_txns):
+    for event in stream_events(engine, args.seed, args.n_txns, args.policy):
         apply_event(engine, event)
     db.close()
     return 0

@@ -77,7 +77,7 @@ class TestServerSmoke:
                         r = c.execute(
                             f"INSERT INTO Emp VALUES ('smoke{i}_{t}', 'D1', 1)"
                         )
-                        assert r["status"] in ("committed", "deferred")
+                        assert r["status"] == "committed"
                         assert r.get("batch") is None or isinstance(r["batch"], int)
                     rows = c.query(
                         f"SELECT EName FROM Emp WHERE EName = 'smoke{i}_0'"
@@ -89,7 +89,7 @@ class TestServerSmoke:
                             f"INSERT INTO Emp VALUES ('pair{i}_b', 'D2', 1)",
                         ]
                     )
-                    assert t["status"] in ("committed", "deferred")
+                    assert t["status"] == "committed"
                     metrics = c.metrics()
                     assert metrics.get("server.requests", 0) > 0
                     try:

@@ -2,14 +2,15 @@
 
 For random update streams (inserts, deletes, modifications — including
 group-moving department transfers, which force the aggregate-recompute
-fetch path the cache serves), under all three maintenance policies and
-both execution backends, a run with the commit cache ON must be
+fetch path the cache serves), under the immediate and enforcing engines and
+the ``batched`` cell (chunks of 3 through ``GroupCommitter.commit_batch``)
+on both execution backends, a run with the commit cache ON must be
 bit-identical to a run with it OFF in everything storage-visible:
 
 * base relation contents,
 * every materialized view,
 * the per-commit view deltas the engine returns,
-* which transactions an enforcing policy rejects (rollback results).
+* which transactions an enforcing engine rejects (rollback results).
 
 Measured page I/O may only decrease — asserted as ``io_on <= io_off``.
 """
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 from repro.algebra.compile import set_default_backend
 from repro.algebra.multiset import Multiset
 from repro.constraints.assertions import AssertionSystem, AssertionViolation
-from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
+from repro.server.commit import GroupCommitter
 from repro.storage.database import Database
 from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA
 from repro.workload.transactions import Transaction, paper_transactions
@@ -38,6 +39,9 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
 """
 
 DEPTS = tuple(f"dp{i}" for i in range(3))
+
+#: riders per composed commit in the ``batched`` cell
+BATCH = 3
 
 KINDS = ("raise", "big_raise", "transfer", "hire", "fire", "budget_cut")
 
@@ -101,19 +105,14 @@ def _run_stream(seed: int, kinds, policy: str, backend: str, cache_on: bool):
             enforce=(policy == "enforce"),
             commit_cache=cache_on,
         )
-        if policy == "deferred":
-            engine = Engine(
-                system.maintainer,
-                policy=DeferredPolicy(batch_size=3),
-                assertion_roots=system.roots,
-            )
-        else:
-            engine = system.engine
+        engine = system.engine
+        committer = GroupCommitter(engine)
+        chunk: list[Transaction] = []
 
         rng2 = random.Random(seed + 1)
         outcomes = []
         io_before = db.counter.snapshot()
-        # Under a deferred policy the database is stale until flush, so the
+        # A batched rider is applied only when its chunk commits, so the
         # generator works from a mirror updated per generated transaction —
         # otherwise two modifications of the same row compose inconsistently.
         mirror = {
@@ -122,9 +121,21 @@ def _run_stream(seed: int, kinds, policy: str, backend: str, cache_on: bool):
         }
 
         def current(rel):
-            if policy == "deferred":
+            if policy == "batched":
                 return mirror[rel]
             return sorted(db.relation(rel).contents().rows())
+
+        def commit_chunk():
+            requests = committer.commit_batch(chunk)
+            chunk.clear()
+            record = committer.batches[-1]
+            if record.batch_result is not None:
+                outcomes.append(_delta_key(record.batch_result.view_deltas))
+            else:
+                outcomes.append(tuple(
+                    type(r.error).__name__ if r.error else _delta_key(r.result.view_deltas)
+                    for r in requests
+                ))
 
         for kind in kinds:
             txn = _make_txn(kind, current("Emp"), current("Dept"), rng2)
@@ -137,19 +148,19 @@ def _run_stream(seed: int, kinds, policy: str, backend: str, cache_on: bool):
                     rows.add(row, 1)
                 rows.update(delta.net())
                 mirror[rel] = sorted(rows.rows())
+            if policy == "batched":
+                chunk.append(txn)
+                if len(chunk) == BATCH:
+                    commit_chunk()
+                continue
             try:
                 result = engine.execute(txn)
             except AssertionViolation:
                 outcomes.append("rejected")
                 continue
-            outcomes.append(
-                ("deferred",) if result.deferred else _delta_key(result.view_deltas)
-            )
-        if policy == "deferred":
-            flushed = engine.flush()
-            outcomes.append(
-                _delta_key(flushed.view_deltas) if flushed is not None else "none"
-            )
+            outcomes.append(_delta_key(result.view_deltas))
+        if chunk:
+            commit_chunk()
         io = (db.counter.snapshot() - io_before).total
 
         maintainer = system.maintainer
@@ -164,7 +175,7 @@ def _run_stream(seed: int, kinds, policy: str, backend: str, cache_on: bool):
 
 
 class TestCommitCacheInvisibility:
-    @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
+    @pytest.mark.parametrize("policy", ["immediate", "batched", "enforce"])
     @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
     @settings(max_examples=6, deadline=None)
     @given(

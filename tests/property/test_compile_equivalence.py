@@ -270,11 +270,11 @@ from tests.property.test_commit_cache_props import (  # noqa: E402
 
 
 class TestPolicyBackendEquality:
-    """Full engine streams (commit/rollback/defer) under every maintenance
-    policy: state, per-transaction outcomes, and total charged I/O must be
+    """Full engine streams (commit/rollback/composed batches) under the
+    immediate and enforcing engines and the ``batched`` cell: state, per-transaction outcomes, and total charged I/O must be
     indistinguishable across all backends."""
 
-    @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
+    @pytest.mark.parametrize("policy", ["immediate", "batched", "enforce"])
     @settings(max_examples=5, deadline=None)
     @given(
         seed=st.integers(0, 10**6),

@@ -1,7 +1,8 @@
 """Property: kill anywhere mid-commit → recover → commit-or-nothing.
 
-For random seeds and crash boundaries, under all three maintenance
-policies and both execution backends, a durable run that dies at an
+For random seeds and crash boundaries, under the immediate and enforcing
+engines and the ``batched`` cell (the stream committed in composed chunks
+through ``GroupCommitter.commit_batch``), on both execution backends, a durable run that dies at an
 injected :class:`~repro.storage.durable.CrashPoint` must recover to a
 state bit-identical to its lockstep non-durable oracle either *before*
 or *after* the interrupted event — never in between. Three companion
@@ -44,7 +45,8 @@ def _crashed_run(durable_path, policy, seed, point, nth):
     states = [snapshot(odb)]
     crashed_at = None
     events = zip(
-        stream_events(engine, seed, N_TXNS), stream_events(oracle, seed, N_TXNS)
+        stream_events(engine, seed, N_TXNS, policy),
+        stream_events(oracle, seed, N_TXNS, policy),
     )
     for i, (event, oracle_event) in enumerate(events):
         apply_event(oracle, oracle_event)
@@ -63,7 +65,7 @@ def _crashed_run(durable_path, policy, seed, point, nth):
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
+    @pytest.mark.parametrize("policy", ["immediate", "batched", "enforce"])
     @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
     @settings(max_examples=6, deadline=None)
     @given(

@@ -1,7 +1,8 @@
-"""Property-based tests: deferred maintenance ≡ immediate maintenance.
+"""Property-based tests: batched maintenance ≡ immediate maintenance.
 
-For random transaction streams, flushing a batch must leave the database
-and every materialized view in exactly the state that applying each
+For random transaction streams cut into random batches, committing each
+batch through ``GroupCommitter.commit_batch`` must leave the database and
+every materialized view in exactly the state that applying each
 transaction immediately would have — and delta composition must preserve
 net effects for arbitrary keyed sequences.
 """
@@ -19,11 +20,12 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.engine import DeferredPolicy, Engine
+from repro.engine import Engine
 from repro.ivm.deferred import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
 from repro.obs.metrics import MetricsRegistry
+from repro.server.commit import GroupCommitter
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA, problem_dept_tree
@@ -171,13 +173,12 @@ class TestDeferredEquivalence:
         m1.verify()
 
         db2, m2 = make_setup()
-        engine = Engine(m2, policy=DeferredPolicy(), metrics=MetricsRegistry())
+        committer = GroupCommitter(Engine(m2, metrics=MetricsRegistry()))
         i = 0
         for size in batch_splits:
-            for _ in range(size):
-                engine.execute(stream[i])
-                i += 1
-            engine.flush()
+            for request in committer.commit_batch(stream[i : i + size]):
+                request.wait()
+            i += size
         m2.verify()
 
         assert db1.relation("Emp").contents() == db2.relation("Emp").contents()

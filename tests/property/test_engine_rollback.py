@@ -2,7 +2,7 @@
 
 The acceptance property for the engine layer: for random transaction
 streams containing violating transactions, running the stream through an
-:class:`~repro.engine.policy.EnforcingPolicy` engine (violators rejected
+``Engine(enforce=True)`` (violators rejected
 and rolled back) must leave the base relations and every materialized
 view — as visible through storage, not estimates — bit-identical to a run
 that never submitted the violators at all, and the surviving views must

@@ -11,7 +11,7 @@ those records through a fresh identical engine on one thread
   committed/rejected outcome,
 * the shared ``IOCounter`` ledger, exactly,
 
-across all three maintenance policies × execution backends, with the
+across the immediate and enforcing engines × execution backends, with the
 durable WAL shadow on or off. A degenerate-batch law pins ``max_batch=1``
 to plain sequential ``run_transactions``. SQL riders, derived on the
 commit thread against the rows the riders ahead of them leave, are held
@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.algebra.compile import set_default_backend
 from repro.constraints.assertions import AssertionSystem
-from repro.engine import DeferredPolicy, Engine
 from repro.ivm.delta import Delta
 from repro.server.commit import GroupCommitter, replay_batches
 from repro.sql.dml import StatementRider
@@ -70,15 +69,7 @@ def _make_engine(seed, policy, durable_path=None):
     system = AssertionSystem(
         db, [DEPT_CONSTRAINT], paper_transactions(), enforce=(policy == "enforce")
     )
-    if policy == "deferred":
-        engine = Engine(
-            system.maintainer,
-            policy=DeferredPolicy(batch_size=3),
-            assertion_roots=system.roots,
-        )
-    else:
-        engine = system.engine
-    return engine, system
+    return system.engine, system
 
 
 def _client_streams(seed, n_clients, per_client):
@@ -157,7 +148,7 @@ def _batch_signature(records):
 
 
 class TestGroupCommitIsSerial:
-    @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
+    @pytest.mark.parametrize("policy", ["immediate", "enforce"])
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=3, deadline=None)
     @given(
@@ -177,7 +168,7 @@ class TestGroupCommitIsSerial:
         system.maintainer.verify()
 
         oracle, _ = _make_engine(seed, policy)
-        oracle_records, _ = replay_batches(oracle, batches)
+        oracle_records = replay_batches(oracle, batches)
 
         assert _state(oracle) == _state(engine)
         assert _batch_signature(oracle_records) == _batch_signature(batches)
@@ -186,7 +177,7 @@ class TestGroupCommitIsSerial:
         # per_client transactions; count what the streams actually hold.
         assert report.submitted == sum(len(stream) for stream in streams)
 
-    @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
+    @pytest.mark.parametrize("policy", ["immediate", "enforce"])
     @settings(max_examples=2, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -205,7 +196,7 @@ class TestGroupCommitIsSerial:
             engine.db.close()
         with tempfile.TemporaryDirectory() as oracle_dir:
             oracle, _ = _make_engine(seed, policy, durable_path=oracle_dir)
-            oracle_records, _ = replay_batches(oracle, batches)
+            oracle_records = replay_batches(oracle, batches)
             assert _state(oracle) == live_state
             assert _batch_signature(oracle_records) == _batch_signature(batches)
             assert oracle.db.counter.snapshot() == live_io
@@ -235,7 +226,7 @@ def _sql_streams(seed, n_clients, per_client):
     """Per-client SQL riders over a few hot rows that every client shares:
     ``e0``/``e6`` in ``dp0`` and ``dp0`` itself. The pool holds a rider
     whose derivation fails (a type error) and one that pushes ``dp0`` over
-    budget — an assertion violator under ``EnforcingPolicy``."""
+    budget — an assertion violator on an enforcing engine."""
     pool = [
         "UPDATE Emp SET Salary = Salary + {k} WHERE EName = 'e0'",
         "UPDATE Emp SET Salary = Salary + {k} WHERE EName = 'e6'",
@@ -327,7 +318,7 @@ class TestStatementRidersAreSerial:
         assert sum(b.size for b in batches) == n_clients * per_client
 
         oracle, _ = _make_engine(seed, policy)
-        oracle_records, _ = replay_batches(oracle, batches)
+        oracle_records = replay_batches(oracle, batches)
         assert _state(oracle) == _state(engine)
         assert _rider_signature(oracle_records) == _rider_signature(batches)
         assert oracle.db.counter.snapshot() == engine.db.counter.snapshot()

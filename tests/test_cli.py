@@ -159,7 +159,7 @@ class TestRunStream:
     def test_clients_run_reports_batches(self):
         from repro.cli import run_stream
 
-        out = run_stream(policy="deferred", n_txns=24, n_depts=8, clients=4)
+        out = run_stream(policy="immediate", n_txns=24, n_depts=8, clients=4)
         assert "clients: 4 (max_batch 32" in out
         assert "24 submitted, 24 committed" in out
         assert "group-commit batches" in out

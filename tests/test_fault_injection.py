@@ -10,7 +10,7 @@ side of the commit point (the WAL fsync), to that exact side.
 
 One test kills a real subprocess (``REPRO_CRASH_AT`` → ``os._exit``) to
 keep the in-process simulation honest. The satellite regressions for the
-commit-path exception-safety sweep (deferred requeue-on-failure, poisoned
+commit-path exception-safety sweep (a failed composed batch, poisoned
 assertion check, resumable undo) live here too, fault-injected at the
 component seams.
 """
@@ -24,7 +24,6 @@ import tempfile
 import pytest
 
 from repro.constraints.assertions import AssertionViolation
-from repro.engine import DeferredPolicy
 from repro.ivm.delta import Delta
 from repro.storage.database import Database
 from repro.storage.durable import CRASH_EXIT_CODE, CRASH_POINTS, CrashPoint
@@ -57,7 +56,7 @@ def _crash_run(tmp_path, policy, point, nth=1):
     index, injector) — index is None when the point was never reached."""
     db, _system, engine = build_system(str(tmp_path), policy, SEED)
     injector = CrashInjector(db.durable, point, nth=nth)
-    for i, event in enumerate(stream_events(engine, SEED, N_TXNS)):
+    for i, event in enumerate(stream_events(engine, SEED, N_TXNS, policy)):
         try:
             apply_event(engine, event)
         except CrashPoint:
@@ -118,39 +117,47 @@ def test_subprocess_kill_mid_commit_recovers(tmp_path):
 # -- satellite regressions ------------------------------------------------------------
 
 
-def test_deferred_flush_failure_preserves_pending_and_retries(tmp_path):
-    """A flush that dies mid-commit must hand the batch back: before the
-    fix, ``compose()`` drained the queue before the commit ran, so a
-    storage error silently lost every queued transaction."""
-    db, _system, engine = build_system(None, "deferred", SEED, batch_size=None)
-    events = [e for e in stream_events(engine, SEED, 4) if e[0] == "txn"]
-    for event in events:
-        apply_event(engine, event)
-    assert engine.pending == len(events)
+def test_batch_storage_failure_leaves_no_partial_state_and_riders_commit_alone():
+    """A composed commit that dies after applying part of its work rolls
+    all of it back before the committer replays the batch rider by rider;
+    in the replay each rider commits or fails on its own, so the batch ends
+    exactly where committing the surviving riders one at a time ends."""
+    from repro.server.commit import GroupCommitter
+
+    db, _system, engine = build_system(None, "batched", SEED)
+    kind, txns = next(iter(stream_events(engine, SEED, 6, "batched")))
+    assert kind == "batch" and len(txns) == 3
     before = snapshot(db)
 
     real = engine.apply_with_undo
-    calls = {"n": 0}
+    seen = []
 
     def poisoned(txn, undo):
-        calls["n"] += 1
-        raise StorageError("injected mid-flush storage failure")
+        seen.append((txn.type_name, snapshot(db)))
+        if txn.type_name.startswith("__group"):
+            real(txn, undo)  # part of the work lands, then the failure
+            raise StorageError("injected mid-batch storage failure")
+        if txn is txns[1]:
+            raise StorageError("injected rider storage failure")
+        return real(txn, undo)
 
     engine.apply_with_undo = poisoned
-    with pytest.raises(StorageError):
-        engine.flush()
+    committer = GroupCommitter(engine)
+    requests = committer.commit_batch(txns)
     engine.apply_with_undo = real
 
-    # The batch comes back as one already-composed transaction.
-    assert engine.pending == 1, "failed flush lost the batch"
-    assert snapshot(db) == before, "failed flush left partial state"
-    engine.flush()
-    assert engine.pending == 0
+    assert committer.batches[-1].replayed
+    # The first replayed rider starts from the pre-batch state: the failed
+    # composed commit left nothing behind.
+    assert seen[1][1] == before, "failed composed commit left partial state"
+    assert isinstance(requests[1].error, StorageError)
+    assert requests[0].result.committed and requests[0].error is None
 
     oracle_db, _os, oracle = build_system(None, "immediate", SEED)
-    for event in events:
-        apply_event(oracle, event)
-    assert snapshot(db) == snapshot(oracle_db), "retried flush diverged"
+    outcomes = [apply_event(oracle, ("txn", txn)) for txn in (txns[0], txns[2])]
+    assert ["committed" if r.error is None else "error" for r in (requests[0], requests[2])] == outcomes
+    assert snapshot(db) == snapshot(oracle_db), "per-rider replay diverged"
+    engine.maintainer.verify()
 
 
 @pytest.mark.parametrize("policy", ["immediate", "enforce"])
@@ -214,7 +221,7 @@ def test_post_barrier_checkpoint_failure_commits_in_both_worlds(
     generation = db.durable.generation
     with caplog.at_level(logging.WARNING, logger="repro.storage.durable"):
         result = engine.execute(txn)  # must not raise: the commit is durable
-    assert result.committed and not result.deferred
+    assert result.committed
     engine.maintainer.verify()
     assert isinstance(db.durable.checkpoint_error, OSError)
     assert db.durable.generation == generation

@@ -1,8 +1,8 @@
-"""Tests for deferred (batched) maintenance and delta composition.
+"""Tests for batched maintenance and delta composition.
 
-Deferred maintenance is ``Engine(maintainer, policy=DeferredPolicy())``:
-the policy queues commits and ``engine.flush()`` composes the queue with
-``compose_batch`` and commits it as one transaction.
+Batched maintenance is ``GroupCommitter(engine).commit_batch(riders)`` on
+an unstarted committer: the batch is composed with ``compose_batch`` and
+committed as one transaction on the caller's thread.
 """
 
 import random
@@ -17,11 +17,12 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.engine import DeferredPolicy, Engine
+from repro.engine import Engine
 from repro.ivm.deferred import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
 from repro.obs.metrics import MetricsRegistry
+from repro.server.commit import GroupCommitter
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import problem_dept_tree
 from repro.workload.transactions import Transaction, paper_transactions
@@ -150,7 +151,7 @@ def deferred(small_paper_db):
         cost_model,
     )
     maintainer.materialize()
-    return db, Engine(maintainer, policy=DeferredPolicy(), metrics=MetricsRegistry())
+    return db, GroupCommitter(Engine(maintainer, metrics=MetricsRegistry()))
 
 
 def _emp_raise(db, rng, amount=5):
@@ -159,65 +160,66 @@ def _emp_raise(db, rng, amount=5):
     return Transaction(">Emp", {"Emp": Delta.modification([(old, new)])})
 
 
-class TestDeferredMaintainer:
-    """Deferred maintenance through ``DeferredPolicy`` (the class name
-    predates the policy and keeps these test ids stable)."""
+def _modify(old, new):
+    return Transaction(">Emp", {"Emp": Delta.modification([(old, new)])})
 
-    def test_queue_defers_database(self, deferred):
-        db, engine = deferred
-        before = db.relation("Emp").contents()
-        rng = random.Random(0)
-        assert engine.execute(_emp_raise(db, rng)).deferred
-        assert engine.pending == 1
-        assert db.relation("Emp").contents() == before
-        engine.flush()
-        assert engine.pending == 0
-        assert db.relation("Emp").contents() != before
-        engine.maintainer.verify()
+
+class TestDeferredMaintainer:
+    """Batched maintenance through ``GroupCommitter.commit_batch`` (the
+    class name predates the group committer and keeps these test ids
+    stable)."""
 
     def test_flush_empty_queue(self, deferred):
-        _, engine = deferred
-        assert engine.flush() is None
+        _, committer = deferred
+        assert committer.commit_batch([]) == []
+        assert committer.batches == []
 
     def test_batch_correctness(self, deferred):
-        db, engine = deferred
+        db, committer = deferred
         rng = random.Random(1)
         for _ in range(3):
-            for _ in range(5):
-                engine.execute(_emp_raise(db, rng, rng.randint(1, 20)))
-            engine.flush()
-            engine.maintainer.verify()
+            # Each raise names a distinct employee: riders are generated
+            # from the stored rows, not from the riders ahead of them.
+            rows = rng.sample(sorted(db.relation("Emp").contents().rows()), 5)
+            batch = [
+                _modify(old, (old[0], old[1], old[2] + rng.randint(1, 20)))
+                for old in rows
+            ]
+            requests = committer.commit_batch(batch)
+            assert all(r.error is None for r in requests)
+            committer.engine.maintainer.verify()
 
     def test_mixed_relation_batch(self, deferred):
-        db, engine = deferred
+        db, committer = deferred
         rng = random.Random(2)
-        engine.execute(_emp_raise(db, rng))
         dept = sorted(db.relation("Dept").contents().rows())[0]
-        engine.execute(
-            Transaction(
-                ">Dept",
-                {"Dept": Delta.modification([(dept, (dept[0], dept[1], dept[2] - 5))])},
-            )
+        committer.commit_batch(
+            [
+                _emp_raise(db, rng),
+                Transaction(
+                    ">Dept",
+                    {"Dept": Delta.modification([(dept, (dept[0], dept[1], dept[2] - 5))])},
+                ),
+            ]
         )
-        result = engine.flush()
+        result = committer.batches[-1].batch_result
         assert result is not None
         assert result.txn.updated_relations == {"Emp", "Dept"}
-        engine.maintainer.verify()
+        committer.engine.maintainer.verify()
 
     def test_cancelling_batch_is_free(self, deferred):
-        db, engine = deferred
+        db, committer = deferred
         emp = sorted(db.relation("Emp").contents().rows())[0]
         up = (emp[0], emp[1], emp[2] + 10)
-        engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(emp, up)])}))
-        engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(up, emp)])}))
         db.counter.reset()
-        assert engine.flush() is None
-        assert engine.pending == 0
+        requests = committer.commit_batch([_modify(emp, up), _modify(up, emp)])
+        assert committer.batches[-1].empty
+        assert all(r.result.committed for r in requests)
         assert db.counter.total == 0
 
     def test_batching_amortizes_io(self, deferred):
         """k raises to the same employee: one group update, not k."""
-        db, engine = deferred
+        db, committer = deferred
         emp = sorted(db.relation("Emp").contents().rows())[0]
 
         # Per-transaction baseline.
@@ -225,30 +227,30 @@ class TestDeferredMaintainer:
         current = emp
         for i in range(5):
             new = (current[0], current[1], current[2] + 1)
-            engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
-            engine.flush()
+            committer.commit_batch([_modify(current, new)])
             current = new
         per_txn_cost = db.counter.total
-        engine.maintainer.verify()
+        committer.engine.maintainer.verify()
 
         # Batched.
         db.counter.reset()
+        batch = []
         for i in range(5):
             new = (current[0], current[1], current[2] + 1)
-            engine.execute(Transaction(">Emp", {"Emp": Delta.modification([(current, new)])}))
+            batch.append(_modify(current, new))
             current = new
-        engine.flush()
+        committer.commit_batch(batch)
         batched_cost = db.counter.total
-        engine.maintainer.verify()
+        committer.engine.maintainer.verify()
         assert batched_cost < per_txn_cost
 
     def test_transient_name_cleaned_up(self, deferred):
-        db, engine = deferred
+        db, committer = deferred
         rng = random.Random(4)
-        engine.execute(_emp_raise(db, rng))
-        assert engine.flush().txn.type_name.startswith("__batch")
+        committer.commit_batch([_emp_raise(db, rng)])
+        assert committer.batches[-1].batch_result.txn.type_name.startswith("__group")
         assert not any(
-            name.startswith("__batch") for name in engine.maintainer.txn_types
+            name.startswith("__group") for name in committer.engine.maintainer.txn_types
         )
 
 
@@ -260,10 +262,11 @@ from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.engine import DeferredPolicy, Engine
+from repro.engine import Engine
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
 from repro.obs.metrics import MetricsRegistry
+from repro.server.commit import GroupCommitter
 from repro.obs.trace import Tracer
 from repro.storage.statistics import Catalog
 from repro.workload.generators import chain_view, load_chain_database
@@ -291,15 +294,15 @@ maintainer = ViewMaintainer(
 maintainer.materialize()
 
 tracer = Tracer()
-engine = Engine(
-    maintainer, policy=DeferredPolicy(), tracer=tracer, metrics=MetricsRegistry()
-)
+committer = GroupCommitter(Engine(maintainer, tracer=tracer, metrics=MetricsRegistry()))
+batch = []
 for i in range(1, K + 1):
     rel = f"R{i}"
     old = sorted(db.relation(rel).contents().rows())[0]
     new = (old[0], old[1], old[2] + 7)
-    engine.execute(Transaction(f">R{i}", {rel: Delta.modification([(old, new)])}))
-result = engine.flush()
+    batch.append(Transaction(f">R{i}", {rel: Delta.modification([(old, new)])}))
+committer.commit_batch(batch)
+result = committer.batches[-1].batch_result
 print(json.dumps({
     "compose_order": list(result.txn.deltas),
     "base_apply_order": [s.attrs["relation"] for s in tracer.find("base_apply")],

@@ -8,7 +8,7 @@ tie out *bit-exactly* to commit attribution — no sampling, no estimates.
 import pytest
 
 from repro.constraints.assertions import AssertionViolation
-from repro.engine import DeferredPolicy, Engine
+from repro.engine import Engine
 from repro.ivm.delta import Delta
 from repro.obs.explain import explain, explain_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -288,23 +288,6 @@ class TestEngineTracing:
         assert snap["engine.rejected"] == 1
         assert "engine.commits" not in snap
 
-    def test_deferred_commit_records_defer_span(self, small_paper_db):
-        engine = Engine(
-            build_maintainer(small_paper_db),
-            policy=DeferredPolicy(batch_size=100),
-            metrics=MetricsRegistry(),
-        )
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        engine.execute(modify_txn(engine))
-        assert tracer.find("defer")
-        assert not tracer.find("txn")
-        assert engine.metrics.snapshot()["engine.deferrals"] == 1
-        flushed = engine.flush()
-        (txn_span,) = tracer.find("txn")
-        assert txn_span.io == flushed.io
-        assert txn_span.attrs["policy"] == "deferred-flush"
-
 
 class TestExplain:
     def test_explain_renders_plan_with_estimates(self, engine):
@@ -335,16 +318,6 @@ class TestExplain:
         explain_analyze(engine, txn)
         assert new in engine.db.relation("Emp").contents().rows()
         engine.maintainer.verify()
-
-    def test_explain_analyze_deferred_notes_queue(self, small_paper_db):
-        engine = Engine(
-            build_maintainer(small_paper_db),
-            policy=DeferredPolicy(batch_size=100),
-            metrics=MetricsRegistry(),
-        )
-        text, result = explain_analyze(engine, modify_txn(engine))
-        assert result.deferred
-        assert "queued" in text
 
     def test_explain_analyze_adhoc_shell_txn(self, engine):
         # Ad-hoc transactions (undeclared type) render via last_plan even

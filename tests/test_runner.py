@@ -1,39 +1,22 @@
-"""Tests for the transaction-stream runner.
+"""Tests for the transaction-stream runners.
 
-The regression anchored here: ``run_transactions``'s *final* flush used to
-run outside the per-transaction try/except, so a policy whose flush
-enforces assertions would blow away the whole :class:`StreamReport` when
-the tail batch was rejected — every already-tallied commit lost. The tail
-batch must count as ``rejected`` (it was rolled back atomically) and the
-report must survive.
+The regression anchored here: a rejected rider must never blow away the
+:class:`StreamReport` or take the other riders of its batch with it. On an
+enforcing engine a composed batch that enters a violation is rolled back
+and replayed rider by rider, so only the violator counts as ``rejected``
+and the report keeps every commit already tallied.
 """
 
 import pytest
 
 from repro.constraints.assertions import AssertionSystem, AssertionViolation
-from repro.engine import DeferredPolicy, Engine, EnforcingPolicy
+from repro.engine import Engine
 from repro.ivm.delta import Delta
 from repro.obs.metrics import MetricsRegistry
-from repro.workload.runner import run_transactions
+from repro.server.commit import GroupCommitter
+from repro.workload.runner import run_concurrent_transactions, run_transactions
 from repro.workload.transactions import Transaction, paper_transactions
 from tests.test_engine import DEPT_CONSTRAINT, build_maintainer, emp_raise
-
-
-class DeferredEnforcingPolicy(DeferredPolicy):
-    """Deferred batching whose flush *enforces* assertions.
-
-    Reproduces the runner's tail-flush hazard: the queue drains into one
-    combined transaction, and if that batch enters a violation the whole
-    batch is rolled back and :class:`AssertionViolation` escapes flush().
-    (EnforcingPolicy.commit keeps no per-instance state, so delegating to
-    a throwaway instance is sound.)
-    """
-
-    def flush(self, engine):
-        combined = self.compose(engine)
-        if combined is None:
-            return None
-        return EnforcingPolicy.commit(EnforcingPolicy(), engine, combined)
 
 
 def _raise_txn(db, index=0, amount=5):
@@ -42,71 +25,77 @@ def _raise_txn(db, index=0, amount=5):
 
 
 @pytest.fixture
-def enforcing_deferred_engine(small_paper_db):
+def enforcing_system(small_paper_db):
     system = AssertionSystem(
         small_paper_db, [DEPT_CONSTRAINT], paper_transactions()
     )
-    return Engine(
+    engine = Engine(
         system.maintainer,
-        policy=DeferredEnforcingPolicy(),
+        enforce=True,
         assertion_roots=system.roots,
         metrics=MetricsRegistry(),
     )
+    return system, engine
 
 
-class TestTailFlushRejection:
-    def test_rejected_tail_batch_preserves_report(self, enforcing_deferred_engine):
-        engine = enforcing_deferred_engine
-        before = {
-            name: engine.db.relation(name).contents() for name in ("Emp", "Dept")
-        }
+class TestEnforcingBatch:
+    def test_rejected_rider_preserves_report(self, enforcing_system):
+        system, engine = enforcing_system
         txns = [
             _raise_txn(engine.db, index=0, amount=1),
             _raise_txn(engine.db, index=1, amount=1),
             _raise_txn(engine.db, index=2, amount=10**6),  # violates DeptConstraint
         ]
-        report = run_transactions(engine, txns, flush=True)
-        # All three queued, the composed tail batch was rejected atomically:
-        # they count as rejected, nothing is lost, nothing stays deferred.
-        assert report.submitted == 3
-        assert report.rejected == 3
-        assert report.committed == 0
-        assert report.deferred == 0
-        assert engine.pending == 0
-        for name, contents in before.items():
-            assert engine.db.relation(name).contents() == contents
+        report, batches = run_concurrent_transactions(
+            engine, [[txn] for txn in txns], max_batch=4
+        )
+        # However the riders were batched, only the violator was rejected.
+        assert (report.submitted, report.committed, report.rejected) == (3, 2, 1)
+        emps = engine.db.relation("Emp").contents()
+        for txn, applied in zip(txns, (True, True, False)):
+            (old, new), = txn.deltas["Emp"].modifies
+            assert (new in emps) is applied and (old in emps) is not applied
+        assert system.all_satisfied()
         engine.maintainer.verify()
 
-    def test_clean_tail_batch_still_folds(self, enforcing_deferred_engine):
-        engine = enforcing_deferred_engine
-        report = run_transactions(
-            engine, [_raise_txn(engine.db, amount=1)], flush=True
+    def test_clean_batch_still_folds(self, enforcing_system):
+        _system, engine = enforcing_system
+        report, _ = run_concurrent_transactions(
+            engine, [[_raise_txn(engine.db, amount=1)]]
         )
         assert (report.committed, report.rejected) == (1, 0)
         assert report.io.total > 0
 
-    def test_no_flush_leaves_work_deferred(self, enforcing_deferred_engine):
-        engine = enforcing_deferred_engine
-        report = run_transactions(
-            engine, [_raise_txn(engine.db, amount=1)], flush=False
+    def test_commit_batch_rejects_only_the_violator(self, enforcing_system):
+        system, engine = enforcing_system
+        committer = GroupCommitter(engine)
+        requests = committer.commit_batch(
+            [
+                _raise_txn(engine.db, index=0, amount=1),
+                _raise_txn(engine.db, index=2, amount=10**6),
+                _raise_txn(engine.db, index=1, amount=1),
+            ]
         )
-        assert (report.deferred, report.committed) == (1, 0)
-        assert engine.pending == 1
+        record = committer.batches[-1]
+        assert record.replayed and record.batch_result is None
+        assert isinstance(requests[1].error, AssertionViolation)
+        assert [r.error is None for r in requests] == [True, False, True]
+        # Two rejections: the composed batch, then the violator replayed alone.
+        assert engine.metrics.snapshot()["engine.rejected"] == 2
+        assert system.all_satisfied()
+        engine.maintainer.verify()
 
-    def test_flush_exception_is_still_a_rejection_elsewhere(self, small_paper_db):
-        # Sanity: outside the runner, the policy really does raise.
-        system = AssertionSystem(
-            small_paper_db, [DEPT_CONSTRAINT], paper_transactions()
+    def test_clean_commit_batch_commits_once(self, enforcing_system):
+        _system, engine = enforcing_system
+        committer = GroupCommitter(engine)
+        requests = committer.commit_batch(
+            [_raise_txn(engine.db, index=i, amount=1) for i in range(3)]
         )
-        engine = Engine(
-            system.maintainer,
-            policy=DeferredEnforcingPolicy(),
-            assertion_roots=system.roots,
-            metrics=MetricsRegistry(),
-        )
-        engine.execute(_raise_txn(engine.db, amount=10**6))
-        with pytest.raises(AssertionViolation):
-            engine.flush()
+        record = committer.batches[-1]
+        assert not record.replayed
+        assert record.batch_result is not None and record.batch_result.io.total > 0
+        assert all(r.result.committed and r.result.io.total == 0 for r in requests)
+        assert engine.metrics.snapshot()["engine.commits"] == 1
 
 
 class TestReportMetrics:

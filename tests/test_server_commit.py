@@ -154,8 +154,7 @@ class TestGroupCommitter:
         committer.close()
 
         oracle = _fresh_engine()
-        records, tail = replay_batches(oracle, committer.batches)
-        assert tail is None
+        records = replay_batches(oracle, committer.batches)
         assert len(records) == len(committer.batches)
         assert oracle.db.relation("Emp").contents() == (
             live.db.relation("Emp").contents()
@@ -260,7 +259,7 @@ class TestStatementRiders:
         oracle = AssertionSystem(
             _fresh_engine().db, [DEPT_CONSTRAINT], paper_transactions(), enforce=True
         ).engine
-        records, _ = replay_batches(oracle, committer.batches)
+        records = replay_batches(oracle, committer.batches)
         assert records[0].replayed
         assert oracle.db.relation("Emp").contents() == (
             enforcing.db.relation("Emp").contents()
