@@ -26,12 +26,16 @@ identical :class:`~repro.algebra.multiset.Multiset` results and identical
 The interpreted path remains the reference semantics: select the backend
 globally with :func:`set_default_backend` (or the ``REPRO_EXEC_BACKEND``
 environment variable), or per call via ``evaluate(..., backend=...)``.
+An unknown ``REPRO_EXEC_BACKEND`` value falls back to the compiled backend
+with a ``RuntimeWarning`` and a WARNING event, ``compile.backend_fallback``,
+on the ``repro.algebra.compile`` logger.
 Unknown operator/scalar/predicate subclasses fall back to their
 interpreted ``eval`` transparently, so third-party extensions keep working.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import threading
@@ -68,6 +72,8 @@ class CompileError(Exception):
 
 BACKENDS = ("compiled", "interpreted")
 
+_log = logging.getLogger("repro.algebra.compile")
+
 
 def _backend_from_env() -> str:
     value = os.environ.get("REPRO_EXEC_BACKEND")
@@ -79,6 +85,11 @@ def _backend_from_env() -> str:
             f"expected one of {BACKENDS}",
             RuntimeWarning,
             stacklevel=2,
+        )
+        event = "compile.backend_fallback"
+        _log.warning(
+            "%s value=%r backend='compiled'", event, value,
+            extra={"event": event, "value": value, "backend": "compiled"},
         )
         return "compiled"
     return value

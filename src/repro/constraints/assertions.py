@@ -155,7 +155,7 @@ class AssertionSystem:
         In ``enforce`` mode (an ``Engine(enforce=True)``) a transaction that
         introduces violations is rejected **atomically**: base relations
         and all materialized views are rolled back to the exact
-        pre-transaction state (uncharged, via the inverse-delta undo log)
+        pre-transaction state (uncharged, by inverting the undo log's applied deltas)
         before :class:`AssertionViolation` propagates — assertion checking
         is only sound if a violating transaction can be refused.
         """

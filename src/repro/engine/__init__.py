@@ -4,10 +4,10 @@
 behind an explicit ``begin() → stage → commit() / rollback()`` transaction
 lifecycle and one commit body, which maintains every view within the
 transaction and, with ``enforce=True``, rejects assertion violations.
-Commits are measured with scoped I/O attribution and journaled as inverse
-deltas, so a failed or rejected transaction rolls back atomically — the
-shell, CLI, assertion system, group committer, and workload runners all
-route their writes through here.
+Commits are measured with scoped I/O attribution and journal their applied
+deltas (inverted only on rollback), so a failed or rejected transaction
+rolls back atomically — the shell, CLI, assertion system, group committer,
+and workload runners all route their writes through here.
 """
 
 from repro.engine.engine import (

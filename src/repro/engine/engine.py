@@ -12,7 +12,7 @@ body, which maintains every materialized view within the transaction (the
 paper's setting) and, on an enforcing engine, rejects a transaction that
 enters an assertion violation. Every commit is measured with a scoped I/O
 counter (per-transaction attribution) and journaled in an
-:class:`~repro.storage.undo.UndoLog` of inverse deltas, so a rejection —
+:class:`~repro.storage.undo.UndoLog` of applied deltas, so a rejection —
 or any storage error — rolls the database and all materialized views back
 to the exact pre-transaction state, uncharged. Batching several
 transactions into one commit is the group committer's job
@@ -308,8 +308,8 @@ class Engine:
                 span.annotate(outcome="rejected", violation=rejected)
                 raise AssertionViolation(rejected, new[rejected])
             # Past the point of no return: advance the snapshot epoch (and
-            # retain the undo journal's inverses for any pinned readers)
-            # before the journal is discarded.
+            # retain the inverses of the undo journal for any pinned
+            # readers) before the journal is discarded.
             self.db.epoch_log.note_commit(undo)
             span.annotate(outcome="committed")
         return TransactionResult(
@@ -458,7 +458,7 @@ class Engine:
     # -- commit plumbing ---------------------------------------------------------
 
     def apply_with_undo(self, txn: Transaction, undo: UndoLog) -> dict[int, Delta]:
-        """Apply through the maintainer, journaling inverse deltas.
+        """Apply through the maintainer, journaling the applied deltas.
 
         Declared transaction types use their optimizer-chosen track;
         anything else goes through the ad-hoc path (track chosen on the

@@ -510,7 +510,7 @@ class ViewMaintainer:
         Returns the view deltas.
 
         When an :class:`~repro.storage.undo.UndoLog` is passed, every
-        applied delta's inverse is journaled in application order, so the
+        applied delta is journaled in application order, so the
         caller (the engine layer) can roll the whole transaction back —
         including any prefix applied before a storage error.
 
@@ -560,9 +560,9 @@ class ViewMaintainer:
             relation = self.db.relation(rel)
             # Base updates are the transaction itself: never charged.
             with tracer.span("base_apply", relation=rel), self.db.counter.suspended():
-                inverse = relation.apply_delta(delta)
+                relation.apply_delta(delta)
             if undo is not None:
-                undo.record(relation, inverse)
+                undo.record(relation, delta)
         for gid in sorted(self.marking):
             delta = deltas.get(gid)
             if delta is None or delta.is_empty:
@@ -790,17 +790,18 @@ class ViewMaintainer:
         self, gid: int, delta: Delta, undo: "UndoLog | None" = None
     ) -> None:
         relation = self._views[gid]
-        inverse = self._apply_view_delta_charged(gid, relation, delta)
+        self._apply_view_delta_charged(gid, relation, delta)
         if undo is not None:
-            undo.record(relation, inverse)
+            undo.record(relation, delta)
 
     def _apply_view_delta_charged(
         self, gid: int, relation: StoredRelation, delta: Delta
-    ) -> Delta:
+    ) -> None:
         charge = self.charge_root_update or gid not in self._roots
         if not charge:
             with self.db.counter.suspended():
-                return relation.apply_delta(delta)
+                relation.apply_delta(delta)
+            return
         if gid in self._self_maintained:
             # The old rows (and their index page) were probed while
             # computing the delta — charge only the writes, per the paper's
@@ -821,8 +822,9 @@ class ViewMaintainer:
                         touched.add(index.key_of(row))
                 counter.charge_index_write(len(touched))
             with counter.suspended():
-                return relation.apply_delta(delta)
-        return relation.apply_delta(delta)
+                relation.apply_delta(delta)
+            return
+        relation.apply_delta(delta)
 
     # -- verification ------------------------------------------------------------------
 

@@ -194,11 +194,12 @@ class HashIndex:
     def distinct_keys(self) -> int:
         return len(self._buckets)
 
-    def rebuild(self, data: Multiset) -> None:
+    def rebuild(self, items: Iterable[tuple[Row, int]]) -> None:
+        """Refill the buckets from the relation's ``(row, count)`` pairs."""
         self._buckets.clear()
         self._totals.clear()
         key_of = self.key_of
-        self._add_many((key_of(row), row, count) for row, count in data.items())
+        self._add_many((key_of(row), row, count) for row, count in items)
 
 
 class KeyIndex:

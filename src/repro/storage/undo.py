@@ -1,12 +1,15 @@
-"""Logical undo: per-transaction journals of inverse deltas.
+"""Logical undo: per-transaction journals of applied deltas.
 
-:meth:`StoredRelation.apply_delta` returns the inverse of every delta it
-applies (O(|delta|)); an :class:`UndoLog` collects those inverses in
-application order so a whole transaction — base-relation updates plus all
-materialized-view updates — can be rolled back exactly. Rollback applies
-the inverses in reverse order with the I/O counter suspended: undoing work
-is bookkeeping, not priced maintenance, so it never pollutes the paper's
-cost accounting.
+An :class:`UndoLog` journals every delta a transaction applies — base
+relation updates plus all materialized-view updates — in application
+order, and inverts them only if it rolls back: most transactions commit,
+so :meth:`StoredRelation.apply_delta` builds no inverse. Rollback applies
+each delta's inverse (:meth:`Delta.inverted`, O(|delta|)) newest first
+with the I/O counter suspended: undoing work is bookkeeping, not priced
+maintenance, so it never pollutes the paper's cost accounting.
+
+An :class:`EpochLog` keeps committed inverses for snapshot readers, and
+inverts a commit's journal only while a reader holds a pin.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class UndoLog:
-    """An ordered journal of (relation, inverse delta) rollback entries."""
+    """An ordered journal of (relation, applied delta) rollback entries."""
 
     def __init__(self) -> None:
         self._entries: list[tuple["StoredRelation", "Delta"]] = []
 
-    def record(self, relation: "StoredRelation", inverse: "Delta") -> None:
-        """Journal one applied delta's inverse (in application order)."""
-        if not inverse.is_empty:
-            self._entries.append((relation, inverse))
+    def record(self, relation: "StoredRelation", delta: "Delta") -> None:
+        """Journal one delta just applied to ``relation`` (in application
+        order). The journal holds the delta itself, so the caller must not
+        change it until the log is rolled back or cleared."""
+        if not delta.is_empty:
+            self._entries.append((relation, delta))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -41,9 +46,10 @@ class UndoLog:
         self,
         journal: "Callable[[StoredRelation, Delta], None] | None" = None,
     ) -> None:
-        """Undo every journaled delta, newest first, uncharged.
+        """Undo every journaled delta, newest first, uncharged, by applying
+        its inverse.
 
-        Each entry is *peeked*, applied, and only then popped: if
+        Each entry is *peeked*, inverted, applied, and only then popped: if
         ``apply_delta`` raises mid-rollback the failing entry (and
         everything older) stays in the log, so the rollback can be
         resumed by calling again — a pop-first loop would silently lose
@@ -51,12 +57,13 @@ class UndoLog:
         empty; rolling back an empty log is a no-op, so the call is
         idempotent.
 
-        ``journal`` (when given) is called with each entry *after* its
-        inverse has been applied — the durable layer uses it to write
-        rollback progress into the WAL.
+        ``journal`` (when given) is called with each relation and inverse
+        *after* the inverse has been applied — the durable layer uses it to
+        write rollback progress into the WAL.
         """
         while self._entries:
-            relation, inverse = self._entries[-1]
+            relation, delta = self._entries[-1]
+            inverse = delta.inverted()
             with relation.counter.suspended():
                 relation.apply_delta(inverse)
             # Pop before journaling: the inverse is applied either way, and
@@ -75,16 +82,18 @@ class EpochLog:
     """Bounded history of committed inverse deltas, for snapshot reads.
 
     Every successful commit advances the shared ``epoch``. A reader that
-    wants a stable view *pins* the current epoch; from then on each
-    commit's inverse deltas (the same journal :class:`UndoLog` builds for
-    rollback) are retained, so the reader can reconstruct the pinned
-    state from the live relations by replaying inverses newest-first down
-    to its epoch — no locks held against the writer while it reads.
+    wants a stable view *pins* the current epoch; from then on the
+    inverses of each commit's journaled deltas (its :class:`UndoLog`) are
+    retained, so the reader can reconstruct the pinned state from the live
+    relations by replaying inverses newest-first down to its epoch — no
+    locks held against the writer while it reads.
     Unpinning releases the history: with no pins outstanding nothing is
     retained, so single-session engines pay nothing for this machinery.
 
     Entries are keyed by relation *name* (deltas are logical), so a
-    snapshot replay never aliases live storage objects.
+    snapshot replay never aliases live storage objects; and each inverse is
+    built when the commit is noted, so it never aliases a delta the
+    committing caller still holds.
     """
 
     def __init__(self) -> None:
@@ -119,14 +128,15 @@ class EpochLog:
             self._entries = [e for e in self._entries if e[0] > oldest]
 
     def note_commit(self, undo: "UndoLog") -> int:
-        """Advance the epoch for one successful commit; retain its inverse
-        deltas only while at least one reader holds a pin. Called by the
-        engine's commit pipeline *before* the undo journal is discarded."""
+        """Advance the epoch for one successful commit; invert and retain
+        its journaled deltas only while at least one reader holds a pin.
+        Called by the engine's commit pipeline *before* the undo journal is
+        discarded."""
         with self._lock:
             self.epoch += 1
             if self._pins:
                 entries = tuple(
-                    (relation.name, inverse) for relation, inverse in undo.entries
+                    (relation.name, delta.inverted()) for relation, delta in undo.entries
                 )
                 if entries:
                     self._entries.append((self.epoch, entries))

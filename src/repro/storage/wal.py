@@ -6,8 +6,8 @@ Every record is one JSON object framed as
 
 The log is delta-based rather than page-based, and it is the *only*
 durable copy of the data: the deltas the maintenance machinery already
-produces (and whose inverses :class:`~repro.storage.undo.UndoLog`
-journals) are the natural recovery log for materialized state, so
+produces (and :class:`~repro.storage.undo.UndoLog` journals for
+rollback) are the natural recovery log for materialized state, so
 recovery is "load the checkpoint snapshot at the head of the log, then
 replay the committed deltas after it".
 

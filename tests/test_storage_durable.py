@@ -420,9 +420,11 @@ def test_undo_rollback_retains_entry_on_apply_failure():
     rel = StoredRelation("R", SCHEMA)
     rel.load([("a", 1)])
     undo = UndoLog()
-    undo.record(rel, rel.apply_delta(Delta.insertion([("b", 2)])))
+    applied = Delta.insertion([("b", 2)])
+    rel.apply_delta(applied)
+    undo.record(rel, applied)
     # Poison the newest entry: its inverse deletes a row that isn't there.
-    undo.record(rel, Delta.deletion([("ghost", 0)]))
+    undo.record(rel, Delta.insertion([("ghost", 0)]))
 
     with pytest.raises(Exception):
         undo.rollback()
@@ -441,8 +443,9 @@ def test_undo_rollback_journal_failure_cannot_double_apply():
     rel = StoredRelation("R", SCHEMA)
     rel.load([("a", 1)])
     undo = UndoLog()
-    undo.record(rel, rel.apply_delta(Delta.insertion([("b", 2)])))
-    undo.record(rel, rel.apply_delta(Delta.insertion([("c", 3)])))
+    for applied in (Delta.insertion([("b", 2)]), Delta.insertion([("c", 3)])):
+        rel.apply_delta(applied)
+        undo.record(rel, applied)
 
     calls = {"n": 0}
 

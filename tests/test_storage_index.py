@@ -15,7 +15,7 @@ SCHEMA = Schema.of(("A", DataType.INT), ("B", DataType.STRING))
 def index():
     counter = IOCounter()
     idx = HashIndex(SCHEMA, ("B",), counter)
-    idx.rebuild(Multiset([(1, "x"), (2, "x"), (3, "y")]))
+    idx.rebuild(Multiset([(1, "x"), (2, "x"), (3, "y")]).items())
     return idx
 
 
@@ -68,5 +68,5 @@ class TestMaintenance:
 
     def test_multi_column_index(self):
         idx = HashIndex(SCHEMA, ("A", "B"), IOCounter())
-        idx.rebuild(Multiset([(1, "x")]))
+        idx.rebuild(Multiset([(1, "x")]).items())
         assert idx.probe_free((1, "x")).total() == 1

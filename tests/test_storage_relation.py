@@ -47,6 +47,33 @@ class TestLoadAndRead:
         with pytest.raises(StorageError):
             relation.lookup(["V"], (10,))
 
+    @pytest.mark.parametrize("schema", [SCHEMA, Schema.of(*SCHEMA.columns)], ids=["keyed", "bag"])
+    def test_load_validates_each_row_once(self, schema, monkeypatch):
+        checked = []
+        validate = Schema.validate_tuple
+
+        def counting(self, values):
+            checked.append(values)
+            return validate(self, values)
+
+        monkeypatch.setattr(Schema, "validate_tuple", counting)
+        rel = StoredRelation("T", schema)
+        rows = [(i, "g", i) for i in range(5)]
+        rel.load(rows)
+        assert sorted(checked) == rows
+        assert sorted(rel.rows()) == rows
+
+    @pytest.mark.parametrize("schema", [SCHEMA, Schema.of(*SCHEMA.columns)], ids=["keyed", "bag"])
+    def test_mistyped_row_loads_nothing(self, schema):
+        rel = StoredRelation("T", schema)
+        rel.create_index(["G"])
+        with pytest.raises(TypeError_):
+            rel.load([(1, "a", 0), (2, "b", "x"), (3, "c", 0)])
+        assert rel.row_count == 0
+        assert list(rel.items()) == []
+        assert rel.candidates({"G": "a"}) == (("G",), [])
+        assert rel.counter.total == 0
+
 
 class TestModifies:
     def test_paper_accounting_single_modify(self, relation):
@@ -203,8 +230,9 @@ class TestRejectedDelta:
     def _assert_untouched(self, rel):
         assert rel.contents() == Multiset([(1, 10), (2, 20)])
         assert rel.row_count == 2
-        assert rel._keys[0][2] == {(1,): (1, 10), (2,): (2, 20)}
         assert rel.candidates({"K": 1}) == (("K",), [(1, 10)])
+        assert rel.candidates({"K": 2}) == (("K",), [(2, 20)])
+        assert rel.candidates({"K": 5}) == (("K",), [])
         assert rel.candidates({"V": 20}) == (("V",), [(2, 20)])
         assert rel.index_on(["V"])._totals == {(10,): 1, (20,): 1}
         assert rel.counter.snapshot() == IOStats()
@@ -243,10 +271,15 @@ class TestRejectedDelta:
 
 
 def _assert_consistent(rel: StoredRelation) -> None:
-    """The running total and every key map agree with the stored rows."""
-    assert rel.row_count == rel._data.total()
-    for columns, getter, key_map in rel._keys:
-        assert key_map == {getter(row): row for row in rel._data.rows()}
+    """The row count and every key's probes agree with the stored rows."""
+    stored = dict(rel.items())
+    assert rel.row_count == sum(stored.values())
+    assert all(n == 1 for n in stored.values())  # keyed: each row once
+    for row in stored:
+        assert rel.candidates({"K": row[0]}) == (("K",), [row])
+    held = {row[0] for row in stored}
+    for k in set(range(100)) - held:
+        assert rel.candidates({"K": k}) == (("K",), [])
 
 
 class TestRunningState:
@@ -264,7 +297,7 @@ class TestRunningState:
         rel.create_index(["G"])
         failures = rollbacks = 0
         for _ in range(400):
-            live = sorted(rel._data.rows())
+            live = sorted(rel.rows())
             undo = UndoLog()
             for _ in range(rng.randint(1, 3)):
                 # One kind per delta, so each inverse is applicable. Keys in
@@ -289,12 +322,13 @@ class TestRunningState:
                     )
                 before = rel.contents()
                 try:
-                    undo.record(rel, rel.apply_delta(delta))
+                    rel.apply_delta(delta)
+                    undo.record(rel, delta)
                 except StorageError:
                     failures += 1
                     assert rel.contents() == before  # atomic
                 _assert_consistent(rel)
-                live = sorted(rel._data.rows())
+                live = sorted(rel.rows())
             if rng.random() < 0.4:
                 undo.rollback()
                 rollbacks += 1
