@@ -12,10 +12,11 @@ body, which maintains every materialized view within the transaction (the
 paper's setting) and, on an enforcing engine, rejects a transaction that
 enters an assertion violation. Every commit is measured with a scoped I/O
 counter (per-transaction attribution) and journaled in an
-:class:`~repro.storage.undo.UndoLog` of applied deltas, so a rejection —
-or any storage error — rolls the database and all materialized views back
-to the exact pre-transaction state, uncharged. Batching several
-transactions into one commit is the group committer's job
+:class:`~repro.storage.undo.UndoLog` of applied deltas, its only record:
+a rejection — or any storage error — rolls the database and all
+materialized views back to the exact pre-transaction state, uncharged,
+and a durable log receives the journal only once the commit is accepted.
+Batching several transactions into one commit is the group committer's job
 (:meth:`~repro.server.commit.GroupCommitter.commit_batch`).
 
 :class:`EngineTransaction` is also a context manager: a clean ``with``
@@ -260,20 +261,20 @@ class Engine:
     def _commit(self, txn: Transaction) -> TransactionResult:
         """The one commit body: scoped I/O, undo journal, violation report.
         *Everything* between begin and the result — the maintainer apply,
-        the assertion check, and the durable WAL commit — sits inside one
-        rollback guard: an exception from any of them rolls back the
-        applied base/view deltas before propagating, so even failed commits
-        leave a consistent state. (Guarding only the apply would let a
-        raising assertion check strand the applied deltas with the undo log
-        dropped.) The durable commit only ever raises *before* its WAL
-        barrier — the one step after it, the automatic checkpoint, has its
-        I/O failures absorbed by the store — so this rollback never
-        contradicts a durable commit record.
+        the assertion check, and the durable WAL commit of the undo
+        journal — sits inside one rollback guard: an exception from any of
+        them rolls back the applied base/view deltas before propagating, so
+        even failed commits leave a consistent state. The journal reaches
+        the log only after the check passes, so a rollback writes nothing.
+        The durable commit only ever raises *before* its WAL barrier — the
+        one step after it, the automatic checkpoint, has its I/O failures
+        absorbed by the store — so this rollback never contradicts a
+        durable commit record.
 
         On an enforcing engine a commit that enters any assertion violation
-        is rolled back (before the durable commit, uncharged) and
-        :class:`AssertionViolation` is raised. The attempted maintenance
-        work stays charged — ``scope`` already measured it.
+        is rolled back (uncharged) and :class:`AssertionViolation` is
+        raised. The attempted maintenance work stays charged — ``scope``
+        already measured it.
 
         The "txn" span wraps exactly the scoped region plus the assertion
         check, so its measured I/O equals the commit's
@@ -286,8 +287,6 @@ class Engine:
         durable = self.db.durable
         label = "enforce" if self.enforce else "immediate"
         with tracer.span("txn", txn=txn.type_name, policy=label) as span:
-            if durable is not None:
-                durable.begin(txn.type_name)
             try:
                 with self.db.counter.scoped() as scope:
                     view_deltas = self.apply_with_undo(txn, undo)
@@ -297,14 +296,20 @@ class Engine:
                         new, cleared = self.violations(view_deltas)
                 rejected = min(new) if self.enforce and new else None
                 if rejected is None and durable is not None:
-                    durable.commit(tracer=tracer)
+                    durable.commit(
+                        txn.type_name,
+                        [(relation.name, delta) for relation, delta in undo.entries],
+                        tracer=tracer,
+                    )
             except Exception:
-                self._rollback(undo, reason="commit-error")
+                with tracer.span("rollback", reason="commit-error"):
+                    undo.rollback()
                 raise
             if rejected is not None:
                 from repro.constraints.assertions import AssertionViolation
 
-                self._rollback(undo, reason="assertion-violation")
+                with tracer.span("rollback", reason="assertion-violation"):
+                    undo.rollback()
                 span.annotate(outcome="rejected", violation=rejected)
                 raise AssertionViolation(rejected, new[rejected])
             # Past the point of no return: advance the snapshot epoch (and
@@ -320,15 +325,6 @@ class Engine:
             new_violations=new,
             cleared_violations=cleared,
         )
-
-    def _rollback(self, undo: UndoLog, reason: str) -> None:
-        """The failure path: undo everything (journaling rollback progress
-        into the WAL when durable) and discard the durable transaction."""
-        durable = self.db.durable
-        with self.tracer.span("rollback", reason=reason):
-            undo.rollback(journal=durable.journal_undo if durable is not None else None)
-        if durable is not None:
-            durable.abort()
 
     # -- epochs (snapshot reads) ---------------------------------------------------
 

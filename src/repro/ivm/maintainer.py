@@ -164,12 +164,13 @@ class ViewMaintainer:
             name = self.view_name(gid)
             if name in self.db:
                 self.db.drop_relation(name)
-            relation = self.db.create_relation(name, group.schema, indexes=())
-            relation.load_multiset(contents)
             index_cols = self.cost_model.index_columns(gid)
-            if index_cols:
-                relation.create_index(sorted(index_cols))
-            self._views[gid] = relation
+            self._views[gid] = self.db.create_relation(
+                name,
+                group.schema,
+                contents.expand(),
+                indexes=[sorted(index_cols)] if index_cols else (),
+            )
             agg = self._aggregate_op(gid)
             if agg is not None:
                 self._agg_specs[gid] = agg
@@ -735,7 +736,10 @@ class ViewMaintainer:
         """Choose the γ rule: full groups (no query), self-maintenance from
         the view's own rows (the paper's N3 read-modify-write), or
         recomputation from the affected groups' input rows."""
-        est_delta = self.estimator.delta(input_gid, txn_type)
+        # Completeness follows from keys and operators, not update sizes:
+        # asking at the type's shape keeps the estimator's memo to one
+        # entry per shape, not one per ad-hoc row count.
+        est_delta = self.estimator.delta(input_gid, txn_type.shape)
         if est_delta is not None and est_delta.is_complete_on(template.group_by):
             return propagate_aggregate_full_groups(template, delta)
         if (

@@ -24,13 +24,15 @@ class Database:
     ``lookup`` methods.
 
     Durability is opt-in: ``durable_path`` attaches a
-    :class:`~repro.storage.durable.DurableStore` that logs every committed
-    change to a write-ahead log and checkpoints these relations straight
-    from memory. The in-memory relations stay authoritative — and the
-    paper's :class:`IOCounter` accounting is untouched by the log — so a
-    non-durable database behaves bit-identically with the switch off. If the directory holds a
-    previous incarnation, its state is recovered here (log replay) and
-    the relations are rebuilt before any caller sees the database.
+    :class:`~repro.storage.durable.DurableStore` that logs each relation's
+    creation and initial rows, and every engine commit, to a write-ahead
+    log, and checkpoints these relations straight from memory. The
+    in-memory relations stay authoritative — and the paper's
+    :class:`IOCounter` accounting is untouched by the log — so a
+    non-durable database behaves bit-identically with the switch off. If
+    the directory holds a previous incarnation, its state is recovered
+    here (log replay) and the relations are rebuilt before any caller sees
+    the database.
     """
 
     def __init__(
@@ -64,16 +66,15 @@ class Database:
     def _restore(self, store: "DurableStore") -> None:
         """Rebuild in-memory relations from a recovered durable store.
 
-        The journal hook is attached only *after* each relation's
-        recovered contents are loaded — restoring must not re-journal
-        what the WAL already holds. Attaching the relation map last lets
-        the store drop its recovered copies."""
+        Restoring logs nothing: the catalog hook is attached only after
+        each relation's recovered indexes are built. Attaching the
+        relation map last lets the store drop its recovered copies."""
         for name, schema, indexes in store.relations():
             relation = StoredRelation(name, schema, self.counter)
             relation.load_multiset(store.contents(name))
             for cols in indexes:
                 relation.create_index(cols)
-            relation._journal = store
+            relation._durable = store
             self._relations[name] = relation
         store.attach(self._relations)
 
@@ -98,9 +99,9 @@ class Database:
         relation.load(rows)
         for cols in indexes:
             relation.create_index(cols)
-        # Registered before journaling: the initial load's auto-commit can
-        # run the automatic checkpoint, which snapshots this map — a
-        # relation missing from it would be cut out of the log.
+        # Registered before logging: the initial rows' commit can run the
+        # automatic checkpoint, which snapshots this map — a relation
+        # missing from it would be cut out of the log.
         self._relations[name] = relation
         if self.durable is not None:
             try:
@@ -109,11 +110,11 @@ class Database:
                     self.durable.on_index(name, built)
                 initial = relation.contents()
                 if initial:
-                    self.durable.on_delta(name, Delta(inserts=initial))
+                    self.durable.commit(f"__create_{name}", [(name, Delta(inserts=initial))])
             except BaseException:
                 del self._relations[name]
                 raise
-            relation._journal = self.durable
+            relation._durable = self.durable
         return relation
 
     def drop_relation(self, name: str) -> None:

@@ -4,9 +4,14 @@ Opt-in (``Database(durable_path=...)``): the in-memory
 :class:`~repro.storage.relation.StoredRelation` stays the oracle for
 queries and for the paper's Section 3.6 accounting — nothing in this module
 ever touches :class:`~repro.storage.pager.IOCounter`. The store keeps no
-second copy of the data: a commit logs the counting-algorithm deltas the
-maintainer already produced, and a checkpoint snapshots the live relations
-straight from memory. Its own traffic is reported through
+second copy of the data and no transaction state: the engine hands each
+commit's undo journal — the counting-algorithm deltas the maintainer
+applied, base relations and views, in application order — to
+:meth:`DurableStore.commit` once its assertion check has passed, and a
+checkpoint snapshots the live relations straight from memory. A
+transaction the engine rolls back never reaches the store, so a rejected
+commit writes nothing. Writes made around the engine (a bare
+``apply_delta``) are not logged. Its own traffic is reported through
 :class:`~repro.storage.pager.PagerStats`.
 
 Commit protocol (write-ahead rule)::
@@ -42,19 +47,20 @@ checkpoint header resets the state and its ``rows`` chunks seed it; every
 later *committed* transaction folds in (a ``begin`` without ``commit`` is
 discarded), all of its deltas or none. A committed delta that cannot be
 applied is skipped into ``recovery_errors``, never allowed to fail every
-open. Recovery writes only to truncate a torn tail and to delete a stale
-rotation sidecar, so running it twice is a byte-identical no-op.
+open. Records of any other kind (the ``undo`` / ``abort`` rollback trail
+older logs hold) are skipped. Recovery writes only to truncate a torn tail
+and to delete a stale rotation sidecar, so running it twice is a
+byte-identical no-op.
 
 Degradations are logged on the ``repro.storage.durable`` logger under
 stable event names: ``durable.torn_tail``, ``durable.recovery_skip`` and
 ``durable.checkpoint_failed``.
 
-Crash points: every WAL/checkpoint boundary calls ``crash_hook(point)``.
-Tests inject in-process crashes by raising :class:`CrashPoint` (after
-:meth:`DurableStore.freeze`, so post-"death" cleanup code cannot touch the
-files); subprocess kills are driven by the ``REPRO_CRASH_AT=point[:nth]``
-environment variable, which makes the nth arrival at ``point`` call
-``os._exit`` — a real mid-commit death.
+Crash points: every WAL/checkpoint boundary calls ``crash_hook(point)``
+(``None``, the default, means no hook). Tests inject in-process crashes by
+raising :class:`CrashPoint` (after :meth:`DurableStore.freeze`, so
+post-"death" cleanup code cannot touch the files), or kill the process
+there with ``os._exit(CRASH_EXIT_CODE)`` — a real mid-commit death.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ CHECKPOINT_CHUNK_ROWS = 1024
 #: half-written record equal to its absence).
 WAL_SYNC_MODES = ("normal", "full")
 
-#: exit status used by the env-driven subprocess crash injector
+#: exit status of a crash hook that kills the process at its crash point
 CRASH_EXIT_CODE = 137
 
 #: every injectable crash boundary, in commit/checkpoint order
@@ -104,30 +110,6 @@ CRASH_POINTS = (
 
 class CrashPoint(RuntimeError):
     """Raised by in-process crash injection at a named boundary."""
-
-
-def _env_crash_hook(spec: str | None = None) -> Callable[[str], None] | None:
-    """Build the ``REPRO_CRASH_AT=point[:nth]`` subprocess kill hook.
-
-    ``spec`` overrides the environment — harnesses that must survive their
-    own setup phase pop the variable, build, then arm the hook explicitly.
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_CRASH_AT", "")
-    spec = spec.strip()
-    if not spec:
-        return None
-    point, _, nth = spec.partition(":")
-    target = int(nth) if nth else 1
-    seen = {"n": 0}
-
-    def hook(name: str) -> None:
-        if name == point:
-            seen["n"] += 1
-            if seen["n"] >= target:
-                os._exit(CRASH_EXIT_CODE)  # a real mid-commit death
-
-    return hook
 
 
 def _event(level: int, event: str, **fields: Any) -> None:
@@ -195,7 +177,7 @@ class DurableStore:
         self.checkpoint_every = (
             checkpoint_every if checkpoint_every is not None else DEFAULT_CHECKPOINT_EVERY
         )
-        self.crash_hook = crash_hook if crash_hook is not None else _env_crash_hook()
+        self.crash_hook = crash_hook
         self.stats = PagerStats()
         self.last_commit_stats: dict[str, int] | None = None
         #: committed transactions recovery could not re-apply (skip-and-
@@ -212,11 +194,6 @@ class DurableStore:
         self._live: Mapping[str, "StoredRelation"] | None = None
         self._recovered: dict[str, _Recovered] = {}
         self._gen = 0
-
-        self._active: str | None = None
-        self._buffer: list[tuple[str, Delta]] = []
-        self._undo_journaled = False
-        self._auto_seq = 0
         self._commits = 0
 
         self.recovered = self._recover()
@@ -229,7 +206,7 @@ class DurableStore:
 
     def freeze(self) -> None:
         """Simulate process death: every subsequent durable op is a no-op,
-        so in-process cleanup code (rollback, abort) cannot touch the files
+        so in-process cleanup code (rollback, close) cannot touch the files
         a real crash would have left behind."""
         self._frozen = True
 
@@ -287,9 +264,8 @@ class DurableStore:
                     )
                 else:
                     self.stats.recovered_txns += 1
-            # "undo" / "abort": rollback progress — redo replay ignores it
-            # (an uncommitted transaction's forward deltas were never
-            # logged, so an interrupted rollback simply never happened).
+            # Any other kind ("undo" / "abort" from logs that journaled
+            # rollback progress) carries nothing a redo replay needs.
         if self._wal.torn_bytes:
             _event(
                 logging.WARNING, "durable.torn_tail",
@@ -328,53 +304,23 @@ class DurableStore:
         if not self._frozen:
             self._wal.append({"t": "index", "rel": name, "cols": list(cols)})
 
-    # -- the delta journal (StoredRelation hook) -------------------------------------
+    # -- the commit -------------------------------------------------------------------
 
-    def on_delta(self, name: str, delta: Delta) -> None:
-        """One applied forward delta. Buffered into the active transaction,
-        or auto-committed as a singleton transaction when none is open
-        (bulk loads, direct ``apply_delta`` outside the engine)."""
-        if self._frozen or delta.is_empty:
-            return
-        if self._active is not None:
-            self._buffer.append((name, delta))
-            return
-        self._auto_seq += 1
-        self.begin(f"__auto_{self._auto_seq}")
-        self._buffer.append((name, delta))
-        try:
-            self.commit()
-        except Exception:
-            # A failed singleton must not wedge the store behind a
-            # permanently-open auto transaction.
-            self.abort()
-            raise
-
-    # -- transaction bracket ---------------------------------------------------------
-
-    def begin(self, txn_id: str) -> None:
+    def commit(
+        self, txn_id: str, deltas: list[tuple[str, Delta]], tracer=None
+    ) -> None:
+        """Log one committed transaction — its deltas, in application
+        order, as (relation name, delta) — then barrier → periodic
+        checkpoint. Raises only before the barrier."""
         if self._frozen:
             return
-        if self._active is not None:
-            raise WalError(f"transaction {self._active!r} already active")
-        self._active = txn_id
-        self._buffer = []
-        self._undo_journaled = False
-
-    def commit(self, tracer=None) -> None:
-        """The write-ahead commit: log → barrier → periodic checkpoint."""
-        if self._frozen:
-            return
-        if self._active is None:
-            raise WalError("commit without begin")
         tracer = tracer if tracer is not None else NULL_TRACER
         before = self.stats.snapshot()
-        txn_id = self._active
-        if self._buffer:
+        if deltas:
             self._crash("commit.wal")
-            with tracer.span("wal_append", txn=txn_id, deltas=len(self._buffer)):
+            with tracer.span("wal_append", txn=txn_id, deltas=len(deltas)):
                 self._wal.append({"t": "begin", "txn": txn_id})
-                for rel, delta in self._buffer:
+                for rel, delta in deltas:
                     self._wal.append(
                         {"t": "delta", "txn": txn_id, "rel": rel, **encode_delta(delta)}
                     )
@@ -391,8 +337,6 @@ class DurableStore:
                     self._wal.flush()
             # -------- the commit point: nothing below may raise --------
             self._crash("commit.done")
-        self._active = None
-        self._buffer = []
         self._commits += 1
         if (
             self._live is not None
@@ -413,38 +357,6 @@ class DurableStore:
                 )
         self.last_commit_stats = self.stats.since(before)
 
-    def abort(self) -> None:
-        """Discard the buffered transaction (nothing reached the WAL).
-
-        If rollback progress was journaled (:meth:`journal_undo`), an
-        ``abort`` record closes the trail for inspection."""
-        if self._frozen:
-            return
-        if self._active is not None and self._undo_journaled:
-            self._wal.append({"t": "abort", "txn": self._active})
-        self._active = None
-        self._buffer = []
-        self._undo_journaled = False
-
-    def journal_undo(self, relation: "StoredRelation", inverse: Delta) -> None:
-        """Journal one applied rollback step (called by ``UndoLog.rollback``).
-
-        Recovery ignores these records — the rolled-back transaction's
-        forward deltas were never logged, so replay reconstructs the
-        pre-transaction state directly — but the trail makes an
-        interrupted rollback inspectable and auditable."""
-        if self._frozen:
-            return
-        self._wal.append(
-            {
-                "t": "undo",
-                "txn": self._active if self._active is not None else "?",
-                "rel": relation.name,
-                **encode_delta(inverse),
-            }
-        )
-        self._undo_journaled = True
-
     # -- checkpoint --------------------------------------------------------------------
 
     def checkpoint(self, tracer=None) -> int:
@@ -454,15 +366,12 @@ class DurableStore:
         the ``rows`` chunks to a sidecar, syncs it, and only then swaps it
         in for the log — a crash anywhere before the swap leaves the
         previous log intact. Refuses when no relations are attached (an
-        empty snapshot would erase the log) or inside an open transaction
-        (memory would hold uncommitted changes). Returns the number of
+        empty snapshot would erase the log). Returns the number of
         distinct rows written."""
         if self._frozen:
             return 0
         if self._live is None:
             raise WalError("no relations attached; refusing to snapshot over the log")
-        if self._active is not None:
-            raise WalError(f"checkpoint inside open transaction {self._active!r}")
         tracer = tracer if tracer is not None else NULL_TRACER
         self._crash("checkpoint.begin")
         gen = self._gen + 1

@@ -99,10 +99,10 @@ class StoredRelation:
         self._stored: dict[tuple, Row] | None = self._keys[0][2] if self._keys else None
         self._data: Multiset | None = None if self._keys else Multiset()
         self._total = 0
-        # Optional durability journal (DurableStore duck type). Set by the
-        # Database after the relation's recovered contents are loaded, so
-        # bootstrap loads are never double-journaled.
-        self._journal = None
+        # Optional durable catalog (DurableStore duck type) that logs index
+        # DDL. Set by the Database once the relation is registered. Row
+        # changes reach the log only through an engine commit.
+        self._durable = None
 
     # -- indexes -----------------------------------------------------------------
 
@@ -121,8 +121,8 @@ class StoredRelation:
             index.rebuild(self.items())
             self._hash_indexes.append(index)
         self._indexes[cols] = index
-        if self._journal is not None:
-            self._journal.on_index(self.name, cols)
+        if self._durable is not None:
+            self._durable.on_index(self.name, cols)
         return index
 
     def index_on(self, columns: Iterable[str]) -> HashIndex | KeyIndex | None:
@@ -139,7 +139,7 @@ class StoredRelation:
         """Bulk load (uncharged — initial materialization is outside the
         paper's maintenance accounting). Each row is type-checked once; a
         mistyped row raises before anything is loaded."""
-        self._load(Multiset(map(self.schema.validate_tuple, rows))._counts)
+        self._load(Counter(map(self.schema.validate_tuple, rows)))
 
     def load_multiset(self, data: Multiset) -> None:
         """Insert ``data`` through the same all-or-nothing apply as
@@ -150,10 +150,6 @@ class StoredRelation:
     def _load(self, inserts: dict[Row, int]) -> None:
         with self.counter.suspended():
             self._apply([], [], inserts, {})
-        if self._journal is not None and inserts:
-            loaded = Multiset()
-            loaded._counts = inserts
-            self._journal.on_delta(self.name, Delta(inserts=loaded))
 
     def contents(self) -> Multiset:
         """Uncharged copy of the contents (verification / snapshots)."""
@@ -246,8 +242,6 @@ class StoredRelation:
         anything is charged or changed. No inverse is built here: an undo
         journal inverts the applied delta only when it rolls back."""
         self._apply(*self._validated(delta))
-        if self._journal is not None:
-            self._journal.on_delta(self.name, delta)
 
     def _validated(
         self, delta: Delta

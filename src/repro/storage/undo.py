@@ -2,8 +2,10 @@
 
 An :class:`UndoLog` journals every delta a transaction applies — base
 relation updates plus all materialized-view updates — in application
-order, and inverts them only if it rolls back: most transactions commit,
-so :meth:`StoredRelation.apply_delta` builds no inverse. Rollback applies
+order. It is the commit's one journal — an accepted commit hands it to
+the durable write-ahead log — and it inverts the deltas only if it rolls
+back: most transactions commit, so :meth:`StoredRelation.apply_delta`
+builds no inverse. Rollback applies
 each delta's inverse (:meth:`Delta.inverted`, O(|delta|)) newest first
 with the I/O counter suspended: undoing work is bookkeeping, not priced
 maintenance, so it never pollutes the paper's cost accounting.
@@ -15,7 +17,7 @@ inverts a commit's journal only while a reader holds a pin.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ivm.delta import Delta
@@ -42,10 +44,7 @@ class UndoLog:
     def entries(self) -> tuple[tuple["StoredRelation", "Delta"], ...]:
         return tuple(self._entries)
 
-    def rollback(
-        self,
-        journal: "Callable[[StoredRelation, Delta], None] | None" = None,
-    ) -> None:
+    def rollback(self) -> None:
         """Undo every journaled delta, newest first, uncharged, by applying
         its inverse.
 
@@ -56,26 +55,12 @@ class UndoLog:
         the entry it was undoing. After a complete rollback the log is
         empty; rolling back an empty log is a no-op, so the call is
         idempotent.
-
-        ``journal`` (when given) is called with each relation and inverse
-        *after* the inverse has been applied — the durable layer uses it to
-        write rollback progress into the WAL.
         """
         while self._entries:
             relation, delta = self._entries[-1]
-            inverse = delta.inverted()
             with relation.counter.suspended():
-                relation.apply_delta(inverse)
-            # Pop before journaling: the inverse is applied either way, and
-            # a journal failure must not leave an entry that a resumed
-            # rollback would apply a second time.
+                relation.apply_delta(delta.inverted())
             self._entries.pop()
-            if journal is not None:
-                journal(relation, inverse)
-
-    def clear(self) -> None:
-        """Drop the journal without undoing (after a successful commit)."""
-        self._entries.clear()
 
 
 class EpochLog:

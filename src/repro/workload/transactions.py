@@ -89,6 +89,22 @@ class TransactionType:
             object.__setattr__(self, "_delta_signature", cached)
         return cached
 
+    @property
+    def shape(self) -> "TransactionType":
+        """This type with every nonzero update size set to 1: the same
+        relations, kinds of update and modified columns, sizes dropped.
+        Estimates that depend on the shape only (delta completeness) are
+        decided on it, so their memos grow with the number of shapes, not
+        with every new row count an ad-hoc commit brings."""
+        updates = {
+            rel: UpdateSpec(
+                *(float(n > 0) for n in (spec.inserts, spec.deletes, spec.modifies)),
+                modified_columns=spec.modified_columns,
+            )
+            for rel, spec in self.updates.items()
+        }
+        return TransactionType(self.name, updates, self.weight)
+
     def __str__(self) -> str:
         return self.name
 

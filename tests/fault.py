@@ -10,8 +10,9 @@ boundary):
   code cannot touch the files) and raises :class:`CrashPoint` into the
   commit. The test then "reboots" by reopening the directory.
 * **subprocess** — a child process run with ``REPRO_CRASH_AT=point:nth``
-  calls ``os._exit`` at the boundary: a real kill, nothing simulated.
-  Driven by this module's CLI (see below).
+  arms :func:`kill_hook`, which calls ``os._exit`` at the boundary: a
+  real kill, nothing simulated. Driven by this module's CLI (see below);
+  the variable is read here, never by the library.
 
 Shared machinery: a deterministic transaction stream generator (depends
 only on the seed and the database state sequence, so a crashed run and
@@ -72,12 +73,28 @@ POLICIES = ("immediate", "batched", "enforce")
 BATCH = 3
 
 
+def kill_hook(spec: str):
+    """The ``point[:nth]`` subprocess kill hook: the nth arrival at
+    ``point`` exits the process with :data:`CRASH_EXIT_CODE`."""
+    point, _, nth = spec.partition(":")
+    target = int(nth) if nth else 1
+    seen = {"n": 0}
+
+    def hook(name: str) -> None:
+        if name == point:
+            seen["n"] += 1
+            if seen["n"] >= target:
+                os._exit(CRASH_EXIT_CODE)  # a real mid-commit death
+
+    return hook
+
+
 class CrashInjector:
     """Arms a store: the nth arrival at ``point`` freezes it and raises.
 
     Freezing first is what makes the in-process crash faithful: the
-    exception unwinds through rollback/abort code that would otherwise
-    write to the WAL — a dead process cannot."""
+    exception unwinds through rollback and cleanup code that would
+    otherwise touch the WAL — a dead process cannot."""
 
     def __init__(self, store: DurableStore, point: str, nth: int = 1) -> None:
         self.point = point
@@ -292,8 +309,8 @@ def recovered_state(durable_path: str, policy: str, seed: int) -> dict:
     """Reopen a durable directory and snapshot the recovered database.
 
     Building the assertion system re-materializes the auxiliary views
-    from the recovered bases (journaled like any other change), so the
-    snapshot is comparable with the oracle's."""
+    from the recovered bases (each view's rows logged as it is created),
+    so the snapshot is comparable with the oracle's."""
     db, _system, _engine = build_system(durable_path, policy, seed)
     state = snapshot(db)
     db.close()
@@ -304,15 +321,13 @@ def recovered_state(durable_path: str, policy: str, seed: int) -> dict:
 
 
 def _cmd_run(args) -> int:
-    # Seeding and view materialization are themselves journaled mini
-    # commits; arm the kill hook only after setup so the crash lands
-    # mid-stream, where the oracle states are defined.
-    spec = os.environ.pop("REPRO_CRASH_AT", None)
+    # Seeding and view materialization log each relation's rows as a
+    # commit of its own; arm the kill hook only after setup so the crash
+    # lands mid-stream, where the oracle states are defined.
+    spec = os.environ.pop("REPRO_CRASH_AT", "").strip()
     db, _system, engine = build_system(args.dir, args.policy, args.seed)
     if spec and db.durable is not None:
-        from repro.storage.durable import _env_crash_hook
-
-        db.durable.crash_hook = _env_crash_hook(spec)
+        db.durable.crash_hook = kill_hook(spec)
     for event in stream_events(engine, args.seed, args.n_txns, args.policy):
         apply_event(engine, event)
     db.close()

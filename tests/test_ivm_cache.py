@@ -407,6 +407,46 @@ class TestDeltaSignatureMemo:
         assert first.modifies == 1 and first.inserts == 0
         assert second.inserts == 5 and second.modifies == 0  # not the stale entry
 
+    def test_adhoc_row_counts_do_not_grow_the_delta_memo(self):
+        """Regression: an aggregate's full-groups test asked the estimator
+        for the delta at each ad-hoc commit's own row counts, so every new
+        count added memo entries. Completeness is decided per shape."""
+        db, maintainer = _paper_maintainer(plan_cache=8)
+
+        def raise_first(k):
+            rows = sorted(db.relation("Emp").rows())[:k]
+            pairs = [(old, (old[0], old[1], old[2] + 1)) for old in rows]
+            maintainer.apply_adhoc(Transaction("dml", {"Emp": Delta.modification(pairs)}))
+
+        raise_first(1)
+        entries = len(maintainer.estimator._deltas)
+        for k in range(2, 13):
+            raise_first(k)
+        assert len(maintainer.estimator._deltas) == entries
+        assert maintainer.plan_cache.stats.misses == 1
+        maintainer.verify()
+
+    def test_shape_keeps_kinds_and_columns_and_drops_sizes(self):
+        a = TransactionType(
+            "x",
+            {
+                "R1": UpdateSpec(inserts=7, modifies=3, modified_columns=frozenset({"V1"})),
+                "R2": UpdateSpec(deletes=0.5),
+            },
+        )
+        b = TransactionType(
+            "x",
+            {
+                "R1": UpdateSpec(inserts=2, modifies=40, modified_columns=frozenset({"V1"})),
+                "R2": UpdateSpec(deletes=9),
+            },
+        )
+        assert a.delta_signature != b.delta_signature
+        assert a.shape.delta_signature == b.shape.delta_signature == (
+            ("R1", 1.0, 0.0, 1.0, ("V1",)),
+            ("R2", 0.0, 1.0, 0.0, ()),
+        )
+
     def test_signature_excludes_name_and_weight(self):
         a = TransactionType("x", {"R1": UpdateSpec(inserts=2)}, weight=1.0)
         b = TransactionType("y", {"R1": UpdateSpec(inserts=2)}, weight=9.0)

@@ -4,7 +4,8 @@ The crash-point and policy matrices live in ``test_fault_injection.py``
 and ``tests/property/test_crash_recovery.py``; this file covers the
 building blocks and the durability invariants that don't need a crash:
 round trips, torn-tail healing, checkpoint rotation, recover-twice
-idempotence, the logged degradation events, and the
+idempotence, the logged degradation events, a rejected commit writing
+nothing, and the
 accounting-neutrality contract (the simulated Section 3.6 I/O numbers are
 bit-identical with durability on or off).
 """
@@ -18,7 +19,10 @@ import pytest
 from repro.algebra.multiset import Multiset
 from repro.algebra.schema import Schema
 from repro.algebra.types import DataType
+from repro.constraints.assertions import AssertionViolation
 from repro.ivm.delta import Delta
+from repro.shell import corporate_world
+from repro.sql.dml import execute_dml_text
 from repro.storage import durable as durable_mod
 from repro.storage.database import Database
 from repro.storage.durable import DurableStore
@@ -81,9 +85,15 @@ def _store(tmp_path, **kw) -> DurableStore:
 
 
 def _commit(store, rel, delta, txn="t"):
-    store.begin(txn)
-    store.on_delta(rel, delta)
-    store.commit()
+    store.commit(txn, [(rel, delta)])
+
+
+def _write(db, rel, delta, txn="t"):
+    """Apply ``delta`` to a relation of ``db`` and log it, as an engine
+    commit does."""
+    db.relation(rel).apply_delta(delta)
+    if db.durable is not None:
+        _commit(db.durable, rel, delta, txn)
 
 
 def test_durable_store_recovers_committed_deltas(tmp_path):
@@ -101,25 +111,12 @@ def test_durable_store_recovers_committed_deltas(tmp_path):
     recovered.close()
 
 
-def test_durable_store_uncommitted_buffer_is_invisible(tmp_path):
-    store = _store(tmp_path)
-    store.on_create("R", SCHEMA)
-    _commit(store, "R", Delta.insertion([("a", 1)]), "t1")
-    store.begin("t2")
-    store.on_delta("R", Delta.insertion([("z", 9)]))
-    store.close()  # crash before commit: nothing reached the WAL
-
-    recovered = _store(tmp_path)
-    assert sorted(recovered.contents("R").rows()) == [("a", 1)]
-    recovered.close()
-
-
 def test_recovering_twice_is_a_no_op(tmp_path):
     path = str(tmp_path / "d")
     db = Database(durable_path=path, checkpoint_every=0)
     db.create_relation("R", SCHEMA, [("a", 1), ("b", 2)])
     db.checkpoint()
-    db.relation("R").apply_delta(Delta.insertion([("c", 3)]))
+    _write(db, "R", Delta.insertion([("c", 3)]))
     db.close()
 
     def files():
@@ -159,11 +156,11 @@ def test_drop_and_index_survive_recovery(tmp_path):
 
 
 def test_oversized_auto_commit_does_not_wedge_the_store(tmp_path):
-    """Rows are not bound by any page size: a 5000-byte row commits as an
-    auto transaction, and the store keeps committing after it."""
+    """Rows are not bound by any page size: a 5000-byte row commits as a
+    transaction of its own, and the store keeps committing after it."""
     store = _store(tmp_path)
     store.on_create("R", SCHEMA)
-    store.on_delta("R", Delta.insertion([("x" * 5000, 1)]))
+    _commit(store, "R", Delta.insertion([("x" * 5000, 1)]), "big")
     _commit(store, "R", Delta.insertion([("a", 1)]))
     store.close()
 
@@ -177,7 +174,7 @@ def test_oversized_row_does_not_brick_the_directory(tmp_path):
     path = str(tmp_path / "db")
     db = Database(durable_path=path, checkpoint_every=0)
     db.create_relation("R", SCHEMA, [("a", 1)])
-    db.relation("R").apply_delta(Delta.insertion([("x" * 5000, 2)]))
+    _write(db, "R", Delta.insertion([("x" * 5000, 2)]))
     db.checkpoint()
     db.close()
 
@@ -237,7 +234,7 @@ def test_checkpoint_rotates_the_wal(tmp_path, monkeypatch):
     db.create_relation("R", SCHEMA, indexes=[["b"]])
     db.create_relation("S", SCHEMA, [("s", 0)])
     for i in range(10):
-        db.relation("R").apply_delta(Delta.insertion([(f"r{i}", i)]))
+        _write(db, "R", Delta.insertion([(f"r{i}", i)]))
     before = db.durable._wal.size
     assert db.checkpoint() == 11
     assert db.durable._wal.size < before
@@ -247,7 +244,7 @@ def test_checkpoint_rotates_the_wal(tmp_path, monkeypatch):
     assert records[0]["gen"] == 1
     assert records[0]["rels"]["R"]["indexes"] == [["b"]]
     assert [len(r["rows"]) for r in records[1:]] == [4, 4, 2, 1]
-    db.relation("R").apply_delta(Delta.insertion([("tail", 99)]))
+    _write(db, "R", Delta.insertion([("tail", 99)]))
     db.close()
 
     recovered = _store(tmp_path)
@@ -286,16 +283,11 @@ def test_rotation_fsyncs_the_directory_after_the_replace(tmp_path, monkeypatch):
 
 def test_unattached_store_refuses_to_checkpoint(tmp_path):
     """A bare store knows no live relations: an empty snapshot would
-    erase the log, so it refuses — and a checkpoint inside an open
-    transaction would snapshot uncommitted changes."""
+    erase the log, so it refuses."""
     store = _store(tmp_path)
     store.on_create("R", SCHEMA)
     _commit(store, "R", Delta.insertion([("a", 1)]), "t1")
     with pytest.raises(WalError, match="no relations attached"):
-        store.checkpoint()
-    store.attach({})
-    store.begin("t2")
-    with pytest.raises(WalError, match="open transaction"):
         store.checkpoint()
     store.close()
 
@@ -327,7 +319,7 @@ def test_database_durable_round_trip(tmp_path):
     db = Database(durable_path=path, checkpoint_every=0)
     assert not db.recovered
     db.create_relation("R", SCHEMA, [("a", 1), ("b", 2)], indexes=[["a"]])
-    db.relation("R").apply_delta(Delta.modification([(("b", 2), ("b", 9))]))
+    _write(db, "R", Delta.modification([(("b", 2), ("b", 9))]))
     expected = sorted(db.relation("R").contents().items())
     db.close()
 
@@ -340,7 +332,7 @@ def test_database_durable_round_trip(tmp_path):
 
 @pytest.mark.parametrize("ending", ["close", "kill"])
 def test_create_survives_the_checkpoint_its_initial_load_triggers(tmp_path, ending):
-    """With ``checkpoint_every=1`` the initial load's auto-commit runs the
+    """With ``checkpoint_every=1`` the initial rows' commit runs the
     automatic checkpoint; the new relation must already be in the map it
     snapshots, or the rotation cuts its create and rows out of the log.
     ``kill`` reopens with no clean close and no later commit."""
@@ -358,6 +350,58 @@ def test_create_survives_the_checkpoint_its_initial_load_triggers(tmp_path, endi
     assert sorted(db2.relation("R").contents().rows()) == [("a", 1), ("b", 2)]
     assert db2.relation("R").indexes == db.relation("R").indexes
     db2.close()
+
+
+def test_rejected_durable_commit_writes_nothing(tmp_path):
+    """A commit the enforcing engine refuses never reaches the log: the
+    undo journal goes to the WAL only once the assertion check passes, and
+    rolling it back writes nothing."""
+    path = str(tmp_path / "db")
+    db, _system, engine = corporate_world(
+        "enforce", n_depts=4, emps_per_dept=3, durable_path=path
+    )
+    wal = os.path.join(path, "wal")
+    # One accepted write first, so whatever a first commit adds (lazily
+    # built indexes) is already in the log.
+    engine.execute(
+        execute_dml_text("UPDATE Emp SET Salary = Salary + 1 WHERE DName = 'dept00001'", db)
+    )
+    with open(wal, "rb") as f:
+        before = f.read()
+    with pytest.raises(AssertionViolation):
+        engine.execute(
+            execute_dml_text(
+                "UPDATE Emp SET Salary = Salary + 1000000 WHERE DName = 'dept00000'", db
+            )
+        )
+    db.close()  # flushes anything the refused commit appended
+    with open(wal, "rb") as f:
+        assert f.read() == before
+
+
+def test_legacy_undo_and_abort_records_recover_to_the_same_state(tmp_path):
+    """Older logs journaled a rolled-back transaction's inverse deltas as
+    ``undo`` records closed by ``abort``; replay skips them."""
+    store = _store(tmp_path)
+    store.on_create("R", SCHEMA)
+    _commit(store, "R", Delta.insertion([("a", 1), ("b", 2)]), "t1")
+    store.close()
+    clean = _store(tmp_path)
+    expected = sorted(clean.contents("R").items())
+    clean.close()
+
+    wal = WriteAheadLog(os.path.join(str(tmp_path / "d"), "wal"))
+    for inverse in (Delta.deletion([("z", 9)]), Delta.modification([(("a", 5), ("a", 1))])):
+        wal.append({"t": "undo", "txn": "t2", "rel": "R", **encode_delta(inverse)})
+    wal.append({"t": "abort", "txn": "t2"})
+    wal.sync()
+    wal.close()
+
+    recovered = _store(tmp_path)
+    assert sorted(recovered.contents("R").items()) == expected
+    assert recovered.recovery_errors == []
+    assert recovered.stats.recovered_txns == 1
+    recovered.close()
 
 
 def test_page_store_directory_is_refused_with_a_clear_error(tmp_path):
@@ -397,10 +441,9 @@ def test_durability_is_accounting_neutral(tmp_path):
     def run(durable_path):
         db = Database(durable_path=durable_path, checkpoint_every=2)
         db.create_relation("R", SCHEMA, [(f"r{i}", i) for i in range(30)])
-        rel = db.relation("R")
-        rel.create_index(["a"])
-        rel.apply_delta(Delta.insertion([("x", 1)]))
-        rel.apply_delta(Delta.deletion([("r0", 0)]))
+        db.relation("R").create_index(["a"])
+        _write(db, "R", Delta.insertion([("x", 1)]))
+        _write(db, "R", Delta.deletion([("r0", 0)]))
         stats = db.counter.snapshot()
         db.close()
         return stats
@@ -433,31 +476,6 @@ def test_undo_rollback_retains_entry_on_apply_failure():
     # Repair the precondition and resume: the rollback completes.
     rel.apply_delta(Delta.insertion([("ghost", 0)]))
     undo.rollback()
-    assert len(undo) == 0
-    assert sorted(rel.contents().rows()) == [("a", 1)]
-
-
-def test_undo_rollback_journal_failure_cannot_double_apply():
-    """A journal failure interrupts the rollback *after* the pop, so
-    resuming never applies the same inverse twice."""
-    rel = StoredRelation("R", SCHEMA)
-    rel.load([("a", 1)])
-    undo = UndoLog()
-    for applied in (Delta.insertion([("b", 2)]), Delta.insertion([("c", 3)])):
-        rel.apply_delta(applied)
-        undo.record(rel, applied)
-
-    calls = {"n": 0}
-
-    def flaky_journal(relation, inverse):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise OSError("disk gone")
-
-    with pytest.raises(OSError):
-        undo.rollback(journal=flaky_journal)
-    assert len(undo) == 1  # the journaled-but-failed step was popped
-    undo.rollback(journal=flaky_journal)
     assert len(undo) == 0
     assert sorted(rel.contents().rows()) == [("a", 1)]
 

@@ -71,9 +71,9 @@ def test_rejected_commit_restores_everything_and_its_rollback_charges_nothing(mo
         journaled.append((relation.name, delta))
         record(self, relation, delta)
 
-    def spy_rollback(self, journal=None):
+    def spy_rollback(self):
         before = db.counter.snapshot()
-        rollback(self, journal)
+        rollback(self)
         rollback_io.append(db.counter.snapshot() - before)
 
     monkeypatch.setattr(UndoLog, "record", spy_record)
