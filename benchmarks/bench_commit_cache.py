@@ -63,6 +63,11 @@ N_TRANSFERS = 20 if SMOKE else 80
 
 PLAN_SPEEDUP_FLOOR = 1.5  # asserted on full runs only (wall clock is noisy in CI)
 
+#: The commit-cache workload's exact accounting, (io_on, io_off, io_saved,
+#: fetch_hits, fetch_misses), smoke and full scale. When and how the cache
+#: splits its stored results is its own business: these must never move.
+COMMIT_CACHE_COUNTS = {True: (441, 810, 369, 44, 80), False: (7499, 14197, 6698, 161, 320)}
+
 _RESULTS_FILE = Path(__file__).parent / "BENCH_cache.json"
 
 BUDGET_CAP = """
@@ -275,6 +280,8 @@ def _check_and_render(report):
     # subexpression workload (it can never increase it).
     assert cc["io_on"] < cc["io_off"], "commit cache must strictly reduce page I/O"
     assert cc["fetch_hits"] > 0, "the shared-subexpression workload must hit the cache"
+    counts = tuple(cc[k] for k in ("io_on", "io_off", "io_saved", "fetch_hits", "fetch_misses"))
+    assert counts == COMMIT_CACHE_COUNTS[SMOKE], f"commit cache accounting moved: {counts}"
     assert plan["hits"] > 0 and plan["misses"] <= 2
     if not SMOKE:
         # Wall-clock floors only off CI-class shared runners.

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.types import DataType, TypeError_, check_value, hash_once
+
+
+#: Below this many rows :meth:`Schema.validate_rows` checks row by row: a
+#: column pass costs a few set builds up front (≈ 5 µs on one row, against
+#: ≈ 0.8 µs for the row's own check) and repays them from about a dozen rows.
+COLUMN_PASS_MIN_ROWS = 16
 
 
 class SchemaError(Exception):
@@ -173,6 +180,29 @@ class Schema:
                 f"tuple arity {len(values)} does not match schema arity {len(self.columns)}"
             )
         return tuple(check_value(v, c.dtype) for v, c in zip(values, self.columns))
+
+    def validate_rows(self, rows: Sequence[Sequence[Any]]) -> list[tuple[Any, ...]]:
+        """``[self.validate_tuple(r) for r in rows]``, checked a column at a
+        time when every row is a plain tuple of exactly the declared types:
+        one C-level pass over the rows' types and lengths, then one per
+        column. Anything else — a list or tuple subclass, a bool where an
+        int is declared, an int needing FLOAT widening, a wrong arity —
+        and any list too short to repay the column passes, goes row by row,
+        so the same first bad row raises the same error.
+        """
+        if (
+            len(rows) >= COLUMN_PASS_MIN_ROWS
+            and set(map(type, rows)) == {tuple}
+            and set(map(len, rows)) == {len(self.columns)}
+        ):
+            # itemgetter, not zip(*rows): zip holds one live iterator per row,
+            # enough to set off the cyclic collector on a large delta.
+            for i, pytype in enumerate(self._pytypes):  # type: ignore[attr-defined]
+                if set(map(type, map(itemgetter(i), rows))) != {pytype}:
+                    break
+            else:
+                return list(rows)
+        return list(map(self.validate_tuple, rows))
 
     def as_dict(self, values: Sequence[Any]) -> dict[str, Any]:
         """View a tuple as a column-name → value mapping."""

@@ -9,7 +9,7 @@ query key sets to their minimal determining subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -18,6 +18,11 @@ class FDSet:
     """A set of functional dependencies (determinant → determined)."""
 
     fds: tuple[tuple[frozenset[str], frozenset[str]], ...] = ()
+    # attrs -> reduce(attrs): the set is immutable, so each answer holds for
+    # its life (a node's key lookups ask the same few column sets per commit).
+    _reductions: dict[frozenset[str], frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def of(*pairs: tuple[Iterable[str], Iterable[str]]) -> "FDSet":
@@ -39,15 +44,19 @@ class FDSet:
         """A minimal subset of ``attrs`` with the same closure.
 
         Greedy and deterministic: try dropping attributes in sorted order.
+        Memoized per attribute set.
         """
         attrs = frozenset(attrs)
-        target = self.closure(attrs)
-        kept = set(attrs)
-        for attr in sorted(attrs):
-            trial = kept - {attr}
-            if self.closure(trial) >= target:
-                kept = trial
-        return frozenset(kept)
+        reduced = self._reductions.get(attrs)
+        if reduced is None:
+            target = self.closure(attrs)
+            kept = set(attrs)
+            for attr in sorted(attrs):
+                trial = kept - {attr}
+                if self.closure(trial) >= target:
+                    kept = trial
+            reduced = self._reductions[attrs] = frozenset(kept)
+        return reduced
 
     def implies(self, determinant: Iterable[str], determined: Iterable[str]) -> bool:
         return frozenset(determined) <= self.closure(determinant)

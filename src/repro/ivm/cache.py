@@ -13,12 +13,15 @@ transaction. This module closes both gaps:
   and view applies only start after the last delta is derived), so within
   that phase a fetch of ``(group, columns, keys)`` and a scan of an
   unmaterialized group are pure functions of the old database state.
-  Fetch results are cached **per key** (partial-hit key splitting): a
-  probe that overlaps an earlier one fetches only the missing keys and
-  merges, so shared DAG sub-nodes — and shared sub-expressions across
-  assertion roots in one :meth:`AssertionSystem.process` — hit memory
-  instead of storage. The cache is created when propagation starts and
-  discarded before the apply phase; nothing can invalidate it mid-phase.
+  A fetch that hits no cached key keeps its result whole, with the keys
+  it asked for; only when a later fetch on the same group and columns
+  shares keys with it is that result split per key (split on overlap).
+  An overlapping probe fetches only the missing keys and merges, so shared
+  DAG sub-nodes — and shared sub-expressions across assertion roots in one
+  :meth:`AssertionSystem.process` — hit memory instead of storage, while a
+  fetch nobody repeats costs one copy of its result and no per-key work.
+  The cache is created when propagation starts and discarded before the
+  apply phase; nothing can invalidate it mid-phase.
 
 * :class:`AdhocPlanCache` — a small LRU memoizing ``choose_track``'s
   winning update track by a canonical *shape* signature of the ad-hoc
@@ -62,8 +65,9 @@ ADHOC_PLAN_CACHE_CAPACITY = 128
 class CommitCacheStats:
     """Counters for one commit's cache (or a cumulative fold of many).
 
-    ``fetch_hits``/``fetch_misses`` count *keys* (the unit of partial-hit
-    splitting); ``scan_hits``/``scan_misses`` count whole-group scans.
+    ``fetch_hits``/``fetch_misses`` count *keys* (a fetch's result is
+    split per key once another fetch overlaps it); ``scan_hits``/
+    ``scan_misses`` count whole-group scans.
     ``io_saved`` estimates the page I/Os the hits avoided: exact for scan
     hits (the measured cost of the cached scan), per-entry average for
     fetch hits (a batch probe's cost cannot be attributed per key exactly).
@@ -113,15 +117,21 @@ class CommitCache:
     Valid from the first delta derivation to the last: every fetch and
     scan reads the pre-update state, and the state does not change until
     the apply phase, by which point the owner has discarded the cache.
-    Returned multisets are always caller-owned (hits merge into fresh
-    objects, scan hits return copies) — callers may mutate them freely.
+    Returned multisets are always caller-owned (a stored result is a copy,
+    hits merge into fresh objects, scan hits return copies) — callers may
+    mutate them freely.
     """
 
     def __init__(self, counter: "IOCounter | None" = None) -> None:
         self._counter = counter
         self.stats = CommitCacheStats()
-        # (gid, columns) -> key tuple -> rows matching that key.
+        # (gid, columns) -> key tuple -> rows matching that key, for the
+        # results some later fetch overlapped.
         self._fetch: dict[tuple[int, frozenset[str]], dict[tuple, Multiset]] = {}
+        # (gid, columns) -> [(keys fetched, their rows)]: whole results no
+        # later fetch has overlapped yet. Their key sets are disjoint from
+        # each other and from the split keys.
+        self._unsplit: dict[tuple[int, frozenset[str]], list[tuple[set[tuple], Multiset]]] = {}
         # (gid, columns) -> (measured pages, keys fetched) for io_saved.
         self._fetch_cost: dict[tuple[int, frozenset[str]], tuple[float, int]] = {}
         # gid -> (contents, measured pages).
@@ -166,30 +176,46 @@ class CommitCache:
         names: tuple[str, ...],
         compute: Callable[[set[tuple]], Multiset],
     ) -> Multiset:
-        """Rows of ``gid`` matching ``keys`` on ``columns``, with partial-hit
-        key splitting: only keys not yet cached are fetched (``compute``),
-        their results split per key and memoized — including keys that
-        matched nothing, so a repeated miss costs nothing the second time.
+        """Rows of ``gid`` matching ``keys`` on ``columns``; only keys not
+        yet cached are fetched (``compute``) — including keys that matched
+        nothing, so a repeated miss costs nothing the second time.
+
+        A fetch that hits no cached key stores its result whole. A stored
+        result is split per key (``compute`` must return only rows matching
+        the keys it is given) when a later fetch shares keys with it; that
+        fetch's own missing rows are split too, as its answer is merged
+        per key.
         """
-        entry = self._fetch.get((gid, columns))
-        if entry is None:
-            entry = self._fetch[(gid, columns)] = {}
-        missing = {k for k in keys if k not in entry}
+        slot = (gid, columns)
+        entry = self._fetch.setdefault(slot, {})
+        unsplit = self._unsplit.get(slot)
+        if unsplit:
+            kept = []
+            for stored_keys, rows in unsplit:
+                if keys.isdisjoint(stored_keys):
+                    kept.append((stored_keys, rows))
+                else:
+                    self._split_into(entry, rows, stored_keys, names, columns)
+            self._unsplit[slot] = kept
+        missing = keys.difference(entry)
         hit_count = len(keys) - len(missing)
         fresh: Multiset | None = None
         if missing:
             fresh, cost = self._measure(lambda: compute(missing))
-            self._split_into(entry, fresh, missing, names, columns)
-            total, fetched = self._fetch_cost.get((gid, columns), (0.0, 0))
-            self._fetch_cost[(gid, columns)] = (total + cost, fetched + len(missing))
+            if hit_count:
+                self._split_into(entry, fresh, missing, names, columns)
+            else:
+                self._unsplit.setdefault(slot, []).append((missing, fresh.copy()))
+            total, fetched = self._fetch_cost.get(slot, (0.0, 0))
+            self._fetch_cost[slot] = (total + cost, fetched + len(missing))
             self.stats.fetch_misses += len(missing)
-        if hit_count:
-            self.stats.fetch_hits += hit_count
-            total, fetched = self._fetch_cost.get((gid, columns), (0.0, 0))
-            if fetched:
-                self.stats.io_saved += hit_count * (total / fetched)
-        if fresh is not None and not hit_count:
-            return fresh  # pure miss: the computed union is the answer
+        if not hit_count:
+            # A pure miss: the computed union is the answer.
+            return fresh if fresh is not None else Multiset()
+        self.stats.fetch_hits += hit_count
+        total, fetched = self._fetch_cost.get(slot, (0.0, 0))
+        if fetched:
+            self.stats.io_saved += hit_count * (total / fetched)
         out = Multiset()
         for key in keys:
             rows = entry.get(key)
@@ -201,12 +227,12 @@ class CommitCache:
     def _split_into(
         entry: dict[tuple, Multiset],
         rows: Multiset,
-        missing: set[tuple],
+        fetched: set[tuple],
         names: tuple[str, ...],
         columns: frozenset[str],
     ) -> None:
         """Partition a fetched multiset by key and store one entry per
-        requested key (empty results included)."""
+        fetched key (empty results included)."""
         positions = [names.index(c) for c in sorted(columns)]
         for row, count in rows.items():
             if len(positions) == 1:
@@ -217,7 +243,7 @@ class CommitCache:
             if bucket is None or bucket is _EMPTY:
                 bucket = entry[key] = Multiset()
             bucket.add(row, count)
-        for key in missing:
+        for key in fetched:
             if key not in entry:
                 entry[key] = _EMPTY
 

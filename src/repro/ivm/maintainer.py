@@ -145,6 +145,10 @@ class ViewMaintainer:
         self._self_maintained: set[int] = set()
         # op id -> (template, the op's implicit projection over it)
         self._implicit_projects: dict[int, tuple[RelExpr, Project]] = {}
+        # A track's items -> its children-first group order. The DAG does
+        # not change under a built maintainer, so an order holds for good;
+        # there are at most as many entries as distinct tracks applied.
+        self._orders: dict[tuple, tuple[int, ...]] = {}
         # (txn_type, track) of the most recent apply — what explain_analyze
         # renders, for declared and ad-hoc transactions alike.
         self.last_plan: tuple[TransactionType, UpdateTrack] | None = None
@@ -194,9 +198,10 @@ class ViewMaintainer:
         materialized nodes, operator-specific decomposition elsewhere, full
         computation as a last resort. During a commit's propagation phase
         the per-commit :class:`~repro.ivm.cache.CommitCache` memoizes
-        results per (group, columns, key) with partial-hit splitting —
-        every delta is posed against the pre-update state, so repeated
-        probes of shared sub-nodes are answered from memory.
+        results per (group, columns): a result is kept whole and split per
+        key only once a later fetch shares keys with it — every delta is
+        posed against the pre-update state, so repeated probes of shared
+        sub-nodes are answered from memory.
         """
         gid = self.memo.find(gid)
         if not keys:
@@ -550,7 +555,7 @@ class ViewMaintainer:
         cache = CommitCache(self.db.counter) if self._commit_cache_enabled else None
         self._commit_cache = cache
         try:
-            self._run_ops(track, self._topological(track), deltas, txn_type, tracer)
+            self._run_ops(track, self._track_order(track), deltas, txn_type, tracer)
         finally:
             self._commit_cache = None
             if cache is not None:
@@ -571,6 +576,14 @@ class ViewMaintainer:
             with tracer.span("view_apply", node=gid):
                 self._apply_view_delta(gid, delta, undo)
         return {g: d for g, d in deltas.items() if g in self.marking}
+
+    def _track_order(self, track: UpdateTrack) -> tuple[int, ...]:
+        """:meth:`_topological`, computed once per distinct track."""
+        items = tuple(track.items())
+        order = self._orders.get(items)
+        if order is None:
+            order = self._orders[items] = tuple(self._topological(track))
+        return order
 
     def _topological(self, track: UpdateTrack) -> list[int]:
         """Children-first order of a track's groups.
@@ -606,7 +619,7 @@ class ViewMaintainer:
     def _run_ops(
         self,
         track: UpdateTrack,
-        order: list[int],
+        order: Iterable[int],
         deltas: dict[int, Delta],
         txn_type: TransactionType,
         tracer: "Tracer | NullTracer",

@@ -139,12 +139,25 @@ class HashIndex:
     # -- maintenance ----------------------------------------------------------------
 
     def update(
-        self, olds: list[Row], news: list[Row], inserts: dict[Row, int], deletes: dict[Row, int]
+        self,
+        olds: list[Row],
+        news: list[Row],
+        inserts: dict[Row, int],
+        deletes: dict[Row, int],
+        unique_pairs: bool = False,
     ) -> tuple[int, int]:
         """Apply a validated delta — (old, new) pairs, then inserts, then
         deletes — and return the (read, written) index pages of
         :func:`index_pages`. A pair keeping its key swaps old for new inside
-        its bucket: no bucket is made or dropped and no total moves."""
+        its bucket: no bucket is made or dropped and no total moves.
+
+        ``unique_pairs`` is the owning relation's word that its rows are
+        unique (it has a declared key) and that every pair keeps its first
+        key. Each old row then counts one and no new row is in its bucket
+        yet, so the swap is one delete and one store; the bucket ends as
+        the general swap leaves it, in the same order. Pairs that swap
+        rows between keys (``a→b, b→a``) do not qualify: the general swap
+        counts ``b`` twice for a moment, which the short one would lose."""
         key_of = self.key_of
         kos, kns = list(map(key_of, olds)), list(map(key_of, news))
         iks, dks = list(map(key_of, inserts)), list(map(key_of, deletes))
@@ -156,6 +169,10 @@ class HashIndex:
                     moved += ((ko, old, -1), (kn, new, 1))
                     continue
                 counts = buckets[ko]._counts
+                if unique_pairs:
+                    del counts[old]
+                    counts[new] = 1
+                    continue
                 n = counts[old] - 1
                 if n:
                     counts[old] = n

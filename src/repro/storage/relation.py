@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.compile import tuple_getter
@@ -139,7 +140,7 @@ class StoredRelation:
         """Bulk load (uncharged — initial materialization is outside the
         paper's maintenance accounting). Each row is type-checked once; a
         mistyped row raises before anything is loaded."""
-        self._load(Counter(map(self.schema.validate_tuple, rows)))
+        self._load(Counter(self.schema.validate_rows(list(rows))))
 
     def load_multiset(self, data: Multiset) -> None:
         """Insert ``data`` through the same all-or-nothing apply as
@@ -248,11 +249,14 @@ class StoredRelation:
     ) -> tuple[list[Row], list[Row], dict[Row, int], dict[Row, int]]:
         """The delta's type-checked rows: its modifies' old and new sides,
         and its inserts' and deletes' counts."""
-        validate = self.schema.validate_tuple
-        olds = [validate(old) for old, _ in delta.modifies] if delta.modifies else []
-        news = [validate(new) for _, new in delta.modifies] if delta.modifies else []
-        ins = {validate(r): n for r, n in delta.inserts.items()} if delta.inserts else {}
-        dels = {validate(r): n for r, n in delta.deletes.items()} if delta.deletes else {}
+        validate = self.schema.validate_rows
+        modifies = delta.modifies
+        olds = validate(list(map(itemgetter(0), modifies))) if modifies else []
+        news = validate(list(map(itemgetter(1), modifies))) if modifies else []
+        ins, dels = (
+            dict(zip(validate(list(part._counts)), part._counts.values())) if part else {}
+            for part in (delta.inserts, delta.deletes)
+        )
         return olds, news, ins, dels
 
     def _apply(
@@ -355,8 +359,10 @@ class StoredRelation:
                 index_reads, index_writes = index_pages(kos, kns, iks, dks)
                 reads += index_reads
                 writes += index_writes
+        # Rows unique and every pair keeping the first key (nothing freed).
+        unique_pairs = stored is not None and not frees[0]
         for index in self._hash_indexes:
-            index_reads, index_writes = index.update(olds, news, ins, dels)
+            index_reads, index_writes = index.update(olds, news, ins, dels, unique_pairs)
             reads += index_reads
             writes += index_writes
         self.counter.charge_index_read(reads)

@@ -150,3 +150,88 @@ def test_index_on_a_key_is_its_map_and_others_keep_buckets():
     assert isinstance(rel.create_index(["G"]), HashIndex)
     assert isinstance(rel.create_index(["G", "K"]), HashIndex)
     assert rel.create_index(["K"]) is rel.index_on(["K"])
+
+
+# -- a non-key hash index on a keyed relation --------------------------------------
+
+
+@st.composite
+def pair_stream(draw):
+    """(stored rows, deltas) on ``ONE`` of modify pairs of every shape — keep
+    both keys, move to another index bucket, take a fresh primary key, swap
+    two rows, chain one row onto another's key, change nothing — with a few
+    inserts and deletes; each delta drawn over the rows its accepted
+    predecessors leave."""
+    rows = list({r[0]: r for r in draw(st.lists(ROW, max_size=8))}.values())
+    live = list(rows)
+    deltas = []
+    for _ in range(draw(st.integers(1, 6))):
+        olds = draw(st.lists(st.sampled_from(live), max_size=4, unique=True)) if live else []
+        pairs = []
+        while olds:
+            old = olds.pop()
+            shape = draw(st.sampled_from(["keep", "regroup", "rekey", "swap", "chain", "noop"]))
+            k, g, v = old
+            if shape in ("swap", "chain") and olds:
+                other = olds.pop()
+                if shape == "swap":
+                    pairs += [(old, other), (other, old)]
+                else:
+                    pairs += [(old, (other[0], g, v + 1)), (other, (draw(VALUE) + 6, *other[1:]))]
+            elif shape == "regroup":
+                pairs.append((old, (k, draw(VALUE), v)))
+            elif shape == "rekey":
+                pairs.append((old, (draw(VALUE) + 6, g, v)))
+            elif shape == "noop":
+                pairs.append((old, old))
+            else:
+                pairs.append((old, (k, g, v + 1)))
+        inserts = draw(st.lists(ROW, max_size=2))
+        olds = [old for old, _ in pairs]
+        rest = [r for r in live if r not in olds]
+        deletes = draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
+        deltas.append(Delta(inserts=Multiset(inserts), deletes=Multiset(deletes), modifies=pairs))
+        after = [r for r in live if r not in olds and r not in deletes]
+        after += [new for _, new in pairs] + inserts
+        if len({r[0] for r in after}) == len(after):
+            live = after
+    return rows, deltas
+
+
+def _layout(index: HashIndex):
+    """Buckets in iteration order, each bucket's rows in order, and totals."""
+    return (
+        [(key, list(bucket.items())) for key, bucket in index._buckets.items()],
+        dict(index._totals),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_stream())
+def test_unique_pair_moves_match_the_general_path(case):
+    """A keyed relation's hash index moves a pair that keeps both the index
+    key and the primary key in one step; its buckets, their order, their
+    totals and the charges must equal a hash index kept by the general path
+    over the same accepted deltas."""
+    rows, deltas = case
+    rel = StoredRelation("R", ONE)
+    rel.load(rows)
+    index = rel.create_index(["G"])
+    reference = HashIndex(ONE, ("G",), IOCounter())
+    reference.rebuild(rel.items())
+    for delta in deltas:
+        before = rel.counter.snapshot()
+        try:
+            rel.apply_delta(delta)
+        except StorageError:
+            event("rejected")
+            continue
+        if delta.modifies and all(old[0] == new[0] for old, new in delta.modifies):
+            event("every pair keeps the primary key")
+        charged = rel.counter.snapshot() - before
+        olds = [old for old, _ in delta.modifies]
+        news = [new for _, new in delta.modifies]
+        ins, dels = dict(delta.inserts._counts), dict(delta.deletes._counts)
+        pages = reference.update(olds, news, ins, dels)
+        assert (charged.index_reads, charged.index_writes) == pages
+        assert _layout(index) == _layout(reference)

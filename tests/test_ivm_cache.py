@@ -1,7 +1,7 @@
 """Unit tests for the commit-scoped caches (repro.ivm.cache).
 
-Covers the CommitCache's partial-hit key splitting (including the cached
-empty-result sentinel and caller-ownership of returned multisets), the
+Covers the CommitCache's split-on-overlap fetch memo (including the
+cached empty-result sentinel and caller-ownership of returned multisets), the
 AdhocPlanCache's canonical shape signatures and LRU behavior, the
 commit-cache constructor switch, the deterministic ad-hoc naming counter, the
 iterative ``_topological`` on a deep chain, and the delta-signature keying
@@ -14,6 +14,7 @@ import pytest
 
 from repro.algebra.multiset import Multiset
 from repro.cost.estimates import DagEstimator
+from repro.cost.fds import FDSet
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
@@ -98,6 +99,24 @@ class TestCommitCacheFetch:
         assert not cache.fetch(3, COLS, {("zz",)}, NAMES, compute)
         assert len(calls) == 1  # the repeated miss costs nothing
         assert cache.stats.fetch_hits == 1
+
+    def test_unshared_fetch_is_split_only_when_overlapped(self):
+        """A fetch that hits no cached key is stored whole: no per-key entry
+        exists until a later fetch on the same columns shares a key with
+        it, and then only that stored result is split."""
+        cache = CommitCache()
+        table = {("a",): ("a", 1), ("b",): ("b", 2), ("c",): ("c", 3)}
+
+        def compute(keys):
+            return _rows(*(table[k] for k in keys if k in table))
+
+        cache.fetch(1, COLS, {("a",), ("b",), ("zz",)}, NAMES, compute)
+        cache.fetch(1, COLS, {("c",)}, NAMES, compute)  # disjoint: stored whole too
+        assert not cache._fetch.get((1, COLS))
+        assert cache.fetch(1, COLS, {("b",)}, NAMES, compute) == _rows(("b", 2))
+        assert set(cache._fetch[(1, COLS)]) == {("a",), ("b",), ("zz",)}
+        assert cache.stats.fetch_hits == 1
+        assert cache.stats.fetch_misses == 4
 
     def test_returned_multisets_are_caller_owned(self):
         cache = CommitCache()
@@ -385,6 +404,43 @@ class TestIterativeTopological:
                 return order
 
             assert ViewMaintainer._topological(_Stub(), track) == reference(track)
+
+
+class TestStaticFactsMemo:
+    def test_memoized_orders_and_reductions_equal_fresh_ones(self):
+        """Track orders and FD reductions are computed once and reused on
+        every commit; each memoized answer equals a fresh computation."""
+        db, maintainer = _paper_maintainer(plan_cache=0)
+        emp = sorted(db.relation("Emp").contents().rows())
+        dept = sorted(db.relation("Dept").contents().rows())
+        other = next(d[0] for d in dept if d[0] != emp[1][1])
+        txns = [
+            {"Emp": Delta.modification([(emp[0], (emp[0][0], emp[0][1], emp[0][2] + 1))])},
+            {"Emp": Delta.modification([(emp[1], (emp[1][0], other, emp[1][2]))])},
+            {"Emp": Delta.insertion([("new", dept[0][0], 7)])},
+            {"Dept": Delta.modification([(dept[1], (dept[1][0], "m", dept[1][2] + 5))])},
+        ]
+        for deltas in txns:
+            maintainer.apply_adhoc(Transaction("dml", deltas))
+        orders = dict(maintainer._orders)
+        assert orders
+        for items, order in orders.items():
+            assert list(order) == maintainer._topological(dict(items))
+        # The same shape again reuses its order.
+        row = db.relation("Emp").contents().rows()
+        old = sorted(row)[0]
+        maintainer.apply_adhoc(
+            Transaction("dml", {"Emp": Delta.modification([(old, (old[0], old[1], old[2] + 1))])})
+        )
+        assert maintainer._orders == orders
+        reductions = 0
+        for group in maintainer.memo.groups():
+            fds = maintainer.estimator.info(group.id).fds
+            for attrs, reduced in fds._reductions.items():
+                assert reduced == FDSet(fds.fds).reduce(attrs)
+                reductions += 1
+        assert reductions
+        maintainer.verify()
 
 
 class TestDeltaSignatureMemo:
