@@ -23,7 +23,6 @@ from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.engine import Engine
 from repro.ivm.maintainer import ViewMaintainer
-from repro.obs.metrics import MetricsRegistry
 from repro.server.commit import GroupCommitter
 from repro.sql.dml import StatementRider
 from repro.sql.parser import parse
@@ -100,7 +99,7 @@ def hot_spot_stream(db, rng):
 
 def run_batch_size(batch_size, data):
     db, maintainer = build(data)
-    committer = GroupCommitter(Engine(maintainer, metrics=MetricsRegistry()))
+    committer = GroupCommitter(Engine(maintainer))
     riders = list(hot_spot_stream(db, random.Random(29)))
     db.counter.reset()
     for start in range(0, N_TXNS, batch_size):

@@ -245,11 +245,6 @@ def optimal_view_set(
         raise ValueError("no feasible view set within the budget")
     if cache is not None:
         cache.stats.add_phase("search", time.perf_counter() - started)
-        from repro.obs.metrics import get_metrics
-
-        get_metrics().observe_cache(
-            "search", cache.stats.cache_hits, cache.stats.cache_misses
-        )
     return OptimizationResult(
         best=best,
         evaluated=evaluated,

@@ -29,13 +29,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from repro.algebra.compile import tuple_getter
+from repro.algebra.compile import plan_cache, tuple_getter
 from repro.algebra.evaluate import evaluate
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import RelExpr, Scan, Select
 from repro.algebra.predicates import TruePred, conjunction
 from repro.ivm.delta import Delta
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.pager import IOStats
 from repro.storage.relation import equality_pins
@@ -119,8 +119,8 @@ class EngineTransaction:
     def staged_transaction(self) -> Transaction:
         """The staged work as one composed :class:`Transaction` (sequential
         deltas per relation are net-composed by
-        :func:`~repro.ivm.deferred.compose_relations`)."""
-        from repro.ivm.deferred import compose_relations
+        :func:`~repro.ivm.compose.compose_relations`)."""
+        from repro.ivm.compose import compose_relations
 
         steps = (
             {relation: delta}
@@ -190,7 +190,6 @@ class Engine:
         enforce: bool = False,
         assertion_roots: Mapping[str, int] | None = None,
         tracer: "Tracer | NullTracer | None" = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.maintainer = maintainer
         self.db = maintainer.db
@@ -198,11 +197,28 @@ class Engine:
         if enforce and not self.assertion_roots:
             raise EngineError("an enforcing Engine needs assertion_roots")
         self.enforce = enforce
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self.metrics = self._registry()
         self.tracer: "Tracer | NullTracer" = NULL_TRACER
         self.set_tracer(tracer)
         self._txn_seq = 0
         self._active_txn: EngineTransaction | None = None
+
+    def _registry(self) -> MetricsRegistry:
+        """This engine's registry, reading the counts its caches and
+        durable log keep when a snapshot is taken (never on commit)."""
+        m = MetricsRegistry()
+        m.source("cache.plan", lambda: plan_cache().stats)
+        cc = self.maintainer.commit_cache_stats
+        m.source(
+            "cache.commit",
+            lambda: {"hits": cc.hits, "misses": cc.misses, "io_saved": cc.io_saved},
+        )
+        if self.maintainer.plan_cache is not None:
+            apc = self.maintainer.plan_cache.stats
+            m.source("cache.adhoc_plan", lambda: {"hits": apc.hits, "misses": apc.misses})
+        if self.db.durable is not None:
+            m.source("durable", self.db.durable.stats.snapshot)
+        return m
 
     def set_tracer(self, tracer: "Tracer | NullTracer | None") -> None:
         """Attach (or detach, with ``None``) a tracer; it is bound to this
@@ -347,7 +363,8 @@ class Engine:
         self.db.epoch_log.unpin(epoch)
 
     def _observe(self, result: TransactionResult) -> None:
-        """Fold one commit's result into the metrics registry (no page I/O)."""
+        """Count one commit's own facts (no page I/O); cache and durable
+        counts are read from their owners at snapshot time."""
         m = self.metrics
         m.counter("engine.commits").inc()
         m.observe_io(result.io)
@@ -360,32 +377,6 @@ class Engine:
             m.counter("engine.violations_cleared").inc(
                 sum(rows.total() for rows in result.cleared_violations.values())
             )
-        # Refresh the compiled-plan cache's cumulative hit rate, size and
-        # evictions (gauges: last value wins, so folding it per commit is
-        # idempotent).
-        from repro.algebra.compile import plan_cache
-
-        pc = plan_cache()
-        if pc.hits or pc.misses:
-            m.observe_cache("plan", pc.hits, pc.misses)
-            m.gauge("cache.plan.entries").set(len(pc))
-            m.gauge("cache.plan.evictions").set(pc.evictions)
-        # Commit-scoped fetch/scan cache and the ad-hoc plan cache
-        # (cumulative per maintainer; gauges, so idempotent per commit).
-        cc = getattr(self.maintainer, "commit_cache_stats", None)
-        if cc is not None and (cc.hits or cc.misses):
-            m.observe_cache("commit", cc.hits, cc.misses)
-            m.gauge("cache.commit.io_saved").set(cc.io_saved)
-        apc = getattr(self.maintainer, "plan_cache", None)
-        if apc is not None and (apc.stats.hits or apc.stats.misses):
-            m.observe_cache("adhoc_plan", apc.stats.hits, apc.stats.misses)
-        # Durable log traffic, reported apart from the paper's simulated
-        # page-I/O accounting (gauges over the store's cumulative
-        # PagerStats, so folding per commit is idempotent).
-        durable = self.db.durable
-        if durable is not None:
-            for key, value in durable.stats.snapshot().items():
-                m.gauge(f"durable.{key}").set(value)
 
     # -- reads -------------------------------------------------------------------
 

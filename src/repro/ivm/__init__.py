@@ -32,7 +32,7 @@ def __getattr__(name: str):
 
         return getattr(maintainer, name)
     if name == "compose_deltas":
-        from repro.ivm.deferred import compose_deltas
+        from repro.ivm.compose import compose_deltas
 
         return compose_deltas
     raise AttributeError(f"module 'repro.ivm' has no attribute {name!r}")

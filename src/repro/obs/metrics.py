@@ -1,21 +1,24 @@
-"""Process-wide runtime metrics for the maintenance engine.
+"""Runtime metrics for the maintenance engine.
 
 A :class:`MetricsRegistry` holds named counters (monotonic), gauges (last
-value wins) and histograms (count / total / min / max). The engine layer
-increments commits, rollbacks, rejections and violations, attributes page
-I/Os by kind, and snapshots cache hit rates from the optimizer's
-:class:`~repro.core.memoize.SearchCache` and the execution backend's
-:class:`~repro.algebra.compile.PlanCache`.
+value wins) and histograms (count / total / min / max), and reads
+*sources*: state another object already counts (a cache's hits and
+misses, the durable log's :class:`~repro.storage.pager.PagerStats`),
+registered once and read only when a snapshot is taken. Each
+:class:`~repro.engine.engine.Engine` owns its registry: the engine counts
+commits, rollbacks, rejections and violations, attributes page I/Os by
+kind, and registers its plan caches, commit cache and durable log as
+sources. :meth:`MetricsRegistry.since` differences source counts exactly
+as it does counters, so a per-run report holds that run's counts alone.
 
 Metrics are bookkeeping only — they never touch the storage layer, so they
 add zero page I/O to any measured run. The module-level :func:`get_metrics`
-registry is shared process-wide (every :class:`~repro.engine.engine.Engine`
-uses it unless given its own), which is what the shell's ``\\metrics``
-command and :attr:`StreamReport.metrics` read. Benchmarks that need
-isolation pass a private registry.
+registry is process-wide; no engine writes to it.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Mapping
 
 from repro.storage.pager import IOStats
 
@@ -79,12 +82,19 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with snapshot/delta support."""
+    """Named counters, gauges, histograms and sources with snapshot/delta
+    support.
+
+    Snapshots may be taken on another thread than the one recording (the
+    server answers ``metrics`` on its event loop while the commit thread
+    creates counters lazily), so :meth:`snapshot` iterates copies.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._sources: dict[str, Callable[[], Mapping[str, float]]] = {}
 
     # -- access ------------------------------------------------------------------
 
@@ -106,6 +116,16 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name)
         return h
 
+    def source(self, prefix: str, read: Callable[[], Mapping[str, float]]) -> None:
+        """Register state this registry reads but does not own.
+
+        ``read()`` is called at every :meth:`snapshot` and returns counts,
+        each appearing as ``prefix.key``. :meth:`since` differences them
+        like counters: a cumulative count reports what the interval added,
+        a level (a cache's entries, a queue's depth) its net change.
+        Registering a prefix again replaces its reader."""
+        self._sources[prefix] = read
+
     # -- engine helpers ----------------------------------------------------------
 
     def observe_io(self, io: IOStats) -> None:
@@ -119,23 +139,21 @@ class MetricsRegistry:
         if io.tuple_writes:
             self.counter("io.tuple_writes").inc(io.tuple_writes)
 
-    def observe_cache(self, name: str, hits: int, misses: int) -> None:
-        """Record a cache's cumulative hit/miss counts (and hit rate)."""
-        self.gauge(f"cache.{name}.hits").set(hits)
-        self.gauge(f"cache.{name}.misses").set(misses)
-        lookups = hits + misses
-        self.gauge(f"cache.{name}.hit_rate").set(hits / lookups if lookups else 0.0)
-
     # -- reporting ---------------------------------------------------------------
+
+    def _scalars(self) -> dict[str, float]:
+        """Counters, gauges and source counts by name."""
+        out = {name: c.value for name, c in self._counters.copy().items()}
+        out.update((name, g.value) for name, g in self._gauges.copy().items())
+        for prefix, read in self._sources.copy().items():
+            for key, value in read().items():
+                out[f"{prefix}.{key}"] = value
+        return out
 
     def snapshot(self) -> dict[str, float]:
         """A flat name → value map of everything recorded so far."""
-        out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.value
-        for name, h in self._histograms.items():
+        out = self._scalars()
+        for name, h in self._histograms.copy().items():
             out[f"{name}.count"] = h.count
             out[f"{name}.total"] = h.total
             if h.min is not None:
@@ -146,9 +164,9 @@ class MetricsRegistry:
     def since(self, before: dict[str, float]) -> dict[str, float]:
         """What changed relative to an earlier :meth:`snapshot`.
 
-        Counters and histogram count/total entries difference cleanly;
-        gauges and histogram min/max report their current value (a delta
-        of a last-value-wins metric is meaningless).
+        Counters, source counts and histogram count/total entries
+        difference cleanly; gauges and histogram min/max report their
+        current value (a delta of a last-value-wins metric is meaningless).
         """
         now = self.snapshot()
         out: dict[str, float] = {}
@@ -163,16 +181,13 @@ class MetricsRegistry:
         return out
 
     def render(self) -> list[str]:
-        """Human-readable lines, grouped and sorted by name."""
+        """Human-readable lines: counters, gauges and source counts sorted
+        by name, then histograms."""
         lines = []
-        for name in sorted(self._counters):
-            lines.append(f"{name}: {self._counters[name].value}")
-        for name in sorted(self._gauges):
-            value = self._gauges[name].value
-            text = f"{value:.3f}" if isinstance(value, float) and value != int(value) else f"{value:g}"
-            lines.append(f"{name}: {text}")
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
+        for name, value in sorted(self._scalars().items()):
+            fraction = isinstance(value, float) and not value.is_integer()
+            lines.append(f"{name}: {value:.3f}" if fraction else f"{name}: {value:.0f}")
+        for name, h in sorted(self._histograms.copy().items()):
             lines.append(
                 f"{name}: n={h.count} mean={h.mean:.2f} "
                 f"min={h.min if h.min is not None else '-'} "
@@ -180,15 +195,10 @@ class MetricsRegistry:
             )
         return lines
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
 
 METRICS = MetricsRegistry()
 
 
 def get_metrics() -> MetricsRegistry:
-    """The process-wide registry (shell ``\\metrics``, CLI, runner)."""
+    """The process-wide registry, for counts that belong to no engine."""
     return METRICS

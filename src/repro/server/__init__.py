@@ -5,7 +5,7 @@ package makes that safe to share. Writers submit ready-made transactions,
 or parsed DML the commit thread derives in queue order, to a bounded
 commit queue; a single commit thread drains the queue in batches,
 composes same-shaped staged deltas from many clients with
-:func:`~repro.ivm.deferred.compose_batch`, and runs **one** maintenance
+:func:`~repro.ivm.compose.compose_batch`, and runs **one** maintenance
 pass — and, when durable, one WAL barrier/fsync — per batch (the paper's
 §2.3 deferral, finally paying off *across* clients). Readers never wait:
 they pin an epoch and reconstruct their snapshot from the epoch log's

@@ -9,7 +9,7 @@ or is called back from the commit thread when the request resolves. The
 committer thread drains the queue in batches, derives each statement rider
 in queue order against the stored rows overlaid with the net delta of the
 riders before it, composes the batch's deltas into **one** transaction
-with :func:`~repro.ivm.deferred.compose_batch` and commits it through the
+with :func:`~repro.ivm.compose.compose_batch` and commits it through the
 engine's one commit body — one maintenance pass (and, when durable, one
 WAL barrier/fsync) no matter how many clients rode along. A rider whose
 derivation raises fails alone.
@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.algebra.multiset import Multiset
 from repro.engine.engine import EngineError, TransactionResult
-from repro.ivm.deferred import compose_batch
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.ivm.compose import compose_batch
 from repro.workload.transactions import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -167,14 +166,17 @@ class GroupCommitter:
         engine: "Engine",
         max_batch: int = 32,
         queue_size: int = 256,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_batch < 1:
             raise EngineError("max_batch must be positive")
         self.engine = engine
         self.max_batch = max_batch
-        self.metrics = metrics if metrics is not None else get_metrics()
+        self.metrics = engine.metrics
         self._queue: queue.Queue = queue.Queue(maxsize=max(queue_size, 1))
+        # The depth is read when a snapshot is taken. The reader holds the
+        # queue, not the committer and its batch records.
+        pending = self._queue
+        self.metrics.source("commit_queue", lambda: {"depth": pending.qsize()})
         self._thread: threading.Thread | None = None
         self._closed = False
         self._batch_seq = 0
@@ -241,7 +243,6 @@ class GroupCommitter:
                     self._commit(batch)
                     return
                 batch.append(item)
-            self.metrics.gauge("commit_queue.depth").set(self._queue.qsize())
             self._commit(batch)
 
     def commit_batch(

@@ -26,7 +26,6 @@ import functools
 import itertools
 from typing import Any
 
-from repro.obs.metrics import get_metrics
 from repro.server import protocol
 from repro.server.commit import CommitRequest, GroupCommitter
 from repro.server.protocol import ProtocolError
@@ -61,7 +60,6 @@ class ReproServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.metrics = get_metrics()
         self.db, _system, self.engine = corporate_world(
             policy,
             n_depts=n_depts,
@@ -71,6 +69,8 @@ class ReproServer:
             wal_sync=wal_sync,
         )
         self.policy = policy
+        # Server, committer and engine count into the engine's registry.
+        self.metrics = self.engine.metrics
         self.committer = GroupCommitter(
             self.engine, max_batch=max_batch, queue_size=queue_size
         )

@@ -23,13 +23,13 @@ Error surface: every statement error is rendered by its
 :func:`~repro.sql.dml.error_tier` — an :class:`AssertionViolation` from an
 enforcing session as ``rejected:`` (the transaction was rolled back), the
 statement's own mistakes as ``error:``, and anything else as ``internal
-error:`` — set ``REPRO_SHELL_DEBUG=1`` to re-raise those with a full
-traceback instead.
+error:``, whose traceback is logged as the ERROR event
+``shell.internal_error`` (logger ``repro.shell``).
 """
 
 from __future__ import annotations
 
-import os
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +45,8 @@ from repro.workload.paperdb import (
     generate_corporate_db,
 )
 from repro.workload.transactions import paper_transactions
+
+_log = logging.getLogger("repro.shell")
 
 DEPT_CONSTRAINT = """
 CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
@@ -159,12 +161,12 @@ class ShellSession:
                 return ShellResult("error", f"rejected: {exc} (transaction rolled back)")
             if tier == "invalid":
                 return ShellResult("error", f"error: {exc}")
-            if os.environ.get("REPRO_SHELL_DEBUG"):
-                raise
-            return ShellResult(
-                "error",
-                f"internal error: {exc!r} (set REPRO_SHELL_DEBUG=1 to re-raise)",
+            event = "shell.internal_error"
+            _log.error(
+                "%s statement=%r", event, text, exc_info=exc,
+                extra={"event": event, "statement": text},
             )
+            return ShellResult("error", f"internal error: {exc!r}")
 
     def _run(self, text: str) -> ShellResult:
         statement = parse(text)
@@ -252,8 +254,8 @@ class ShellSession:
         if name == "\\profile":
             return self._meta_profile(command)
         if name == "\\metrics":
-            lines = self.engine.metrics.render()
-            return ShellResult("meta", "\n".join(lines) if lines else "(no metrics yet)")
+            # Never empty: the engine's cache counts are always listed.
+            return ShellResult("meta", "\n".join(self.engine.metrics.render()))
         if name == "\\check":
             lines = []
             for assertion in self.system.assertions:

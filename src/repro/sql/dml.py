@@ -27,7 +27,7 @@ from repro.algebra.scalar import Scalar
 from repro.algebra.schema import SchemaError
 from repro.algebra.types import TypeError_
 from repro.engine.engine import EngineError
-from repro.ivm.deferred import compose_relations
+from repro.ivm.compose import compose_relations
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import MaintenanceError
 from repro.sql import ast
@@ -145,7 +145,7 @@ def dml_transaction(
     (the group committer passes the riders before this one in its batch);
     ``pending`` itself is not changed. Statement *k* of several also sees
     the net delta of statements 1..*k*−1, and the steps compose through
-    :func:`~repro.ivm.deferred.compose_relations`. Derivation reads the
+    :func:`~repro.ivm.compose.compose_relations`. Derivation reads the
     current contents, so it holds the storage latch. A type or column
     mistake found here is the statement's fault and is raised as
     :class:`SQLTranslationError`.

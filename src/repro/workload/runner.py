@@ -46,10 +46,8 @@ class StreamReport:
     new_violations: dict[str, int] = field(default_factory=dict)
     cleared_violations: dict[str, int] = field(default_factory=dict)
     results: list["TransactionResult"] = field(default_factory=list)
-    # What the engine's MetricsRegistry accumulated over this run (counter
-    # deltas; see MetricsRegistry.since). Gauges derived from cumulative
-    # stores (the durable pager) are re-derived per run — see
-    # _per_run_durable_metrics — so back-to-back runs don't bleed.
+    # What the engine's MetricsRegistry counted over this run, cache and
+    # durable-log counts included (see MetricsRegistry.since).
     metrics: dict[str, float] = field(default_factory=dict)
     #: group-commit batches drained (0 for single-client runs).
     batches: int = 0
@@ -88,10 +86,7 @@ def run_transactions(
     """
     from repro.constraints.assertions import AssertionViolation
 
-    metrics = getattr(engine, "metrics", None)
-    metrics_before = metrics.snapshot() if metrics is not None else None
-    durable = getattr(engine.db, "durable", None)
-    pager_before = durable.stats.snapshot() if durable is not None else None
+    metrics_before = engine.metrics.snapshot()
     report = StreamReport()
     for txn in txns:
         report.submitted += 1
@@ -104,29 +99,8 @@ def run_transactions(
         if on_result is not None:
             on_result(result)
     report.committed = report.submitted - report.rejected
-    if metrics is not None and metrics_before is not None:
-        report.metrics = metrics.since(metrics_before)
-        if durable is not None and pager_before is not None:
-            _per_run_durable_metrics(report.metrics, durable.stats, pager_before)
+    report.metrics = engine.metrics.since(metrics_before)
     return report
-
-
-def _per_run_durable_metrics(
-    metrics: dict[str, float], stats, before: dict[str, int]
-) -> None:
-    """Overwrite durable gauges with this run's deltas.
-
-    The engine's ``_observe`` sets ``durable.*`` gauges from the store's
-    *cumulative* :class:`~repro.storage.pager.PagerStats`, and
-    ``MetricsRegistry.since`` passes gauges through by value — so a second
-    ``run_transactions`` over the same durable engine used to report the
-    first run's traffic in its own ``StreamReport.metrics``. Re-derive
-    every durable gauge from the per-run log delta instead, consistently
-    with how counters report.
-    """
-    for key, value in stats.since(before).items():
-        if value or f"durable.{key}" in metrics:
-            metrics[f"durable.{key}"] = value
 
 
 def run_concurrent_transactions(
@@ -160,13 +134,8 @@ def run_concurrent_transactions(
     from repro.constraints.assertions import AssertionViolation
     from repro.server.commit import GroupCommitter
 
-    metrics = getattr(engine, "metrics", None)
-    metrics_before = metrics.snapshot() if metrics is not None else None
-    durable = getattr(engine.db, "durable", None)
-    pager_before = durable.stats.snapshot() if durable is not None else None
-    committer = GroupCommitter(
-        engine, max_batch=max_batch, queue_size=queue_size, metrics=metrics
-    )
+    metrics_before = engine.metrics.snapshot()
+    committer = GroupCommitter(engine, max_batch=max_batch, queue_size=queue_size)
     committer.start()
     report = StreamReport()
     clients = [ClientReport(client=i) for i in range(len(streams))]
@@ -215,10 +184,7 @@ def run_concurrent_transactions(
             for result in record.results:
                 _fold(report, result, keep=False)
     report.committed = report.submitted - report.rejected
-    if metrics is not None and metrics_before is not None:
-        report.metrics = metrics.since(metrics_before)
-        if durable is not None and pager_before is not None:
-            _per_run_durable_metrics(report.metrics, durable.stats, pager_before)
+    report.metrics = engine.metrics.since(metrics_before)
     return report, committer.batches
 
 

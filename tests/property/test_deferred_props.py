@@ -21,10 +21,9 @@ from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.engine import Engine
-from repro.ivm.deferred import compose_deltas
+from repro.ivm.compose import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
-from repro.obs.metrics import MetricsRegistry
 from repro.server.commit import GroupCommitter
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
@@ -173,7 +172,7 @@ class TestDeferredEquivalence:
         m1.verify()
 
         db2, m2 = make_setup()
-        committer = GroupCommitter(Engine(m2, metrics=MetricsRegistry()))
+        committer = GroupCommitter(Engine(m2))
         i = 0
         for size in batch_splits:
             for request in committer.commit_batch(stream[i : i + size]):

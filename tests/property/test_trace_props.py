@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Engine
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to_json, validate_trace
 from repro.storage.pager import IOStats
 from tests.property.test_ivm_random_streams import TXN_TYPES, _build, _make_txn
@@ -30,7 +29,7 @@ class TestTraceTieOut:
     def test_span_io_sums_to_counter_delta(self, seed, marking_bits, kinds):
         db, dag, maintainer, rng = _build(seed, marking_bits)
         tracer = Tracer()
-        engine = Engine(maintainer, tracer=tracer, metrics=MetricsRegistry())
+        engine = Engine(maintainer, tracer=tracer)
         before = engine.io_snapshot()
         committed = IOStats()
         for kind in kinds:

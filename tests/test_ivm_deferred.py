@@ -18,10 +18,9 @@ from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.engine import Engine
-from repro.ivm.deferred import compose_deltas
+from repro.ivm.compose import compose_deltas
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
-from repro.obs.metrics import MetricsRegistry
 from repro.server.commit import GroupCommitter
 from repro.storage.statistics import Catalog
 from repro.workload.paperdb import problem_dept_tree
@@ -151,7 +150,7 @@ def deferred(small_paper_db):
         cost_model,
     )
     maintainer.materialize()
-    return db, GroupCommitter(Engine(maintainer, metrics=MetricsRegistry()))
+    return db, GroupCommitter(Engine(maintainer))
 
 
 def _emp_raise(db, rng, amount=5):
@@ -265,7 +264,6 @@ from repro.dag.builder import build_dag
 from repro.engine import Engine
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
-from repro.obs.metrics import MetricsRegistry
 from repro.server.commit import GroupCommitter
 from repro.obs.trace import Tracer
 from repro.storage.statistics import Catalog
@@ -294,7 +292,7 @@ maintainer = ViewMaintainer(
 maintainer.materialize()
 
 tracer = Tracer()
-committer = GroupCommitter(Engine(maintainer, tracer=tracer, metrics=MetricsRegistry()))
+committer = GroupCommitter(Engine(maintainer, tracer=tracer))
 batch = []
 for i in range(1, K + 1):
     rel = f"R{i}"

@@ -26,7 +26,7 @@ from tests.test_engine import build_maintainer, emp_raise
 
 @pytest.fixture
 def engine(small_paper_db):
-    return Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+    return Engine(build_maintainer(small_paper_db))
 
 
 def modify_txn(engine, index=0, amount=5):
@@ -210,6 +210,90 @@ class TestMetricsRegistry:
         assert lines[0].startswith("a:")
         assert lines[1].startswith("b:")
 
+    def test_source_is_read_at_snapshot_and_differenced(self):
+        owned = {"hits": 3, "misses": 1}
+        m = MetricsRegistry()
+        m.source("cache.x", lambda: dict(owned))
+        assert m.snapshot() == {"cache.x.hits": 3, "cache.x.misses": 1}
+        before = m.snapshot()
+        owned["hits"] += 2
+        assert m.snapshot()["cache.x.hits"] == 5  # nothing was pushed
+        assert m.since(before) == {"cache.x.hits": 2}  # misses unchanged
+        assert "cache.x.hits: 5" in m.render()
+
+    def test_snapshot_while_another_thread_creates_metrics(self):
+        """The server snapshots on its event loop while the commit thread
+        creates counters lazily; iterating the live dicts raised
+        "dictionary changed size during iteration"."""
+        import sys
+        import threading
+
+        m = MetricsRegistry()
+
+        def create():
+            for i in range(20_000):
+                m.counter(f"c{i}").inc()
+                m.histogram(f"h{i}").observe(i)
+
+        writer = threading.Thread(target=create)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            writer.start()
+            while writer.is_alive():
+                m.snapshot()
+                m.render()
+        finally:
+            writer.join(30)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert m.snapshot()["c19999"] == 1
+
+
+class TestEngineMetrics:
+    """Each engine owns its registry; the counts its caches and durable log
+    keep are read when a snapshot is taken, never copied on commit."""
+
+    def test_fresh_engine_snapshot_shows_cache_and_durable_counts(self, tmp_path):
+        from repro.storage.database import Database
+        from repro.workload.paperdb import DEPT_SCHEMA, EMP_SCHEMA, generate_corporate_db
+
+        db = Database(durable_path=str(tmp_path / "store"))
+        data = generate_corporate_db(20, 5, seed=7)
+        db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
+        db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
+        engine = Engine(build_maintainer(db))
+        snap = engine.metrics.snapshot()
+        expected = {
+            f"cache.{name}" for name in (
+                "plan.hits", "plan.misses", "plan.entries", "plan.evictions",
+                "commit.hits", "commit.misses", "commit.io_saved",
+                "adhoc_plan.hits", "adhoc_plan.misses",
+            )
+        } | {f"durable.{key}" for key in db.durable.stats.snapshot()}
+        assert expected <= set(snap)
+        assert "engine.commits" not in snap
+        assert snap["durable.wal_records"] == db.durable.stats.wal_records > 0
+        db.close()
+
+    def test_engines_do_not_share_a_registry(self, small_paper_db):
+        first = Engine(build_maintainer(small_paper_db))
+        second = Engine(first.maintainer)
+        first.execute(modify_txn(first))
+        assert first.metrics is not second.metrics
+        assert "engine.commits" not in second.metrics.snapshot()
+
+    def test_a_commit_sets_no_gauge(self, engine, monkeypatch):
+        def gauge(name):
+            raise AssertionError(f"a commit set the gauge {name!r}")
+
+        monkeypatch.setattr(engine.metrics, "gauge", gauge)
+        result = engine.execute(modify_txn(engine))
+        assert result.io.total > 0
+        snap = engine.metrics.snapshot()
+        assert snap["engine.commits"] == 1
+        assert snap["cache.commit.misses"] == engine.maintainer.commit_cache_stats.misses > 0
+
 
 class TestEngineTracing:
     def test_txn_span_io_ties_out_to_result(self, engine):
@@ -241,16 +325,14 @@ class TestEngineTracing:
             generate_corporate_db,
         )
 
-        engine_a = Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+        engine_a = Engine(build_maintainer(small_paper_db))
         result_a = engine_a.execute(modify_txn(engine_a))
 
         db = Database()
         data = generate_corporate_db(20, 5, seed=7)
         db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
         db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
-        engine_b = Engine(
-            build_maintainer(db), tracer=Tracer(), metrics=MetricsRegistry()
-        )
+        engine_b = Engine(build_maintainer(db), tracer=Tracer())
         result_b = engine_b.execute(modify_txn(engine_b))
         assert result_b.io == result_a.io
         assert result_b.txn.deltas == result_a.txn.deltas
@@ -272,7 +354,6 @@ class TestEngineTracing:
             small_paper_db, [DEPT_CONSTRAINT], paper_transactions(), enforce=True
         )
         engine = system.engine
-        engine.metrics = MetricsRegistry()
         tracer = Tracer()
         engine.set_tracer(tracer)
         old, new = emp_raise(engine.db, amount=10**6)

@@ -12,7 +12,6 @@ import pytest
 from repro.constraints.assertions import AssertionSystem, AssertionViolation
 from repro.engine import Engine
 from repro.ivm.delta import Delta
-from repro.obs.metrics import MetricsRegistry
 from repro.server.commit import GroupCommitter
 from repro.workload.runner import run_concurrent_transactions, run_transactions
 from repro.workload.transactions import Transaction, paper_transactions
@@ -33,7 +32,6 @@ def enforcing_system(small_paper_db):
         system.maintainer,
         enforce=True,
         assertion_roots=system.roots,
-        metrics=MetricsRegistry(),
     )
     return system, engine
 
@@ -100,7 +98,7 @@ class TestEnforcingBatch:
 
 class TestReportMetrics:
     def test_metrics_delta_over_the_run(self, small_paper_db):
-        engine = Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+        engine = Engine(build_maintainer(small_paper_db))
         txns = [_raise_txn(engine.db, index=i, amount=1) for i in range(3)]
         report = run_transactions(engine, txns)
         assert report.metrics["engine.commits"] == 3
@@ -108,10 +106,50 @@ class TestReportMetrics:
         assert report.metrics["engine.commit_io.total"] == report.io.total
 
     def test_metrics_is_a_delta_not_a_snapshot(self, small_paper_db):
-        engine = Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+        engine = Engine(build_maintainer(small_paper_db))
         engine.execute(_raise_txn(engine.db, amount=1))  # before the run
         report = run_transactions(engine, [_raise_txn(engine.db, index=1, amount=1)])
         assert report.metrics["engine.commits"] == 1
+
+    def test_cache_counts_are_per_run(self, small_paper_db):
+        """Regression: the engine copied the caches' cumulative counts into
+        gauges on every commit, and since() passed gauges through by value,
+        so a second run over one engine reported the first run's cache
+        traffic as its own. Every cache count is now this run's."""
+        from repro.algebra.compile import plan_cache
+
+        engine = Engine(build_maintainer(small_paper_db))
+        maintainer = engine.maintainer
+
+        def owned():
+            cc, adhoc, pc = maintainer.commit_cache_stats, maintainer.plan_cache.stats, plan_cache()
+            return {
+                "cache.commit.hits": cc.hits,
+                "cache.commit.misses": cc.misses,
+                "cache.commit.io_saved": cc.io_saved,
+                "cache.adhoc_plan.hits": adhoc.hits,
+                "cache.adhoc_plan.misses": adhoc.misses,
+                "cache.plan.hits": pc.hits,
+                "cache.plan.misses": pc.misses,
+            }
+
+        def stream(indexes):
+            # Declared >Emp commits and same-shaped ad-hoc ones, which plan
+            # through the ad-hoc plan cache.
+            for i in indexes:
+                txn = _raise_txn(engine.db, index=i, amount=1)
+                yield txn if i % 2 else Transaction("raise", txn.deltas)
+
+        runs = []
+        for indexes in (range(0, 8), range(8, 11)):
+            before = owned()
+            report = run_transactions(engine, stream(indexes))
+            own = {name: value - before[name] for name, value in owned().items()}
+            assert {name: report.metrics.get(name, 0) for name in own} == own
+            runs.append(own)
+        second = runs[1]
+        assert second["cache.commit.misses"] > 0
+        assert second["cache.adhoc_plan.hits"] > 0
 
     def test_durable_gauges_do_not_bleed_across_runs(self, tmp_path):
         """Regression: the engine's _observe sets durable.* gauges from the
@@ -130,7 +168,7 @@ class TestReportMetrics:
         data = generate_corporate_db(20, 5, seed=7)
         db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
         db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
-        engine = Engine(build_maintainer(db), metrics=MetricsRegistry())
+        engine = Engine(build_maintainer(db))
 
         first = run_transactions(
             engine, [_raise_txn(db, index=i, amount=1) for i in range(3)]
@@ -157,7 +195,7 @@ class TestReportMetrics:
     def test_concurrent_runner_reports_per_run_metrics(self, small_paper_db):
         from repro.workload.runner import run_concurrent_transactions
 
-        engine = Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+        engine = Engine(build_maintainer(small_paper_db))
         streams = [
             [_raise_txn(engine.db, index=i, amount=1)] for i in range(4)
         ]
@@ -179,7 +217,7 @@ class TestReportMetrics:
         from repro.storage.relation import StorageError
         from repro.workload.runner import run_concurrent_transactions
 
-        engine = Engine(build_maintainer(small_paper_db), metrics=MetricsRegistry())
+        engine = Engine(build_maintainer(small_paper_db))
         ghost = ("ghost", "dept00000", 1)
         absent = Transaction(">Emp", {"Emp": Delta.modification([(ghost, ghost[:2] + (2,))])})
         streams = [

@@ -12,6 +12,7 @@ import threading
 from contextlib import contextmanager
 
 from repro.server.client import ReproClient
+from repro.server.commit import CommitRequest
 from repro.server.server import ReproServer
 
 ROW = "emp00000_000"
@@ -34,6 +35,59 @@ def running(server: ReproServer, debug: bool = False):
         loop.call_soon_threadsafe(loop.stop)
         thread.join(30)
         loop.close()
+
+
+def _on_event_loop() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+class _WatchedLatch:
+    """The storage latch, noting every acquisition made on an event loop."""
+
+    def __init__(self, latch, waits: list[str]) -> None:
+        self._latch = latch
+        self._waits = waits
+
+    def __enter__(self):
+        if _on_event_loop():
+            self._waits.append("storage latch acquired")
+        return self._latch.__enter__()
+
+    def __exit__(self, *exc):
+        return self._latch.__exit__(*exc)
+
+
+@contextmanager
+def loop_waits(server: ReproServer, monkeypatch):
+    """Record every call made on an event-loop thread that waits, or could
+    wait, on the commit thread: a put into the full commit queue,
+    ``CommitRequest.wait``, and the storage latch a commit holds through
+    its fsync. The record reads no clock, so an empty one means no such
+    call happened, however loaded the host."""
+    waits: list[str] = []
+    pending = server.committer._queue
+    put = pending.put
+
+    def watched_put(item, block=True, timeout=None):
+        if block and _on_event_loop() and pending.full():
+            waits.append("put into a full commit queue")
+        return put(item, block, timeout)
+
+    wait = CommitRequest.wait
+
+    def watched_wait(request, timeout=None):
+        if _on_event_loop():
+            waits.append("CommitRequest.wait")
+        return wait(request, timeout)
+
+    monkeypatch.setattr(pending, "put", watched_put)
+    monkeypatch.setattr(CommitRequest, "wait", watched_wait)
+    monkeypatch.setattr(server.db, "latch", _WatchedLatch(server.db.latch, waits))
+    yield waits
 
 
 def _drive(port: int, statements: list[str], replies: list, errors: list) -> None:
@@ -138,3 +192,30 @@ class TestEventLoopNeverBlocks:
         assert all(r.get("ok") and r["status"] == "committed" for r in replies)
         slow = [r.getMessage() for r in caplog.records if "took" in r.getMessage()]
         assert not slow, slow
+
+    def test_loop_thread_never_waits_on_the_commit_thread(self, tmp_path, monkeypatch):
+        """The same one-slot queue and fsync per commit, with readers beside
+        the writers: no call on the loop thread waits on a primitive the
+        commit thread holds or drains. Unlike the 50 ms check above, this
+        fails on the first such call, however fast it returned."""
+        server = ReproServer(
+            n_depts=5,
+            emps_per_dept=4,
+            seed=3,
+            durable_path=str(tmp_path / "db"),
+            wal_sync="full",
+            max_batch=1,
+            queue_size=1,
+        )
+        with loop_waits(server, monkeypatch) as waits, running(server):
+            writes = [
+                [
+                    f"INSERT INTO Emp VALUES ('w{client}_{i}', 'dept00001', 1)"
+                    for i in range(10)
+                ]
+                for client in range(6)
+            ]
+            reads = [[f"SELECT Salary FROM Emp WHERE EName = '{ROW}'"] * 10] * 2
+            replies = _run_clients(server.port, writes + reads)
+        assert len(replies) == 80 and all(r.get("ok") for r in replies)
+        assert not waits, sorted(set(waits))

@@ -1,5 +1,7 @@
 """Tests for the interactive shell engine."""
 
+import logging
+
 import pytest
 
 from repro.shell import ShellSession
@@ -144,23 +146,28 @@ class TestErrorSurface:
         assert result.kind == "error"
         assert result.text.startswith("error:")
 
-    def test_internal_error_is_not_swallowed_with_debug(self, fresh, monkeypatch):
-        monkeypatch.setenv("REPRO_SHELL_DEBUG", "1")
+    def test_internal_error_is_logged_with_its_traceback(self, fresh, monkeypatch, caplog):
         monkeypatch.setattr(
             fresh.engine, "execute", lambda txn: (_ for _ in ()).throw(RuntimeError("boom"))
         )
-        with pytest.raises(RuntimeError, match="boom"):
-            fresh.execute("UPDATE Emp SET Salary = Salary + 1")
+        statement = "UPDATE Emp SET Salary = Salary + 1"
+        with caplog.at_level(logging.ERROR, logger="repro.shell"):
+            result = fresh.execute(statement)
+        assert result.text == "internal error: RuntimeError('boom')"
+        [record] = caplog.records
+        assert (record.levelno, record.event, record.statement) == (
+            logging.ERROR, "shell.internal_error", statement
+        )
+        assert record.exc_info[0] is RuntimeError
+        assert "boom" in caplog.text and "Traceback" in caplog.text
 
     def test_internal_error_reported_without_debug(self, fresh, monkeypatch):
-        monkeypatch.delenv("REPRO_SHELL_DEBUG", raising=False)
         monkeypatch.setattr(
             fresh.engine, "execute", lambda txn: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         result = fresh.execute("UPDATE Emp SET Salary = Salary + 1")
         assert result.kind == "error"
         assert result.text.startswith("internal error:")
-        assert "REPRO_SHELL_DEBUG" in result.text
 
 
 class TestObservabilityMeta:
