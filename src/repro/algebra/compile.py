@@ -41,6 +41,7 @@ import os
 import threading
 import warnings
 from collections import OrderedDict
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.algebra.multiset import Multiset, Row
@@ -515,15 +516,17 @@ def _compile_join(join: Join, ops_top_down: Sequence[RelExpr]) -> JoinKernel:
     return _exec_fn("_k", lines, ctx)
 
 
-def _compile_probe_join(join: Join, keyed: bool) -> Callable[[Multiset, Mapping], Multiset]:
-    """Probe-side join kernel ``(left_rows, right_buckets) -> result``.
+def _compile_probe_join(join: Join, shape: str) -> Callable[[Multiset, Mapping, Mapping], Multiset]:
+    """Probe-side join kernel ``(left_rows, right_buckets, rows) -> result``.
 
     ``right_buckets`` maps join-key tuples (over the sorted join columns, the
-    index key layout) to the bucket multisets of matching right rows — the
-    shape :meth:`HashIndex.probe_buckets` returns — or, when ``keyed``, to
-    the one matching row itself (:meth:`KeyIndex.probe_buckets`). The index
-    already hashed the right side by exactly this key, so the kernel has no
-    build phase: it probes the borrowed buckets directly.
+    index key layout) to what :meth:`HashIndex.probe_buckets` returns for
+    them, in ``shape``: ``"buckets"``, a multiset of matching right rows;
+    ``"refs"``, a bucket of first-key values, each resolved through
+    ``rows`` (the right relation's key map); ``"keyed"``, the one matching
+    row itself (:meth:`KeyIndex.probe_buckets`). The index already hashed
+    the right side by exactly this key, so the kernel has no build phase:
+    it probes the borrowed buckets directly.
     """
     ctx = _Ctx()
     left_schema, right_schema = join.left.schema, join.right.schema
@@ -540,28 +543,30 @@ def _compile_probe_join(join: Join, keyed: bool) -> Callable[[Multiset, Mapping]
             f"if not {_pred_src(join.residual, _TupleEnv(join.schema.names, '_m'), ctx)}: continue"
         )
     inner.extend([
-        f"_c = _get(_m, 0) + {'_pn' if keyed else '_pn * _bn'}",
+        f"_c = _get(_m, 0) + {'_pn * _bn' if shape == 'buckets' else '_pn'}",
         "if _c == 0: del _acc[_m]",
         "else: _acc[_m] = _c",
     ])
-    if keyed:
+    if shape == "keyed":
         probe = [
             f"        _b = _bget({_tuple_src('_p', left_key)})",
             "        if _b is None: continue",
             *[f"        {stmt}" for stmt in inner],
         ]
     else:
+        each = "_b, _bn in _e._counts.items()" if shape == "buckets" else "_b in map(_rget, _e)"
         probe = [
             f"        _e = _bget({_tuple_src('_p', left_key)})",
             "        if _e is None: continue",
-            "        for _b, _bn in _e._counts.items():",
+            f"        for {each}:",
             *[f"            {stmt}" for stmt in inner],
         ]
     lines = [
-        "def _k(_P, _B):",
+        "def _k(_P, _B, _R):",
         "    _acc = {}",
         "    _get = _acc.get",
         "    _bget = _B.get",
+        *(["    _rget = _R.__getitem__"] if shape == "refs" else []),
         "    for _p, _pn in _P.items():",
         *probe,
         "    _out = _Multiset()",
@@ -572,15 +577,16 @@ def _compile_probe_join(join: Join, keyed: bool) -> Callable[[Multiset, Mapping]
 
 
 def _compile_modify_join(join: Join, from_left: bool, shape: str) -> Callable:
-    """Modify-pair join kernel ``(pairs, other) -> [(old ⋈ o, new ⋈ o), …]``.
+    """Modify-pair join kernel ``(pairs, other, rows) -> [(old ⋈ o, new ⋈ o), …]``.
 
     ``pairs`` are (old, new) rows of one input that keep the join columns;
     each is joined with every matching row ``o`` of the other input, once
     per copy of ``o``. ``other`` is shaped as ``shape`` says: ``"rows"``, a
-    multiset of the other input's rows (hashed here); ``"buckets"``, the
-    ``{join_key: bucket}`` of :meth:`HashIndex.probe_buckets`; ``"keyed"``,
-    the ``{join_key: row}`` of :meth:`KeyIndex.probe_buckets`. The join has
-    no residual predicate.
+    multiset of the other input's rows (hashed here); otherwise the
+    ``{join_key: bucket}`` of an index's ``probe_buckets`` in that index's
+    shape (``"buckets"``, ``"refs"`` resolved through ``rows``, or
+    ``"keyed"``; see :func:`_compile_probe_join`). The join has no residual
+    predicate.
     """
     ctx = _Ctx()
     left_schema, right_schema = join.left.schema, join.right.schema
@@ -596,31 +602,46 @@ def _compile_modify_join(join: Join, from_left: bool, shape: str) -> Callable:
         ) + ")"
 
     emit = [f"_mo = {merged('_o')}", f"_mn = {merged('_n')}"]
+    counted = [
+        *emit,
+        "if _bn == 1: _app((_mo, _mn))",
+        "else: _out.extend([(_mo, _mn)] * _bn)",
+    ]
     match = "_b" if shape == "keyed" else "_e"
     if shape == "keyed":
         body = [*emit, "_app((_mo, _mn))"]
+    elif shape == "refs":
+        body = ["for _b in map(_rget, _e):", *[f"    {stmt}" for stmt in emit]]
+        body.append("    _app((_mo, _mn))")
+    elif shape == "buckets":
+        body = ["for _b, _bn in _e._counts.items():", *[f"    {stmt}" for stmt in counted]]
     else:
-        source = "_e" if shape == "rows" else "_e._counts.items()"
+        # A key's one match is its (row, count) pair; two or more, a list.
         body = [
-            f"for _b, _bn in {source}:",
-            *[f"    {stmt}" for stmt in emit],
-            "    if _bn == 1: _app((_mo, _mn))",
-            "    else: _out.extend([(_mo, _mn)] * _bn)",
+            "if _e.__class__ is tuple:",
+            "    _b, _bn = _e",
+            *[f"    {stmt}" for stmt in counted],
+            "else:",
+            "    for _b, _bn in _e:",
+            *[f"        {stmt}" for stmt in counted],
         ]
     if shape == "rows":
         build = [
             "    _t = {}",
-            "    for _b, _bn in _O.items():",
-            f"        _bk = {_tuple_src('_b', other_key)}",
-            "        _x = _t.get(_bk)",
-            "        if _x is None: _t[_bk] = [(_b, _bn)]",
-            "        else: _x.append((_b, _bn))",
+            "    for _x in _O._counts.items():",
+            f"        _bk = {_tuple_src('_x[0]', other_key)}",
+            "        _e = _t.get(_bk)",
+            "        if _e is None: _t[_bk] = _x",
+            "        elif _e.__class__ is tuple: _t[_bk] = [_e, _x]",
+            "        else: _e.append(_x)",
             "    _oget = _t.get",
         ]
     else:
         build = ["    _oget = _O.get"]
+        if shape == "refs":
+            build.append("    _rget = _R.__getitem__")
     lines = [
-        "def _k(_pairs, _O):",
+        "def _k(_pairs, _O, _R):",
         "    _out = []",
         "    _app = _out.append",
         *build,
@@ -1010,34 +1031,42 @@ def apply_join(expr: Join, left: Multiset, right: Multiset) -> Multiset:
 
 
 def apply_join_fetched(
-    expr: Join, left: Multiset, right_buckets: Mapping, keyed: bool = False
+    expr: Join,
+    left: Multiset,
+    right_buckets: Mapping,
+    shape: str = "buckets",
+    rows: Mapping | None = None,
 ) -> Multiset:
     """Join ``left`` against index buckets fetched for its keys.
 
-    ``right_buckets`` is the borrowed ``{join_key: bucket}`` mapping of
-    :meth:`HashIndex.probe_buckets` (keys over the sorted join columns), or
-    with ``keyed`` the ``{join_key: row}`` of :meth:`KeyIndex.probe_buckets`.
-    The compiled kernel probes the buckets in place; the interpreted
-    reference flattens them (distinct keys have disjoint buckets) and joins
-    normally. Results are bit-identical, and no I/O is charged here — the
-    fetch already paid for every bucket.
+    ``right_buckets`` is the borrowed ``{join_key: bucket}`` mapping of an
+    index's ``probe_buckets`` (keys over the sorted join columns), in the
+    index's ``shape``; a ``"refs"`` bucket is resolved through ``rows``
+    (see :func:`_compile_probe_join`). The compiled kernel probes the
+    buckets in place; the interpreted reference flattens them (distinct
+    keys have disjoint buckets) and joins normally. Results are
+    bit-identical, and no I/O is charged here — the fetch already paid for
+    every bucket.
     """
     if _default_backend == "interpreted":
         from repro.algebra.evaluate import eval_join
 
-        return eval_join(expr, left, _flatten_buckets(right_buckets, keyed))
+        return eval_join(expr, left, _flatten_buckets(right_buckets, shape, rows))
     kernel = _SESSION_CACHE.get(
-        ("probe_join", expr, keyed), lambda: _compile_probe_join(expr, keyed)
+        ("probe_join", expr, shape), lambda: _compile_probe_join(expr, shape)
     )
-    return kernel(left, right_buckets)
+    return kernel(left, right_buckets, rows)
 
 
-def _flatten_buckets(buckets: Mapping, keyed: bool) -> Multiset:
-    """The rows of fetched buckets as one multiset (distinct keys have
-    disjoint buckets; a keyed mapping holds one row per key)."""
+def _flatten_buckets(buckets: Mapping, shape: str, rows: Mapping | None) -> Multiset:
+    """The rows of fetched buckets as one multiset, in bucket order
+    (distinct keys have disjoint buckets; a keyed mapping holds one row
+    per key, a ``"refs"`` bucket first-key values of rows)."""
     out = Multiset()
-    if keyed:
+    if shape == "keyed":
         out._counts = dict.fromkeys(buckets.values(), 1)
+    elif shape == "refs":
+        out._counts = dict.fromkeys(map(rows.__getitem__, chain.from_iterable(buckets.values())), 1)
     else:
         for bucket in buckets.values():
             out._counts.update(bucket._counts)
@@ -1050,11 +1079,12 @@ def apply_join_modifies(
     other: Multiset | Mapping,
     from_left: bool,
     shape: str = "rows",
+    rows: Mapping | None = None,
 ) -> list[tuple[Row, Row]]:
     """Join modify pairs of one input with the other input's matching rows:
     ``(old ⋈ o, new ⋈ o)`` for each pair and each matching ``o``, once per
     copy of ``o``. ``other`` is a multiset of rows (``shape="rows"``) or a
-    fetched bucket mapping (``"buckets"`` / ``"keyed"``, see
+    fetched bucket mapping in an index's shape (see
     :func:`apply_join_fetched`). Every pair keeps the join columns and the
     join has no residual; no I/O is charged here.
     """
@@ -1062,13 +1092,13 @@ def apply_join_modifies(
         from repro.algebra.evaluate import eval_join_modifies
 
         if shape != "rows":
-            other = _flatten_buckets(other, shape == "keyed")
+            other = _flatten_buckets(other, shape, rows)
         return eval_join_modifies(expr, pairs, other, from_left)
     kernel = _SESSION_CACHE.get(
         ("modify_join", expr, from_left, shape),
         lambda: _compile_modify_join(expr, from_left, shape),
     )
-    return kernel(pairs, other)
+    return kernel(pairs, other, rows)
 
 
 def apply_group_aggregate(expr: GroupAggregate, input_: Multiset) -> Multiset:

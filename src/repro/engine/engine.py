@@ -35,7 +35,7 @@ from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import RelExpr, Scan, Select
 from repro.algebra.predicates import TruePred, conjunction
 from repro.ivm.delta import Delta
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, gc_counts
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.storage.pager import IOStats
 from repro.storage.relation import equality_pins
@@ -205,9 +205,12 @@ class Engine:
 
     def _registry(self) -> MetricsRegistry:
         """This engine's registry, reading the counts its caches and
-        durable log keep when a snapshot is taken (never on commit)."""
+        durable log keep when a snapshot is taken (never on commit).
+        ``cache.plan`` and ``runtime.gc`` count the whole process: the
+        compiled-plan cache is process-wide, and so is the collector."""
         m = MetricsRegistry()
         m.source("cache.plan", lambda: plan_cache().stats)
+        m.source("runtime.gc", gc_counts)
         cc = self.maintainer.commit_cache_stats
         m.source(
             "cache.commit",

@@ -686,7 +686,8 @@ class ViewMaintainer:
                     if index is not None
                     else None
                 ),
-                right_keyed=isinstance(index, KeyIndex),
+                right_shape=index.shape if index is not None else "buckets",
+                right_rows=index.rows if index is not None else None,
             )
         if isinstance(template, GroupAggregate):
             return self._propagate_aggregate(

@@ -18,8 +18,8 @@ random update streams.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import eq
-from typing import Any, Callable, Iterable, Sequence
+from operator import eq, itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.algebra.compile import (
     aggregate_fn,
@@ -48,9 +48,11 @@ from repro.ivm.delta import Delta
 # A fetch callback: given a set of key values over fixed columns, return all
 # matching rows of the *old* state of some relation, as a multiset.
 Fetch = Callable[[set[tuple[Any, ...]]], Multiset]
-# A bucket-grained fetch: the same query, answered as ``{key: rows}`` — or,
-# from an index on a declared key, as ``{key: row}`` (one row per key).
-BucketFetch = Callable[[set[tuple[Any, ...]]], dict[tuple[Any, ...], Multiset | Row]]
+# A bucket-grained fetch: the same query, answered as ``{key: bucket}`` in
+# the probed index's shape (rows, first-key values, or one row per key).
+BucketFetch = Callable[[set[tuple[Any, ...]]], dict[tuple[Any, ...], Any]]
+# The two sides of a modify pair.
+_old, _new = itemgetter(0), itemgetter(1)
 
 
 class PropagationError(Exception):
@@ -209,7 +211,8 @@ def propagate_join(
     fetch_left: Fetch | None,
     fetch_right: Fetch | None,
     right_buckets: BucketFetch | None = None,
-    right_keyed: bool = False,
+    right_shape: str = "buckets",
+    right_rows: Mapping[tuple, Row] | None = None,
 ) -> Delta:
     """Δ(L ⋈ R) = ΔL ⋈ R_old  +  L_new ⋈ ΔR   (counting form).
 
@@ -218,9 +221,11 @@ def propagate_join(
     A fetch is only invoked when the corresponding side has a delta, so an
     unaffected side never requires one. ``right_buckets``, when given,
     answers the right side's query bucket-grained (an indexed base relation
-    or materialized view hashed on exactly the join key; one row per key
-    when ``right_keyed``) and is used instead of ``fetch_right``: the join
-    then probes the index's own hash layout rather than re-building one.
+    or materialized view hashed on exactly the join key), in the index's
+    ``right_shape``: ``"buckets"`` of rows, ``"refs"`` of first-key values
+    resolved through ``right_rows``, or ``"keyed"``, one row per key. It is
+    used instead of ``fetch_right``: the join then probes the index's own
+    hash layout rather than re-building one.
     The two charge the same page I/O unless the caller's ``fetch_right`` is
     memoized, as the maintainer's commit cache is; the bucketed fetch
     bypasses that memo (docs/cost_model.md).
@@ -229,14 +234,11 @@ def propagate_join(
     (:func:`_propagate_join_modifies`); everything else is joined as a
     signed multiset and re-paired on the output key.
     """
-    out = _propagate_join_modifies(
-        expr, left_delta, right_delta, fetch_left, fetch_right, right_buckets, right_keyed
-    )
+    fetches = fetch_left, fetch_right, right_buckets, right_shape, right_rows
+    out = _propagate_join_modifies(expr, left_delta, right_delta, *fetches)
     if out is not None:
         return out
-    return _propagate_join_net(
-        expr, left_delta, right_delta, fetch_left, fetch_right, right_buckets, right_keyed
-    )
+    return _propagate_join_net(expr, left_delta, right_delta, *fetches)
 
 
 def _propagate_join_net(
@@ -246,7 +248,8 @@ def _propagate_join_net(
     fetch_left: Fetch | None,
     fetch_right: Fetch | None,
     right_buckets: BucketFetch | None,
-    right_keyed: bool,
+    right_shape: str,
+    right_rows: Mapping[tuple, Row] | None,
 ) -> Delta:
     """The general join rule: both deltas as signed multisets, the output
     split into inserts and deletes and re-paired on its pairing key."""
@@ -271,7 +274,8 @@ def _propagate_join_net(
             raise PropagationError("left delta requires a fetch on the right input")
         keys = key_set(left_net, left_idx)
         if right_buckets is not None:
-            out_net = apply_join_fetched(expr, left_net, right_buckets(keys), right_keyed)
+            buckets = right_buckets(keys)
+            out_net = apply_join_fetched(expr, left_net, buckets, right_shape, right_rows)
         else:
             out_net = apply_join(expr, left_net, fetch_right(keys))
     if right_net:
@@ -325,7 +329,8 @@ def _kept_pair_keys(
     ``None``. Under valid key facts distinct rows never share a kept key,
     so that test only turns away deltas that chain or repeat rows."""
     join_key, kept = rule
-    olds, news = zip(*pairs)
+    # itemgetter maps, not zip(*pairs): that builds an iterator per pair.
+    olds, news = list(map(_old, pairs)), list(map(_new, pairs))
     if any(map(eq, olds, news)):
         return None
     check = join_key if kept is None else kept
@@ -345,7 +350,8 @@ def _propagate_join_modifies(
     fetch_left: Fetch | None,
     fetch_right: Fetch | None,
     right_buckets: BucketFetch | None,
-    right_keyed: bool,
+    right_shape: str,
+    right_rows: Mapping[tuple, Row] | None,
 ) -> Delta | None:
     """The join's modify rule: when only one input changes, and only by
     modifies that keep the join columns and the output's pairing key, each
@@ -374,8 +380,10 @@ def _propagate_join_modifies(
     elif fetch_right is None:
         raise PropagationError("left delta requires a fetch on the right input")
     elif right_buckets is not None:
-        shape = "keyed" if right_keyed else "buckets"
-        pairs = apply_join_modifies(expr, delta.modifies, right_buckets(keys), True, shape)
+        buckets = right_buckets(keys)
+        pairs = apply_join_modifies(
+            expr, delta.modifies, buckets, True, right_shape, right_rows
+        )
     else:
         pairs = apply_join_modifies(expr, delta.modifies, fetch_right(keys), True)
     return Delta(modifies=pairs)

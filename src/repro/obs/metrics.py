@@ -8,8 +8,10 @@ registered once and read only when a snapshot is taken. Each
 :class:`~repro.engine.engine.Engine` owns its registry: the engine counts
 commits, rollbacks, rejections and violations, attributes page I/Os by
 kind, and registers its plan caches, commit cache and durable log as
-sources. :meth:`MetricsRegistry.since` differences source counts exactly
-as it does counters, so a per-run report holds that run's counts alone.
+sources, with the process's collector counts (:func:`gc_counts`) under
+``runtime.gc``. :meth:`MetricsRegistry.since` differences source counts
+exactly as it does counters, so a per-run report holds that run's counts
+alone.
 
 Metrics are bookkeeping only — they never touch the storage layer, so they
 add zero page I/O to any measured run. The module-level :func:`get_metrics`
@@ -18,6 +20,7 @@ registry is process-wide; no engine writes to it.
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Mapping
 
 from repro.storage.pager import IOStats
@@ -194,6 +197,18 @@ class MetricsRegistry:
                 f"max={h.max if h.max is not None else '-'}"
             )
         return lines
+
+
+def gc_counts() -> dict[str, int]:
+    """The cyclic collector's counts for the whole process, per generation:
+    ``genN.collections`` run and ``genN.collected`` objects freed. A source
+    reader: it costs nothing until a snapshot reads it, and hooks nothing
+    into the collector."""
+    out = {}
+    for generation, stats in enumerate(gc.get_stats()):
+        out[f"gen{generation}.collections"] = stats["collections"]
+        out[f"gen{generation}.collected"] = stats["collected"]
+    return out
 
 
 METRICS = MetricsRegistry()

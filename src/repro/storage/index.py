@@ -1,9 +1,24 @@
 """Hash indexes over stored relations.
 
-An index maps a key (values of the indexed columns) to the multiset of rows
-with that key. Following the paper's model, a probe costs one index-page
-I/O; maintenance (charged per delta by the owning relation) touches one index
-page per distinct key, written only when a row enters or leaves its bucket.
+An index maps a key (values of the indexed columns) to the rows with that
+key. Following the paper's model (§3.6), a probe costs one index-page I/O
+plus one tuple page per match, and maintenance (charged per delta by the
+owning relation) touches one index page per distinct key, written only when
+a row enters or leaves its bucket.
+
+The paper's secondary indexes are unclustered: an entry points at a tuple.
+So on a relation with a declared key, a :class:`HashIndex` bucket is a dict
+holding the first-key values of its rows — the objects that key the
+relation's row map — and a probe resolves them through that map. A modify
+that keeps every index key and its first key rewrites the row in the map
+and touches no bucket. A one-column key's values are bare scalars, and a
+dict holding only scalars is never tracked by the cyclic collector, so no
+collection ever walks such a bucket. A keyless relation's bucket is a
+:class:`Multiset` of rows with a running total.
+
+Either way a bucket lists its rows in the order a scan of the relation
+meets them: the relation moves a row to the end of the scan exactly when it
+moves its key to the end of its buckets.
 
 An index on exactly a declared candidate key is a :class:`KeyIndex`: each
 of its buckets would hold one row, so the relation's own key map (key value
@@ -13,13 +28,16 @@ charge through :func:`index_pages`, so the choice never moves a page count.
 
 from __future__ import annotations
 
-from operator import neg
+from itertools import chain
+from operator import eq, itemgetter, neg
 from typing import Any, Callable, Iterable
 
 from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.schema import Schema
 from repro.storage.pager import IOCounter
+
+_first = itemgetter(0)
 
 
 def index_pages(kos: list, kns: list, iks: list, dks: list) -> tuple[int, int]:
@@ -44,30 +62,59 @@ def index_pages(kos: list, kns: list, iks: list, dks: list) -> tuple[int, int]:
 
 
 class HashIndex:
-    """A hash index on a fixed tuple of columns."""
+    """A hash index on a fixed tuple of columns.
 
-    def __init__(self, schema: Schema, columns: tuple[str, ...], counter: IOCounter) -> None:
+    On a relation with a declared key, ``rows`` is the relation's first key
+    map (first-key value -> the row) and each bucket is a dict holding the
+    first-key values of its rows — the map's own key objects — in the order
+    the map scans them; a probe resolves them through the map. Without a key
+    (``rows`` is ``None``) a bucket is a :class:`Multiset` of rows with a
+    running total.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        columns: tuple[str, ...],
+        counter: IOCounter,
+        rows: dict[Any, Row] | None = None,
+    ) -> None:
         self.columns = tuple(schema.resolve(c) for c in columns)
         self._positions = tuple(schema.index_of(c) for c in self.columns)
-        self._buckets: dict[tuple[Any, ...], Multiset] = {}
-        # Per-bucket tuple totals, so a probe can charge its matches without
-        # re-summing the bucket's counts.
+        self._buckets: dict[tuple[Any, ...], Any] = {}
+        # Per-bucket tuple totals of a keyless index, so a probe can charge
+        # its matches without re-summing the bucket's counts.
         self._totals: dict[tuple[Any, ...], int] = {}
         self._counter = counter
         # key_of sits on every index-maintenance path; bind it to a compiled
         # positional getter instead of a per-call generator expression.
         self.key_of: Callable[[Row], tuple[Any, ...]] = tuple_getter(self._positions)
+        # The key as a bare value on a one-column index: it compares and
+        # counts as the key does, and building it allocates nothing.
+        self._value_of: Callable[[Row], Any] = itemgetter(*self._positions)
+        self.rows = rows
+        if rows is not None:
+            self._join(map(self.key_of, rows.values()), rows)
+
+    @property
+    def shape(self) -> str:
+        """How :meth:`probe_buckets` answers: ``"refs"``, buckets of first-key
+        values resolved through :attr:`rows`; ``"buckets"``, row multisets."""
+        return "buckets" if self.rows is None else "refs"
 
     # -- probes -------------------------------------------------------------------
 
     def probe(self, key: tuple[Any, ...]) -> Multiset:
         """Look up a key: one index-page read, one tuple read per match."""
         self._counter.charge_index_read()
+        out = Multiset()
         bucket = self._buckets.get(key)
-        if bucket is None:
-            return Multiset()
-        self._counter.charge_tuple_read(self._totals[key])
-        return bucket.copy()
+        if bucket is not None:
+            self._counter.charge_tuple_read(
+                self._totals[key] if self.rows is None else len(bucket)
+            )
+            out._counts = self._copy(bucket)
+        return out
 
     def probe_many(self, keys: Iterable[tuple[Any, ...]]) -> Multiset:
         """Look up a batch of keys, accumulating matches into one multiset.
@@ -79,12 +126,25 @@ class HashIndex:
         out = Multiset()
         counts = out._counts
         buckets = self._buckets
+        # Distinct keys have disjoint buckets, so each row is found once.
+        distinct = isinstance(keys, (set, frozenset, dict))
+        if self.rows is not None:
+            keys = keys if distinct else list(keys)
+            refs = list(chain.from_iterable(filter(None, map(buckets.get, keys))))
+            rows = map(self.rows.__getitem__, refs)
+            if distinct:
+                out._counts = dict.fromkeys(rows, 1)
+            else:
+                for row in rows:
+                    counts[row] = counts.get(row, 0) + 1
+            self._counter.charge_index_read(len(keys))
+            self._counter.charge_tuple_read(len(refs))
+            return out
         totals = self._totals
         n_keys = 0
         matches = 0
-        if isinstance(keys, (set, frozenset, dict)):
-            # Distinct keys have disjoint buckets, so each bucket's counts
-            # can be merged with a C-level dict update instead of row-wise.
+        if distinct:
+            # Each bucket's counts merge with a C-level dict update.
             n_keys = len(keys)
             for key in keys:
                 bucket = buckets.get(key)
@@ -105,27 +165,26 @@ class HashIndex:
         self._counter.charge_tuple_read(matches)
         return out
 
-    def probe_buckets(self, keys: Iterable[tuple[Any, ...]]) -> dict[tuple[Any, ...], Multiset]:
+    def probe_buckets(self, keys: Iterable[tuple[Any, ...]]) -> dict[tuple[Any, ...], Any]:
         """Bucket-grained batched lookup: same charges as :meth:`probe_many`
         (one index-page read per key, one tuple read per match), but returns
         the matching ``{key: bucket}`` mapping instead of flattening it, so a
         probe-side join can consume the index's own hash layout without
-        rebuilding it. The buckets are **borrowed, read-only** views — they
-        must be consumed before any maintenance touches this index, and
-        never mutated.
+        rebuilding it. Each bucket is in :attr:`shape`. The buckets are
+        **borrowed, read-only** views — they must be consumed before any
+        maintenance touches this index, and never mutated.
         """
-        out: dict[tuple[Any, ...], Multiset] = {}
+        out: dict[tuple[Any, ...], Any] = {}
         buckets = self._buckets
-        totals = self._totals
+        total = None if self.rows is not None else self._totals.__getitem__
         n_keys = 0
         matches = 0
         for key in keys:
             n_keys += 1
             bucket = buckets.get(key)
-            if bucket is None:
-                continue
-            matches += totals[key]
-            out[key] = bucket
+            if bucket is not None:
+                matches += len(bucket) if total is None else total(key)
+                out[key] = bucket
         self._counter.charge_index_read(n_keys)
         self._counter.charge_tuple_read(matches)
         return out
@@ -133,31 +192,28 @@ class HashIndex:
     def probe_free(self, key: tuple[Any, ...]) -> Multiset:
         """Look up a key without charging I/O (used internally by storage
         when tuples are already being paid for at the relation level)."""
+        out = Multiset()
         bucket = self._buckets.get(key)
-        return bucket.copy() if bucket is not None else Multiset()
+        if bucket is not None:
+            out._counts = self._copy(bucket)
+        return out
+
+    def _copy(self, bucket: Any) -> dict[Row, int]:
+        """A bucket's rows and their counts, as a new dict."""
+        if self.rows is None:
+            return bucket._counts.copy()
+        return dict.fromkeys(map(self.rows.__getitem__, bucket), 1)
 
     # -- maintenance ----------------------------------------------------------------
 
     def update(
-        self,
-        olds: list[Row],
-        news: list[Row],
-        inserts: dict[Row, int],
-        deletes: dict[Row, int],
-        unique_pairs: bool = False,
+        self, olds: list[Row], news: list[Row], inserts: dict[Row, int], deletes: dict[Row, int]
     ) -> tuple[int, int]:
-        """Apply a validated delta — (old, new) pairs, then inserts, then
-        deletes — and return the (read, written) index pages of
-        :func:`index_pages`. A pair keeping its key swaps old for new inside
-        its bucket: no bucket is made or dropped and no total moves.
-
-        ``unique_pairs`` is the owning relation's word that its rows are
-        unique (it has a declared key) and that every pair keeps its first
-        key. Each old row then counts one and no new row is in its bucket
-        yet, so the swap is one delete and one store; the bucket ends as
-        the general swap leaves it, in the same order. Pairs that swap
-        rows between keys (``a→b, b→a``) do not qualify: the general swap
-        counts ``b`` twice for a moment, which the short one would lose."""
+        """Apply a validated delta to a keyless index — (old, new) pairs, then
+        inserts, then deletes — and return the (read, written) index pages
+        of :func:`index_pages`. A pair keeping its key swaps old for new
+        inside its bucket: no bucket is made or dropped and no total
+        moves."""
         key_of = self.key_of
         kos, kns = list(map(key_of, olds)), list(map(key_of, news))
         iks, dks = list(map(key_of, inserts)), list(map(key_of, deletes))
@@ -169,10 +225,6 @@ class HashIndex:
                     moved += ((ko, old, -1), (kn, new, 1))
                     continue
                 counts = buckets[ko]._counts
-                if unique_pairs:
-                    del counts[old]
-                    counts[new] = 1
-                    continue
                 n = counts[old] - 1
                 if n:
                     counts[old] = n
@@ -187,9 +239,77 @@ class HashIndex:
             self._add_many(zip(dks, deletes, map(neg, deletes.values())))
         return index_pages(kos, kns, iks, dks)
 
+    def keeps(self, olds: list[Row], news: list[Row]) -> bool:
+        """Whether every (old, new) pair keeps its key in this index."""
+        value_of = self._value_of
+        return all(map(eq, map(value_of, olds), map(value_of, news)))
+
+    def move(
+        self,
+        olds: list[Row],
+        news: list[Row],
+        inserts: dict[Row, int],
+        deletes: dict[Row, int],
+        refs: tuple[list, list, list, list],
+        in_place: bool,
+    ) -> tuple[int, int]:
+        """Apply a validated delta to a keyed relation's index and return
+        the (read, written) index pages of :func:`index_pages`. ``refs`` are
+        the first-key values of the delta's modifies' old and new sides,
+        inserts and deletes. ``in_place`` is the relation's word that every
+        pair keeps every index key and its first key: the pairs then touch
+        no bucket, as each row keeps its slot in the key map. Else the pairs
+        all leave their buckets and then join the ends of their new ones, as
+        they leave and rejoin the key map. Inserts join, then deletes leave.
+
+        Distinct keys are counted on :attr:`_value_of` values, so a
+        one-column index builds no tuple to price a part, and a bucket is
+        found through a key tuple that dies at once."""
+        key_of, value_of = self.key_of, self._value_of
+        fos, fns, fis, fds = refs
+        buckets = self._buckets
+        reads = writes = 0
+        if olds and in_place:
+            reads = len(set(map(value_of, olds)))
+        elif olds:
+            kos, kns = list(map(key_of, olds)), list(map(key_of, news))
+            reads, writes = index_pages(kos, kns, [], [])
+            for key, ref in zip(kos, fos):
+                del buckets[key][ref]
+            self._join(kns, fns)
+            for key in set(kos):
+                if not buckets[key]:
+                    del buckets[key]
+        if inserts:
+            self._join(map(key_of, inserts), fis)
+        for row, ref in zip(deletes, fds):
+            key = key_of(row)
+            bucket = buckets[key]
+            del bucket[ref]
+            if not bucket:
+                del buckets[key]
+        for part in (inserts, deletes):
+            if part:
+                pages = len(set(map(value_of, part)))
+                reads += pages
+                writes += pages
+        return reads, writes
+
+    def _join(self, keys: Iterable[tuple[Any, ...]], refs: Iterable[Any]) -> None:
+        """Append first-key values to the ends of their buckets, creating
+        buckets as they are first needed."""
+        buckets = self._buckets
+        for key, ref in zip(keys, refs):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {ref: None}
+            else:
+                bucket[ref] = None
+
     def _add_many(self, entries: Iterable[tuple[tuple[Any, ...], Row, int]]) -> None:
-        """Apply signed ``(key, row, count)`` changes in order, creating
-        buckets as rows arrive and dropping those they empty."""
+        """Apply signed ``(key, row, count)`` changes to a keyless index in
+        order, creating buckets as rows arrive and dropping those they
+        empty."""
         buckets = self._buckets
         totals = self._totals
         for key, row, count in entries:
@@ -212,7 +332,8 @@ class HashIndex:
         return len(self._buckets)
 
     def rebuild(self, items: Iterable[tuple[Row, int]]) -> None:
-        """Refill the buckets from the relation's ``(row, count)`` pairs."""
+        """Refill a keyless index's buckets from the relation's ``(row,
+        count)`` pairs."""
         self._buckets.clear()
         self._totals.clear()
         key_of = self.key_of
@@ -228,18 +349,26 @@ class KeyIndex:
     nothing of its own: the relation maintains the map while checking the
     key and prices each delta with :func:`index_pages` from the key values
     it computed for that check. :meth:`probe_buckets` hands out the row
-    itself rather than a one-row bucket.
+    itself rather than a one-row bucket. Probe keys are index-key tuples;
+    the map of a one-column key holds the bare value.
     """
+
+    shape = "keyed"
 
     def __init__(
         self, schema: Schema, columns: tuple[str, ...], counter: IOCounter, rows: dict
     ) -> None:
         self.columns = tuple(schema.resolve(c) for c in columns)
-        self._rows = rows
+        self.rows = rows
         self._counter = counter
         self.key_of: Callable[[Row], tuple[Any, ...]] = tuple_getter(
             tuple(schema.index_of(c) for c in self.columns)
         )
+        self._bare = len(self.columns) == 1
+
+    def _find(self, keys: Iterable[tuple[Any, ...]]) -> Iterable[Row | None]:
+        """The row, or ``None``, that each probe key finds, in order."""
+        return map(self.rows.get, map(_first, keys) if self._bare else keys)
 
     # -- probes -------------------------------------------------------------------
 
@@ -247,7 +376,7 @@ class KeyIndex:
         """Look up a key: one index-page read, one tuple read on a match."""
         self._counter.charge_index_read()
         out = Multiset()
-        row = self._rows.get(key)
+        row = self.rows.get(key[0] if self._bare else key)
         if row is not None:
             self._counter.charge_tuple_read(1)
             out._counts[row] = 1
@@ -255,18 +384,16 @@ class KeyIndex:
 
     def probe_many(self, keys: Iterable[tuple[Any, ...]]) -> Multiset:
         """Look up a batch of keys, charged as the :meth:`probe` loop."""
-        get = self._rows.get
         out = Multiset()
         if isinstance(keys, (set, frozenset, dict)):
             # Distinct keys hold distinct rows.
-            out._counts = {row: 1 for row in map(get, keys) if row is not None}
+            out._counts = {row: 1 for row in self._find(keys) if row is not None}
             n_keys, matches = len(keys), len(out._counts)
         else:
             counts = out._counts
             n_keys = matches = 0
-            for key in keys:
+            for row in self._find(keys):
                 n_keys += 1
-                row = get(key)
                 if row is not None:
                     matches += 1
                     counts[row] = counts.get(row, 0) + 1
@@ -278,16 +405,15 @@ class KeyIndex:
         """Batched lookup as ``{key: row}`` — one row per key, where a
         :class:`HashIndex` returns ``{key: bucket}`` — charged as
         :meth:`probe_many`."""
-        get = self._rows.get
         if isinstance(keys, (set, frozenset, dict)):
-            out = {key: row for key in keys if (row := get(key)) is not None}
+            found = zip(keys, self._find(keys))
+            out = {key: row for key, row in found if row is not None}
             n_keys, matches = len(keys), len(out)
         else:
+            keys = list(keys)
             out = {}
-            n_keys = matches = 0
-            for key in keys:
-                n_keys += 1
-                row = get(key)
+            n_keys, matches = len(keys), 0
+            for key, row in zip(keys, self._find(keys)):
                 if row is not None:
                     matches += 1
                     out[key] = row
@@ -297,8 +423,8 @@ class KeyIndex:
 
     def probe_free(self, key: tuple[Any, ...]) -> Multiset:
         """Look up a key without charging I/O."""
-        row = self._rows.get(key)
+        row = self.rows.get(key[0] if self._bare else key)
         return Multiset() if row is None else Multiset((row,))
 
     def distinct_keys(self) -> int:
-        return len(self._rows)
+        return len(self.rows)

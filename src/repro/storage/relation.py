@@ -13,9 +13,16 @@ The charging policy implements the paper's Section 3.6 accounting exactly:
 
 A relation with a declared candidate key stores each row once, in its
 first key's map (key value -> the row; smallest key first): that map
-answers whether a row is present, the row count, scans and reads. A
-keyless relation keeps a multiset of row counts. Both go through one
-apply body.
+answers whether a row is present, the row count, scans and reads, and its
+hash indexes' buckets hold first-key values that resolve through it. A
+keyless relation keeps a multiset of row counts, and its buckets hold
+rows. Both go through one apply body.
+
+A bucket lists its rows in scan order, by one slot rule: when every
+modify pair of a delta keeps its first key and every index key, each row
+keeps its slot in the map (``stored[k] = new``) and no bucket changes;
+otherwise every pair leaves the map and its buckets and then joins the
+end of both.
 
 A delta is validated whole (row types, absent tuples, candidate keys)
 before any of it is applied or charged, so a rejected delta changes
@@ -70,6 +77,12 @@ def equality_pins(predicate: Predicate, schema: Schema) -> dict[str, tuple[Any, 
     return pins
 
 
+def _key_getter(positions: tuple[int, ...]) -> Callable[[Row], Any]:
+    """A key map's key of a row: the bare value of a one-column key, else
+    the tuple of the key's values."""
+    return itemgetter(positions[0]) if len(positions) == 1 else tuple_getter(positions)
+
+
 class StorageError(Exception):
     """Raised for storage-level violations (missing index, key violation)."""
 
@@ -86,10 +99,14 @@ class StoredRelation:
         self._hash_indexes: list[HashIndex] = []
         # One incremental uniqueness map per declared candidate key
         # (key value -> the one row holding it), smallest key first, with
-        # the key's columns in value order and a compiled positional getter
-        # per key (mapped over every row of an applied delta).
-        self._keys: list[tuple[tuple[str, ...], Callable[[Row], tuple], dict[tuple, Row]]] = [
-            (columns, tuple_getter(tuple(schema.index_of(a) for a in columns)), {})
+        # the key's columns in value order and a positional getter per key
+        # (mapped over every row of an applied delta). A one-column key's
+        # value is the bare column value: a map of scalars allocates no
+        # tuple per row, and a dict holding only scalars is one the cyclic
+        # collector never tracks — the hash indexes' buckets hold these
+        # values too.
+        self._keys: list[tuple[tuple[str, ...], Callable[[Row], Any], dict[Any, Row]]] = [
+            (columns, _key_getter(tuple(schema.index_of(a) for a in columns)), {})
             for columns in sorted(
                 (tuple(sorted(key)) for key in schema.keys), key=lambda c: (len(c), c)
             )
@@ -97,7 +114,7 @@ class StoredRelation:
         # Where the rows live: a keyed relation's first key map holds each
         # row once; only a keyless relation counts its rows (and keeps
         # their running sum, so row_count is O(1)).
-        self._stored: dict[tuple, Row] | None = self._keys[0][2] if self._keys else None
+        self._stored: dict[Any, Row] | None = self._keys[0][2] if self._keys else None
         self._data: Multiset | None = None if self._keys else Multiset()
         self._total = 0
         # Optional durable catalog (DurableStore duck type) that logs index
@@ -118,8 +135,9 @@ class StoredRelation:
         if key_map is not None:
             index = KeyIndex(self.schema, cols, self.counter, key_map)
         else:
-            index = HashIndex(self.schema, cols, self.counter)
-            index.rebuild(self.items())
+            index = HashIndex(self.schema, cols, self.counter, self._stored)
+            if self._stored is None:
+                index.rebuild(self.items())
             self._hash_indexes.append(index)
         self._indexes[cols] = index
         if self._durable is not None:
@@ -186,7 +204,8 @@ class StoredRelation:
             return None
         for columns, _, key_map in self._keys:
             if all(c in pins for c in columns):
-                row = key_map.get(tuple(pins[c] for c in columns))
+                key = tuple(pins[c] for c in columns)
+                row = key_map.get(key[0] if len(key) == 1 else key)
                 return columns, [] if row is None else [row]
         best: tuple[tuple[str, ...], Multiset] | None = None
         for columns, index in self._indexes.items():
@@ -345,11 +364,20 @@ class StoredRelation:
                     del counts[row]
             self._total += n_ins - n_dels
         reads = writes = 0
+        # When every pair keeps its first key and every index key, each row
+        # keeps its slot in the map holding the rows and no bucket changes;
+        # else every pair leaves the map and its buckets and joins the end
+        # of both, so a bucket still lists its rows in scan order.
+        in_place = (
+            stored is not None
+            and not frees[0]
+            and all(index.keeps(olds, news) for index in self._hash_indexes)
+        )
         for (columns, key_map, kos, kns, iks, dks), freed in zip(key_values, frees):
-            # The map holding the rows moves each modified row to the end,
-            # as a scan and an index bucket order it; in the others an
+            # The map holding the rows drops every old key unless the pairs
+            # stay in place; the others drop only the values freed, so an
             # unchanged value keeps its slot.
-            for k in kos if key_map is stored else freed:
+            for k in kos if key_map is stored and not in_place else freed:
                 del key_map[k]
             key_map.update(zip(kns, news))
             key_map.update(zip(iks, ins))
@@ -359,10 +387,12 @@ class StoredRelation:
                 index_reads, index_writes = index_pages(kos, kns, iks, dks)
                 reads += index_reads
                 writes += index_writes
-        # Rows unique and every pair keeping the first key (nothing freed).
-        unique_pairs = stored is not None and not frees[0]
+        refs = key_values[0][2:] if stored is not None else None  # the first-key values
         for index in self._hash_indexes:
-            index_reads, index_writes = index.update(olds, news, ins, dels, unique_pairs)
+            if refs is None:
+                index_reads, index_writes = index.update(olds, news, ins, dels)
+            else:
+                index_reads, index_writes = index.move(olds, news, ins, dels, refs, in_place)
             reads += index_reads
             writes += index_writes
         self.counter.charge_index_read(reads)

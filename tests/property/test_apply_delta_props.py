@@ -9,8 +9,9 @@ totals, and I/O counts; ``Delta.inverted`` must equal the inverse the
 reference builds from the rows it applied, and restore the start state;
 and a delta the reference rejects must be rejected with the relation
 untouched and nothing charged. The relation's state is read through its
-public reads (``items``, ``row_count``, ``candidates``), so it does not
-matter which structure holds the rows.
+public reads (``items``, ``row_count``, ``candidates``, each index's
+``probe_free``, and the tuple reads a ``probe`` charges for a bucket's
+total), so it does not matter which structure holds the rows or a bucket.
 """
 
 from itertools import product
@@ -131,8 +132,11 @@ class PerRowRelation:
             self.data,
             sum(self.data.values()),
             [key_map for _, key_map in self.keys],
-            {cols: (buckets, totals) for cols, (_, buckets, totals) in self.indexes.items()},
+            {cols: buckets for cols, (_, buckets, _) in self.indexes.items()},
         )
+
+    def totals(self):
+        return {cols: totals for cols, (_, _, totals) in self.indexes.items()}
 
 
 def _key(positions, row):
@@ -162,15 +166,37 @@ def _key_map(rel: StoredRelation, columns: list[str]) -> dict:
     return out
 
 
+def _buckets(rel: StoredRelation) -> dict:
+    """Each index as its uncharged probes see it: key value -> the (row ->
+    count) of its bucket, for every key a drawn row can hold."""
+    out = {}
+    for cols in rel.indexes:
+        index = rel.index_on(cols)
+        found = ((k, index.probe_free(k)) for k in product(DOMAIN, repeat=len(cols)))
+        out[cols] = {k: dict(bucket.items()) for k, bucket in found if bucket}
+    return out
+
+
+def _totals(rel: StoredRelation) -> dict:
+    """Each index's charged tuple reads per bucket: what a probe of each
+    stored key value costs (charged to the relation's counter)."""
+    out = {}
+    for cols, buckets in _buckets(rel).items():
+        index = rel.index_on(cols)
+        totals = out[cols] = {}
+        for k in buckets:
+            before = rel.counter.snapshot()
+            index.probe(k)
+            totals[k] = (rel.counter.snapshot() - before).tuple_reads
+    return out
+
+
 def _state(rel: StoredRelation):
     return (
         dict(rel.items()),
         rel.row_count,
         [_key_map(rel, sorted(key)) for key in rel.schema.keys],
-        {
-            cols: ({k: dict(b._counts) for k, b in index._buckets.items()}, dict(index._totals))
-            for cols, index in rel._indexes.items()
-        },
+        _buckets(rel),
     )
 
 
@@ -234,6 +260,7 @@ def test_batched_apply_matches_per_row_reference(case):
     ref = PerRowRelation(schema, index_cols, rows)
     start = _state(rel)
     assert start == ref.state()
+    start_totals = {cols: dict(totals) for cols, totals in ref.totals().items()}
     try:
         ref_inverse = ref.apply(delta)
     except (StorageError, TypeError_) as exc:
@@ -242,11 +269,13 @@ def test_batched_apply_matches_per_row_reference(case):
             rel.apply_delta(delta)
         assert _state(rel) == start
         assert rel.counter.snapshot() == IOStats()
+        assert _totals(rel) == start_totals
         return
     rel.apply_delta(delta)
     event("applied" + (" with an index write" if ref.io[1] else ""))
     assert _state(rel) == ref.state()
     assert rel.counter.snapshot() == IOStats(*ref.io)
+    assert _totals(rel) == ref.totals()
     inverse = delta.inverted()
     assert inverse == ref_inverse
     try:

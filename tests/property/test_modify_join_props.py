@@ -28,7 +28,6 @@ from repro.algebra.schema import Schema
 from repro.algebra.types import DataType
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import _propagate_join_modifies, _propagate_join_net, propagate_join
-from repro.storage.index import KeyIndex
 from repro.storage.pager import IOCounter
 from repro.storage.relation import StoredRelation
 
@@ -153,7 +152,8 @@ def _propagate(rule, expr, left, right, left_delta, right_delta, bucketed):
         lambda keys: left.lookup_many(jc, keys),
         lambda keys: right.lookup_many(jc, keys),
         index.probe_buckets if bucketed else None,
-        isinstance(index, KeyIndex),
+        index.shape,
+        index.rows,
     )
 
 

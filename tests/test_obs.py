@@ -283,6 +283,25 @@ class TestEngineMetrics:
         assert first.metrics is not second.metrics
         assert "engine.commits" not in second.metrics.snapshot()
 
+    def test_collector_counts_are_read_and_differenced_without_a_hook(self, small_paper_db):
+        """``runtime.gc`` reads the collector's per-generation counts at a
+        snapshot; ``since`` shows the collections an interval ran, and
+        the engine hooks nothing into the collector."""
+        import gc
+
+        hooks = list(gc.callbacks)
+        engine = Engine(build_maintainer(small_paper_db))
+        engine.execute(modify_txn(engine))
+        before = engine.metrics.snapshot()
+        for generation in range(3):
+            assert before[f"runtime.gc.gen{generation}.collections"] >= 0
+            assert f"runtime.gc.gen{generation}.collected" in before
+        gc.collect()
+        gc.collect()
+        delta = engine.metrics.since(before)
+        assert delta["runtime.gc.gen2.collections"] >= 2
+        assert gc.callbacks == hooks
+
     def test_a_commit_sets_no_gauge(self, engine, monkeypatch):
         def gauge(name):
             raise AssertionError(f"a commit set the gauge {name!r}")

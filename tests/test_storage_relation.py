@@ -234,8 +234,13 @@ class TestRejectedDelta:
         assert rel.candidates({"K": 2}) == (("K",), [(2, 20)])
         assert rel.candidates({"K": 5}) == (("K",), [])
         assert rel.candidates({"V": 20}) == (("V",), [(2, 20)])
-        assert rel.index_on(["V"])._totals == {(10,): 1, (20,): 1}
+        index = rel.index_on(["V"])
+        assert index.distinct_keys() == 2
         assert rel.counter.snapshot() == IOStats()
+        # One row per bucket, and a probe charges the bucket's one tuple.
+        assert index.probe((10,)) == Multiset([(1, 10)])
+        assert index.probe((20,)) == Multiset([(2, 20)])
+        assert rel.counter.snapshot() == IOStats(index_reads=2, tuple_reads=2)
 
     def test_type_error_mid_delta_is_atomic(self, kv):
         with pytest.raises(TypeError_):
