@@ -119,7 +119,6 @@ def build_chain_setup(plan_cache_on: bool):
         {name: plan.track for name, plan in ev.per_txn.items()},
         estimator,
         cost_model,
-        plan_cache=None if not plan_cache_on else 128,
     )
     if not plan_cache_on:
         maintainer.plan_cache = None

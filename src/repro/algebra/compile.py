@@ -16,7 +16,7 @@ positions directly:
   bounded, thread-safe LRU.
 
 **Cost transparency.** Compilation never touches the storage layer: every
-``IOCounter`` charge is made by exactly the same ``scan``/``lookup``/
+``IOCounter`` charge is made by exactly the same ``scan``/``probe``/
 ``apply_delta`` calls as before, so measured page I/Os are bit-for-bit
 identical between backends — only wall clock moves. The hypothesis property
 in ``tests/property/test_compile_equivalence.py`` enforces both halves:
@@ -524,9 +524,9 @@ def _compile_probe_join(join: Join, shape: str) -> Callable[[Multiset, Mapping, 
     them, in ``shape``: ``"buckets"``, a multiset of matching right rows;
     ``"refs"``, a bucket of first-key values, each resolved through
     ``rows`` (the right relation's key map); ``"keyed"``, the one matching
-    row itself (:meth:`KeyIndex.probe_buckets`). The index already hashed
-    the right side by exactly this key, so the kernel has no build phase:
-    it probes the borrowed buckets directly.
+    row itself (the index is a declared key's map). The index already
+    hashed the right side by exactly this key, so the kernel has no build
+    phase: it probes the borrowed buckets directly.
     """
     ctx = _Ctx()
     left_schema, right_schema = join.left.schema, join.right.schema

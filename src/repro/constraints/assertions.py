@@ -63,7 +63,6 @@ class AssertionSystem:
         exhaustive: bool = True,
         enforce: bool = False,
         commit_cache: bool | None = None,
-        plan_cache: int | None = None,
     ) -> None:
         self.db = db
         self.enforce = enforce
@@ -105,7 +104,6 @@ class AssertionSystem:
             self.cost_model,
             charge_root_update=True,
             commit_cache=commit_cache,
-            plan_cache=plan_cache,
         )
         self.maintainer.materialize()
         self._roots = {

@@ -37,8 +37,8 @@ transaction. This module closes both gaps:
 Both caches are observable (hit/miss/estimated-pages-saved counters,
 surfaced through :class:`~repro.obs.metrics.MetricsRegistry`, the shell's
 ``\\metrics``/``\\profile`` and ``fetch`` trace spans) and can be disabled
-with the :class:`~repro.ivm.maintainer.ViewMaintainer` constructor
-switches (``commit_cache=False``, ``plan_cache=0``). Correctness bar:
+on a :class:`~repro.ivm.maintainer.ViewMaintainer` (``commit_cache=False``
+at construction; ``maintainer.plan_cache = None``). Correctness bar:
 view contents, returned deltas, and rollback behavior are bit-identical
 with the caches on or off; measured page I/O can only decrease (see
 docs/cost_model.md).
@@ -57,8 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.workload.transactions import UpdateSpec
 
 
-#: Default capacity of a maintainer's ad-hoc plan cache
-#: (``ViewMaintainer(plan_cache=0)`` turns it off).
+#: Capacity of a maintainer's ad-hoc plan cache (assigning
+#: ``maintainer.plan_cache = None`` turns it off).
 ADHOC_PLAN_CACHE_CAPACITY = 128
 
 

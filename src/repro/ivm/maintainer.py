@@ -75,7 +75,7 @@ from repro.ivm.propagate import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.storage.database import Database
-from repro.storage.index import HashIndex, KeyIndex
+from repro.storage.index import HashIndex
 from repro.storage.relation import StoredRelation
 from repro.workload.transactions import Transaction, TransactionType
 
@@ -116,7 +116,6 @@ class ViewMaintainer:
         cost_model: PageIOCostModel | None = None,
         charge_root_update: bool = False,
         commit_cache: bool | None = None,
-        plan_cache: int | None = None,
     ) -> None:
         self.db = db
         self.memo = dag.memo
@@ -136,10 +135,8 @@ class ViewMaintainer:
         self._commit_cache: CommitCache | None = None
         self.commit_cache_stats = CommitCacheStats()
         self.last_cache_stats: CommitCacheStats | None = None
-        capacity = ADHOC_PLAN_CACHE_CAPACITY if plan_cache is None else plan_cache
-        self.plan_cache: AdhocPlanCache | None = (
-            AdhocPlanCache(capacity) if capacity and capacity > 0 else None
-        )
+        # Assigning None turns the ad-hoc plan cache off.
+        self.plan_cache: AdhocPlanCache | None = AdhocPlanCache(ADHOC_PLAN_CACHE_CAPACITY)
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
@@ -254,7 +251,7 @@ class ViewMaintainer:
             return self._scan_group(gid)
         return cache.scan(gid, lambda: self._scan_group(gid))
 
-    def _bucket_index(self, gid: int, columns: frozenset[str]) -> HashIndex | KeyIndex | None:
+    def _bucket_index(self, gid: int, columns: frozenset[str]) -> HashIndex | None:
         """The index whose ``probe_buckets`` answers group ``gid``'s key
         lookups on ``columns`` bucket-grained, or ``None`` when the group
         cannot answer them directly from one index. Only direct storage — a
@@ -283,7 +280,7 @@ class ViewMaintainer:
         """Charged index probes; keys are tuples over sorted(columns).
 
         Uses the batched ``probe_many`` — one output multiset, no per-key
-        copy — with I/O charges identical to per-key ``lookup`` calls.
+        copy — with I/O charges identical to per-key ``probe`` calls.
         """
         cols = tuple(sorted(relation.schema.resolve(c) for c in columns))
         index = relation.index_on(cols)

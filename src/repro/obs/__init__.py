@@ -7,7 +7,7 @@ to the engine's :class:`~repro.storage.pager.IOCounter`. The default
 :data:`NULL_TRACER` makes every instrumentation point a no-op.
 """
 
-from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry, get_metrics
+from repro.obs.metrics import METRICS, Counter, Histogram, MetricsRegistry, get_metrics
 from repro.obs.trace import (
     NULL_TRACER,
     TRACE_VERSION,
@@ -38,7 +38,6 @@ __all__ = [
     "NULL_TRACER",
     "TRACE_VERSION",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullTracer",

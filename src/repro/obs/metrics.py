@@ -1,7 +1,7 @@
 """Runtime metrics for the maintenance engine.
 
-A :class:`MetricsRegistry` holds named counters (monotonic), gauges (last
-value wins) and histograms (count / total / min / max), and reads
+A :class:`MetricsRegistry` holds named counters (monotonic) and
+histograms (count / total / min / max), and reads
 *sources*: state another object already counts (a cache's hits and
 misses, the durable log's :class:`~repro.storage.pager.PagerStats`),
 registered once and read only when a snapshot is taken. Each
@@ -42,22 +42,6 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Gauge:
-    """A named value where the latest observation wins (cache sizes, …)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
-
-
 class Histogram:
     """Aggregated distribution of observed values."""
 
@@ -85,8 +69,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, histograms and sources with snapshot/delta
-    support.
+    """Named counters, histograms and sources with snapshot/delta support.
 
     Snapshots may be taken on another thread than the one recording (the
     server answers ``metrics`` on its event loop while the commit thread
@@ -95,7 +78,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, Callable[[], Mapping[str, float]]] = {}
 
@@ -106,12 +88,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
@@ -145,9 +121,8 @@ class MetricsRegistry:
     # -- reporting ---------------------------------------------------------------
 
     def _scalars(self) -> dict[str, float]:
-        """Counters, gauges and source counts by name."""
+        """Counters and source counts by name."""
         out = {name: c.value for name, c in self._counters.copy().items()}
-        out.update((name, g.value) for name, g in self._gauges.copy().items())
         for prefix, read in self._sources.copy().items():
             for key, value in read().items():
                 out[f"{prefix}.{key}"] = value
@@ -168,13 +143,13 @@ class MetricsRegistry:
         """What changed relative to an earlier :meth:`snapshot`.
 
         Counters, source counts and histogram count/total entries
-        difference cleanly; gauges and histogram min/max report their
-        current value (a delta of a last-value-wins metric is meaningless).
+        difference cleanly; histogram min/max report their current value
+        (a delta of an extreme is meaningless).
         """
         now = self.snapshot()
         out: dict[str, float] = {}
         for name, value in now.items():
-            if name in self._gauges or name.endswith((".min", ".max")):
+            if name.endswith((".min", ".max")):
                 if value != before.get(name):
                     out[name] = value
             else:
@@ -184,8 +159,8 @@ class MetricsRegistry:
         return out
 
     def render(self) -> list[str]:
-        """Human-readable lines: counters, gauges and source counts sorted
-        by name, then histograms."""
+        """Human-readable lines: counters and source counts sorted by name,
+        then histograms."""
         lines = []
         for name, value in sorted(self._scalars().items()):
             fraction = isinstance(value, float) and not value.is_integer()

@@ -2,7 +2,7 @@
 
 from repro.storage.database import Database
 from repro.storage.histograms import Histogram
-from repro.storage.index import HashIndex, KeyIndex
+from repro.storage.index import HashIndex
 from repro.storage.pager import IOCounter, IOStats
 from repro.storage.relation import StorageError, StoredRelation
 from repro.storage.statistics import Catalog, TableStats
@@ -14,7 +14,6 @@ __all__ = [
     "Histogram",
     "IOCounter",
     "IOStats",
-    "KeyIndex",
     "StorageError",
     "StoredRelation",
     "TableStats",

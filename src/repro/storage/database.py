@@ -20,8 +20,8 @@ class Database:
 
     Implements the evaluator's ``RelationSource`` protocol *uncharged*
     (``multiset``): full re-evaluation is the correctness oracle, not a
-    priced operation. Charged access goes through the relations' ``scan`` /
-    ``lookup`` methods.
+    priced operation. Charged access goes through the relations' ``scan``
+    and their indexes' probes.
 
     Durability is opt-in: ``durable_path`` attaches a
     :class:`~repro.storage.durable.DurableStore` that logs each relation's

@@ -13,16 +13,19 @@ The charging policy implements the paper's Section 3.6 accounting exactly:
 
 A relation with a declared candidate key stores each row once, in its
 first key's map (key value -> the row; smallest key first): that map
-answers whether a row is present, the row count, scans and reads, and its
-hash indexes' buckets hold first-key values that resolve through it. A
+answers whether a row is present, the row count, scans and reads. Each
+index is a :class:`~repro.storage.index.HashIndex` whose layout follows
+from the declared keys: an index on exactly a key's columns is that key's
+map (the key check maintains it), and any other index on a keyed relation
+holds buckets of first-key values that resolve through the first map. A
 keyless relation keeps a multiset of row counts, and its buckets hold
 rows. Both go through one apply body.
 
 A bucket lists its rows in scan order, by one slot rule: when every
 modify pair of a delta keeps its first key and every index key, each row
 keeps its slot in the map (``stored[k] = new``) and no bucket changes;
-otherwise every pair leaves the map and its buckets and then joins the
-end of both.
+otherwise every pair leaves the rows and its buckets and then joins the
+end of both, in delta order. A keyless relation's pairs always move.
 
 A delta is validated whole (row types, absent tuples, candidate keys)
 before any of it is applied or charged, so a rejected delta changes
@@ -30,9 +33,6 @@ nothing and charges nothing. The rows, each key map and each index are
 then updated once per delta, and the charges are sums of distinct keys.
 Applying builds no inverse: an undo journal keeps the applied delta and
 inverts it only if it rolls back (:mod:`repro.storage.undo`).
-An index on exactly a declared key's columns is that key's map
-(:class:`~repro.storage.index.KeyIndex`): the key check maintains it and a
-modify that keeps its key costs it nothing beyond its charges.
 
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
@@ -55,7 +55,7 @@ from repro.algebra.predicates import Compare, Predicate
 from repro.algebra.scalar import Col, Const
 from repro.algebra.schema import Schema
 from repro.ivm.delta import Delta
-from repro.storage.index import HashIndex, KeyIndex, index_pages
+from repro.storage.index import HashIndex, index_pages
 from repro.storage.pager import IOCounter
 
 
@@ -94,9 +94,9 @@ class StoredRelation:
         self.name = name
         self.schema = schema
         self.counter = counter if counter is not None else IOCounter()
-        self._indexes: dict[tuple[str, ...], HashIndex | KeyIndex] = {}
+        self._indexes: dict[tuple[str, ...], HashIndex] = {}
         # The indexes that keep buckets of their own (not a key's map).
-        self._hash_indexes: list[HashIndex] = []
+        self._bucketed: list[HashIndex] = []
         # One incremental uniqueness map per declared candidate key
         # (key value -> the one row holding it), smallest key first, with
         # the key's columns in value order and a positional getter per key
@@ -124,27 +124,25 @@ class StoredRelation:
 
     # -- indexes -----------------------------------------------------------------
 
-    def create_index(self, columns: Iterable[str]) -> HashIndex | KeyIndex:
-        """An index on ``columns``: the key's map when they are exactly a
-        declared candidate key's (in sorted order), else a hash index."""
+    def create_index(self, columns: Iterable[str]) -> HashIndex:
+        """An index on ``columns``, answered through the key's map when they
+        are exactly a declared candidate key's (in sorted order), else
+        through buckets of its own."""
         cols = tuple(self.schema.resolve(c) for c in columns)
         if cols in self._indexes:
             return self._indexes[cols]
-        key_map = next((m for key_cols, _, m in self._keys if key_cols == cols), None)
-        index: HashIndex | KeyIndex
-        if key_map is not None:
-            index = KeyIndex(self.schema, cols, self.counter, key_map)
-        else:
-            index = HashIndex(self.schema, cols, self.counter, self._stored)
-            if self._stored is None:
-                index.rebuild(self.items())
-            self._hash_indexes.append(index)
+        rows = next((m for key_cols, _, m in self._keys if key_cols == cols), self._stored)
+        index = HashIndex(self.schema, cols, self.counter, rows)
+        if index.shape == "buckets":
+            index.rebuild(self.items())
+        if index.shape != "keyed":
+            self._bucketed.append(index)
         self._indexes[cols] = index
         if self._durable is not None:
             self._durable.on_index(self.name, cols)
         return index
 
-    def index_on(self, columns: Iterable[str]) -> HashIndex | KeyIndex | None:
+    def index_on(self, columns: Iterable[str]) -> HashIndex | None:
         cols = tuple(self.schema.resolve(c) for c in columns)
         return self._indexes.get(cols)
 
@@ -220,35 +218,20 @@ class StoredRelation:
         self.counter.charge_tuple_read(self.row_count)
         return self.contents()
 
-    def lookup(self, columns: Iterable[str], key: tuple[Any, ...]) -> Multiset:
-        """Indexed lookup: 1 index page + 1 page per matching tuple.
+    def lookup_many(
+        self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
+    ) -> Multiset:
+        """Batched indexed lookup (:meth:`HashIndex.probe_many`): one index
+        page per key plus one page per matching tuple.
 
         Raises :class:`StorageError` when no index on ``columns`` exists —
         the executor decides explicitly when to fall back to a scan.
         """
-        return self._index(columns).probe(key)
-
-    def lookup_many(
-        self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
-    ) -> Multiset:
-        """Batched indexed lookup; charges identically to per-key ``lookup``."""
-        return self._index(columns).probe_many(keys)
-
-    def lookup_buckets(
-        self, columns: Iterable[str], keys: Iterable[tuple[Any, ...]]
-    ) -> dict[tuple[Any, ...], Multiset | Row]:
-        """Bucket-grained batched lookup (see :meth:`HashIndex.probe_buckets`);
-        charges identically to :meth:`lookup_many`. The returned buckets are
-        borrowed read-only views of the index — or, on a key's index, the
-        one row per key itself (:meth:`KeyIndex.probe_buckets`)."""
-        return self._index(columns).probe_buckets(keys)
-
-    def _index(self, columns: Iterable[str]) -> HashIndex | KeyIndex:
         cols = tuple(self.schema.resolve(c) for c in columns)
         index = self._indexes.get(cols)
         if index is None:
             raise StorageError(f"no index on {cols} for relation {self.name}")
-        return index
+        return index.probe_many(keys)
 
     @property
     def row_count(self) -> int:
@@ -371,7 +354,7 @@ class StoredRelation:
         in_place = (
             stored is not None
             and not frees[0]
-            and all(index.keeps(olds, news) for index in self._hash_indexes)
+            and all(index.keeps(olds, news) for index in self._bucketed)
         )
         for (columns, key_map, kos, kns, iks, dks), freed in zip(key_values, frees):
             # The map holding the rows drops every old key unless the pairs
@@ -387,12 +370,10 @@ class StoredRelation:
                 index_reads, index_writes = index_pages(kos, kns, iks, dks)
                 reads += index_reads
                 writes += index_writes
-        refs = key_values[0][2:] if stored is not None else None  # the first-key values
-        for index in self._hash_indexes:
-            if refs is None:
-                index_reads, index_writes = index.update(olds, news, ins, dels)
-            else:
-                index_reads, index_writes = index.move(olds, news, ins, dels, refs, in_place)
+        # What the buckets hold: first-key values, or a keyless relation's rows.
+        refs = key_values[0][2:] if stored is not None else (olds, news, ins, dels)
+        for index in self._bucketed:
+            index_reads, index_writes = index.update(olds, news, ins, dels, refs, in_place)
             reads += index_reads
             writes += index_writes
         self.counter.charge_index_read(reads)

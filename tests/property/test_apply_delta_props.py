@@ -17,7 +17,7 @@ total), so it does not matter which structure holds the rows or a bucket.
 from itertools import product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.multiset import Multiset
@@ -59,7 +59,7 @@ class PerRowRelation:
             pairs = self._modifies(delta.modifies, applied)
             inserted = self._rows(delta.inserts, 1, applied)
             deleted = self._rows(delta.deletes, -1, applied)
-        except StorageError:
+        except (StorageError, TypeError_):
             for row, count in reversed(applied):
                 self._apply_row(row, -count)
             raise
@@ -254,6 +254,8 @@ def _stored(schema, index_cols, rows) -> StoredRelation:
 
 @settings(max_examples=400, deadline=None)
 @given(scenario())
+# A mistyped insert after a valid one: both sides must reject it whole.
+@example((KEYED, [("G",)], [], Delta.insertion([(0, 0, 0), (0, 0, "x")])))
 def test_batched_apply_matches_per_row_reference(case):
     schema, index_cols, rows, delta = case
     rel = _stored(schema, index_cols, rows)
@@ -267,9 +269,9 @@ def test_batched_apply_matches_per_row_reference(case):
         event(f"rejected: {type(exc).__name__}")
         with pytest.raises((StorageError, TypeError_)):
             rel.apply_delta(delta)
-        assert _state(rel) == start
+        assert _state(rel) == start == ref.state()
         assert rel.counter.snapshot() == IOStats()
-        assert _totals(rel) == start_totals
+        assert _totals(rel) == start_totals == ref.totals()
         return
     rel.apply_delta(delta)
     event("applied" + (" with an index write" if ref.io[1] else ""))

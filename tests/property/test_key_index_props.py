@@ -1,16 +1,21 @@
-"""Property-based tests: an index on a declared key is that key's map.
+"""Property-based tests: one index class, three layouts, one answer.
 
 ``StoredRelation.create_index`` on exactly a candidate key's columns
-returns a :class:`KeyIndex` answered from the relation's key map. Fed the
-same random stream of validated deltas — key-keeping and key-changing
-modifies, inserts, deletes — as a :class:`HashIndex` on the same columns,
-it must answer every probe with the same rows and the same charges, and
-the relation must charge every update the (read, written) index pages the
-hash index's update reports. A delta the relation rejects (a key
-violation, an absent row) changes and charges nothing, key index included.
+returns a ``"keyed"`` :class:`HashIndex` answered from the relation's key
+map. Fed the same random stream of validated deltas — key-keeping and
+key-changing modifies, inserts, deletes — as a keyless (``"buckets"``)
+index on the same columns, it must answer every probe with the same rows
+and the same charges, and the relation must charge every update the
+(read, written) index pages the keyless index's update reports. A delta
+the relation rejects (a key violation, an absent row) changes and charges
+nothing, key index included. The bucket layouts (``"refs"`` on a keyed
+relation, ``"buckets"`` on a keyless one) must answer every probe in the
+order a scan meets the rows, as a row-bucket reference keeping the
+relation's order rule does, and charge what it prices.
 """
 
 import gc
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -20,7 +25,7 @@ from repro.algebra.multiset import Multiset
 from repro.algebra.schema import Schema
 from repro.algebra.types import DataType
 from repro.ivm.delta import Delta
-from repro.storage.index import HashIndex, KeyIndex
+from repro.storage.index import HashIndex
 from repro.storage.pager import IOCounter, IOStats
 from repro.storage.relation import StorageError, StoredRelation
 
@@ -66,7 +71,7 @@ def stream(draw):
     return schema, cols, rows, deltas
 
 
-def _probe_keys(rel: StoredRelation, index: KeyIndex):
+def _probe_keys(rel: StoredRelation, index: HashIndex):
     """Every stored key plus some that miss."""
     stored = {index.key_of(row) for row in rel.rows()}
     return sorted(stored | {(9,), (9, 9), (0,), (0, 0)}, key=repr)
@@ -79,8 +84,9 @@ def test_key_index_answers_and_charges_as_a_hash_index(case):
     rel = StoredRelation("R", schema)
     rel.load(rows)
     key_index = rel.create_index(cols)
-    assert isinstance(key_index, KeyIndex)
+    assert key_index.shape == "keyed"
     reference = HashIndex(schema, cols, IOCounter())
+    assert reference.shape == "buckets"
     reference.rebuild(rel.items())
     arity = len(cols)
 
@@ -99,7 +105,7 @@ def test_key_index_answers_and_charges_as_a_hash_index(case):
             olds = [old for old, _ in delta.modifies]
             news = [new for _, new in delta.modifies]
             ins, dels = dict(delta.inserts._counts), dict(delta.deletes._counts)
-            pages = reference.update(olds, news, ins, dels)
+            pages = reference.update(olds, news, ins, dels, (olds, news, ins, dels), False)
             assert (charged.index_reads, charged.index_writes) == pages
 
         assert key_index.distinct_keys() == reference.distinct_keys()
@@ -149,7 +155,9 @@ def test_key_violation_changes_and_charges_nothing(delta):
 
 def test_index_on_a_key_is_its_map_and_others_keep_buckets():
     rel = StoredRelation("R", ONE)
-    assert isinstance(rel.create_index(["K"]), KeyIndex)
+    rel.load([(1, 2, 3)])
+    assert rel.create_index(["K"]).shape == "keyed"
+    assert rel.index_on(["K"]).rows == {1: (1, 2, 3)}  # the key's own map
     assert isinstance(rel.create_index(["G"]), HashIndex)
     assert isinstance(rel.create_index(["G", "K"]), HashIndex)
     assert rel.create_index(["K"]) is rel.index_on(["K"])
@@ -158,22 +166,29 @@ def test_index_on_a_key_is_its_map_and_others_keep_buckets():
     assert StoredRelation("B", Schema.of(("G", INT))).create_index(["G"]).shape == "buckets"
 
 
-# -- non-key hash indexes on a keyed relation ----------------------------------------
+# -- bucket indexes: non-key indexes on a keyed relation, any on a keyless one --------
 
 FOUR = Schema.of(("K", INT), ("G", INT), ("V", INT), ("W", INT), keys=[["K"]])
+FOUR_BAG = Schema.of(*FOUR.columns)
 ROW4 = st.tuples(VALUE, VALUE, VALUE, VALUE)
 SECONDARY = (("G",), ("V",))
 
 
 @st.composite
-def pair_stream(draw):
+def pair_stream(draw, keyed: bool = True):
     """(stored rows, deltas) on ``FOUR`` of modify pairs of every shape —
     keep every key (change W), change one index key (G or V), take a fresh
     first key, swap two rows, chain one row onto another's key, change
     nothing — with a few inserts and deletes; each delta drawn over the
     rows its accepted predecessors leave. About half the deltas keep every
-    key in every pair, so their rows stay in place."""
-    rows = list({r[0]: r for r in draw(st.lists(ROW4, max_size=8))}.values())
+    key in every pair, so on a keyed relation their rows stay in place.
+    Without ``keyed`` the rows are for ``FOUR_BAG``: some are stored more
+    than once, and every delta is accepted."""
+    rows = draw(st.lists(ROW4, max_size=8))
+    if keyed:
+        rows = list({r[0]: r for r in rows}.values())
+    elif rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     live = list(rows)
     deltas = []
     for _ in range(draw(st.integers(1, 6))):
@@ -207,6 +222,11 @@ def pair_stream(draw):
         rest = [r for r in live if r not in olds]
         deletes = draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
         deltas.append(Delta(inserts=Multiset(inserts), deletes=Multiset(deletes), modifies=pairs))
+        if not keyed:
+            after = Counter(live)
+            after.subtract(olds + deletes)
+            live = list(after.elements()) + [new for _, new in pairs] + inserts
+            continue
         after = [r for r in live if r not in olds and r not in deletes]
         after += [new for _, new in pairs] + inserts
         if len({r[0] for r in after}) == len(after):
@@ -216,11 +236,10 @@ def pair_stream(draw):
 
 class RowBuckets:
     """The reference: row-count buckets (row -> count per index key, with a
-    running total per key), as a keyed relation's index held them before
-    its buckets held first keys, under the order rule a scan keeps. When
-    every pair keeps its first key and every index key, each row keeps its
-    slot; else every pair leaves its bucket and then joins the end of its
-    new one. Then inserts join and deletes leave."""
+    running total per key), under the order rule a scan keeps. When every
+    pair of a keyed relation keeps its first key and every index key, each
+    row keeps its slot; else every pair leaves its bucket and then joins
+    the end of its new one. Then inserts join and deletes leave."""
 
     def __init__(self, cols, rows) -> None:
         positions = [FOUR.index_of(c) for c in cols]
@@ -272,15 +291,22 @@ class RowBuckets:
         return reads, writes
 
 
+def _bucket_items(index: HashIndex, bucket) -> list:
+    """A borrowed bucket's (row, count) pairs, in its order."""
+    if index.shape == "refs":
+        return [(index.rows[ref], 1) for ref in bucket]
+    return list(bucket.items())
+
+
 def _assert_answers_as(rel: StoredRelation, index: HashIndex, ref: RowBuckets) -> None:
     """Every probe of ``index`` returns the reference's rows in its order,
     which is the scan's order, and charges what the reference prices."""
-    scan = list(rel.rows())
+    scan = list(rel.items())
     assert index.distinct_keys() == len(ref.buckets)
     keys = sorted(ref.buckets) + [(99,)]
     for k in keys:
         expected = list(ref.buckets.get(k, {}).items())
-        assert [(row, 1) for row in scan if ref.key(row) == k] == expected
+        assert [(row, n) for row, n in scan if ref.key(row) == k] == expected
         assert list(index.probe_free(k).items()) == expected
         out, io = _charged(rel.counter, index.probe, k)
         assert list(out.items()) == expected
@@ -296,7 +322,7 @@ def _assert_answers_as(rel: StoredRelation, index: HashIndex, ref: RowBuckets) -
         out, io = _charged(rel.counter, index.probe_many, batch)
         assert (list(out.items()), io) == (list(expected.items()), charge)
         buckets, io = _charged(rel.counter, index.probe_buckets, batch)
-        flattened = {k: [(index.rows[ref_key], 1) for ref_key in b] for k, b in buckets.items()}
+        flattened = {k: _bucket_items(index, b) for k, b in buckets.items()}
         assert flattened == {k: list(ref.buckets[k].items()) for k in batch if k in ref.buckets}
         assert io == charge
 
@@ -309,7 +335,25 @@ def test_key_buckets_match_a_row_bucket_reference(case):
     charge and the distinct key count must equal row-count buckets kept by
     the reference order rule."""
     rows, deltas = case
-    rel = StoredRelation("R", FOUR)
+    _check_stream(StoredRelation("R", FOUR), rows, deltas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_stream(keyed=False))
+def test_keyless_buckets_match_a_row_bucket_reference(case):
+    """A keyless relation's indexes hold row multisets: over random deltas
+    on rows stored more than once, every probe, its order (the scan's) and
+    its charge, every update's charge and the distinct key count must equal
+    the reference, whose pairs always leave and then join."""
+    rows, deltas = case
+    rel = StoredRelation("R", FOUR_BAG)
+    _check_stream(rel, rows, deltas)
+    assert all(rel.index_on(cols).shape == "buckets" for cols in SECONDARY)
+
+
+def _check_stream(rel: StoredRelation, rows, deltas) -> None:
+    """Load ``rows``, index ``SECONDARY``, apply each delta the relation
+    accepts and compare each index with its reference after each."""
     rel.load(rows)
     indexes = {cols: rel.create_index(cols) for cols in SECONDARY}
     refs = {cols: RowBuckets(cols, rel.rows()) for cols in SECONDARY}
@@ -321,7 +365,7 @@ def test_key_buckets_match_a_row_bucket_reference(case):
             event("rejected")
             continue
         charged = rel.counter.snapshot() - before
-        in_place = all(
+        in_place = bool(rel.schema.keys) and all(
             old[0] == new[0] and all(ref.key(old) == ref.key(new) for ref in refs.values())
             for old, new in delta.modifies
         )

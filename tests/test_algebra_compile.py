@@ -332,7 +332,7 @@ class TestProbeMany:
         batched = b.lookup_many(["c"], keys)
         merged = Multiset()
         for key in keys:
-            merged.update(a.lookup(["c"], key))
+            merged.update(a.index_on(["c"]).probe(key))
         assert batched == merged
         # Identical I/O charges: 1 index read per key + 1 tuple read per match.
         assert a.counter.snapshot() == b.counter.snapshot()
@@ -360,7 +360,7 @@ class TestProbeBuckets:
     def test_probe_buckets_matches_probe_many(self):
         a, b = self._relation(), self._relation()
         keys = {(0,), (1,), (99,)}  # one miss included
-        buckets = a.lookup_buckets(["c"], keys)
+        buckets = a.index_on(["c"]).probe_buckets(keys)
         assert set(buckets) == {(0,), (1,)}
         flattened = Multiset()
         for bucket in buckets.values():
@@ -375,7 +375,7 @@ class TestProbeBuckets:
         join = Join(R, S)
         rel = self._relation()
         keys = {(row[2],) for row in R_DATA.rows()}
-        buckets = rel.lookup_buckets(["c"], keys)
+        buckets = rel.index_on(["c"]).probe_buckets(keys)
         expected = apply_join(join, R_DATA, rel.lookup_many(["c"], keys))
         for backend in ("compiled", "interpreted"):
             set_default_backend(backend)
@@ -383,8 +383,3 @@ class TestProbeBuckets:
                 assert apply_join_fetched(join, R_DATA, buckets) == expected
             finally:
                 set_default_backend("compiled")
-
-    def test_lookup_buckets_requires_index(self):
-        rel = StoredRelation("S", S.schema, IOCounter())
-        with pytest.raises(StorageError):
-            rel.lookup_buckets(["d"], [(100,)])

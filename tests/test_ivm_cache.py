@@ -19,6 +19,7 @@ from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.ivm.cache import (
+    ADHOC_PLAN_CACHE_CAPACITY,
     AdhocPlanCache,
     CommitCache,
     CommitCacheStats,
@@ -300,12 +301,13 @@ def _paper_maintainer(**kwargs):
 
 class TestMaintainerWiring:
     def test_constructor_switches(self):
-        _, on = _paper_maintainer(commit_cache=True, plan_cache=8)
+        _, on = _paper_maintainer(commit_cache=True)
         assert on._commit_cache_enabled
-        assert on.plan_cache is not None and on.plan_cache.capacity == 8
-        _, off = _paper_maintainer(commit_cache=False, plan_cache=0)
+        assert on.plan_cache is not None
+        assert on.plan_cache.capacity == ADHOC_PLAN_CACHE_CAPACITY
+        _, off = _paper_maintainer(commit_cache=False)
         assert not off._commit_cache_enabled
-        assert off.plan_cache is None
+        assert off.plan_cache is not None  # the ad-hoc plan cache has no switch
 
     def test_commit_cache_dropped_after_apply(self):
         db, maintainer = _paper_maintainer(commit_cache=True)
@@ -319,7 +321,7 @@ class TestMaintainerWiring:
         maintainer.verify()
 
     def test_adhoc_plan_cache_hits_on_same_shape(self):
-        db, maintainer = _paper_maintainer(plan_cache=8)
+        db, maintainer = _paper_maintainer()
         rows = sorted(db.relation("Emp").contents().rows())
         for i, old in enumerate(rows[:3]):
             txn = Transaction(
@@ -410,7 +412,8 @@ class TestStaticFactsMemo:
     def test_memoized_orders_and_reductions_equal_fresh_ones(self):
         """Track orders and FD reductions are computed once and reused on
         every commit; each memoized answer equals a fresh computation."""
-        db, maintainer = _paper_maintainer(plan_cache=0)
+        db, maintainer = _paper_maintainer()
+        maintainer.plan_cache = None
         emp = sorted(db.relation("Emp").contents().rows())
         dept = sorted(db.relation("Dept").contents().rows())
         other = next(d[0] for d in dept if d[0] != emp[1][1])
@@ -467,7 +470,7 @@ class TestDeltaSignatureMemo:
         """Regression: an aggregate's full-groups test asked the estimator
         for the delta at each ad-hoc commit's own row counts, so every new
         count added memo entries. Completeness is decided per shape."""
-        db, maintainer = _paper_maintainer(plan_cache=8)
+        db, maintainer = _paper_maintainer()
 
         def raise_first(k):
             rows = sorted(db.relation("Emp").rows())[:k]

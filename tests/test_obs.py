@@ -170,12 +170,10 @@ class TestMetricsRegistry:
         m = MetricsRegistry()
         m.counter("engine.commits").inc()
         m.counter("engine.commits").inc(2)
-        m.gauge("cache.plan.hit_rate").set(0.5)
         m.histogram("engine.commit_io").observe(3)
         m.histogram("engine.commit_io").observe(7)
         snap = m.snapshot()
         assert snap["engine.commits"] == 3
-        assert snap["cache.plan.hit_rate"] == 0.5
         assert snap["engine.commit_io.count"] == 2
         assert snap["engine.commit_io.total"] == 10
         assert snap["engine.commit_io.min"] == 3
@@ -193,13 +191,10 @@ class TestMetricsRegistry:
     def test_since_differences_counters_only(self):
         m = MetricsRegistry()
         m.counter("engine.commits").inc(5)
-        m.gauge("cache.plan.hit_rate").set(0.25)
         before = m.snapshot()
         m.counter("engine.commits").inc(2)
-        m.gauge("cache.plan.hit_rate").set(0.75)
         delta = m.since(before)
         assert delta["engine.commits"] == 2  # counter: difference
-        assert delta["cache.plan.hit_rate"] == 0.75  # gauge: current value
         assert "engine.rollbacks" not in delta
 
     def test_render_sorted(self):
@@ -302,11 +297,9 @@ class TestEngineMetrics:
         assert delta["runtime.gc.gen2.collections"] >= 2
         assert gc.callbacks == hooks
 
-    def test_a_commit_sets_no_gauge(self, engine, monkeypatch):
-        def gauge(name):
-            raise AssertionError(f"a commit set the gauge {name!r}")
-
-        monkeypatch.setattr(engine.metrics, "gauge", gauge)
+    def test_a_commit_sets_no_gauge(self, engine):
+        # The registry keeps no last-value metric a commit could set.
+        assert not hasattr(engine.metrics, "gauge")
         result = engine.execute(modify_txn(engine))
         assert result.io.total > 0
         snap = engine.metrics.snapshot()

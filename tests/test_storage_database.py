@@ -40,7 +40,7 @@ class TestDatabase:
     def test_shared_counter(self):
         db = Database()
         db.create_relation("T", SCHEMA, [(1, "x")], indexes=[["A"]])
-        db.relation("T").lookup(["A"], (1,))
+        db.relation("T").index_on(["A"]).probe((1,))
         assert db.counter.total == 2
 
     def test_relation_source_protocol(self):

@@ -44,21 +44,28 @@ class TestProbe:
         assert index.probe_free(("x",)).total() == 2
 
 
+def _update(index, olds, news, inserts, deletes):
+    """Apply a delta to a keyless index, whose buckets hold the rows."""
+    return index.update(olds, news, inserts, deletes, (olds, news, inserts, deletes), False)
+
+
 class TestMaintenance:
     def test_add_and_remove(self, index):
-        assert index.update([], [], {(4, "y"): 1, (5, "z"): 1}, {}) == (2, 2)
+        assert _update(index, [], [], {(4, "y"): 1, (5, "z"): 1}, {}) == (2, 2)
         assert index.probe_free(("y",)).total() == 2
-        assert index.update([], [], {}, {(4, "y"): 1}) == (1, 1)
+        assert _update(index, [], [], {}, {(4, "y"): 1}) == (1, 1)
         assert index.probe_free(("y",)).total() == 1
 
     def test_empty_bucket_dropped(self, index):
-        index.update([], [], {}, {(3, "y"): 1})
+        _update(index, [], [], {}, {(3, "y"): 1})
         assert index.distinct_keys() == 1
 
-    def test_modify_swaps_in_bucket_and_moves_across(self, index):
-        pages = index.update([(1, "x"), (3, "y")], [(7, "x"), (3, "z")], {}, {})
+    def test_modify_leaves_and_joins_in_delta_order(self, index):
+        pages = _update(index, [(1, "x"), (3, "y")], [(7, "x"), (3, "z")], {}, {})
         assert pages == (3, 2)  # reads x, y, z; writes only the moved row's y and z
         assert index.probe_free(("x",)) == Multiset([(7, "x"), (2, "x")])
+        # The pair keeping its key leaves and rejoins the end of its bucket.
+        assert list(index.probe_free(("x",)).rows()) == [(2, "x"), (7, "x")]
         assert index._totals == {("x",): 2, ("z",): 1}
         assert index.distinct_keys() == 2  # the emptied "y" bucket is dropped
         assert index._counter.total == 0  # the owning relation charges

@@ -37,7 +37,7 @@ class TestLoadAndRead:
         assert relation.counter.snapshot().tuple_reads == 9
 
     def test_lookup_charges_index_plus_matches(self, relation):
-        result = relation.lookup(["G"], ("g0",))
+        result = relation.index_on(["G"]).probe(("g0",))
         assert result.total() == 3
         snap = relation.counter.snapshot()
         assert snap.index_reads == 1
@@ -45,7 +45,7 @@ class TestLoadAndRead:
 
     def test_lookup_without_index_raises(self, relation):
         with pytest.raises(StorageError):
-            relation.lookup(["V"], (10,))
+            relation.lookup_many(["V"], [(10,)])
 
     @pytest.mark.parametrize("schema", [SCHEMA, Schema.of(*SCHEMA.columns)], ids=["keyed", "bag"])
     def test_load_validates_each_row_once(self, schema, monkeypatch):
@@ -109,10 +109,27 @@ class TestModifies:
         )
         assert rel.contents().count((2, "a", 0)) == 1
 
+    def test_keyless_bucket_lists_its_rows_in_scan_order(self):
+        """A delta that moves one row into a bucket and modifies another
+        already in it: the pairs all leave and then join in delta order,
+        as the relation's row counts do, so a probe meets the bucket's rows
+        in the order a scan does."""
+        schema = Schema.of(("K", DataType.INT), ("G", DataType.INT), ("V", DataType.INT))
+        rel = StoredRelation("B", schema)
+        rel.load([(1, 0, 0), (2, 1, 0), (3, 0, 0)])
+        index = rel.create_index(["G"])
+        rel.apply_delta(
+            Delta.modification([((2, 1, 0), (2, 0, 0)), ((3, 0, 0), (3, 0, 1))])
+        )
+        scan = [row for row in rel.rows() if row[1] == 0]
+        assert scan == [(1, 0, 0), (2, 0, 0), (3, 0, 1)]
+        assert list(index.probe_free((0,)).rows()) == scan
+        assert list(index.probe((0,)).rows()) == scan
+
     def test_modified_row_visible_in_index(self, relation):
         relation.apply_delta(Delta.modification([((0, "g0", 0), (0, "g1", 0))]))
         relation.counter.reset()
-        assert (0, "g1", 0) in relation.lookup(["G"], ("g1",))
+        assert (0, "g1", 0) in relation.index_on(["G"]).probe(("g1",))
 
 
 class TestInsertDelete:
@@ -153,9 +170,9 @@ class TestIndexManagement:
         assert idx1 is idx2
 
     def test_index_built_over_existing_data(self, relation):
-        relation.create_index(["V"])
+        index = relation.create_index(["V"])
         relation.counter.reset()
-        assert relation.lookup(["V"], (10,)).total() == 1
+        assert index.probe((10,)).total() == 1
 
     def test_indexes_listing(self, relation):
         assert ("G",) in relation.indexes
