@@ -50,7 +50,7 @@ def _run(system, db):
             old = rng.choice(sorted(db.relation("Dept").contents().rows()))
             new = (old[0], old[1], old[2] + rng.choice([-5, 4, 9]))
             txn = Transaction(">Dept", {"Dept": Delta.modification([(old, new)])})
-        result = system.process(txn)
+        result = system.engine.execute(txn)
         violations += len(result.new_violations)
     return db.counter.total / N_TXNS, violations
 
@@ -87,7 +87,7 @@ def run_both():
         charge_root_update=True,
     )
     bare.materialize()
-    system.use_maintainer(bare)  # rebuilds the engines around the bare plan
+    system.use_maintainer(bare)  # rebuilds the engine around the bare plan
     results["no auxiliary views"] = _run(system, db)
     return results
 

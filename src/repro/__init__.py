@@ -54,13 +54,7 @@ from repro.cost.model import CostConfig, CostModel
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import ViewDag, build_dag, build_multi_dag
 from repro.dag.display import count_trees, render_dag
-from repro.engine import (
-    Engine,
-    EngineError,
-    EngineTransaction,
-    TransactionResult,
-    UndoLog,
-)
+from repro.engine import Engine, EngineError, TransactionResult, UndoLog
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer
 from repro.obs import (
@@ -73,7 +67,6 @@ from repro.obs import (
     validate_trace,
 )
 from repro.shell import ShellSession
-from repro.sql.dml import execute_dml_text
 from repro.sql.translate import translate_sql
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog, TableStats
@@ -96,7 +89,6 @@ __all__ = [
     "Delta",
     "Engine",
     "EngineError",
-    "EngineTransaction",
     "GroupAggregate",
     "MetricsRegistry",
     "Join",
@@ -127,7 +119,6 @@ __all__ = [
     "count_trees",
     "evaluate",
     "evaluate_view_set",
-    "execute_dml_text",
     "explain",
     "explain_analyze",
     "get_metrics",

@@ -154,7 +154,3 @@ class Multiset:
         out = Multiset()
         out._counts = {row: -count for row, count in self._counts.items() if count < 0}
         return out
-
-    @staticmethod
-    def from_rows(rows: Iterable[Row]) -> "Multiset":
-        return Multiset(rows)

@@ -1,9 +1,5 @@
 """SQL-92 assertion (complex integrity constraint) checking."""
 
-from repro.constraints.assertions import (
-    AssertionSystem,
-    AssertionViolation,
-    CheckResult,
-)
+from repro.constraints.assertions import AssertionSystem, AssertionViolation
 
-__all__ = ["AssertionSystem", "AssertionViolation", "CheckResult"]
+__all__ = ["AssertionSystem", "AssertionViolation"]

@@ -4,13 +4,18 @@
 becomes one of computing the incremental update to the materialized view."
 The :class:`AssertionSystem` does exactly that: each assertion's SELECT is
 materialized (it should stay empty), the optimizer picks the auxiliary
-views that make its maintenance cheap, and every transaction reports the
-rows that newly violate (enter) or stop violating (leave) each assertion.
+views that make its maintenance cheap, and every transaction committed
+through the system's one :class:`~repro.engine.engine.Engine`
+(``system.engine.execute(txn)``) reports, in its
+:class:`~repro.engine.engine.TransactionResult`, the rows that newly
+violate (enter) or stop violating (leave) each assertion. With
+``enforce=True`` the engine rejects a violating transaction instead: base
+relations and every view are rolled back atomically (uncharged) and
+:class:`AssertionViolation` is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.multiset import Multiset
@@ -26,7 +31,7 @@ from repro.ivm.maintainer import ViewMaintainer
 from repro.sql.translate import translate_sql
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
-from repro.workload.transactions import Transaction, TransactionType
+from repro.workload.transactions import TransactionType
 
 
 class AssertionViolation(Exception):
@@ -37,18 +42,6 @@ class AssertionViolation(Exception):
         self.rows = rows
         preview = ", ".join(str(r) for r in list(rows.rows())[:3])
         super().__init__(f"assertion {assertion!r} violated by rows: {preview}")
-
-
-@dataclass
-class CheckResult:
-    """Outcome of processing one transaction."""
-
-    new_violations: dict[str, Multiset] = field(default_factory=dict)
-    cleared_violations: dict[str, Multiset] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.new_violations
 
 
 class AssertionSystem:
@@ -109,69 +102,32 @@ class AssertionSystem:
         self._roots = {
             name: self.dag.root_of(name) for name in self.assertions
         }
-        self._build_engines()
+        self._build_engine()
 
-    def _build_engines(self) -> None:
-        # All transaction processing routes through the engine layer: the
-        # default engine reports violations, the enforcing one rejects
-        # violating transactions with an atomic (uncharged) rollback.
+    def _build_engine(self) -> None:
+        # Every transaction commits through this one engine: it reports
+        # violations, or, with ``enforce``, rejects a violating transaction
+        # with an atomic (uncharged) rollback.
         self.engine = Engine(
             self.maintainer, enforce=self.enforce, assertion_roots=self._roots
-        )
-        self._enforcer = (
-            self.engine
-            if self.enforce
-            else Engine(self.maintainer, enforce=True, assertion_roots=self._roots)
         )
 
     def use_maintainer(self, maintainer: ViewMaintainer) -> None:
         """Swap in a different (already materialized) maintainer and rebuild
-        the engines around it — e.g. to compare view-set choices over the
+        the engine around it — e.g. to compare view-set choices over the
         same assertion DAG (benchmarks/bench_assertions.py)."""
         self.maintainer = maintainer
-        self._build_engines()
+        self._build_engine()
 
     @property
     def roots(self) -> dict[str, int]:
         """Assertion name → DAG root group id (the violation views)."""
         return dict(self._roots)
 
-    # -- initial state ---------------------------------------------------------------
+    # -- current state ---------------------------------------------------------------
 
     def current_violations(self, assertion: str) -> Multiset:
         return self.maintainer.view_contents(self._roots[assertion])
 
     def all_satisfied(self) -> bool:
         return all(not self.current_violations(a) for a in self.assertions)
-
-    # -- transaction processing ---------------------------------------------------------
-
-    def process(self, txn: Transaction) -> CheckResult:
-        """Apply a transaction through the engine, maintaining every
-        assertion view.
-
-        In ``enforce`` mode (an ``Engine(enforce=True)``) a transaction that
-        introduces violations is rejected **atomically**: base relations
-        and all materialized views are rolled back to the exact
-        pre-transaction state (uncharged, by inverting the undo log's applied deltas)
-        before :class:`AssertionViolation` propagates — assertion checking
-        is only sound if a violating transaction can be refused.
-        """
-        result = self.engine.execute(txn)
-        return CheckResult(
-            dict(result.new_violations), dict(result.cleared_violations)
-        )
-
-    def would_violate(self, txn: Transaction) -> bool:
-        """Check-and-commit-if-clean: does the transaction introduce
-        violations?
-
-        Routed through an enforcing engine: a clean transaction commits
-        and stays applied; a violating one is rolled back atomically
-        (uncharged) and ``True`` is returned.
-        """
-        try:
-            self._enforcer.execute(txn)
-        except AssertionViolation:
-            return True
-        return False

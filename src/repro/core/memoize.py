@@ -76,10 +76,6 @@ class OptimizerStats:
     def cache_hits(self) -> int:
         return self.track_hits + self.query_hits + self.cost_hits
 
-    @property
-    def cache_misses(self) -> int:
-        return self.track_misses + self.query_misses + self.cost_misses
-
     @staticmethod
     def _ratio(hits: int, misses: int) -> str:
         total = hits + misses

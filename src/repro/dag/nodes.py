@@ -19,7 +19,6 @@ Two departures worth noting, both documented in DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.algebra.operators import RelExpr, Scan
 from repro.algebra.schema import Schema
@@ -113,9 +112,6 @@ class EquivalenceNode:
     def is_leaf(self) -> bool:
         """Leaf equivalence nodes correspond to base relations."""
         return self.base_relation is not None
-
-    def iter_ops(self) -> Iterator[OperationNode]:
-        return iter(self.ops)
 
     def label(self) -> str:
         if self.is_leaf:

@@ -1,33 +1,31 @@
 """The transactional engine facade.
 
-One lifecycle for every write path in the system::
+One entry for every write path in the system::
 
     engine = Engine(maintainer)
-    txn = engine.begin()
-    txn.stage("Emp", Delta.modification([(old, new)]))
-    result = txn.commit()          # or txn.rollback() to discard
+    result = engine.execute(
+        Transaction("raise", {"Emp": Delta.modification([(old, new)])})
+    )
 
-``commit()`` hands the staged transaction to the engine's one commit
-body, which maintains every materialized view within the transaction (the
-paper's setting) and, on an enforcing engine, rejects a transaction that
-enters an assertion violation. Every commit is measured with a scoped I/O
-counter (per-transaction attribution) and journaled in an
+:meth:`Engine.execute` is the one commit body: it maintains every
+materialized view within the transaction (the paper's setting) and, on an
+enforcing engine, rejects a transaction that enters an assertion
+violation. Every commit is measured with a scoped I/O counter
+(per-transaction attribution) and journaled in an
 :class:`~repro.storage.undo.UndoLog` of applied deltas, its only record:
 a rejection — or any storage error — rolls the database and all
 materialized views back to the exact pre-transaction state, uncharged,
 and a durable log receives the journal only once the commit is accepted.
 Batching several transactions into one commit is the group committer's job
-(:meth:`~repro.server.commit.GroupCommitter.commit_batch`).
-
-:class:`EngineTransaction` is also a context manager: a clean ``with``
-block commits, an exception discards the staged work.
+(:meth:`~repro.server.commit.GroupCommitter.commit_batch`), which composes
+them and calls :meth:`Engine.execute` once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.algebra.compile import plan_cache, tuple_getter
 from repro.algebra.evaluate import evaluate
@@ -49,7 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 
 class EngineError(Exception):
-    """Raised for transaction-lifecycle misuse (stage after commit, …)."""
+    """Raised when the engine or its group committer is misused (an
+    enforcing engine without assertions, a submit to a closed committer, …)."""
 
 
 @dataclass
@@ -72,103 +71,6 @@ class TransactionResult:
     def ok(self) -> bool:
         """True when the transaction introduced no assertion violations."""
         return not self.new_violations
-
-
-class EngineTransaction:
-    """One open transaction: stage deltas, then commit or roll back."""
-
-    def __init__(self, engine: "Engine", name: str) -> None:
-        self._engine = engine
-        self.name = name
-        self.state = "active"  # 'active' | 'committed' | 'rolled back'
-        self._staged: dict[str, list[Delta]] = {}
-
-    # -- staging -----------------------------------------------------------------
-
-    def _check_active(self) -> None:
-        if self.state != "active":
-            raise EngineError(f"transaction {self.name!r} is already {self.state}")
-
-    def stage(self, relation: str, delta: Delta) -> "EngineTransaction":
-        """Stage a delta against ``relation``; nothing is applied until
-        commit. Staging validates that the relation exists."""
-        self._check_active()
-        self._engine.db.relation(relation)  # raises StorageError if unknown
-        if not delta.is_empty:
-            self._staged.setdefault(relation, []).append(delta)
-        return self
-
-    def insert(self, relation: str, rows: Iterable[Row]) -> "EngineTransaction":
-        """Stage insertions."""
-        return self.stage(relation, Delta.insertion(rows))
-
-    def delete(self, relation: str, rows: Iterable[Row]) -> "EngineTransaction":
-        """Stage deletions."""
-        return self.stage(relation, Delta.deletion(rows))
-
-    def modify(
-        self, relation: str, pairs: Iterable[tuple[Row, Row]]
-    ) -> "EngineTransaction":
-        """Stage (old, new) modifications."""
-        return self.stage(relation, Delta.modification(pairs))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._staged
-
-    def staged_transaction(self) -> Transaction:
-        """The staged work as one composed :class:`Transaction` (sequential
-        deltas per relation are net-composed by
-        :func:`~repro.ivm.compose.compose_relations`)."""
-        from repro.ivm.compose import compose_relations
-
-        steps = (
-            {relation: delta}
-            for relation, staged in self._staged.items()
-            for delta in staged
-        )
-        return Transaction(self.name, compose_relations(self._engine.db, steps))
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def commit(self) -> TransactionResult:
-        """Hand the staged transaction to the engine's commit body.
-
-        On success the transaction is ``committed``. If the engine rejects
-        it (an enforcing engine on an assertion violation) the
-        database is already rolled back when the exception propagates and
-        the transaction is marked ``rolled back``.
-        """
-        self._check_active()
-        txn = self.staged_transaction()
-        try:
-            result = self._engine.execute(txn)
-        except Exception:
-            self.state = "rolled back"
-            raise
-        self.state = "committed"
-        return result
-
-    def rollback(self) -> None:
-        """Discard the staged deltas; the database was never touched."""
-        self._check_active()
-        self._staged.clear()
-        self.state = "rolled back"
-
-    def __enter__(self) -> "EngineTransaction":
-        self._check_active()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.state != "active":
-            return  # already committed / rolled back explicitly
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-
-    def __repr__(self) -> str:
-        return f"<EngineTransaction {self.name} [{self.state}]: {sorted(self._staged)}>"
 
 
 class Engine:
@@ -200,8 +102,6 @@ class Engine:
         self.metrics = self._registry()
         self.tracer: "Tracer | NullTracer" = NULL_TRACER
         self.set_tracer(tracer)
-        self._txn_seq = 0
-        self._active_txn: EngineTransaction | None = None
 
     def _registry(self) -> MetricsRegistry:
         """This engine's registry, reading the counts its caches and
@@ -229,30 +129,7 @@ class Engine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind(self.db.counter)
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def begin(self, name: str | None = None) -> EngineTransaction:
-        """Open a transaction (usable as a context manager).
-
-        One at a time: beginning a second transaction while the previous
-        one is still ``active`` raises :class:`EngineError` — two open
-        transactions on one engine would interleave their journal entries
-        in the :class:`~repro.storage.undo.UndoLog`, which is exactly the
-        corruption a second concurrent client used to be able to trigger.
-        Concurrent clients go through the server's single-writer commit
-        queue instead (``repro.server``).
-        """
-        active = self._active_txn
-        if active is not None and active.state == "active":
-            raise EngineError(
-                f"transaction {active.name!r} is still active; commit or "
-                "roll it back before begin() — two open transactions would "
-                "interleave their undo journals"
-            )
-        self._txn_seq += 1
-        txn = EngineTransaction(self, name or f"__txn_{self._txn_seq}")
-        self._active_txn = txn
-        return txn
+    # -- commits -----------------------------------------------------------------
 
     def execute(self, txn: Transaction) -> TransactionResult:
         """Commit a ready-made :class:`Transaction` — the one commit entry.
@@ -279,11 +156,11 @@ class Engine:
 
     def _commit(self, txn: Transaction) -> TransactionResult:
         """The one commit body: scoped I/O, undo journal, violation report.
-        *Everything* between begin and the result — the maintainer apply,
-        the assertion check, and the durable WAL commit of the undo
-        journal — sits inside one rollback guard: an exception from any of
-        them rolls back the applied base/view deltas before propagating, so
-        even failed commits leave a consistent state. The journal reaches
+        *Everything* between the start of the commit and its result — the
+        maintainer apply, the assertion check, and the durable WAL commit of
+        the undo journal — sits inside one rollback guard: an exception from
+        any of them rolls back the applied base/view deltas before
+        propagating, so even failed commits leave a consistent state. The journal reaches
         the log only after the check passes, so a rollback writes nothing.
         The durable commit only ever raises *before* its WAL barrier — the
         one step after it, the automatic checkpoint, has its I/O failures
@@ -452,9 +329,9 @@ class Engine:
 
         Declared transaction types use their optimizer-chosen track;
         anything else goes through the ad-hoc path (track chosen on the
-        fly from the concrete deltas). The engine's tracer is threaded
-        per-call (engines built by :class:`AssertionSystem` share one
-        maintainer, so the tracer cannot live on the maintainer itself).
+        fly from the concrete deltas). The engine's tracer is passed per
+        call, so the maintainer keeps no tracer state of its own and
+        :meth:`set_tracer` takes effect on the engine's next commit.
         """
         if txn.type_name in self.maintainer.txn_types:
             return self.maintainer.apply(txn, undo=undo, tracer=self.tracer)

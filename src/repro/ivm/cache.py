@@ -18,7 +18,7 @@ transaction. This module closes both gaps:
   shares keys with it is that result split per key (split on overlap).
   An overlapping probe fetches only the missing keys and merges, so shared
   DAG sub-nodes — and shared sub-expressions across assertion roots in one
-  :meth:`AssertionSystem.process` — hit memory instead of storage, while a
+  checked commit — hit memory instead of storage, while a
   fetch nobody repeats costs one copy of its result and no per-key work.
   The cache is created when propagation starts and discarded before the
   apply phase; nothing can invalidate it mid-phase.

@@ -13,11 +13,10 @@ Every write path that folds several transactions (or statements) into one
 commit uses them: group commit
 (:meth:`~repro.server.commit.GroupCommitter.commit_batch`, the only caller
 of :func:`compose_batch` and the only code that batches commits, in the
-server and in process alike), multi-statement engine transactions
-(:meth:`~repro.engine.engine.EngineTransaction.staged_transaction`) and
-multi-statement SQL (:func:`~repro.sql.dml.dml_transaction`). The composed
-transaction is then committed through the ordinary
-:class:`~repro.engine.engine.Engine` commit body like any other.
+server and in process alike) and multi-statement SQL
+(:func:`~repro.sql.dml.dml_transaction`). The composed transaction is then
+committed through :meth:`~repro.engine.engine.Engine.execute`, the one
+commit entry, like any other.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """SQL frontend: lexer, parser, and translation to the algebra."""
 
-from repro.sql.dml import dml_to_delta, execute_dml_text, is_dml
+from repro.sql.dml import dml_to_delta, is_dml
 from repro.sql.lexer import SQLSyntaxError, tokenize
 from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError, TranslationResult, translate_sql
@@ -8,7 +8,6 @@ from repro.sql.translate import SQLTranslationError, TranslationResult, translat
 __all__ = [
     "SQLSyntaxError",
     "dml_to_delta",
-    "execute_dml_text",
     "is_dml",
     "SQLTranslationError",
     "TranslationResult",

@@ -32,7 +32,6 @@ from repro.ivm.delta import Delta
 from repro.ivm.maintainer import MaintenanceError
 from repro.sql import ast
 from repro.sql.lexer import SQLSyntaxError
-from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError, _AggregateCollector, _Scope
 from repro.sql.translate import _translate_condition, _translate_select
 from repro.storage.database import Database
@@ -208,12 +207,3 @@ def error_tier(exc: BaseException) -> str:
     malformed = (SQLSyntaxError, SQLTranslationError, ProtocolError)
     refused = (StorageError, EngineError, MaintenanceError)  # keys, engine rules
     return "invalid" if isinstance(exc, malformed + refused) else "internal"
-
-
-def execute_dml_text(
-    text: str, db: Database, txn_name: str | None = None
-) -> Transaction:
-    """Parse + evaluate one DML statement; returns a Transaction (unapplied)."""
-    statement = parse(text)
-    name = txn_name if txn_name is not None else type(statement).__name__
-    return dml_transaction([statement], db, name)

@@ -12,7 +12,7 @@ enforcing engine rejects violators atomically) and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.storage.pager import IOStats
 from repro.workload.transactions import Transaction
@@ -32,7 +32,6 @@ class ClientReport:
     rejected: int = 0
     #: submit-to-resolve commit latencies, seconds, in submission order.
     latencies: list[float] = field(default_factory=list)
-    results: list["TransactionResult"] = field(default_factory=list)
 
 
 @dataclass
@@ -45,7 +44,6 @@ class StreamReport:
     io: IOStats = field(default_factory=IOStats)
     new_violations: dict[str, int] = field(default_factory=dict)
     cleared_violations: dict[str, int] = field(default_factory=dict)
-    results: list["TransactionResult"] = field(default_factory=list)
     # What the engine's MetricsRegistry counted over this run, cache and
     # durable-log counts included (see MetricsRegistry.since).
     metrics: dict[str, float] = field(default_factory=dict)
@@ -72,17 +70,13 @@ class StreamReport:
 def run_transactions(
     engine: "Engine",
     txns: Iterable[Transaction],
-    keep_results: bool = False,
-    on_result: "Callable[[TransactionResult], None] | None" = None,
 ) -> StreamReport:
     """Commit every transaction in ``txns`` through ``engine``.
 
     A transaction an enforcing engine rejects (rolled back atomically)
     counts as ``rejected``. I/O and violation tallies fold in every
-    committed result. ``keep_results`` retains each
-    :class:`TransactionResult`; ``on_result`` is called per engine result
-    (e.g. for adaptive hooks). ``metrics`` carries the engine metrics
-    delta over the run.
+    committed result. ``metrics`` carries the engine metrics delta over
+    the run.
     """
     from repro.constraints.assertions import AssertionViolation
 
@@ -95,9 +89,7 @@ def run_transactions(
         except AssertionViolation:
             report.rejected += 1
             continue
-        _fold(report, result, keep_results)
-        if on_result is not None:
-            on_result(result)
+        _fold(report, result)
     report.committed = report.submitted - report.rejected
     report.metrics = engine.metrics.since(metrics_before)
     return report
@@ -108,7 +100,6 @@ def run_concurrent_transactions(
     streams: "Sequence[Iterable[Transaction]]",
     max_batch: int = 32,
     queue_size: int = 256,
-    keep_results: bool = False,
 ) -> tuple[StreamReport, list["BatchRecord"]]:
     """Drive one transaction stream per client through the group committer.
 
@@ -147,15 +138,13 @@ def run_concurrent_transactions(
                 client.submitted += 1
                 request = committer.submit(txn)
                 try:
-                    result = request.wait()
+                    request.wait()
                 except AssertionViolation:
                     client.rejected += 1
                     continue
                 client.committed += 1
                 if request.latency is not None:
                     client.latencies.append(request.latency)
-                if keep_results:
-                    client.results.append(result)
         except Exception as exc:  # noqa: BLE001 - re-raised on the caller's thread
             failures[client.client] = exc
 
@@ -179,16 +168,16 @@ def run_concurrent_transactions(
     report.rejected = sum(c.rejected for c in clients)
     for record in committer.batches:
         if record.batch_result is not None:
-            _fold(report, record.batch_result, keep=False)
+            _fold(report, record.batch_result)
         elif record.replayed:
             for result in record.results:
-                _fold(report, result, keep=False)
+                _fold(report, result)
     report.committed = report.submitted - report.rejected
     report.metrics = engine.metrics.since(metrics_before)
     return report, committer.batches
 
 
-def _fold(report: StreamReport, result: "TransactionResult", keep: bool) -> None:
+def _fold(report: StreamReport, result: "TransactionResult") -> None:
     report.io = report.io + result.io
     for name, rows in result.new_violations.items():
         report.new_violations[name] = (
@@ -198,5 +187,3 @@ def _fold(report: StreamReport, result: "TransactionResult", keep: bool) -> None
         report.cleared_violations[name] = (
             report.cleared_violations.get(name, 0) + rows.total()
         )
-    if keep:
-        report.results.append(result)

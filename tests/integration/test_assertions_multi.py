@@ -48,7 +48,7 @@ class TestMultipleAssertions:
     def test_one_violation_does_not_flag_the_other(self, system, small_paper_db):
         dept = sorted(small_paper_db.relation("Dept").contents().rows())[0]
         slashed = (dept[0], dept[1], 1)
-        result = system.process(
+        result = system.engine.execute(
             Transaction(">Dept", {"Dept": Delta.modification([(dept, slashed)])})
         )
         assert "DeptBudget" in result.new_violations
@@ -64,7 +64,7 @@ class TestMultipleAssertions:
 
         result = None
         for i, row in enumerate(rows):
-            result = system.process(
+            result = system.engine.execute(
                 Transaction(">Emp", {"Emp": Delta.insertion([row])})
             )
         assert result is not None

@@ -66,15 +66,15 @@ class TestSetup:
 class TestProcessing:
     def test_violation_detected(self, system, small_paper_db):
         txn = dept_budget_txn(small_paper_db, "dept00000", 1)
-        result = system.process(txn)
+        result = system.engine.execute(txn)
         assert not result.ok
         assert "DeptConstraint" in result.new_violations
         assert ("dept00000",) in result.new_violations["DeptConstraint"]
         assert not system.all_satisfied()
 
     def test_violation_cleared(self, system, small_paper_db):
-        system.process(dept_budget_txn(small_paper_db, "dept00000", 1))
-        result = system.process(dept_budget_txn(small_paper_db, "dept00000", 100_000))
+        system.engine.execute(dept_budget_txn(small_paper_db, "dept00000", 1))
+        result = system.engine.execute(dept_budget_txn(small_paper_db, "dept00000", 100_000))
         assert result.ok
         assert "DeptConstraint" in result.cleared_violations
         assert system.all_satisfied()
@@ -82,7 +82,7 @@ class TestProcessing:
     def test_benign_txn_ok(self, system, small_paper_db):
         emp = sorted(small_paper_db.relation("Emp").contents().rows())[0]
         new = (emp[0], emp[1], emp[2] + 1)
-        result = system.process(
+        result = system.engine.execute(
             Transaction(">Emp", {"Emp": Delta.modification([(emp, new)])})
         )
         assert result.ok
@@ -95,32 +95,40 @@ class TestProcessing:
             enforce=True,
         )
         with pytest.raises(AssertionViolation) as info:
-            system.process(dept_budget_txn(small_paper_db, "dept00001", 1))
+            system.engine.execute(dept_budget_txn(small_paper_db, "dept00001", 1))
         assert info.value.assertion == "DeptConstraint"
         assert ("dept00001",) in info.value.rows
 
-    def test_would_violate_rolls_back(self, system, small_paper_db):
+    def test_would_violate_rolls_back(self, small_paper_db):
+        """An enforcing system rejects a transaction that would violate an
+        assertion, and the rejection changes no relation and no view."""
+        system = AssertionSystem(
+            small_paper_db, [DEPT_CONSTRAINT], paper_transactions(), enforce=True
+        )
+        dept = small_paper_db.relation("Dept").contents()
         txn = dept_budget_txn(small_paper_db, "dept00002", 1)
-        assert system.would_violate(txn)
+        with pytest.raises(AssertionViolation):
+            system.engine.execute(txn)
         # State (and views) rolled back: still satisfied and consistent.
+        assert small_paper_db.relation("Dept").contents() == dept
         assert system.all_satisfied()
         system.maintainer.verify()
-        budget = next(
-            r
-            for r in small_paper_db.relation("Dept").contents().rows()
-            if r[0] == "dept00002"
-        )[2]
-        assert budget != 1
 
-    def test_would_violate_false_keeps_txn(self, system, small_paper_db):
+    def test_would_violate_false_keeps_txn(self, small_paper_db):
+        """An enforcing system commits a transaction that violates nothing."""
+        system = AssertionSystem(
+            small_paper_db, [DEPT_CONSTRAINT], paper_transactions(), enforce=True
+        )
         txn = dept_budget_txn(small_paper_db, "dept00003", 100_000)
-        assert not system.would_violate(txn)
+        result = system.engine.execute(txn)
+        assert result.committed and result.ok
         budget = next(
             r
             for r in small_paper_db.relation("Dept").contents().rows()
             if r[0] == "dept00003"
         )[2]
         assert budget == 100_000
+        system.maintainer.verify()
 
     def test_greedy_mode_works(self, small_paper_db):
         """Greedy planning starts from every assertion root, so it also
@@ -138,6 +146,6 @@ class TestProcessing:
             roots = {system.dag.memo.find(r) for r in system._roots.values()}
             assert len(roots) == len(assertions)
             assert roots <= system.plan.best_marking
-            result = system.process(dept_budget_txn(small_paper_db, dname, 1))
+            result = system.engine.execute(dept_budget_txn(small_paper_db, dname, 1))
             assert not result.ok
             assert (dname,) in result.new_violations["DeptConstraint"]

@@ -1,9 +1,8 @@
 """Tests for the transactional engine layer.
 
-Covers the transaction lifecycle (begin/stage/commit/rollback), inverse
-deltas and the undo log, scoped I/O attribution, report-only and
-enforcing commits, and atomicity of failed commits across relations and
-views.
+Covers the one commit entry (``Engine.execute``), inverse deltas and the
+undo log, scoped I/O attribution, report-only and enforcing commits, and
+atomicity of failed commits across relations and views.
 """
 
 import pytest
@@ -172,91 +171,44 @@ class TestScopedCounter:
 
 
 class TestLifecycle:
-    def test_begin_stage_commit(self, engine):
+    """``Engine.execute`` is the one commit entry: a transaction is either
+    committed whole or raises with nothing changed."""
+
+    def test_unknown_relation_changes_nothing(self, engine):
+        """A transaction naming an unknown relation raises StorageError and
+        leaves every relation and view as it was, even when it also
+        changes a relation that exists."""
+        before = snapshot(engine)
         old, new = emp_raise(engine.db)
-        txn = engine.begin("raise")
-        txn.modify("Emp", [(old, new)])
-        result = txn.commit()
-        assert result.committed
-        assert result.io.total > 0
-        assert txn.state == "committed"
-        assert new in engine.db.relation("Emp").contents()
+        for deltas in (
+            {"Nope": Delta.insertion([(1,)])},
+            {
+                "Emp": Delta.modification([(old, new)]),
+                "Nope": Delta.insertion([(1,)]),
+            },
+        ):
+            with pytest.raises(StorageError):
+                engine.execute(Transaction("bad", deltas))
+            assert snapshot(engine) == before
         engine.maintainer.verify()
 
-    def test_stage_after_commit_raises(self, engine):
-        txn = engine.begin()
-        txn.commit()
-        with pytest.raises(EngineError):
-            txn.insert("Emp", [("x", "y", 1)])
-        with pytest.raises(EngineError):
-            txn.commit()
+    def test_cancelling_deltas_compose_to_nothing(self, engine):
+        """Sequential deltas that cancel compose to no delta at all, and
+        committing the composed transaction changes and charges nothing."""
+        from repro.ivm.compose import compose_relations
 
-    def test_rollback_discards_staged(self, engine):
         before = snapshot(engine)
-        old, new = emp_raise(engine.db)
-        txn = engine.begin().modify("Emp", [(old, new)])
-        txn.rollback()
-        assert txn.state == "rolled back"
-        assert snapshot(engine) == before
-
-    def test_stage_unknown_relation(self, engine):
-        with pytest.raises(StorageError):
-            engine.begin().insert("Nope", [(1,)])
-
-    def test_context_manager_commits(self, engine):
-        old, new = emp_raise(engine.db)
-        with engine.begin() as txn:
-            txn.modify("Emp", [(old, new)])
-        assert txn.state == "committed"
-        assert new in engine.db.relation("Emp").contents()
-
-    def test_context_manager_discards_on_error(self, engine):
-        before = snapshot(engine)
-        old, new = emp_raise(engine.db)
-        with pytest.raises(RuntimeError):
-            with engine.begin() as txn:
-                txn.modify("Emp", [(old, new)])
-                raise RuntimeError("abort")
-        assert txn.state == "rolled back"
-        assert snapshot(engine) == before
-
-    def test_staged_deltas_compose(self, engine):
         row = ("emp_new", "dept00000", 10)
-        txn = engine.begin().insert("Emp", [row]).delete("Emp", [row])
-        assert txn.staged_transaction().deltas == {}
-        result = txn.commit()
+        composed = compose_relations(
+            engine.db,
+            [{"Emp": Delta.insertion([row])}, {"Emp": Delta.deletion([row])}],
+        )
+        assert composed == {}
+        spent = engine.db.counter.total
+        result = engine.execute(Transaction("cancel", composed))
         assert result.committed and result.io.total == 0
-
-    def test_txn_names_are_unique(self, engine):
-        first = engine.begin()
-        first.rollback()
-        assert first.name != engine.begin().name
-
-    def test_begin_while_active_raises(self, engine):
-        """Two open transactions would interleave undo journal entries —
-        exactly the corruption a second concurrent client used to be able
-        to trigger — so begin() while one is active must refuse."""
-        open_txn = engine.begin("first")
-        with pytest.raises(EngineError, match="still active"):
-            engine.begin("second")
-        # Finishing the first (either way) re-enables begin().
-        open_txn.rollback()
-        second = engine.begin("second")
-        assert second.state == "active"
-        second.rollback()
-
-    def test_begin_allowed_after_commit(self, engine):
-        old, new = emp_raise(engine.db)
-        engine.begin().modify("Emp", [(old, new)]).commit()
-        assert engine.begin().state == "active"
-
-    def test_commit_on_finished_txn_raises(self, engine):
-        txn = engine.begin()
-        txn.rollback()
-        with pytest.raises(EngineError, match="rolled back"):
-            txn.commit()
-        with pytest.raises(EngineError, match="rolled back"):
-            txn.stage("Emp", Delta.insertion([("x", "Toy", 1)]))
+        assert engine.db.counter.total == spent
+        assert snapshot(engine) == before
 
 
 class TestSnapshotReads:
@@ -354,6 +306,9 @@ class TestImmediatePolicy:
             Transaction("__shell", {"Emp": Delta.modification([(old, new)])})
         )
         assert result.committed
+        assert result.io.total > 0
+        assert new in engine.db.relation("Emp").contents()
+        assert old not in engine.db.relation("Emp").contents()
         assert "__shell" not in engine.maintainer.txn_types
         engine.maintainer.verify()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sql import ast
-from repro.sql.dml import dml_to_delta, execute_dml_text, is_dml
+from repro.sql.dml import dml_to_delta, dml_transaction, is_dml
 from repro.sql.lexer import SQLSyntaxError
 from repro.sql.parser import parse
 from repro.sql.translate import SQLTranslationError
@@ -94,18 +94,18 @@ class TestTranslation:
         with pytest.raises((SQLTranslationError, StorageError)):
             dml_to_delta(parse("DELETE FROM Nope"), small_paper_db)
 
-    def test_execute_dml_text(self, small_paper_db):
-        txn = execute_dml_text(
-            "UPDATE Dept SET Budget = 1 WHERE DName = 'dept00002'",
+    def test_dml_transaction_from_text(self, small_paper_db):
+        txn = dml_transaction(
+            [parse("UPDATE Dept SET Budget = 1 WHERE DName = 'dept00002'")],
             small_paper_db,
-            txn_name=">Dept",
+            ">Dept",
         )
         assert txn.type_name == ">Dept"
         assert len(txn.deltas["Dept"].modifies) == 1
 
     def test_execute_rejects_select(self, small_paper_db):
         with pytest.raises(SQLTranslationError):
-            execute_dml_text("SELECT DName FROM Dept", small_paper_db)
+            dml_transaction([parse("SELECT DName FROM Dept")], small_paper_db, "q")
 
 
 class TestPointDmlProbes:
@@ -159,8 +159,10 @@ class TestPointDmlProbes:
         db, _, engine = world
         emp = db.relation("Emp")
         before = emp.contents()
-        txn = execute_dml_text(
-            "UPDATE Emp SET EName = 'emp00001_001' WHERE EName = 'emp00001_000'", db
+        txn = dml_transaction(
+            [parse("UPDATE Emp SET EName = 'emp00001_001' WHERE EName = 'emp00001_000'")],
+            db,
+            "rename",
         )
         with pytest.raises((StorageError, EngineError)):
             engine.execute(txn)
@@ -170,8 +172,8 @@ class TestPointDmlProbes:
             ("EName",), [row for row in before.rows() if row[0] == "emp00001_000"]
         )
         # The key map still serves the next statement.
-        txn = execute_dml_text(
-            "UPDATE Emp SET Salary = 1 WHERE EName = 'emp00001_000'", db, txn_name="fix"
+        txn = dml_transaction(
+            [parse("UPDATE Emp SET Salary = 1 WHERE EName = 'emp00001_000'")], db, "fix"
         )
         engine.execute(txn)
         assert emp.candidates({"EName": "emp00001_000"})[1][0][2] == 1
@@ -214,7 +216,7 @@ class TestEndToEndMaintenance:
             ("fire", "DELETE FROM Emp WHERE DName = 'dept00004'"),
         ]
         for name, text in statements:
-            txn = execute_dml_text(text, db, txn_name=name)
+            txn = dml_transaction([parse(text)], db, name)
             maintainer.apply(txn)
             maintainer.verify()
         # dept00003 now far exceeds its budget; dept00004 has no employees.

@@ -22,7 +22,8 @@ from repro.algebra.types import DataType
 from repro.constraints.assertions import AssertionViolation
 from repro.ivm.delta import Delta
 from repro.shell import corporate_world
-from repro.sql.dml import execute_dml_text
+from repro.sql.dml import dml_transaction
+from repro.sql.parser import parse
 from repro.storage import durable as durable_mod
 from repro.storage.database import Database
 from repro.storage.durable import DurableStore
@@ -364,14 +365,20 @@ def test_rejected_durable_commit_writes_nothing(tmp_path):
     # One accepted write first, so whatever a first commit adds (lazily
     # built indexes) is already in the log.
     engine.execute(
-        execute_dml_text("UPDATE Emp SET Salary = Salary + 1 WHERE DName = 'dept00001'", db)
+        dml_transaction(
+            [parse("UPDATE Emp SET Salary = Salary + 1 WHERE DName = 'dept00001'")],
+            db,
+            "raise",
+        )
     )
     with open(wal, "rb") as f:
         before = f.read()
     with pytest.raises(AssertionViolation):
         engine.execute(
-            execute_dml_text(
-                "UPDATE Emp SET Salary = Salary + 1000000 WHERE DName = 'dept00000'", db
+            dml_transaction(
+                [parse("UPDATE Emp SET Salary = Salary + 1000000 WHERE DName = 'dept00000'")],
+                db,
+                "overspend",
             )
         )
     db.close()  # flushes anything the refused commit appended
