@@ -124,13 +124,16 @@ class PageIOCostModel(CostModel):
         else:
             result = INF
             for op in group.ops:
-                result = min(result, self._per_key_via_op(op, key_columns, marking))
+                result = min(result, self.per_key_cost_via(op, key_columns, marking))
         self._per_key_cache[cache_key] = result
         return result
 
-    def _per_key_via_op(
+    def per_key_cost_via(
         self, op, key_columns: frozenset[str], marking: frozenset[int]
     ) -> float:
+        """Cost of fetching all rows matching one key value through one op
+        of an unmaterialized group (``inf`` when the op cannot answer it):
+        :meth:`per_key_cost` is the cheapest op's."""
         template = op.template
         children = [self._memo.find(c) for c in op.child_ids]
         if isinstance(template, Scan):
@@ -147,7 +150,10 @@ class PageIOCostModel(CostModel):
             mapped = frozenset(mapping[c] for c in key_columns)
             return self.per_key_cost(children[0], mapped, marking)
         if isinstance(template, Join):
-            return self._per_key_join(template, children, key_columns, marking)
+            return min(
+                self.join_side_cost(template, children, key_columns, marking, side)
+                for side in (0, 1)
+            )
         if isinstance(template, GroupAggregate):
             if not key_columns <= set(template.group_by):
                 return INF
@@ -156,45 +162,47 @@ class PageIOCostModel(CostModel):
             return sum(self.per_key_cost(c, key_columns, marking) for c in children)
         return INF
 
-    def _per_key_join(
+    def join_side_cost(
         self,
         template: Join,
         children: list[int],
         key_columns: frozenset[str],
         marking: frozenset[int],
+        side: int,
     ) -> float:
+        """Per-key cost of a join fetch that starts on input ``side`` (0 =
+        left): the start side's fetch plus the other side's probe for the
+        distinct join-key values it returns; ``inf`` when the key columns
+        cannot start there."""
         jc = frozenset(template.join_columns)
         sides = (template.left, template.right)
-        best = INF
-        for i in (0, 1):
-            side_expr, other_expr = sides[i], sides[1 - i]
-            side_gid, other_gid = children[i], children[1 - i]
-            side_cols = set(side_expr.schema.names)
-            start_cols = key_columns & side_cols
-            rest_cols = key_columns - side_cols
-            if not start_cols:
-                continue
-            if rest_cols and not rest_cols <= set(other_expr.schema.names):
-                continue
-            side_info = self._estimator.info(side_gid)
-            fetched = side_info.fanout(start_cols)
-            # Distinct join-key values among the fetched rows.
-            jc_keys = min(
-                max(
-                    side_info.distinct_of(start_cols | jc)
-                    / max(side_info.distinct_of(start_cols), 1.0),
-                    1.0,
-                ),
-                max(fetched, 1.0),
-            )
-            probe_cols = jc | rest_cols
-            cost = self.per_key_cost(side_gid, frozenset(start_cols), marking)
-            if probe_cols:
-                cost += jc_keys * self.per_key_cost(other_gid, probe_cols, marking)
-            else:
-                cost += self.scan_cost(other_gid, marking)
-            best = min(best, cost)
-        return best
+        side_expr, other_expr = sides[side], sides[1 - side]
+        side_gid, other_gid = children[side], children[1 - side]
+        side_cols = set(side_expr.schema.names)
+        start_cols = key_columns & side_cols
+        rest_cols = key_columns - side_cols
+        if not start_cols:
+            return INF
+        if rest_cols and not rest_cols <= set(other_expr.schema.names):
+            return INF
+        side_info = self._estimator.info(side_gid)
+        fetched = side_info.fanout(start_cols)
+        # Distinct join-key values among the fetched rows.
+        jc_keys = min(
+            max(
+                side_info.distinct_of(start_cols | jc)
+                / max(side_info.distinct_of(start_cols), 1.0),
+                1.0,
+            ),
+            max(fetched, 1.0),
+        )
+        probe_cols = jc | rest_cols
+        cost = self.per_key_cost(side_gid, frozenset(start_cols), marking)
+        if probe_cols:
+            cost += jc_keys * self.per_key_cost(other_gid, probe_cols, marking)
+        else:
+            cost += self.scan_cost(other_gid, marking)
+        return cost
 
     def scan_cost(self, group_id: int, marking: frozenset[int]) -> float:
         """Cost of materializing the node's full contents."""

@@ -11,10 +11,15 @@ the key is unchanged) differs from a delete plus an insert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter, ne
 from typing import Any, Iterable, Sequence
 
 from repro.algebra.compile import tuple_getter
 from repro.algebra.multiset import Multiset, Row
+from repro.algebra.schema import COLUMN_PASS_MIN_ROWS
+
+# The two sides of a modify pair.
+_old, _new = itemgetter(0), itemgetter(1)
 
 
 @dataclass
@@ -24,6 +29,15 @@ class Delta:
     inserts: Multiset = field(default_factory=Multiset)
     deletes: Multiset = field(default_factory=Multiset)  # positive counts
     modifies: list[tuple[Row, Row]] = field(default_factory=list)  # (old, new)
+
+    # What the maintainer has proven about this delta, on the compiled
+    # backend only; a client never sets it, and no constructor takes it (it
+    # is a class default, not a field). ``None``, or the columns its modify
+    # pairs may change: then no pair is a no-op, no two pairs share a value
+    # of a declared key, and, once it reaches ``StoredRelation.apply_delta``,
+    # every row has exactly the relation's declared types, so storage does
+    # not check them again (see ``ViewMaintainer._checked``).
+    _contract = None  # frozenset[str] | None
 
     def __post_init__(self) -> None:
         if not self.inserts.is_nonnegative() or not self.deletes.is_nonnegative():
@@ -102,9 +116,20 @@ class Delta:
 
     def modified_columns(self, names: Sequence[str]) -> frozenset[str]:
         """Columns (``names`` in schema order) whose values actually differ
-        in some modification pair."""
+        in some modification pair: one pass per column over the pairs' old
+        and new sides, unless the pairs are too few to repay the passes or
+        some row's arity is not ``len(names)``."""
+        modifies = self.modifies
+        if len(modifies) >= COLUMN_PASS_MIN_ROWS:
+            olds, news = list(map(_old, modifies)), list(map(_new, modifies))
+            if set(map(len, olds)) | set(map(len, news)) == {len(names)}:
+                return frozenset(
+                    name
+                    for i, name in enumerate(names)
+                    if any(map(ne, map(itemgetter(i), olds), map(itemgetter(i), news)))
+                )
         changed: set[str] = set()
-        for old, new in self.modifies:
+        for old, new in modifies:
             for i, (a, b) in enumerate(zip(old, new)):
                 if a != b:
                     changed.add(names[i])

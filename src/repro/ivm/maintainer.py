@@ -8,6 +8,9 @@ tracks, the :class:`ViewMaintainer`
   the single hash index the cost model assumes; aggregate views carry a
   hidden per-group tuple count (kept with each group's row, so it costs no
   extra I/O) that keeps SUM/COUNT/AVG self-maintainable under deletions;
+* checks a declared transaction's base deltas once against its type's
+  contract, planning one that breaks it as an ad-hoc transaction, and on
+  the compiled backend trusts what it derives from checked deltas;
 * on each transaction, computes deltas bottom-up along the track, posing
   the maintenance queries against *pre-update* state — answering each by an
   indexed lookup when the target is a base relation or materialized view,
@@ -22,6 +25,8 @@ materialized view against from-scratch re-evaluation.
 
 from __future__ import annotations
 
+import copy
+from operator import eq, is_, itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.compile import (
@@ -30,6 +35,7 @@ from repro.algebra.compile import (
     apply_join,
     apply_project,
     apply_select,
+    default_backend,
     tuple_getter,
 )
 from repro.algebra.evaluate import evaluate
@@ -45,6 +51,7 @@ from repro.algebra.operators import (
     Union,
 )
 from repro.algebra.scalar import Col
+from repro.algebra.types import TypeError_
 from repro.cost.estimates import DagEstimator
 from repro.cost.page_io import PageIOCostModel
 from repro.core.optimizer import evaluate_view_set
@@ -82,6 +89,10 @@ from repro.workload.transactions import Transaction, TransactionType
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.trace import NullTracer, Tracer
     from repro.storage.undo import UndoLog
+
+
+# The two sides of a modify pair.
+_old, _new = itemgetter(0), itemgetter(1)
 
 
 class MaintenanceError(Exception):
@@ -140,6 +151,11 @@ class ViewMaintainer:
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
+        # Materialized group -> its column names, for the views whose every
+        # column is a plain copy of a stored or base row (select, plain
+        # projection and join all the way down): a delta derived from
+        # checked base deltas has exactly typed rows there.
+        self._copy_views: dict[int, frozenset[str]] = {}
         # op id -> (template, the op's implicit projection over it)
         self._implicit_projects: dict[int, tuple[RelExpr, Project]] = {}
         # A track's items -> its children-first group order. The DAG does
@@ -175,6 +191,32 @@ class ViewMaintainer:
             agg = self._aggregate_op(gid)
             if agg is not None:
                 self._agg_specs[gid] = agg
+            if self._copies_rows(gid, {}):
+                self._copy_views[gid] = frozenset(group.schema.names)
+
+    def _copies_rows(self, gid: int, seen: dict[int, bool]) -> bool:
+        """Whether every op of group ``gid`` and of every group below it is
+        a selection, a projection onto plain columns or a join, so each
+        value the group holds is a copy of a stored value. A projection
+        that computes a value may widen an int into a FLOAT column, which
+        storage's type check then normalizes."""
+        gid = self.memo.find(gid)
+        if gid in seen:
+            return seen[gid]
+        seen[gid] = False  # cycle guard: an unresolved cycle copies nothing
+        group = self.memo.group(gid)
+        copies = group.is_leaf or all(
+            (
+                isinstance(op.template, (Select, Join))
+                or isinstance(op.template, Project)
+                and not op.template.dedup
+                and all(isinstance(e, Col) for _, e in op.template.outputs)
+            )
+            and all(self._copies_rows(c, seen) for c in op.child_ids)
+            for op in group.ops
+        )
+        seen[gid] = copies
+        return copies
 
     def _aggregate_op(self, gid: int) -> tuple[GroupAggregate, int] | None:
         for op in self.memo.group(gid).ops:
@@ -226,7 +268,12 @@ class ViewMaintainer:
     def _fetch_keys(
         self, gid: int, columns: frozenset[str], keys: set[tuple]
     ) -> Multiset:
-        """The uncached fetch body: ``columns`` are already key-reduced."""
+        """The uncached fetch body: ``columns`` are already key-reduced.
+
+        An unmaterialized group runs the plan the cost model prices
+        (:meth:`~repro.cost.page_io.PageIOCostModel.lookup_cost`): a scan
+        when the keys times the cheapest op's per-key cost reach the scan's
+        cost, else a fetch through that op."""
         group = self.memo.group(gid)
         if group.is_leaf:
             return self._indexed_fetch(
@@ -234,15 +281,13 @@ class ViewMaintainer:
             )
         if gid in self.marking:
             return self._indexed_fetch(self._views[gid], columns, keys)
-        best_op, best_cost = None, float("inf")
-        for op in group.ops:
-            cost = self.cost_model._per_key_via_op(op, columns, self.marking)
-            if cost < best_cost:
-                best_op, best_cost = op, cost
-        if best_op is None or best_cost == float("inf"):
+        model, marking = self.cost_model, self.marking
+        costs = [model.per_key_cost_via(op, columns, marking) for op in group.ops]
+        best = min(range(len(costs)), key=costs.__getitem__, default=None)
+        if best is None or len(keys) * costs[best] >= model.scan_cost(gid, marking):
             rows = self._cached_scan(gid)
             return self._filter_by_keys(rows, group.schema.names, columns, keys)
-        return self._fetch_via_op(gid, best_op, columns, keys)
+        return self._fetch_via_op(gid, group.ops[best], columns, keys)
 
     def _cached_scan(self, gid: int) -> Multiset:
         """A group scan, answered once per commit when the cache is live."""
@@ -373,16 +418,18 @@ class ViewMaintainer:
     ) -> Multiset:
         jc = frozenset(template.join_columns)
         sides = (template.left, template.right)
+        # Start where the model's per-side cost (start fetch plus the other
+        # side's probe) is lowest; a side the columns cannot start costs inf.
         best_side, best_cost = None, float("inf")
         for i in (0, 1):
             start = columns & set(sides[i].schema.names)
             rest = columns - set(sides[i].schema.names)
             if not start or (rest and not rest <= set(sides[1 - i].schema.names)):
                 continue
-            cost = self.cost_model.per_key_cost(
-                children[i], frozenset(start), self.marking
+            cost = self.cost_model.join_side_cost(
+                template, children, columns, self.marking, i
             )
-            if cost < best_cost:
+            if best_side is None or cost < best_cost:
                 best_cost, best_side = cost, i
         if best_side is None:
             raise MaintenanceError(
@@ -474,6 +521,8 @@ class ViewMaintainer:
         transaction is applied through the same machinery as a declared
         one (``undo`` and ``tracer`` as in :meth:`apply`). The derived type
         is never registered; ``name`` (default ``__adhoc``) only labels it.
+        Modifies that change no column change no view: a transaction of
+        nothing else is only applied to its base relations.
         """
         from repro.workload.transactions import UpdateSpec
 
@@ -481,14 +530,17 @@ class ViewMaintainer:
         for rel, delta in txn.deltas.items():
             if delta.is_empty:
                 continue
-            names = self.db.relation(rel).schema.names
-            updates[rel] = UpdateSpec(
+            modified = delta.modified_columns(self.db.relation(rel).schema.names)
+            spec = UpdateSpec(
                 inserts=float(delta.inserts.total()),
                 deletes=float(delta.deletes.total()),
-                modifies=float(len(delta.modifies)),
-                modified_columns=delta.modified_columns(names),
+                modifies=float(len(delta.modifies)) if modified else 0.0,
+                modified_columns=modified,
             )
+            if not spec.is_empty:
+                updates[rel] = spec
         if not updates:
+            self._apply_base(txn.deltas, undo, tracer or NULL_TRACER)
             return {}
         txn_type = TransactionType(name or "__adhoc", updates)
         track: UpdateTrack | None = None
@@ -500,7 +552,7 @@ class ViewMaintainer:
             track = self.choose_track(txn_type)
             if self.plan_cache is not None and signature is not None:
                 self.plan_cache.put(signature, track)
-        return self._apply(txn, txn_type, track, undo, tracer)
+        return self._apply(txn.deltas, txn_type, track, undo, tracer)
 
     def apply(
         self,
@@ -520,16 +572,80 @@ class ViewMaintainer:
         ``tracer`` (default: the no-op tracer) records one "track_op" span
         per propagation step, one "fetch" span per join-side or group
         fetch, one "base_apply" per base relation and one "view_apply" per
-        marked view, each carrying its scoped I/O."""
+        marked view, each carrying its scoped I/O.
+
+        The transaction's deltas are first checked against its type's
+        contract (:meth:`_checked`); a transaction that breaks it is planned
+        and applied as an ad-hoc one (:meth:`apply_adhoc`)."""
         txn_type = self.txn_types.get(txn.type_name)
         if txn_type is None:
             raise MaintenanceError(f"unknown transaction type {txn.type_name!r}")
+        base = self._checked(txn, txn_type)
+        if base is None:
+            return self.apply_adhoc(txn, name=txn.type_name, undo=undo, tracer=tracer)
         track = self.tracks.get(txn.type_name, {})
-        return self._apply(txn, txn_type, track, undo, tracer)
+        return self._apply(base, txn_type, track, undo, tracer)
+
+    def _checked(
+        self, txn: Transaction, txn_type: TransactionType
+    ) -> Mapping[str, Delta] | None:
+        """The transaction's deltas when each keeps its type's contract, else
+        ``None``. The contract: the type declares the relation and each kind
+        of change the delta makes; every row is a plain tuple of exactly the
+        relation's declared types (so storage's check would neither reject
+        nor widen it); every modify pair changes only the declared
+        ``modified_columns`` and none is a no-op; and, on a keyed relation,
+        no two pairs share an old key value.
+
+        This is the one per-commit check of client input on the compiled
+        backend: each delta comes back as a copy carrying its contract
+        (``Delta._contract``: the declared columns on a keyed relation, all
+        its columns otherwise), so storage skips the type check and a join
+        whose keys the contract cannot change skips its pair tests. The
+        client's delta is left as it was. On the interpreted oracle the
+        deltas come back as they are, and every later check runs."""
+        trust = default_backend() != "interpreted"
+        out: dict[str, Delta] = {}
+        for rel, delta in txn.deltas.items():
+            if delta.is_empty:
+                out[rel] = delta
+                continue
+            spec = txn_type.updates.get(rel)
+            if (
+                spec is None
+                or delta.inserts and not spec.inserts
+                or delta.deletes and not spec.deletes
+                or delta.modifies and not spec.modifies
+            ):
+                return None
+            schema = self.db.relation(rel).schema
+            modifies = delta.modifies
+            olds, news = list(map(_old, modifies)), list(map(_new, modifies))
+            parts = [list(part._counts) for part in (delta.inserts, delta.deletes) if part]
+            try:
+                for rows in (olds, news, *parts):
+                    if not all(map(is_, schema.validate_rows(rows), rows)):
+                        return None
+            except TypeError_:
+                return None
+            if modifies and (
+                any(map(eq, olds, news))
+                or not delta.modified_columns(schema.names) <= spec.modified_columns
+                or any(
+                    len(set(map(itemgetter(*map(schema.index_of, key)), olds))) < len(olds)
+                    for key in schema.keys
+                )
+            ):
+                return None
+            if trust:
+                delta = copy.copy(delta)
+                delta._contract = spec.modified_columns if schema.keys else frozenset(schema.names)
+            out[rel] = delta
+        return out
 
     def _apply(
         self,
-        txn: Transaction,
+        base: Mapping[str, Delta],
         txn_type: TransactionType,
         track: UpdateTrack,
         undo: "UndoLog | None",
@@ -539,7 +655,7 @@ class ViewMaintainer:
         self.last_plan = (txn_type, dict(track))
         self._self_maintained.clear()
         deltas: dict[int, Delta] = {}
-        for rel, delta in txn.deltas.items():
+        for rel, delta in base.items():
             if rel not in self.memo.leaf_relations:
                 continue  # the relation feeds no view in this DAG
             deltas[self.memo.leaf_group_id(rel)] = delta
@@ -559,20 +675,31 @@ class ViewMaintainer:
                 self.commit_cache_stats.fold(cache.stats)
                 self.last_cache_stats = cache.stats
 
-        for rel, delta in txn.deltas.items():
-            relation = self.db.relation(rel)
-            # Base updates are the transaction itself: never charged.
-            with tracer.span("base_apply", relation=rel), self.db.counter.suspended():
-                relation.apply_delta(delta)
-            if undo is not None:
-                undo.record(relation, delta)
+        self._apply_base(base, undo, tracer)
+        # A view of plain copies takes its derived delta unchecked when the
+        # base deltas were checked: every row is a copy of a checked one.
+        checked = all(d._contract is not None for d in base.values() if not d.is_empty)
         for gid in sorted(self.marking):
             delta = deltas.get(gid)
             if delta is None or delta.is_empty:
                 continue
             with tracer.span("view_apply", node=gid):
+                delta._contract = self._copy_views.get(gid) if checked else None
                 self._apply_view_delta(gid, delta, undo)
+                delta._contract = None
         return {g: d for g, d in deltas.items() if g in self.marking}
+
+    def _apply_base(
+        self, base: Mapping[str, Delta], undo: "UndoLog | None", tracer: "Tracer | NullTracer"
+    ) -> None:
+        """Apply the base deltas. They are the transaction itself: never
+        charged."""
+        for rel, delta in base.items():
+            relation = self.db.relation(rel)
+            with tracer.span("base_apply", relation=rel), self.db.counter.suspended():
+                relation.apply_delta(delta)
+            if undo is not None:
+                undo.record(relation, delta)
 
     def _track_order(self, track: UpdateTrack) -> tuple[int, ...]:
         """:meth:`_topological`, computed once per distinct track."""

@@ -233,6 +233,14 @@ def propagate_join(
     A delta of key-preserving modifies on one input passes through as pairs
     (:func:`_propagate_join_modifies`); everything else is joined as a
     signed multiset and re-paired on the output key.
+
+    Where the checks run: a delta carrying the maintainer's contract (its
+    ``_contract``, set on the compiled backend on a base delta checked once
+    against its transaction type, and passed on by this rule) is trusted
+    when the contract lets change none of the join columns and none of the
+    output's pairing key; the rule then skips its per-pair tests. Any other
+    delta, and every delta on the interpreted oracle, is tested pair by
+    pair.
     """
     fetches = fetch_left, fetch_right, right_buckets, right_shape, right_rows
     out = _propagate_join_modifies(expr, left_delta, right_delta, *fetches)
@@ -296,14 +304,26 @@ def _propagate_join_net(
     return repair_modifications(expr.schema, Delta.from_net(out_net))
 
 
+# Maps many rows to key tuples (one tuple per row, in row order).
+_Keys = Callable[[Iterable[Row]], Iterable[tuple]]
+
+
+def _keys_of(positions: Sequence[int]) -> _Keys:
+    """``rows -> (row[i] for i in positions) per row`` with no Python call
+    per row (a one-column key still comes out as 1-tuples)."""
+    if len(positions) == 1:
+        value = itemgetter(positions[0])
+        return lambda rows: zip(map(value, rows))
+    values = itemgetter(*positions)
+    return lambda rows: map(values, rows)
+
+
 @lru_cache(maxsize=1024)
-def _modify_rule(
-    expr: Join, from_left: bool
-) -> tuple[Callable[[Row], tuple], Callable[[Row], tuple] | None] | None:
+def _modify_rule(expr: Join, from_left: bool) -> tuple[_Keys, _Keys | None] | None:
     """The static half of the join's modify rule for a delta on one input:
     ``None`` when it never applies (a residual predicate, or an output with
-    no declared key), else ``(join_key, kept)``. ``join_key`` reads an input
-    row's join columns; ``kept`` is ``None`` when the output's pairing key
+    no declared key), else ``(join_keys, kept)``. ``join_keys`` reads input
+    rows' join columns; ``kept`` is ``None`` when the output's pairing key
     lies wholly in the other input — a pair keeping its join columns then
     keeps the output key too — and otherwise reads the join columns plus
     the pairing key's columns found only in this input."""
@@ -312,35 +332,55 @@ def _modify_rule(
     names = expr.schema.names
     own, other = (expr.left, expr.right) if from_left else (expr.right, expr.left)
     shared = expr.join_columns
-    join_key = tuple_getter([own.schema.index_of(c) for c in shared])
+    join_keys = _keys_of([own.schema.index_of(c) for c in shared])
     extra = [names[i] for i in expr.schema.pairing_key if names[i] not in other.schema.names]
     if not extra:
-        return join_key, None
-    return join_key, tuple_getter([own.schema.index_of(c) for c in (*shared, *extra)])
+        return join_keys, None
+    return join_keys, _keys_of([own.schema.index_of(c) for c in (*shared, *extra)])
+
+
+@lru_cache(maxsize=1024)
+def _trusts(expr: Join, changes: frozenset[str]) -> bool:
+    """Whether modify pairs on either input that change only ``changes`` —
+    and keep the contract that says so — pass :func:`_kept_pair_keys`'s
+    tests whatever their values: ``changes`` holds none of the join columns
+    and none of the output's pairing key. Decided once per (join,
+    contract), not per pair or per commit."""
+    names = expr.schema.names
+    return changes.isdisjoint(expr.join_columns) and changes.isdisjoint(
+        names[i] for i in expr.schema.pairing_key
+    )
 
 
 def _kept_pair_keys(
-    rule: tuple[Callable[[Row], tuple], Callable[[Row], tuple] | None],
+    rule: tuple[_Keys, _Keys | None],
     pairs: Sequence[tuple[Row, Row]],
+    trusted: bool = False,
 ) -> set[tuple[Any, ...]] | None:
     """The join keys to fetch for ``pairs`` when each pair keeps the join
     columns and the output's pairing key, none is a no-op, and no two share
     a kept key (so no row is on both sides and nothing cancels); else
     ``None``. Under valid key facts distinct rows never share a kept key,
-    so that test only turns away deltas that chain or repeat rows."""
-    join_key, kept = rule
+    so that test only turns away deltas that chain or repeat rows.
+
+    ``trusted`` pairs (:func:`_trusts`) are known to pass all three tests:
+    their contract was checked once, at the base, so only the fetch key
+    set is built. On the interpreted oracle nothing is trusted."""
+    join_keys, kept = rule
+    if trusted:
+        return set(join_keys(map(_old, pairs)))
     # itemgetter maps, not zip(*pairs): that builds an iterator per pair.
     olds, news = list(map(_old, pairs)), list(map(_new, pairs))
     if any(map(eq, olds, news)):
         return None
-    check = join_key if kept is None else kept
-    kos = list(map(check, olds))
-    if kos != list(map(check, news)):
+    check = join_keys if kept is None else kept
+    kos = list(check(olds))
+    if kos != list(check(news)):
         return None
     distinct = set(kos)
     if len(distinct) < len(kos):
         return None
-    return distinct if kept is None else set(map(join_key, olds))
+    return distinct if kept is None else set(join_keys(olds))
 
 
 def _propagate_join_modifies(
@@ -370,7 +410,9 @@ def _propagate_join_modifies(
     rule = _modify_rule(expr, left_live)
     if rule is None:
         return None
-    keys = _kept_pair_keys(rule, delta.modifies)
+    changes = delta._contract
+    trusted = changes is not None and _trusts(expr, changes)
+    keys = _kept_pair_keys(rule, delta.modifies, trusted)
     if keys is None:
         return None
     if not left_live:
@@ -386,7 +428,10 @@ def _propagate_join_modifies(
         )
     else:
         pairs = apply_join_modifies(expr, delta.modifies, fetch_right(keys), True)
-    return Delta(modifies=pairs)
+    out = Delta(modifies=pairs)
+    if trusted:  # each output pair changes what its input pair changed
+        out._contract = changes
+    return out
 
 
 # -- aggregation ------------------------------------------------------------------------

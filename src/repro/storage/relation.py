@@ -29,7 +29,9 @@ end of both, in delta order. A keyless relation's pairs always move.
 
 A delta is validated whole (row types, absent tuples, candidate keys)
 before any of it is applied or charged, so a rejected delta changes
-nothing and charges nothing. The rows, each key map and each index are
+nothing and charges nothing. Row types are the one check a delta can
+arrive without needing: the maintainer's contract vouches for them
+(:meth:`StoredRelation.apply_delta`). The rows, each key map and each index are
 then updated once per delta, and the charges are sums of distinct keys.
 Applying builds no inverse: an undo journal keeps the applied delta and
 inverts it only if it rolls back (:mod:`repro.storage.undo`).
@@ -81,6 +83,11 @@ def _key_getter(positions: tuple[int, ...]) -> Callable[[Row], Any]:
     """A key map's key of a row: the bare value of a one-column key, else
     the tuple of the key's values."""
     return itemgetter(positions[0]) if len(positions) == 1 else tuple_getter(positions)
+
+
+def _checked(rows: list[Row]) -> list[Row]:
+    """The rows of a delta whose types were checked once already."""
+    return rows
 
 
 class StorageError(Exception):
@@ -243,7 +250,15 @@ class StoredRelation:
         """Apply a delta with the paper's charging policy. A delta with a
         mistyped row, an absent tuple or a key violation raises before
         anything is charged or changed. No inverse is built here: an undo
-        journal inverts the applied delta only when it rolls back."""
+        journal inverts the applied delta only when it rolls back.
+
+        Where the checks run: absent tuples and candidate keys are checked
+        here for every delta and every relation. Row types are checked here
+        too, except for a delta carrying the maintainer's contract
+        (``Delta._contract``): on the compiled backend the maintainer checks
+        a declared transaction's base delta once, against its type, and
+        vouches for what it derives from that by plain copies. On the
+        interpreted oracle no delta carries one, so every row is checked."""
         self._apply(*self._validated(delta))
 
     def _validated(
@@ -251,7 +266,7 @@ class StoredRelation:
     ) -> tuple[list[Row], list[Row], dict[Row, int], dict[Row, int]]:
         """The delta's type-checked rows: its modifies' old and new sides,
         and its inserts' and deletes' counts."""
-        validate = self.schema.validate_rows
+        validate = self.schema.validate_rows if delta._contract is None else _checked
         modifies = delta.modifies
         olds = validate(list(map(itemgetter(0), modifies))) if modifies else []
         news = validate(list(map(itemgetter(1), modifies))) if modifies else []

@@ -1,6 +1,8 @@
 """Unit tests for deltas."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.algebra.multiset import Multiset
 from repro.ivm.delta import Delta
@@ -53,6 +55,58 @@ class TestViews:
     def test_is_empty(self):
         assert Delta().is_empty
         assert not Delta.insertion([(1,)]).is_empty
+
+
+def _modified_row_by_row(delta, names):
+    """The per-pair, per-column definition the column pass must match."""
+    changed = set()
+    for old, new in delta.modifies:
+        for i, (a, b) in enumerate(zip(old, new)):
+            if a != b:
+                changed.add(names[i])
+    return frozenset(changed)
+
+
+NAN = float("nan")
+
+
+class TestModifiedColumns:
+    NAMES = ("A", "B", "C")
+
+    @pytest.mark.parametrize("copies", [1, 20])
+    def test_columns_that_differ_in_some_pair(self, copies):
+        d = Delta.modification([((1, 2, 3), (1, 5, 3)), ((2, 2, 2), (2, 2, 4))] * copies)
+        assert d.modified_columns(self.NAMES) == {"B", "C"}
+
+    def test_no_modifies_and_no_op_pairs_change_nothing(self):
+        assert Delta.insertion([(1, 2, 3)]).modified_columns(self.NAMES) == frozenset()
+        d = Delta.modification([((1, 2, 3), (1, 2, 3))])
+        assert d.modified_columns(self.NAMES) == frozenset()
+
+    @pytest.mark.parametrize("copies", [1, 20])
+    def test_a_nan_differs_from_itself(self, copies):
+        d = Delta.modification([((1, NAN, 3), (1, NAN, 3))] * copies)
+        assert d.modified_columns(self.NAMES) == {"B"}
+
+    @pytest.mark.parametrize("copies", [1, 20])  # row by row, then a column pass
+    def test_ragged_rows_compare_what_both_sides_hold(self, copies):
+        d = Delta.modification([((1, 2), (1, 3, 9)), ((1, 2, 3), (1, 2, 3))] * copies)
+        assert d.modified_columns(self.NAMES) == {"B"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([0, 1, 1.0, NAN, "x", True]), min_size=2, max_size=4),
+                st.lists(st.sampled_from([0, 1, 1.0, NAN, "x", True]), min_size=2, max_size=4),
+            ),
+            max_size=5,
+        )
+    )
+    def test_matches_the_per_row_definition(self, pairs):
+        names = ("A", "B", "C", "D")
+        pairs = [(tuple(old), tuple(new)) for old, new in pairs]
+        for d in (Delta.modification(pairs), Delta.modification(pairs * 20)):
+            assert d.modified_columns(names) == _modified_row_by_row(d, names)
 
 
 class TestPairModifications:

@@ -176,6 +176,30 @@ class TestFetch:
         )
         assert rows.total() == 5  # the department's employees
 
+    @pytest.mark.parametrize("n_keys", [3, 20])
+    def test_unmaterialized_fetch_runs_the_plan_the_model_prices(self, small_paper_db, n_keys):
+        """SumOfSals unmaterialized: a key costs a probe of Emp by DName
+        (1 + 5 pages), a scan costs Emp's 100 rows. Three keys are probed
+        (18 pages), all twenty departments are cheaper to scan (100 < 120);
+        either way the measured I/O is the model's lookup estimate."""
+        maintainer, dag, gids = build_maintainer(small_paper_db, extra_names=())
+        gid = dag.memo.find(gids["SumOfSals"])
+        names = sorted(row[0] for row in small_paper_db.relation("Dept").rows())
+        keys = {(name,) for name in names[:n_keys]}
+        columns = frozenset({"DName"})
+        model = maintainer.cost_model
+        estimate = model.lookup_cost(gid, columns, len(keys), maintainer.marking)
+        scanned = len(keys) * model.per_key_cost(gid, columns, maintainer.marking) >= (
+            model.scan_cost(gid, maintainer.marking)
+        )
+        assert scanned == (n_keys == 20)
+        before = small_paper_db.counter.snapshot()
+        rows = maintainer.fetch(gid, columns, keys)
+        measured = small_paper_db.counter.snapshot() - before
+        assert measured.total == estimate == (100 if scanned else 18)
+        assert measured.index_reads == (0 if scanned else n_keys)
+        assert {row[0] for row in rows.rows()} == {k[0] for k in keys}
+
     def test_fetch_empty_keys(self, small_paper_db):
         maintainer, dag, gids = build_maintainer(small_paper_db)
         assert not maintainer.fetch(dag.root, frozenset({"DName"}), set())
