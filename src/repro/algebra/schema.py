@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.types import DataType, TypeError_, check_value, hash_once
@@ -189,6 +189,8 @@ class Schema:
         int is declared, an int needing FLOAT widening, a wrong arity —
         and any list too short to repay the column passes, goes row by row,
         so the same first bad row raises the same error.
+        When no row needs normalizing (nothing widened or converted), the
+        result is ``rows`` itself, so a caller can tell by identity.
         """
         if (
             len(rows) >= COLUMN_PASS_MIN_ROWS
@@ -201,8 +203,9 @@ class Schema:
                 if set(map(type, map(itemgetter(i), rows))) != {pytype}:
                     break
             else:
-                return list(rows)
-        return list(map(self.validate_tuple, rows))
+                return rows
+        out = list(map(self.validate_tuple, rows))
+        return rows if all(map(is_, out, rows)) else out
 
     def as_dict(self, values: Sequence[Any]) -> dict[str, Any]:
         """View a tuple as a column-name → value mapping."""

@@ -167,10 +167,11 @@ class Engine:
         absorbed by the store — so this rollback never contradicts a
         durable commit record.
 
-        On an enforcing engine a commit that enters any assertion violation
-        is rolled back (uncharged) and :class:`AssertionViolation` is
-        raised. The attempted maintenance work stays charged — ``scope``
-        already measured it.
+        A base delta storage refuses raises before any maintenance runs, so
+        it charges and changes nothing. On an enforcing engine a commit that
+        enters any assertion violation is rolled back (uncharged) and
+        :class:`AssertionViolation` is raised; its maintenance ran and stays
+        charged — ``scope`` already measured it.
 
         The "txn" span wraps exactly the scoped region plus the assertion
         check, so its measured I/O equals the commit's

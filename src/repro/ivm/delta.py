@@ -33,10 +33,11 @@ class Delta:
     # What the maintainer has proven about this delta, on the compiled
     # backend only; a client never sets it, and no constructor takes it (it
     # is a class default, not a field). ``None``, or the columns its modify
-    # pairs may change: then no pair is a no-op, no two pairs share a value
-    # of a declared key, and, once it reaches ``StoredRelation.apply_delta``,
-    # every row has exactly the relation's declared types, so storage does
-    # not check them again (see ``ViewMaintainer._checked``).
+    # pairs may change: storage checked the base delta it comes from and
+    # returned every row as given, no pair is a no-op and no two pairs share
+    # a value of a declared key (see ``ViewMaintainer._shape``). On a view
+    # delta of plain copies it also tells storage the rows' types need no
+    # check.
     _contract = None  # frozenset[str] | None
 
     def __post_init__(self) -> None:

@@ -8,9 +8,11 @@ tracks, the :class:`ViewMaintainer`
   the single hash index the cost model assumes; aggregate views carry a
   hidden per-group tuple count (kept with each group's row, so it costs no
   extra I/O) that keeps SUM/COUNT/AVG self-maintainable under deletions;
-* checks a declared transaction's base deltas once against its type's
-  contract, planning one that breaks it as an ad-hoc transaction, and on
-  the compiled backend trusts what it derives from checked deltas;
+* has storage check each base delta against the pre-update state before
+  anything is propagated (a refused delta stops the commit there, with
+  nothing charged), runs a transaction whose shape fits its declared type
+  on that type's track and plans any other from the data, and on the
+  compiled backend trusts what it derives from clean base deltas;
 * on each transaction, computes deltas bottom-up along the track, posing
   the maintenance queries against *pre-update* state — answering each by an
   indexed lookup when the target is a base relation or materialized view,
@@ -26,7 +28,7 @@ materialized view against from-scratch re-evaluation.
 from __future__ import annotations
 
 import copy
-from operator import eq, is_, itemgetter
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.compile import (
@@ -51,7 +53,6 @@ from repro.algebra.operators import (
     Union,
 )
 from repro.algebra.scalar import Col
-from repro.algebra.types import TypeError_
 from repro.cost.estimates import DagEstimator
 from repro.cost.page_io import PageIOCostModel
 from repro.core.optimizer import evaluate_view_set
@@ -83,8 +84,8 @@ from repro.ivm.propagate import (
 from repro.obs.trace import NULL_TRACER
 from repro.storage.database import Database
 from repro.storage.index import HashIndex
-from repro.storage.relation import StoredRelation
-from repro.workload.transactions import Transaction, TransactionType
+from repro.storage.relation import CheckedDelta, StoredRelation
+from repro.workload.transactions import Transaction, TransactionType, UpdateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.trace import NullTracer, Tracer
@@ -111,6 +112,19 @@ def group_expression(memo: Memo, gid: int) -> RelExpr:
     if op.projection is not None:
         expr = Project(expr, tuple((n, Col(n)) for n in op.projection))
     return expr
+
+
+def _fits(declared: TransactionType, updates: Mapping[str, UpdateSpec]) -> bool:
+    """Whether a transaction's shape (:meth:`ViewMaintainer._shape`) fits
+    its declared type: each relation it changes is declared with each kind
+    of change it makes, and its modifies change declared columns only."""
+    return all(
+        (spec := declared.updates.get(rel)) is not None
+        and (spec.inserts or not got.inserts)
+        and (spec.deletes or not got.deletes)
+        and (not got.modifies or spec.modifies and got.modified_columns <= spec.modified_columns)
+        for rel, got in updates.items()
+    )
 
 
 class ViewMaintainer:
@@ -524,35 +538,7 @@ class ViewMaintainer:
         Modifies that change no column change no view: a transaction of
         nothing else is only applied to its base relations.
         """
-        from repro.workload.transactions import UpdateSpec
-
-        updates = {}
-        for rel, delta in txn.deltas.items():
-            if delta.is_empty:
-                continue
-            modified = delta.modified_columns(self.db.relation(rel).schema.names)
-            spec = UpdateSpec(
-                inserts=float(delta.inserts.total()),
-                deletes=float(delta.deletes.total()),
-                modifies=float(len(delta.modifies)) if modified else 0.0,
-                modified_columns=modified,
-            )
-            if not spec.is_empty:
-                updates[rel] = spec
-        if not updates:
-            self._apply_base(txn.deltas, undo, tracer or NULL_TRACER)
-            return {}
-        txn_type = TransactionType(name or "__adhoc", updates)
-        track: UpdateTrack | None = None
-        signature: tuple | None = None
-        if self.plan_cache is not None:
-            signature = adhoc_signature(updates, self.marking)
-            track = self.plan_cache.get(signature)
-        if track is None:
-            track = self.choose_track(txn_type)
-            if self.plan_cache is not None and signature is not None:
-                self.plan_cache.put(signature, track)
-        return self._apply(txn.deltas, txn_type, track, undo, tracer)
+        return self._commit(txn, None, name or "__adhoc", undo, tracer)
 
     def apply(
         self,
@@ -574,84 +560,89 @@ class ViewMaintainer:
         fetch, one "base_apply" per base relation and one "view_apply" per
         marked view, each carrying its scoped I/O.
 
-        The transaction's deltas are first checked against its type's
-        contract (:meth:`_checked`); a transaction that breaks it is planned
-        and applied as an ad-hoc one (:meth:`apply_adhoc`)."""
+        A transaction whose deltas do not fit its type's shape (a relation
+        or kind of change the type does not declare, or a modify of an
+        undeclared column) is planned from the data, as
+        :meth:`apply_adhoc` plans it."""
         txn_type = self.txn_types.get(txn.type_name)
         if txn_type is None:
             raise MaintenanceError(f"unknown transaction type {txn.type_name!r}")
-        base = self._checked(txn, txn_type)
-        if base is None:
-            return self.apply_adhoc(txn, name=txn.type_name, undo=undo, tracer=tracer)
-        track = self.tracks.get(txn.type_name, {})
-        return self._apply(base, txn_type, track, undo, tracer)
+        return self._commit(txn, txn_type, txn.type_name, undo, tracer)
 
-    def _checked(
-        self, txn: Transaction, txn_type: TransactionType
-    ) -> Mapping[str, Delta] | None:
-        """The transaction's deltas when each keeps its type's contract, else
-        ``None``. The contract: the type declares the relation and each kind
-        of change the delta makes; every row is a plain tuple of exactly the
-        relation's declared types (so storage's check would neither reject
-        nor widen it); every modify pair changes only the declared
-        ``modified_columns`` and none is a no-op; and, on a keyed relation,
-        no two pairs share an old key value.
+    def _commit(
+        self,
+        txn: Transaction,
+        declared: TransactionType | None,
+        name: str,
+        undo: "UndoLog | None",
+        tracer: "Tracer | NullTracer | None",
+    ) -> dict[int, Delta]:
+        """Validate, plan, propagate, write. Storage checks each base delta
+        against the pre-update state first, so a delta it refuses raises
+        before anything is propagated, charged or changed; what it checked
+        is applied after propagation without a second check."""
+        tracer = tracer if tracer is not None else NULL_TRACER
+        checked = {rel: self.db.relation(rel).check_delta(d) for rel, d in txn.deltas.items()}
+        updates, base = self._shape(txn.deltas, checked)
+        if not updates:
+            self._apply_base(base, checked, undo, tracer)
+            return {}
+        if declared is not None and _fits(declared, updates):
+            txn_type, track = declared, self.tracks.get(name, {})
+        else:  # planned from the data, once per shape through the plan cache
+            txn_type, cache = TransactionType(name, updates), self.plan_cache
+            signature = adhoc_signature(updates, self.marking)
+            track = cache.get(signature) if cache is not None else None
+            if track is None:
+                track = self.choose_track(txn_type)
+                if cache is not None:
+                    cache.put(signature, track)
+        return self._apply(base, checked, txn_type, track, undo, tracer)
 
-        This is the one per-commit check of client input on the compiled
-        backend: each delta comes back as a copy carrying its contract
-        (``Delta._contract``: the declared columns on a keyed relation, all
-        its columns otherwise), so storage skips the type check and a join
-        whose keys the contract cannot change skips its pair tests. The
-        client's delta is left as it was. On the interpreted oracle the
-        deltas come back as they are, and every later check runs."""
+    def _shape(
+        self, deltas: Mapping[str, Delta], checked: Mapping[str, CheckedDelta]
+    ) -> tuple[dict[str, UpdateSpec], dict[str, Delta]]:
+        """The one pass over what only the transaction knows: each
+        relation's kinds of change and modified columns as an
+        :class:`UpdateSpec` (no-op modifies drop out, empty specs are left
+        out), and the deltas to propagate. A clean delta (storage typed its
+        rows as given, no pair is a no-op) is a copy carrying its contract
+        (``Delta._contract``): the columns its pairs change on a keyed
+        relation, all columns otherwise. The client's delta is left as it
+        was. On the interpreted oracle nothing carries a contract."""
         trust = default_backend() != "interpreted"
-        out: dict[str, Delta] = {}
-        for rel, delta in txn.deltas.items():
+        updates: dict[str, UpdateSpec] = {}
+        base: dict[str, Delta] = {}
+        for rel, delta in deltas.items():
+            base[rel] = delta
             if delta.is_empty:
-                out[rel] = delta
                 continue
-            spec = txn_type.updates.get(rel)
-            if (
-                spec is None
-                or delta.inserts and not spec.inserts
-                or delta.deletes and not spec.deletes
-                or delta.modifies and not spec.modifies
-            ):
-                return None
             schema = self.db.relation(rel).schema
             modifies = delta.modifies
-            olds, news = list(map(_old, modifies)), list(map(_new, modifies))
-            parts = [list(part._counts) for part in (delta.inserts, delta.deletes) if part]
-            try:
-                for rows in (olds, news, *parts):
-                    if not all(map(is_, schema.validate_rows(rows), rows)):
-                        return None
-            except TypeError_:
-                return None
-            if modifies and (
-                any(map(eq, olds, news))
-                or not delta.modified_columns(schema.names) <= spec.modified_columns
-                or any(
-                    len(set(map(itemgetter(*map(schema.index_of, key)), olds))) < len(olds)
-                    for key in schema.keys
-                )
-            ):
-                return None
-            if trust:
-                delta = copy.copy(delta)
-                delta._contract = spec.modified_columns if schema.keys else frozenset(schema.names)
-            out[rel] = delta
-        return out
+            modified = delta.modified_columns(schema.names)
+            spec = UpdateSpec(
+                inserts=float(delta.inserts.total()),
+                deletes=float(delta.deletes.total()),
+                modifies=float(len(modifies)) if modified else 0.0,
+                modified_columns=modified,
+            )
+            if not spec.is_empty:
+                updates[rel] = spec
+            noop = any(map(eq, map(_old, modifies), map(_new, modifies)))
+            if trust and checked[rel].exact and not noop:
+                base[rel] = delta = copy.copy(delta)
+                delta._contract = modified if schema.keys else frozenset(schema.names)
+        return updates, base
 
     def _apply(
         self,
         base: Mapping[str, Delta],
+        checked: Mapping[str, CheckedDelta],
         txn_type: TransactionType,
         track: UpdateTrack,
         undo: "UndoLog | None",
-        tracer: "Tracer | NullTracer | None",
+        tracer: "Tracer | NullTracer",
     ) -> dict[int, Delta]:
-        tracer = tracer if tracer is not None else NULL_TRACER
         self.last_plan = (txn_type, dict(track))
         self._self_maintained.clear()
         deltas: dict[int, Delta] = {}
@@ -675,29 +666,33 @@ class ViewMaintainer:
                 self.commit_cache_stats.fold(cache.stats)
                 self.last_cache_stats = cache.stats
 
-        self._apply_base(base, undo, tracer)
+        self._apply_base(base, checked, undo, tracer)
         # A view of plain copies takes its derived delta unchecked when the
-        # base deltas were checked: every row is a copy of a checked one.
-        checked = all(d._contract is not None for d in base.values() if not d.is_empty)
+        # base deltas were clean: every row is a copy of a checked one.
+        clean = all(d._contract is not None for d in base.values() if not d.is_empty)
         for gid in sorted(self.marking):
             delta = deltas.get(gid)
             if delta is None or delta.is_empty:
                 continue
             with tracer.span("view_apply", node=gid):
-                delta._contract = self._copy_views.get(gid) if checked else None
+                delta._contract = self._copy_views.get(gid) if clean else None
                 self._apply_view_delta(gid, delta, undo)
                 delta._contract = None
         return {g: d for g, d in deltas.items() if g in self.marking}
 
     def _apply_base(
-        self, base: Mapping[str, Delta], undo: "UndoLog | None", tracer: "Tracer | NullTracer"
+        self,
+        base: Mapping[str, Delta],
+        checked: Mapping[str, CheckedDelta],
+        undo: "UndoLog | None",
+        tracer: "Tracer | NullTracer",
     ) -> None:
-        """Apply the base deltas. They are the transaction itself: never
-        charged."""
+        """Apply the base deltas from what storage checked before
+        propagation. They are the transaction itself: never charged."""
         for rel, delta in base.items():
             relation = self.db.relation(rel)
             with tracer.span("base_apply", relation=rel), self.db.counter.suspended():
-                relation.apply_delta(delta)
+                relation.apply_checked(checked[rel])
             if undo is not None:
                 undo.record(relation, delta)
 
@@ -928,45 +923,35 @@ class ViewMaintainer:
 
     # -- applying view deltas --------------------------------------------------------
 
-    def _apply_view_delta(
-        self, gid: int, delta: Delta, undo: "UndoLog | None" = None
-    ) -> None:
-        relation = self._views[gid]
-        self._apply_view_delta_charged(gid, relation, delta)
-        if undo is not None:
-            undo.record(relation, delta)
-
-    def _apply_view_delta_charged(
-        self, gid: int, relation: StoredRelation, delta: Delta
-    ) -> None:
-        charge = self.charge_root_update or gid not in self._roots
-        if not charge:
-            with self.db.counter.suspended():
+    def _apply_view_delta(self, gid: int, delta: Delta, undo: "UndoLog | None") -> None:
+        """Apply a view delta with the paper's charges. A root's write is
+        free unless ``charge_root_update``. A self-maintained aggregate's
+        old rows (and their index page) were probed while computing the
+        delta, so only the writes are charged here, per the paper's 3-I/O
+        accounting of N3 (index read + tuple read during the probe, tuple
+        write here)."""
+        relation, counter = self._views[gid], self.db.counter
+        if not self.charge_root_update and gid in self._roots:
+            with counter.suspended():
                 relation.apply_delta(delta)
-            return
-        if gid in self._self_maintained:
-            # The old rows (and their index page) were probed while
-            # computing the delta — charge only the writes, per the paper's
-            # 3-I/O accounting of N3 (index read + tuple read during the
-            # probe, tuple write here).
-            counter = self.db.counter
+        elif gid in self._self_maintained:
             counter.charge_tuple_write(
                 len(delta.modifies) + delta.inserts.total() + delta.deletes.total()
             )
             if delta.inserts or delta.deletes:
-                touched: set[tuple] = set()
-                for index in (relation.index_on(cols) for cols in relation.indexes):
-                    if index is None:
-                        continue
-                    for row in delta.inserts.rows():
-                        touched.add(index.key_of(row))
-                    for row in delta.deletes.rows():
-                        touched.add(index.key_of(row))
+                touched = {
+                    index.key_of(row)
+                    for index in map(relation.index_on, relation.indexes)
+                    for part in (delta.inserts, delta.deletes)
+                    for row in part.rows()
+                }
                 counter.charge_index_write(len(touched))
             with counter.suspended():
                 relation.apply_delta(delta)
-            return
-        relation.apply_delta(delta)
+        else:
+            relation.apply_delta(delta)
+        if undo is not None:
+            undo.record(relation, delta)
 
     # -- verification ------------------------------------------------------------------
 

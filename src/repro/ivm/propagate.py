@@ -235,8 +235,8 @@ def propagate_join(
     signed multiset and re-paired on the output key.
 
     Where the checks run: a delta carrying the maintainer's contract (its
-    ``_contract``, set on the compiled backend on a base delta checked once
-    against its transaction type, and passed on by this rule) is trusted
+    ``_contract``, set on the compiled backend on a clean base delta that
+    storage checked before propagation, and passed on by this rule) is trusted
     when the contract lets change none of the join columns and none of the
     output's pairing key; the rule then skips its per-pair tests. Any other
     delta, and every delta on the interpreted oracle, is tested pair by

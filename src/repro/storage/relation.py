@@ -27,14 +27,14 @@ keeps its slot in the map (``stored[k] = new``) and no bucket changes;
 otherwise every pair leaves the rows and its buckets and then joins the
 end of both, in delta order. A keyless relation's pairs always move.
 
-A delta is validated whole (row types, absent tuples, candidate keys)
-before any of it is applied or charged, so a rejected delta changes
-nothing and charges nothing. Row types are the one check a delta can
-arrive without needing: the maintainer's contract vouches for them
-(:meth:`StoredRelation.apply_delta`). The rows, each key map and each index are
-then updated once per delta, and the charges are sums of distinct keys.
-Applying builds no inverse: an undo journal keeps the applied delta and
-inverts it only if it rolls back (:mod:`repro.storage.undo`).
+:meth:`StoredRelation.check_delta` checks a delta whole (row types,
+absent tuples, candidate keys) before :meth:`StoredRelation.apply_checked`
+updates the rows, each key map and each index once and charges sums of
+distinct keys, so a rejected delta changes and charges nothing. The
+maintainer checks each base delta before it propagates anything and
+applies it after: storage is the one validator of client input. Applying
+builds no inverse: an undo journal keeps the applied delta and inverts it
+only if it rolls back (:mod:`repro.storage.undo`).
 
 Declared candidate keys are enforced incrementally on every mutation, which
 is what licenses the optimizer's key-based reasoning (delta completeness,
@@ -46,9 +46,9 @@ pinned by :func:`equality_pins`): ``UPDATE``/``DELETE … WHERE`` and snapshot
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.compile import tuple_getter
@@ -85,9 +85,11 @@ def _key_getter(positions: tuple[int, ...]) -> Callable[[Row], Any]:
     return itemgetter(positions[0]) if len(positions) == 1 else tuple_getter(positions)
 
 
-def _checked(rows: list[Row]) -> list[Row]:
-    """The rows of a delta whose types were checked once already."""
-    return rows
+# What StoredRelation.check_delta proved of a delta: its type-checked rows
+# (modifies' old and new sides, inserts' and deletes' counts), each key's
+# values of them and of what the modifies free, the rows a keyless
+# relation's modifies remove, and whether every row was typed as given.
+CheckedDelta = namedtuple("CheckedDelta", "olds news ins dels keys frees removed exact")
 
 
 class StorageError(Exception):
@@ -163,17 +165,14 @@ class StoredRelation:
         """Bulk load (uncharged — initial materialization is outside the
         paper's maintenance accounting). Each row is type-checked once; a
         mistyped row raises before anything is loaded."""
-        self._load(Counter(self.schema.validate_rows(list(rows))))
+        inserts = Counter(self.schema.validate_rows(list(rows)))
+        with self.counter.suspended():
+            self.apply_checked(self._check([], [], inserts, {}, True))
 
     def load_multiset(self, data: Multiset) -> None:
-        """Insert ``data`` through the same all-or-nothing apply as
-        :meth:`apply_delta`, uncharged."""
-        _, _, inserts, _ = self._validated(Delta(inserts=data))
-        self._load(inserts)
-
-    def _load(self, inserts: dict[Row, int]) -> None:
+        """Insert ``data`` through :meth:`apply_delta`, uncharged."""
         with self.counter.suspended():
-            self._apply([], [], inserts, {})
+            self.apply_delta(Delta(inserts=data))
 
     def contents(self) -> Multiset:
         """Uncharged copy of the contents (verification / snapshots)."""
@@ -247,44 +246,35 @@ class StoredRelation:
     # -- maintenance ------------------------------------------------------------------
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a delta with the paper's charging policy. A delta with a
-        mistyped row, an absent tuple or a key violation raises before
-        anything is charged or changed. No inverse is built here: an undo
-        journal inverts the applied delta only when it rolls back.
+        """Apply a delta with the paper's charging policy: check it whole
+        (:meth:`check_delta`), then apply what the check returned
+        (:meth:`apply_checked`). A delta with a mistyped row, an absent
+        tuple or a key violation raises before anything is charged or
+        changed. No inverse is built here: an undo journal inverts the
+        applied delta only when it rolls back."""
+        self.apply_checked(self.check_delta(delta))
 
-        Where the checks run: absent tuples and candidate keys are checked
-        here for every delta and every relation. Row types are checked here
-        too, except for a delta carrying the maintainer's contract
-        (``Delta._contract``): on the compiled backend the maintainer checks
-        a declared transaction's base delta once, against its type, and
-        vouches for what it derives from that by plain copies. On the
-        interpreted oracle no delta carries one, so every row is checked."""
-        self._apply(*self._validated(delta))
+    def check_delta(self, delta: Delta) -> CheckedDelta:
+        """Check ``delta`` against the relation as it is now, charging and
+        changing nothing: row types (an int in a FLOAT column is widened),
+        absent tuples and candidate keys. Raises :class:`StorageError` or
+        :class:`~repro.algebra.types.TypeError_` on the first violation.
 
-    def _validated(
-        self, delta: Delta
-    ) -> tuple[list[Row], list[Row], dict[Row, int], dict[Row, int]]:
-        """The delta's type-checked rows: its modifies' old and new sides,
-        and its inserts' and deletes' counts."""
-        validate = self.schema.validate_rows if delta._contract is None else _checked
-        modifies = delta.modifies
-        olds = validate(list(map(itemgetter(0), modifies))) if modifies else []
-        news = validate(list(map(itemgetter(1), modifies))) if modifies else []
-        ins, dels = (
-            dict(zip(validate(list(part._counts)), part._counts.values())) if part else {}
-            for part in (delta.inserts, delta.deletes)
-        )
-        return olds, news, ins, dels
+        Row types are not checked on a view delta the maintainer marks as
+        plain copies of checked rows (``Delta._contract``)."""
+        modifies, inserts, deletes = delta.modifies, delta.inserts._counts, delta.deletes._counts
+        given = [list(map(itemgetter(0), modifies)), list(map(itemgetter(1), modifies)),
+                 list(inserts), list(deletes)]
+        typed = given if delta._contract is not None else [*map(self.schema.validate_rows, given)]
+        olds, news, ins, dels = typed
+        ins, dels = dict(zip(ins, inserts.values())), dict(zip(dels, deletes.values()))
+        return self._check(olds, news, ins, dels, all(map(is_, typed, given)))
 
-    def _apply(
-        self, olds: list[Row], news: list[Row], ins: dict[Row, int], dels: dict[Row, int]
-    ) -> None:
-        """The one apply core, over type-checked rows: check the whole delta,
-        then update the rows, each key map and each index in turn and charge
-        what the indexes report. Modifies go before inserts and inserts
-        before deletes, each checked against the state the earlier ones
-        leave. A keyed relation's rows are its first key map, so updating
-        the key maps writes them; a keyless relation updates its counts."""
+    def _check(self, olds: list[Row], news: list[Row], ins: dict[Row, int],
+               dels: dict[Row, int], exact: bool) -> CheckedDelta:
+        """The state checks over type-checked rows. Modifies go before
+        inserts and inserts before deletes, each checked against the state
+        the earlier ones leave."""
         stored, data = self._stored, self._data
         n_ins, n_dels = sum(ins.values()), sum(dels.values())
         key_values = []
@@ -294,6 +284,7 @@ class StoredRelation:
             dks = list(map(getter, dels)) if dels else []
             key_values.append((columns, key_map, kos, kns, iks, dks))
 
+        removed: dict[Row, int] = {}
         if stored is not None:  # probe the rows by key, compare by value
             _, _, kos, kns, iks, dks = key_values[0]
             get = stored.get
@@ -317,7 +308,6 @@ class StoredRelation:
                             raise StorageError(f"delete of absent tuple {row} from {self.name}")
         else:
             get = data._counts.get
-            removed: dict[Row, int] = {}
             for old in olds:
                 n = removed[old] = removed.get(old, 0) + 1
                 if get(old, 0) < n:
@@ -340,10 +330,20 @@ class StoredRelation:
                 bad = bad or [k for k, n in zip(iks, ins.values()) if n > 1]
                 raise StorageError(f"key {list(columns)} violated in {self.name} by {[*bad][0]}")
             frees.append(freed)
+        return CheckedDelta(olds, news, ins, dels, key_values, frees, removed, exact)
 
-        # Validated: nothing below raises.
+    def apply_checked(self, checked: CheckedDelta) -> None:
+        """Apply what :meth:`check_delta` returned, charging the §3.6
+        totals; nothing here raises. Nothing else may change the relation
+        between the check and this apply. A keyed relation's rows are its
+        first key map, so updating the key maps writes them; a keyless
+        relation updates its counts."""
+        olds, news, ins, dels, key_values, frees, removed, _ = checked
+        stored = self._stored
+        n_ins, n_dels = sum(ins.values()), sum(dels.values())
         if stored is None:
-            counts = data._counts
+            counts = self._data._counts
+            get = counts.get
             for old, n in removed.items():
                 n = counts[old] - n
                 if n:

@@ -1,16 +1,21 @@
 """Property-based tests: one contract per transaction type.
 
-A declared transaction's base deltas are checked once against its type's
-contract (declared relations and kinds of change, exactly typed rows,
-modifies of the declared columns only, no no-op pair, no repeated old key).
-On the compiled backend what the maintainer derives from a checked delta is
-trusted: a join whose keys the contract cannot change skips its pair tests,
-and a view of plain copies skips the row-type check. The interpreted oracle
-checks everything. Whatever the delta — clean, or breaking the contract by
-an undeclared or join column, a no-op pair, a repeated key, a mistyped or
-widened row, an undeclared kind, a key-violating insert or an absent tuple
-— both backends must agree on accept/reject, storage, view contents (value
-by value, with equal types), returned view deltas and page I/O.
+Storage checks every base delta once, before anything is propagated (row
+types, absent tuples, candidate keys, so no repeated old key). A delta whose
+shape fits its declared type (declared relations, kinds of change and
+modified columns) runs on that type's track; any other, and any transaction
+of an undeclared type, is planned from the data. A clean delta (storage
+returned its rows as they came, no no-op pair) carries its modified columns
+as its contract, on either route. On the compiled backend what the
+maintainer derives from it is trusted: a join whose keys the contract
+cannot change skips its pair tests, and a view of plain copies skips the
+row-type check. The interpreted oracle checks everything. Whatever the
+delta — clean, or breaking its type by an undeclared or join column, a
+no-op pair, a repeated key, a mistyped or widened row, an undeclared kind,
+a key-violating insert or an absent tuple — and whether it is committed
+under its declared type or an undeclared one, both backends must agree on
+accept/reject, storage, view contents (value by value, with equal types),
+returned view deltas and page I/O.
 """
 
 from collections import Counter
@@ -213,24 +218,39 @@ def _execute(engine, txn):
     data=st.data(),
 )
 def test_trusted_default_matches_the_checking_oracle(keyed, shape, marking_bits, data):
+    """Each drawn delta is committed under its declared type name on one
+    pair of worlds and under an undeclared one (planned ad hoc) on another;
+    each pair is held to its oracle, and both pairs agree on the outcome:
+    storage is the one validator, whatever the route."""
     rows = _rows(shape)
-    with _backend("compiled"):
-        fast = _world(keyed, rows, marking_bits)
-    with _backend("interpreted"):
-        oracle = _world(keyed, rows, marking_bits)
+    pairs = []
+    for _ in ("declared", "adhoc"):
+        with _backend("compiled"):
+            fast = _world(keyed, rows, marking_bits)
+        with _backend("interpreted"):
+            oracle = _world(keyed, rows, marking_bits)
+        pairs.append((fast, oracle))
     for _ in range(data.draw(st.integers(1, 4))):
+        fast = pairs[0][0]
         current = {n: [r for r, _ in fast.db.relation(n).items()] for n in ("R1", "R2", "R3")}
         txn, label = data.draw(transactions(current))
-        with _backend("compiled"):
-            got = _execute(fast, txn)
-        with _backend("interpreted"):
-            expected = _execute(oracle, txn)
-        event(f"{'keyed' if keyed else 'keyless'} {label}: {got[0]}")
-        assert got == expected, label
-        assert _state(fast) == _state(oracle), label
-        assert fast.db.counter.snapshot() == oracle.db.counter.snapshot(), label
+        outcomes = []
+        for route, (fast, oracle) in zip(("declared", "ad hoc"), pairs):
+            if route == "ad hoc":
+                txn = Transaction(f"~{txn.type_name}", txn.deltas)  # an undeclared name
+            with _backend("compiled"):
+                got = _execute(fast, txn)
+            with _backend("interpreted"):
+                expected = _execute(oracle, txn)
+            event(f"{'keyed' if keyed else 'keyless'} {route} {label}: {got[0]}")
+            assert got == expected, (route, label)
+            assert _state(fast) == _state(oracle), (route, label)
+            assert fast.db.counter.snapshot() == oracle.db.counter.snapshot(), (route, label)
+            outcomes.append(got[0])
+        assert outcomes[0] == outcomes[1], label
     with _backend("compiled"):
-        fast.maintainer.verify()
+        for fast, _ in pairs:
+            fast.maintainer.verify()
 
 
 # -- deterministic cases ---------------------------------------------------------------

@@ -8,6 +8,8 @@ lists, tuple subclasses, a bool in an INT column, an int in a FLOAT column
 same exception type with the same message (so from the same first bad row).
 """
 
+import operator
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +77,5 @@ def test_validate_rows_equals_validate_tuple_per_row(rows):
         assert all(type(r) is tuple for r in got[1])
         # Widening shows in the types, which == between 1 and 1.0 hides.
         assert [tuple(map(type, r)) for r in got[1]] == [tuple(map(type, r)) for r in want[1]]
+        # The input list itself comes back exactly when no row was normalized.
+        assert (got[1] is rows) == all(map(operator.is_, got[1], rows))

@@ -313,8 +313,9 @@ class TestImmediatePolicy:
         engine.maintainer.verify()
 
     def test_failed_commit_rolls_back_all_relations(self, engine):
-        """A key violation in the second relation of a transaction undoes
-        the first relation's already-applied delta."""
+        """A key violation in the second relation of a transaction leaves
+        the first relation unchanged too: storage checks every base delta
+        before any of them is applied."""
         before = snapshot(engine)
         dept = sorted(engine.db.relation("Dept").contents().rows())[0]
         dupe = sorted(engine.db.relation("Emp").contents().rows())[0]
@@ -330,8 +331,8 @@ class TestImmediatePolicy:
         )
         with pytest.raises(StorageError):
             engine.execute(txn)
-        # State is restored bit-exactly; the I/O of the attempted work
-        # stays charged (pages really were touched), the undo is free.
+        # State is unchanged bit-exactly: storage refuses the Emp delta
+        # before anything is propagated or applied, so nothing is charged.
         assert snapshot(engine) == before
         engine.maintainer.verify()
 
