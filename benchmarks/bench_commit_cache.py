@@ -1,11 +1,12 @@
 """Experiment E12 — commit-scoped caching: plan cache and fetch cache.
 
-Two workloads, one per cache (see ``repro.ivm.cache``):
+Two workloads, one per cache of the maintainer:
 
 * **Plan cache** — a stream of same-shaped 1-row ad-hoc DML transactions
   on the k=5 chain with a rich marking, where ``choose_track``'s full
-  track enumeration dominates each commit. The
-  :class:`~repro.ivm.cache.AdhocPlanCache` plans the shape once; the
+  track enumeration dominates each commit. The maintainer's
+  ``plan_cache`` (a :class:`~repro.algebra.compile.PlanCache` keyed by
+  transaction shape) plans the shape once; the
   full-size run must show a ≥1.5× wall-clock speedup with bit-identical
   view contents.
 

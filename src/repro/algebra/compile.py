@@ -13,7 +13,8 @@ positions directly:
   directly on a Join's probe loop) into a single per-row loop;
 * :class:`PlanCache` memoizes compiled artifacts keyed by the canonical
   (structurally hashed) expression, so each shape compiles once; it is a
-  bounded, thread-safe LRU.
+  bounded, thread-safe LRU (the maintainer keeps its update tracks in one
+  too).
 
 **Cost transparency.** Compilation never touches the storage layer: every
 ``IOCounter`` charge is made by exactly the same ``scan``/``probe``/
@@ -42,7 +43,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from itertools import chain
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import (
@@ -121,20 +122,36 @@ def set_default_backend(name: str) -> None:
 PLAN_CACHE_CAPACITY = 1024
 
 
-class PlanCache:
-    """Session cache of compiled artifacts, keyed by canonical expression.
+class PlanCacheStats(NamedTuple):
+    """A :class:`PlanCache`'s counts when :attr:`PlanCache.stats` was read."""
 
-    Operators, predicates and scalars hash structurally (schemas are
-    excluded from their identity), so two views built independently from
-    the same shape share one compiled kernel. Keys are ``(tag, ...)``
-    tuples to keep the different artifact kinds (plans, kernels, row
-    functions) apart. Bounded LRU (:data:`PLAN_CACHE_CAPACITY`), and
-    thread-safe: reader threads compile reads while the commit thread
+    entries: int
+    hits: int
+    misses: int
+    evictions: int
+
+
+class PlanCache:
+    """Bounded, thread-safe LRU of plans, keyed by canonical shape.
+
+    The session cache (:func:`plan_cache`) holds compiled artifacts keyed
+    by canonical expression: operators, predicates and scalars hash
+    structurally (schemas are excluded from their identity), so two views
+    built independently from the same shape share one compiled kernel.
+    Keys are ``(tag, ...)`` tuples to keep the different artifact kinds
+    (plans, kernels, row functions) apart. A maintainer keeps one more,
+    of ``capacity`` update tracks keyed by transaction shape.
+
+    Thread-safe: reader threads compile reads while the commit thread
     compiles maintenance kernels. A build runs outside the lock (builds
     nest), so two threads may build one key; the later store wins.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
+        capacity = PLAN_CACHE_CAPACITY if capacity is None else capacity
+        if capacity < 1:
+            raise ValueError("PlanCache capacity must be positive")
+        self.capacity = capacity
         self._plans: OrderedDict[tuple, Any] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -142,6 +159,8 @@ class PlanCache:
         self.evictions = 0
 
     def get(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The plan stored under ``key``, refreshed as most recent; on a
+        miss, ``build()``'s result, stored (evicting the least recent)."""
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -153,7 +172,7 @@ class PlanCache:
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
-            while len(self._plans) > PLAN_CACHE_CAPACITY:
+            while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
                 self.evictions += 1
         return plan
@@ -177,13 +196,8 @@ class PlanCache:
         return key in self._plans
 
     @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._plans),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+    def stats(self) -> PlanCacheStats:
+        return PlanCacheStats(len(self._plans), self.hits, self.misses, self.evictions)
 
 
 _SESSION_CACHE = PlanCache()

@@ -8,7 +8,9 @@ One entry for every write path in the system::
     )
 
 :meth:`Engine.execute` is the one commit body: it maintains every
-materialized view within the transaction (the paper's setting) and, on an
+materialized view within the transaction (the paper's setting) through the
+maintainer's one entry, :meth:`~repro.ivm.maintainer.ViewMaintainer.apply`,
+which picks the track for every transaction, declared or not, and, on an
 enforcing engine, rejects a transaction that enters an assertion
 violation. Every commit is measured with a scoped I/O counter
 (per-transaction attribution) and journaled in an
@@ -109,16 +111,16 @@ class Engine:
         ``cache.plan`` and ``runtime.gc`` count the whole process: the
         compiled-plan cache is process-wide, and so is the collector."""
         m = MetricsRegistry()
-        m.source("cache.plan", lambda: plan_cache().stats)
+        m.source("cache.plan", lambda: plan_cache().stats._asdict())
         m.source("runtime.gc", gc_counts)
         cc = self.maintainer.commit_cache_stats
         m.source(
             "cache.commit",
             lambda: {"hits": cc.hits, "misses": cc.misses, "io_saved": cc.io_saved},
         )
-        if self.maintainer.plan_cache is not None:
-            apc = self.maintainer.plan_cache.stats
-            m.source("cache.adhoc_plan", lambda: {"hits": apc.hits, "misses": apc.misses})
+        apc = self.maintainer.plan_cache
+        if apc is not None:
+            m.source("cache.adhoc_plan", lambda: apc.stats._asdict())
         if self.db.durable is not None:
             m.source("durable", self.db.durable.stats.snapshot)
         return m
@@ -156,6 +158,10 @@ class Engine:
 
     def _commit(self, txn: Transaction) -> TransactionResult:
         """The one commit body: scoped I/O, undo journal, violation report.
+        Every transaction enters maintenance through the maintainer's
+        ``apply``, which runs a declared type's track or plans the
+        transaction from its data; the engine's tracer is passed per call,
+        so :meth:`set_tracer` takes effect on the next commit.
         *Everything* between the start of the commit and its result — the
         maintainer apply, the assertion check, and the durable WAL commit of
         the undo journal — sits inside one rollback guard: an exception from
@@ -186,7 +192,7 @@ class Engine:
         with tracer.span("txn", txn=txn.type_name, policy=label) as span:
             try:
                 with self.db.counter.scoped() as scope:
-                    view_deltas = self.apply_with_undo(txn, undo)
+                    view_deltas = self.maintainer.apply(txn, undo=undo, tracer=tracer)
                     with tracer.span(
                         "assertion_check", assertions=len(self.assertion_roots)
                     ):
@@ -324,21 +330,6 @@ class Engine:
         return self.db.counter.snapshot()
 
     # -- commit plumbing ---------------------------------------------------------
-
-    def apply_with_undo(self, txn: Transaction, undo: UndoLog) -> dict[int, Delta]:
-        """Apply through the maintainer, journaling the applied deltas.
-
-        Declared transaction types use their optimizer-chosen track;
-        anything else goes through the ad-hoc path (track chosen on the
-        fly from the concrete deltas). The engine's tracer is passed per
-        call, so the maintainer keeps no tracer state of its own and
-        :meth:`set_tracer` takes effect on the engine's next commit.
-        """
-        if txn.type_name in self.maintainer.txn_types:
-            return self.maintainer.apply(txn, undo=undo, tracer=self.tracer)
-        return self.maintainer.apply_adhoc(
-            txn, name=txn.type_name, undo=undo, tracer=self.tracer
-        )
 
     def violations(
         self, view_deltas: Mapping[int, Delta]

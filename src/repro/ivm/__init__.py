@@ -5,12 +5,7 @@ The executable maintenance engine lives in :mod:`repro.ivm.maintainer`
 cost and core packages; ``from repro import ViewMaintainer`` works).
 """
 
-from repro.ivm.cache import (
-    AdhocPlanCache,
-    CommitCache,
-    CommitCacheStats,
-    adhoc_signature,
-)
+from repro.ivm.cache import CommitCache, CommitCacheStats
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import (
     PropagationError,
@@ -39,10 +34,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AdhocPlanCache",
     "CommitCache",
     "CommitCacheStats",
-    "adhoc_signature",
     "Delta",
     "compose_deltas",
     "MaintenanceError",

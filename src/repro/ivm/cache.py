@@ -4,62 +4,41 @@ The paper's analytic cost model already assumes sharing: its multi-query
 optimization (``total_query_cost``) charges a maintenance query that two
 track ops pose *once*. The executor, however, re-answered it every time —
 ``ViewMaintainer.fetch`` re-probed the same keys and re-derived the same
-unmaterialized sub-expressions within a single commit, and
-``apply_adhoc`` re-ran the whole track search for every same-shaped ad-hoc
-transaction. This module closes both gaps:
+unmaterialized sub-expressions within a single commit. :class:`CommitCache`
+closes that gap: a per-commit memo over the *propagation phase*.
+Every delta of a commit is computed against the pre-update state (base
+and view applies only start after the last delta is derived), so within
+that phase a fetch of ``(group, columns, keys)`` and a scan of an
+unmaterialized group are pure functions of the old database state.
+A fetch that hits no cached key keeps its result whole, with the keys
+it asked for; only when a later fetch on the same group and columns
+shares keys with it is that result split per key (split on overlap).
+An overlapping probe fetches only the missing keys and merges, so shared
+DAG sub-nodes — and shared sub-expressions across assertion roots in one
+checked commit — hit memory instead of storage, while a
+fetch nobody repeats costs one copy of its result and no per-key work.
+The cache is created when propagation starts and discarded before the
+apply phase; nothing can invalidate it mid-phase.
 
-* :class:`CommitCache` — a per-commit memo over the *propagation phase*.
-  Every delta of a commit is computed against the pre-update state (base
-  and view applies only start after the last delta is derived), so within
-  that phase a fetch of ``(group, columns, keys)`` and a scan of an
-  unmaterialized group are pure functions of the old database state.
-  A fetch that hits no cached key keeps its result whole, with the keys
-  it asked for; only when a later fetch on the same group and columns
-  shares keys with it is that result split per key (split on overlap).
-  An overlapping probe fetches only the missing keys and merges, so shared
-  DAG sub-nodes — and shared sub-expressions across assertion roots in one
-  checked commit — hit memory instead of storage, while a
-  fetch nobody repeats costs one copy of its result and no per-key work.
-  The cache is created when propagation starts and discarded before the
-  apply phase; nothing can invalidate it mid-phase.
-
-* :class:`AdhocPlanCache` — a small LRU memoizing ``choose_track``'s
-  winning update track by a canonical *shape* signature of the ad-hoc
-  update spec (relations touched, which of insert/delete/modify occur,
-  the modified-column sets, and the current marking). A stream of
-  same-shaped shell DML statements or group-commit batches plans once.
-  Any track valid for a relation set is valid for every transaction
-  touching exactly those relations (affectedness depends only on the
-  updated relations), so a cached track is always *correct*; if the new
-  transaction's sizes differ wildly from the one that populated the
-  entry, it may merely be non-optimal.
-
-Both caches are observable (hit/miss/estimated-pages-saved counters,
+The cache is observable (hit/miss/estimated-pages-saved counters,
 surfaced through :class:`~repro.obs.metrics.MetricsRegistry`, the shell's
 ``\\metrics``/``\\profile`` and ``fetch`` trace spans) and can be disabled
 on a :class:`~repro.ivm.maintainer.ViewMaintainer` (``commit_cache=False``
-at construction; ``maintainer.plan_cache = None``). Correctness bar:
-view contents, returned deltas, and rollback behavior are bit-identical
-with the caches on or off; measured page I/O can only decrease (see
-docs/cost_model.md).
+at construction). Correctness bar: view contents, returned deltas, and
+rollback behavior are bit-identical with the cache on or off; measured
+page I/O can only decrease (see docs/cost_model.md). The maintainer's
+other cache, of update tracks by transaction shape, is a
+:class:`~repro.algebra.compile.PlanCache`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from repro.algebra.multiset import Multiset
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.tracks import UpdateTrack
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.storage.pager import IOCounter
-    from repro.workload.transactions import UpdateSpec
-
-
-#: Capacity of a maintainer's ad-hoc plan cache (assigning
-#: ``maintainer.plan_cache = None`` turns it off).
-ADHOC_PLAN_CACHE_CAPACITY = 128
 
 
 class CommitCacheStats:
@@ -246,89 +225,3 @@ class CommitCache:
         for key in fetched:
             if key not in entry:
                 entry[key] = _EMPTY
-
-
-class AdhocPlanCacheStats:
-    """Hit/miss/eviction counters for the ad-hoc plan cache."""
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"<AdhocPlanCacheStats hits={self.hits} misses={self.misses} "
-            f"evictions={self.evictions}>"
-        )
-
-
-def adhoc_signature(
-    updates: Mapping[str, "UpdateSpec"], marking: Iterable[int]
-) -> tuple:
-    """Canonical shape signature of an ad-hoc update spec.
-
-    Two transactions share a signature exactly when they touch the same
-    relations with the same *kinds* of updates (insert/delete/modify
-    presence) and the same modified-column sets, under the same marking.
-    Sizes are deliberately excluded — any track for the relation set is
-    correct, and same-shaped streams (repeated shell DML, group-commit
-    batches) should plan once.
-    """
-    shape = tuple(
-        (
-            rel,
-            spec.inserts > 0,
-            spec.deletes > 0,
-            spec.modifies > 0,
-            tuple(sorted(spec.modified_columns)),
-        )
-        for rel, spec in sorted(updates.items())
-    )
-    return (shape, frozenset(marking))
-
-
-class AdhocPlanCache:
-    """LRU memo: ad-hoc update-spec signature → winning update track.
-
-    ``choose_track`` re-enumerates every update track and re-costs every
-    maintenance query per call; for interactive DML streams and
-    group-commit batches the same shape recurs endlessly. Conventions follow
-    :class:`~repro.core.memoize.SearchCache`: canonical keys, stats on the
-    cache, validity tied to a fixed (memo, estimator, cost model, marking)
-    — all per-maintainer state, which is why the cache lives on the
-    maintainer and dies with it.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("AdhocPlanCache capacity must be positive")
-        self.capacity = capacity
-        self.stats = AdhocPlanCacheStats()
-        self._entries: "OrderedDict[tuple, UpdateTrack]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, signature: tuple) -> "UpdateTrack | None":
-        """The cached track for ``signature``, refreshed as most recent."""
-        track = self._entries.get(signature)
-        if track is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(signature)
-        self.stats.hits += 1
-        return track
-
-    def put(self, signature: tuple, track: "UpdateTrack") -> None:
-        """Memoize a chosen track (evicting the least recently used)."""
-        self._entries[signature] = dict(track)
-        self._entries.move_to_end(signature)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()

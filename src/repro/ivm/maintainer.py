@@ -32,6 +32,7 @@ from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.compile import (
+    PlanCache,
     apply_dedup,
     apply_group_aggregate,
     apply_join,
@@ -60,13 +61,7 @@ from repro.core.tracks import UpdateTrack
 from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
 from repro.dag.nodes import OperationNode
-from repro.ivm.cache import (
-    ADHOC_PLAN_CACHE_CAPACITY,
-    AdhocPlanCache,
-    CommitCache,
-    CommitCacheStats,
-    adhoc_signature,
-)
+from repro.ivm.cache import CommitCache, CommitCacheStats
 from repro.ivm.delta import Delta
 from repro.ivm.propagate import (
     can_self_maintain_delta,
@@ -94,6 +89,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 # The two sides of a modify pair.
 _old, _new = itemgetter(0), itemgetter(1)
+
+
+#: Most update tracks a maintainer's plan cache keeps, one per transaction
+#: shape planned from the data (assigning ``maintainer.plan_cache = None``
+#: turns it off).
+ADHOC_PLAN_CACHE_CAPACITY = 128
 
 
 class MaintenanceError(Exception):
@@ -154,14 +155,15 @@ class ViewMaintainer:
         self._roots = frozenset(self.memo.find(r) for r in dag.roots.values())
         # Commit-scoped shared-computation caching (see repro.ivm.cache):
         # the per-commit fetch/scan memo lives only for apply()'s
-        # propagation phase; the ad-hoc plan cache lives with the
-        # maintainer (its validity is tied to this memo/marking/estimator).
+        # propagation phase; the plan cache lives with the maintainer (a
+        # track's validity is tied to this memo/marking/estimator).
         self._commit_cache_enabled = commit_cache is None or bool(commit_cache)
         self._commit_cache: CommitCache | None = None
         self.commit_cache_stats = CommitCacheStats()
         self.last_cache_stats: CommitCacheStats | None = None
-        # Assigning None turns the ad-hoc plan cache off.
-        self.plan_cache: AdhocPlanCache | None = AdhocPlanCache(ADHOC_PLAN_CACHE_CAPACITY)
+        # Tracks planned from the data, by transaction shape. Assigning
+        # None turns the cache off.
+        self.plan_cache: PlanCache | None = PlanCache(ADHOC_PLAN_CACHE_CAPACITY)
         self._views: dict[int, StoredRelation] = {}
         self._agg_specs: dict[int, tuple[GroupAggregate, int]] = {}  # (template, input gid)
         self._self_maintained: set[int] = set()
@@ -526,17 +528,16 @@ class ViewMaintainer:
         undo: "UndoLog | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> dict[int, Delta]:
-        """Apply a transaction whose type was not declared up front.
+        """Apply a transaction planned from its data, whatever its name.
 
-        An update spec is derived from the concrete deltas, the cheapest
-        track is chosen on the fly — memoized in the
-        :class:`~repro.ivm.cache.AdhocPlanCache` by the spec's shape
-        signature, so a stream of same-shaped DML plans once — and the
-        transaction is applied through the same machinery as a declared
-        one (``undo`` and ``tracer`` as in :meth:`apply`). The derived type
-        is never registered; ``name`` (default ``__adhoc``) only labels it.
-        Modifies that change no column change no view: a transaction of
-        nothing else is only applied to its base relations.
+        An update spec is derived from the concrete deltas and the cheapest
+        track is chosen on the fly — memoized in :attr:`plan_cache` by the
+        spec's shape (:attr:`TransactionType.shape`), so a stream of
+        same-shaped DML plans once — and the transaction is applied as
+        :meth:`apply` applies it. The derived type is never registered;
+        ``name`` (default ``__adhoc``) only labels it. Modifies that change
+        no column change no view: a transaction of nothing else is only
+        applied to its base relations.
         """
         return self._commit(txn, None, name or "__adhoc", undo, tracer)
 
@@ -546,9 +547,14 @@ class ViewMaintainer:
         undo: "UndoLog | None" = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> dict[int, Delta]:
-        """Process one transaction of a declared type: compute all view
-        deltas against the old state, then apply base and view updates.
-        Returns the view deltas.
+        """Process one transaction: compute all view deltas against the old
+        state, then apply base and view updates. Returns the view deltas.
+
+        A transaction of a declared type whose deltas fit that type's shape
+        runs the type's optimizer-chosen track. Any other — an undeclared
+        name, or a relation, kind of change or modified column its type
+        does not declare — is planned from the data, as :meth:`apply_adhoc`
+        plans it, under the label ``txn.type_name``.
 
         When an :class:`~repro.storage.undo.UndoLog` is passed, every
         applied delta is journaled in application order, so the
@@ -558,16 +564,9 @@ class ViewMaintainer:
         ``tracer`` (default: the no-op tracer) records one "track_op" span
         per propagation step, one "fetch" span per join-side or group
         fetch, one "base_apply" per base relation and one "view_apply" per
-        marked view, each carrying its scoped I/O.
-
-        A transaction whose deltas do not fit its type's shape (a relation
-        or kind of change the type does not declare, or a modify of an
-        undeclared column) is planned from the data, as
-        :meth:`apply_adhoc` plans it."""
-        txn_type = self.txn_types.get(txn.type_name)
-        if txn_type is None:
-            raise MaintenanceError(f"unknown transaction type {txn.type_name!r}")
-        return self._commit(txn, txn_type, txn.type_name, undo, tracer)
+        marked view, each carrying its scoped I/O."""
+        declared = self.txn_types.get(txn.type_name)
+        return self._commit(txn, declared, txn.type_name, undo, tracer)
 
     def _commit(
         self,
@@ -591,12 +590,12 @@ class ViewMaintainer:
             txn_type, track = declared, self.tracks.get(name, {})
         else:  # planned from the data, once per shape through the plan cache
             txn_type, cache = TransactionType(name, updates), self.plan_cache
-            signature = adhoc_signature(updates, self.marking)
-            track = cache.get(signature) if cache is not None else None
-            if track is None:
+            if cache is None:
                 track = self.choose_track(txn_type)
-                if cache is not None:
-                    cache.put(signature, track)
+            else:
+                track = cache.get(
+                    txn_type.shape.delta_signature, lambda: self.choose_track(txn_type)
+                )
         return self._apply(base, checked, txn_type, track, undo, tracer)
 
     def _shape(

@@ -205,5 +205,5 @@ def error_tier(exc: BaseException) -> str:
     if isinstance(exc, AssertionViolation):
         return "rejected"
     malformed = (SQLSyntaxError, SQLTranslationError, ProtocolError)
-    refused = (StorageError, EngineError, MaintenanceError)  # keys, engine rules
+    refused = (StorageError, TypeError_, EngineError, MaintenanceError)  # rows, keys, rules
     return "invalid" if isinstance(exc, malformed + refused) else "internal"

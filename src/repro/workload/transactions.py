@@ -14,6 +14,7 @@ in :mod:`repro.workload.generators`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from repro.ivm.delta import Delta
@@ -70,7 +71,7 @@ class TransactionType:
     def spec(self, relation: str) -> UpdateSpec:
         return self.updates.get(relation, UpdateSpec())
 
-    @property
+    @cached_property
     def delta_signature(self) -> tuple:
         """A canonical key for everything delta estimation depends on.
 
@@ -79,23 +80,21 @@ class TransactionType:
         name and weight deliberately excluded, so memos keyed by this
         stay correct when ad-hoc names are reused with different specs.
         """
-        cached = getattr(self, "_delta_signature", None)
-        if cached is None:
-            cached = tuple(
-                (rel, spec.inserts, spec.deletes, spec.modifies,
-                 tuple(sorted(spec.modified_columns)))
-                for rel, spec in sorted(self.updates.items())
-            )
-            object.__setattr__(self, "_delta_signature", cached)
-        return cached
+        return tuple(
+            (rel, spec.inserts, spec.deletes, spec.modifies,
+             tuple(sorted(spec.modified_columns)))
+            for rel, spec in sorted(self.updates.items())
+        )
 
-    @property
+    @cached_property
     def shape(self) -> "TransactionType":
         """This type with every nonzero update size set to 1: the same
         relations, kinds of update and modified columns, sizes dropped.
         Estimates that depend on the shape only (delta completeness) are
         decided on it, so their memos grow with the number of shapes, not
-        with every new row count an ad-hoc commit brings."""
+        with every new row count an ad-hoc commit brings; its
+        :attr:`delta_signature` keys a maintainer's plans. Computed once
+        per type."""
         updates = {
             rel: UpdateSpec(
                 *(float(n > 0) for n in (spec.inserts, spec.deletes, spec.modifies)),

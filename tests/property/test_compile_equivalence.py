@@ -257,8 +257,8 @@ class TestMaintainerIOEquality:
         cache = plan_cache()
         cache.reset_stats()
         _run_stream("compiled", 7, 0b1111, ["EmpIns", ">DeptBud", "EmpDel"])
-        assert cache.stats["misses"] >= 0  # stats stay consistent
-        assert cache.stats["entries"] == len(cache)
+        assert cache.stats.misses >= 0  # stats stay consistent
+        assert cache.stats.entries == len(cache)
 
 
 # -- engine policies × backends --------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.algebra import compile as compile_mod
 from repro.algebra.compile import (
     BACKENDS,
     PlanCache,
+    PlanCacheStats,
     apply_dedup,
     apply_group_aggregate,
     apply_join,
@@ -150,7 +151,7 @@ class TestPlanCache:
         cache.clear()
         assert len(cache) == 0
         cache.reset_stats()
-        assert cache.stats == {"entries": 0, "hits": 0, "misses": 0, "evictions": 0}
+        assert cache.stats == PlanCacheStats(entries=0, hits=0, misses=0, evictions=0)
 
     def test_lru_evicts_the_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "PLAN_CACHE_CAPACITY", 2)
@@ -160,7 +161,7 @@ class TestPlanCache:
         cache.get(("k", 1), lambda: "unused")  # 1 is now the most recent
         cache.get(("k", 3), lambda: "three")
         assert ("k", 1) in cache and ("k", 3) in cache and ("k", 2) not in cache
-        assert cache.stats == {"entries": 2, "hits": 1, "misses": 3, "evictions": 1}
+        assert cache.stats == PlanCacheStats(entries=2, hits=1, misses=3, evictions=1)
 
     def test_concurrent_gets_keep_counts_and_bound(self, monkeypatch):
         import sys

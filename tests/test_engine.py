@@ -119,7 +119,7 @@ class TestUndoLog:
         before = snapshot(engine)
         old, new = emp_raise(engine.db)
         undo = UndoLog()
-        engine.apply_with_undo(
+        engine.maintainer.apply(
             Transaction(">Emp", {"Emp": Delta.modification([(old, new)])}), undo
         )
         assert snapshot(engine) != before
@@ -132,7 +132,7 @@ class TestUndoLog:
     def test_rollback_is_uncharged(self, engine):
         old, new = emp_raise(engine.db)
         undo = UndoLog()
-        engine.apply_with_undo(
+        engine.maintainer.apply(
             Transaction(">Emp", {"Emp": Delta.modification([(old, new)])}), undo
         )
         spent = engine.db.counter.total

@@ -129,22 +129,23 @@ def test_batch_storage_failure_leaves_no_partial_state_and_riders_commit_alone()
     assert kind == "batch" and len(txns) == 3
     before = snapshot(db)
 
-    real = engine.apply_with_undo
+    maintainer = engine.maintainer
+    real = maintainer.apply
     seen = []
 
-    def poisoned(txn, undo):
+    def poisoned(txn, undo=None, tracer=None):
         seen.append((txn.type_name, snapshot(db)))
         if txn.type_name.startswith("__group"):
-            real(txn, undo)  # part of the work lands, then the failure
+            real(txn, undo, tracer)  # part of the work lands, then the failure
             raise StorageError("injected mid-batch storage failure")
         if txn is txns[1]:
             raise StorageError("injected rider storage failure")
-        return real(txn, undo)
+        return real(txn, undo, tracer)
 
-    engine.apply_with_undo = poisoned
+    maintainer.apply = poisoned
     committer = GroupCommitter(engine)
     requests = committer.commit_batch(txns)
-    engine.apply_with_undo = real
+    del maintainer.apply
 
     assert committer.batches[-1].replayed
     # The first replayed rider starts from the pre-batch state: the failed
@@ -164,8 +165,8 @@ def test_batch_storage_failure_leaves_no_partial_state_and_riders_commit_alone()
 @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
 def test_poisoned_assertion_check_rolls_back(tmp_path, policy, durable):
     """An exception from the violation check itself (a poisoned assertion
-    DAG) must roll the applied deltas back: before the fix only
-    ``apply_with_undo`` sat inside the try, so a raising check stranded
+    DAG) must roll the applied deltas back: before the fix only the
+    maintainer apply sat inside the try, so a raising check stranded
     the base/view updates with the undo log dropped."""
     path = str(tmp_path) if durable else None
     db, _system, engine = build_system(path, policy, SEED)

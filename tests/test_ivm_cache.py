@@ -2,7 +2,7 @@
 
 Covers the CommitCache's split-on-overlap fetch memo (including the
 cached empty-result sentinel and caller-ownership of returned multisets), the
-AdhocPlanCache's canonical shape signatures and LRU behavior, the
+shape key of the maintainer's plan cache and that PlanCache's LRU behavior, the
 commit-cache constructor switch, the deterministic ad-hoc naming counter, the
 iterative ``_topological`` on a deep chain, and the delta-signature keying
 of the estimator's delta memo (stale-entry regression).
@@ -18,15 +18,10 @@ from repro.cost.fds import FDSet
 from repro.cost.model import CostConfig
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
-from repro.ivm.cache import (
-    ADHOC_PLAN_CACHE_CAPACITY,
-    AdhocPlanCache,
-    CommitCache,
-    CommitCacheStats,
-    adhoc_signature,
-)
+from repro.algebra.compile import PlanCache
+from repro.ivm.cache import CommitCache, CommitCacheStats
 from repro.ivm.delta import Delta
-from repro.ivm.maintainer import ViewMaintainer
+from repro.ivm.maintainer import ADHOC_PLAN_CACHE_CAPACITY, ViewMaintainer
 from repro.storage.database import Database
 from repro.storage.statistics import Catalog
 from repro.workload.generators import chain_view, load_chain_database
@@ -197,63 +192,64 @@ class TestCommitCacheStats:
 
 
 class TestAdhocSignature:
+    """A transaction planned from its data is keyed by its shape's
+    ``delta_signature``: relations, kinds of change and modified columns,
+    not sizes or names."""
+
+    def _key(self, updates, name="dml"):
+        return TransactionType(name, updates).shape.delta_signature
+
     def _spec(self, **kw):
         return UpdateSpec(**kw)
 
     def test_same_shape_same_signature(self):
-        marking = frozenset({3, 5})
         a = {"Emp": self._spec(modifies=1, modified_columns=frozenset({"Salary"}))}
         b = {"Emp": self._spec(modifies=40, modified_columns=frozenset({"Salary"}))}
-        # Sizes are excluded: a 1-row and a 40-row modification of the same
-        # columns share a plan.
-        assert adhoc_signature(a, marking) == adhoc_signature(b, marking)
+        # Sizes and names are excluded: a 1-row and a 40-row modification
+        # of the same columns share a plan.
+        assert self._key(a, "__group_1") == self._key(b, "__group_2")
 
     def test_different_modified_columns_differ(self):
-        marking = frozenset({3})
         a = {"Emp": self._spec(modifies=1, modified_columns=frozenset({"Salary"}))}
         b = {"Emp": self._spec(modifies=1, modified_columns=frozenset({"DName"}))}
-        assert adhoc_signature(a, marking) != adhoc_signature(b, marking)
+        assert self._key(a) != self._key(b)
 
     def test_kind_shape_matters(self):
-        marking = frozenset()
         ins = {"Emp": self._spec(inserts=2)}
         dels = {"Emp": self._spec(deletes=2)}
         both = {"Emp": self._spec(inserts=1, deletes=1)}
-        sigs = {adhoc_signature(u, marking) for u in (ins, dels, both)}
-        assert len(sigs) == 3
-
-    def test_marking_matters(self):
-        u = {"Emp": self._spec(inserts=1)}
-        assert adhoc_signature(u, frozenset({1})) != adhoc_signature(u, frozenset({2}))
+        assert len({self._key(u) for u in (ins, dels, both)}) == 3
 
     def test_relation_order_is_canonical(self):
-        marking = frozenset()
         a = {"Emp": self._spec(inserts=1), "Dept": self._spec(deletes=1)}
-        b = {"Dept": self._spec(deletes=1), "Emp": self._spec(inserts=1)}
-        assert adhoc_signature(a, marking) == adhoc_signature(b, marking)
+        b = {"Dept": self._spec(deletes=1), "Emp": self._spec(inserts=3)}
+        assert self._key(a) == self._key(b)
 
 
 class TestAdhocPlanCache:
+    """The maintainer's track cache is a :class:`PlanCache` of its own
+    capacity."""
+
     def test_hit_miss_counting(self):
-        cache = AdhocPlanCache(capacity=4)
-        assert cache.get(("a",)) is None
-        cache.put(("a",), {1: None})
-        assert cache.get(("a",)) == {1: None}
+        cache = PlanCache(capacity=4)
+        assert cache.get(("a",), lambda: {1: None}) == {1: None}
+        assert cache.get(("a",), lambda: {2: None}) == {1: None}
         assert cache.stats.misses == 1 and cache.stats.hits == 1
+        assert cache.stats.entries == 1
 
     def test_lru_eviction(self):
-        cache = AdhocPlanCache(capacity=2)
-        cache.put(("a",), {1: None})
-        cache.put(("b",), {2: None})
-        cache.get(("a",))  # refresh a — b is now least recent
-        cache.put(("c",), {3: None})
-        assert cache.get(("b",)) is None  # evicted
-        assert cache.get(("a",)) is not None
-        assert cache.stats.evictions == 1
+        cache = PlanCache(capacity=2)
+        cache.get(("a",), lambda: {1: None})
+        cache.get(("b",), lambda: {2: None})
+        cache.get(("a",), lambda: {1: None})  # refresh a — b is now least recent
+        cache.get(("c",), lambda: {3: None})
+        assert ("b",) not in cache  # evicted
+        assert ("a",) in cache
+        assert cache.stats.evictions == 1 and len(cache) == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            AdhocPlanCache(capacity=0)
+            PlanCache(capacity=0)
 
 
 class TestEnvSwitches:
@@ -307,7 +303,7 @@ class TestMaintainerWiring:
         assert on.plan_cache.capacity == ADHOC_PLAN_CACHE_CAPACITY
         _, off = _paper_maintainer(commit_cache=False)
         assert not off._commit_cache_enabled
-        assert off.plan_cache is not None  # the ad-hoc plan cache has no switch
+        assert off.plan_cache is not None  # the plan cache has no constructor switch
 
     def test_commit_cache_dropped_after_apply(self):
         db, maintainer = _paper_maintainer(commit_cache=True)
@@ -505,6 +501,12 @@ class TestDeltaSignatureMemo:
             ("R1", 1.0, 0.0, 1.0, ("V1",)),
             ("R2", 0.0, 1.0, 0.0, ()),
         )
+
+    def test_shape_is_computed_once(self):
+        """Every aggregate op of a commit asks for its type's shape; a type
+        builds it once."""
+        t = TransactionType("x", {"R1": UpdateSpec(inserts=2)})
+        assert t.shape is t.shape
 
     def test_signature_excludes_name_and_weight(self):
         a = TransactionType("x", {"R1": UpdateSpec(inserts=2)}, weight=1.0)

@@ -12,8 +12,15 @@ from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import build_dag
 from repro.ivm.delta import Delta
 from repro.ivm.maintainer import ViewMaintainer, group_expression
+from repro.storage.database import Database
 from repro.storage.statistics import Catalog
-from repro.workload.paperdb import problem_dept_tree, sum_of_sals_tree
+from repro.workload.paperdb import (
+    DEPT_SCHEMA,
+    EMP_SCHEMA,
+    generate_corporate_db,
+    problem_dept_tree,
+    sum_of_sals_tree,
+)
 from repro.workload.transactions import Transaction, paper_transactions
 
 
@@ -130,12 +137,34 @@ class TestTransactionProcessing:
         maintainer.verify()
         assert (dept[0],) not in maintainer.view_contents(dag.root)
 
-    def test_unknown_txn_type_rejected(self, small_paper_db):
-        from repro.ivm.maintainer import MaintenanceError
+    def test_undeclared_name_is_planned_from_the_data(self):
+        """``apply`` of a name no type declares plans the transaction from
+        its data, exactly as ``apply_adhoc`` does: the same view deltas,
+        stored state, page I/O and plan-cache traffic."""
 
-        maintainer, *_ = build_maintainer(small_paper_db)
-        with pytest.raises(MaintenanceError):
-            maintainer.apply(Transaction("nope", {}))
+        def world():
+            db = Database()
+            data = generate_corporate_db(20, 5, seed=7)
+            db.create_relation("Dept", DEPT_SCHEMA, data["Dept"], indexes=[["DName"]])
+            db.create_relation("Emp", EMP_SCHEMA, data["Emp"], indexes=[["DName"]])
+            return db, build_maintainer(db)[0]
+
+        (db_a, via_apply), (db_b, via_adhoc) = world(), world()
+        rng = random.Random(3)
+        for i in range(8):
+            pick = (emp_modify, dept_modify)[i % 2]
+            deltas = pick(db_a, rng, delta=i + 1).deltas
+            if i % 3 == 2:  # a second shape: a new employee rides along
+                deltas.setdefault("Emp", Delta()).inserts.add((f"new{i}", "dept00001", 9), 1)
+            got = via_apply.apply(Transaction("nope", deltas))
+            want = via_adhoc.apply_adhoc(Transaction("nope", deltas), name="nope")
+            assert got == want
+            assert db_a.counter.snapshot() == db_b.counter.snapshot()
+        assert {r.name: r.contents() for r in db_a} == {r.name: r.contents() for r in db_b}
+        assert via_apply.plan_cache.stats == via_adhoc.plan_cache.stats
+        assert via_apply.plan_cache.stats.misses > 1 and via_apply.plan_cache.stats.hits > 0
+        assert via_apply.last_plan[0].name == "nope"
+        via_apply.verify()
 
 
 class TestAccounting:

@@ -160,8 +160,7 @@ def test_a_refused_base_delta_does_no_maintenance(backend, case, declared):
     engine = keyed_engine()
     name, deltas, error = KEYED_REFUSALS[case]
     exc = _refused(engine, _named(deltas, declared, name), error)
-    if error is StorageError:
-        assert error_tier(exc) == "invalid"
+    assert error_tier(exc) == "invalid"
     # The world still commits: nothing of the refused delta was left behind.
     good = Transaction(name, {"R": Delta.modification([((2, 2, 20), (2, 2, 21))])})
     assert engine.execute(good).committed

@@ -203,6 +203,8 @@ class TestDmlTransaction:
         from repro.algebra.types import TypeError_
         from repro.ivm.propagate import PropagationError
 
-        assert error_tier(TypeError_("from a commit")) == "internal"
+        # Storage refuses a mistyped row of the client's delta before any
+        # maintenance runs: the request's own fault.
+        assert error_tier(TypeError_("from a commit")) == "invalid"
         assert error_tier(PropagationError("x")) == "internal"
         assert error_tier(ValueError("x")) == "internal"
