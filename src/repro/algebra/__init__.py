@@ -11,7 +11,6 @@ from repro.algebra.operators import (
     AggSpec,
     AlgebraError,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -47,7 +46,6 @@ __all__ = [
     "Const",
     "DataType",
     "Difference",
-    "DuplicateElim",
     "GroupAggregate",
     "Join",
     "MappingSource",

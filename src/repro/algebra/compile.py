@@ -49,7 +49,6 @@ from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -958,9 +957,6 @@ def _build_plan(expr: RelExpr) -> Callable[[Any], Multiset]:
         agg = _compile_aggregate(expr)
         child = _plan(expr.input)
         return lambda source: agg(child(source))
-    if isinstance(expr, DuplicateElim):
-        child = _plan(expr.input)
-        return lambda source: _dedup_ms(child(source))
     if isinstance(expr, Union):
         left, right = _plan(expr.left), _plan(expr.right)
         return lambda source: left(source) + right(source)
@@ -1121,14 +1117,6 @@ def apply_group_aggregate(expr: GroupAggregate, input_: Multiset) -> Multiset:
 
         return eval_group_aggregate(expr, input_)
     return _SESSION_CACHE.get(("aggregate", expr), lambda: _compile_aggregate(expr))(input_)
-
-
-def apply_dedup(input_: Multiset) -> Multiset:
-    if _default_backend == "interpreted":
-        from repro.algebra.evaluate import eval_dedup
-
-        return eval_dedup(input_)
-    return _dedup_ms(input_)
 
 
 # -- backend-dispatching row functions ----------------------------------------------

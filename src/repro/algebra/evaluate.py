@@ -28,7 +28,6 @@ from typing import Any, Mapping, Protocol, Sequence
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import (
     AggSpec,
-    DuplicateElim,
     Difference,
     GroupAggregate,
     Join,
@@ -95,8 +94,6 @@ def _eval(expr: RelExpr, source: RelationSource) -> Multiset:
         return eval_join(expr, _eval(expr.left, source), _eval(expr.right, source))
     if isinstance(expr, GroupAggregate):
         return eval_group_aggregate(expr, _eval(expr.input, source))
-    if isinstance(expr, DuplicateElim):
-        return eval_dedup(_eval(expr.input, source))
     if isinstance(expr, Union):
         return _eval(expr.left, source) + _eval(expr.right, source)
     if isinstance(expr, Difference):

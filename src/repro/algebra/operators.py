@@ -1,8 +1,9 @@
 """Logical relational operators.
 
 The operator set follows the paper: base-relation scans, selection,
-(generalized) projection, equijoin with optional residual predicate,
-grouping/aggregation, duplicate elimination, multiset union and difference.
+(generalized) projection with optional duplicate elimination (DISTINCT),
+equijoin with optional residual predicate, grouping/aggregation, multiset
+union and difference.
 Operators are immutable, structurally hashable values; their output schemas
 (including derived candidate keys) are computed and validated at
 construction time.
@@ -366,34 +367,6 @@ class GroupAggregate(RelExpr):
     def __str__(self) -> str:
         aggs = ", ".join(str(a) for a in self.aggregates)
         return f"γ[{', '.join(self.group_by)}; {aggs}]({self.input})"
-
-
-@hash_once
-@dataclass(frozen=True, eq=True)
-class DuplicateElim(RelExpr):
-    """Duplicate elimination (SELECT DISTINCT)."""
-
-    input: RelExpr
-    schema: Schema = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        in_schema = self.input.schema
-        keys = set(in_schema.keys) | {frozenset(in_schema.names)}
-        self._set_schema(Schema(in_schema.columns, frozenset(keys)))
-
-    @property
-    def children(self) -> tuple[RelExpr, ...]:
-        return (self.input,)
-
-    def with_children(self, children: Sequence[RelExpr]) -> "DuplicateElim":
-        (child,) = children
-        return DuplicateElim(child)
-
-    def label(self) -> str:
-        return "Distinct"
-
-    def __str__(self) -> str:
-        return f"δ({self.input})"
 
 
 def _require_union_compatible(left: Schema, right: Schema, what: str) -> None:

@@ -8,8 +8,8 @@ Three families, exactly as the paper lays out:
   low-cost trees prefer those where relations with high transaction weight
   sit close to the root (Example 3.1's lesson).
 * **Single view set** — given a tree, mark every equivalence node that is
-  the parent of a join or grouping/aggregation operator (or the child of a
-  duplicate elimination), materialize that set if it beats materializing
+  the parent of a join or grouping/aggregation operator (or the input of a
+  DISTINCT projection), materialize that set if it beats materializing
   nothing.
 * **Greedy / approximate costing** — hill-climb: repeatedly add the single
   candidate view that most reduces the weighted cost, keeping one cost per
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.algebra.operators import DuplicateElim, GroupAggregate, Join
+from repro.algebra.operators import GroupAggregate, Join, Project, Select
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostModel
 from repro.core.memoize import SearchCache
@@ -174,13 +174,17 @@ def heuristic_single_tree(
 def structural_marking(memo: Memo, tree: TreeChoice, root: int) -> frozenset[int]:
     """Section 5 heuristic 2's marking rule over a tree: mark every
     equivalence node whose operator is a join or a grouping/aggregation, or
-    that feeds a duplicate elimination; never mark selections."""
+    that feeds a DISTINCT projection; never mark selections (nor a base
+    relation, which is stored already)."""
     marked = {memo.find(root)}
     for gid, op in tree.items():
         if isinstance(op.template, (Join, GroupAggregate)):
             marked.add(memo.find(gid))
-        if isinstance(op.template, DuplicateElim):
-            marked.add(memo.find(op.child_ids[0]))
+        if isinstance(op.template, Project) and op.template.dedup:
+            child = memo.find(op.child_ids[0])
+            child_op = tree.get(child)
+            if child_op is not None and not isinstance(child_op.template, Select):
+                marked.add(child)
     return frozenset(marked)
 
 
@@ -220,7 +224,7 @@ class _TargetOnlyCostModel(CostModel):
 
     def __init__(self, exact: CostModel) -> None:
         self.exact = exact
-        self.config = getattr(exact, "config", None)
+        self.config = exact.config
         self._costs: dict[tuple, float] = {}
 
     def query_cost(

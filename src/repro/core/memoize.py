@@ -120,9 +120,7 @@ class SearchCache:
         self.cost_model = cost_model
         self.estimator = estimator
         self.stats = OptimizerStats()
-        self._allow_self_maintenance = getattr(
-            getattr(cost_model, "config", None), "self_maintenance", True
-        )
+        self._allow_self_maintenance = cost_model.config.self_maintenance
         # Per-query cost caching requires the model's query costs to depend
         # only on the marking below the target, and the stock MQO
         # total_query_cost; anything else is delegated to wholesale.
@@ -258,8 +256,7 @@ class SearchCache:
         under the marking restricted to each target's descendants."""
         if not self._local_costs:
             return self.cost_model.total_query_cost(queries, marking, txn)
-        mqo = getattr(getattr(self.cost_model, "config", None), "mqo", True)
-        if not mqo:
+        if not self.cost_model.config.mqo:
             return sum(self._query_cost(q, marking, txn) for q in queries)
         best: dict[tuple, float] = {}
         for query in queries:

@@ -45,7 +45,6 @@ from repro.core.tracks import track_ops
 from repro.dag.builder import ViewDag
 from repro.dag.memo import Memo
 from repro.dag.queries import MaintenanceQuery
-from repro.obs.trace import NULL_TRACER
 from repro.workload.transactions import TransactionType
 
 DEFAULT_MAX_CANDIDATES = 16
@@ -143,7 +142,6 @@ def optimal_view_set(
     track_limit: int | None = None,
     cache: SearchCache | None = None,
     use_cache: bool = True,
-    tracer=None,
     budget: float | None = None,
 ) -> OptimizationResult:
     """Exhaustive Algorithm OptimalViewSet over the DAG's view sets.
@@ -157,10 +155,7 @@ def optimal_view_set(
     memoization with an enclosing search; ``use_cache=False`` disables
     cross-view-set memoization entirely (each marking is costed from
     scratch — the seed behaviour, kept for verification and benchmarking).
-    ``tracer`` records one span per search phase (precompute / shielding /
-    search), mirroring the wall-clock phases in ``OptimizerStats``.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     memo = dag.memo
     roots = frozenset(memo.find(r) for r in dag.roots.values())
     if required is None:
@@ -187,8 +182,7 @@ def optimal_view_set(
         cache = SearchCache(memo, cost_model, estimator)
     if cache is not None:
         started = time.perf_counter()
-        with tracer.span("optimize.precompute", candidates=len(candidates)):
-            cache.precompute(candidates, txns)  # Fig. 4 step 1
+        cache.precompute(candidates, txns)  # Fig. 4 step 1
         cache.stats.add_phase("precompute", time.perf_counter() - started)
 
     # node -> (non-leaf descendants, local optimum), both canonical.
@@ -197,25 +191,24 @@ def optimal_view_set(
         from repro.core.articulation import articulation_groups, local_optimum
 
         started = time.perf_counter()
-        with tracer.span("optimize.shielding"):
-            for node in articulation_groups(memo, roots):
-                if node in required:
-                    continue
-                opt = local_optimum(
-                    dag,
-                    node,
-                    txns,
-                    cost_model,
-                    estimator,
-                    track_limit=track_limit,
-                    cache=cache,
-                )
-                below = frozenset(
-                    g
-                    for g in memo.descendants(node)
-                    if not memo.group(g).is_leaf
-                )
-                shield[node] = (below, frozenset(memo.find(g) for g in opt))
+        for node in articulation_groups(memo, roots):
+            if node in required:
+                continue
+            opt = local_optimum(
+                dag,
+                node,
+                txns,
+                cost_model,
+                estimator,
+                track_limit=track_limit,
+                cache=cache,
+            )
+            below = frozenset(
+                g
+                for g in memo.descendants(node)
+                if not memo.group(g).is_leaf
+            )
+            shield[node] = (below, frozenset(memo.find(g) for g in opt))
         if cache is not None:
             cache.stats.add_phase("shielding", time.perf_counter() - started)
 
@@ -224,23 +217,21 @@ def optimal_view_set(
     best: ViewSetEvaluation | None = None
     best_key: tuple | None = None
     considered = pruned = 0
-    with tracer.span("optimize.search") as search_span:
-        for marking in _candidate_subsets(candidates, required):
-            considered += 1
-            if (shield and _violates_shielding(memo, marking, shield)) or (
-                budget is not None
-                and marking_space(dag, marking, estimator, cost_model) > budget
-            ):
-                pruned += 1
-                continue
-            evaluation = evaluate_view_set(
-                memo, marking, txns, cost_model, estimator, track_limit, cache=cache
-            )
-            evaluated.append(evaluation)
-            key = _evaluation_key(evaluation)
-            if best_key is None or key < best_key:
-                best, best_key = evaluation, key
-        search_span.annotate(view_sets=considered, pruned=pruned)
+    for marking in _candidate_subsets(candidates, required):
+        considered += 1
+        if (shield and _violates_shielding(memo, marking, shield)) or (
+            budget is not None
+            and marking_space(dag, marking, estimator, cost_model) > budget
+        ):
+            pruned += 1
+            continue
+        evaluation = evaluate_view_set(
+            memo, marking, txns, cost_model, estimator, track_limit, cache=cache
+        )
+        evaluated.append(evaluation)
+        key = _evaluation_key(evaluation)
+        if best_key is None or key < best_key:
+            best, best_key = evaluation, key
     if best is None:
         raise ValueError("no feasible view set within the budget")
     if cache is not None:

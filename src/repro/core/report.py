@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.memoize import SearchCache
 from repro.core.plan import OptimizationResult
 from repro.core.tracks import track_ops
 from repro.cost.estimates import DagEstimator
 from repro.cost.page_io import PageIOCostModel
 from repro.dag.builder import ViewDag
-from repro.dag.queries import derive_queries
 from repro.workload.transactions import TransactionType
 
 
@@ -39,24 +39,26 @@ def recommend_base_indexes(
     dag: ViewDag,
     result: OptimizationResult,
     txns: Sequence[TransactionType],
+    cost_model: PageIOCostModel,
     estimator: DagEstimator,
 ) -> dict[str, set[tuple[str, ...]]]:
     """Base-relation hash indexes the chosen plans probe.
 
     The cost model assumes these exist (the paper: "all indices are hash
     indices"); listing them makes the assumption actionable. Derived by
-    walking the chosen tracks' queries down to leaf targets.
+    walking the chosen tracks' queries, as the optimizer derived them under
+    ``cost_model``'s switches, down to leaf targets.
     """
     memo = dag.memo
+    cache = SearchCache(memo, cost_model, estimator)
+    marking = result.best_marking
     needed: dict[str, set[tuple[str, ...]]] = {}
     for txn in txns:
         plan = result.best.per_txn.get(txn.name)
         if plan is None:
             continue
         for op in track_ops(plan.track):
-            for query in derive_queries(
-                memo, op, txn, result.best_marking, estimator
-            ):
+            for query in cache.queries(op, txn, memo.find(op.group_id) in marking):
                 target = memo.group(query.target)
                 if not target.is_leaf or not query.key_columns:
                     continue
@@ -99,7 +101,7 @@ def render_report(
             index = sorted(cost_model.index_columns(gid))
             if index:
                 lines.append(f"      recommended hash index on ({', '.join(index)})")
-    base_indexes = recommend_base_indexes(dag, result, txns, estimator)
+    base_indexes = recommend_base_indexes(dag, result, txns, cost_model, estimator)
     if base_indexes:
         lines.append("")
         lines.append("Base-relation indexes the plans rely on:")
@@ -108,6 +110,8 @@ def render_report(
                 lines.append(f"  {relation}: hash index on ({', '.join(cols)})")
     lines.append("")
     lines.append("Per-transaction maintenance plans:")
+    cache = SearchCache(memo, cost_model, estimator)
+    marking = result.best_marking
     for txn in txns:
         plan = result.best.per_txn.get(txn.name)
         if plan is None:
@@ -123,10 +127,8 @@ def render_report(
             lines.append(
                 f"      N{memo.find(op.group_id)} ← {op.label()}"
             )
-            for query in derive_queries(
-                memo, op, txn, result.best_marking, estimator
-            ):
-                cost = cost_model.query_cost(query, result.best_marking, txn)
+            for query in cache.queries(op, txn, memo.find(op.group_id) in marking):
+                cost = cost_model.query_cost(query, marking, txn)
                 lines.append(f"          {query.describe(memo)} — {cost:.2f} I/Os")
     lines.append("")
     lines.append(f"Best {top} view sets:")

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -315,11 +314,6 @@ class DagEstimator:
             return self._info_join(template, children[0], children[1])
         if isinstance(template, GroupAggregate):
             return self._info_aggregate(template, children[0])
-        if isinstance(template, DuplicateElim):
-            (child,) = children
-            rows = child.distinct_of(template.schema.names)
-            distinct = {c: min(d, rows) for c, d in child.stats.distinct.items()}
-            return NodeInfo(TableStats(rows, distinct), child.fds)
         if isinstance(template, Union):
             rows = children[0].rows + children[1].rows
             distinct = {
@@ -494,9 +488,6 @@ class DagEstimator:
             return self._delta_join(template, child_deltas, child_infos)
         if isinstance(template, GroupAggregate):
             return self._delta_aggregate(template, child_deltas[0], child_infos[0])
-        if isinstance(template, DuplicateElim):
-            (delta,) = child_deltas
-            return delta
         if isinstance(template, Union):
             parts = [d for d in child_deltas if d is not None]
             if not parts:

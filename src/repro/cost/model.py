@@ -50,6 +50,9 @@ class CostModel:
     #: the property are still cached at the coarser layers only.
     marking_locality = False
 
+    #: The accounting switches; models that take a config set their own.
+    config: CostConfig = CostConfig()
+
     def query_cost(
         self, query: MaintenanceQuery, marking: frozenset[int], txn: TransactionType
     ) -> float:
@@ -73,8 +76,7 @@ class CostModel:
         results shared — the paper's §3.4 shared-subexpression point.
 
         With ``config.mqo`` disabled (ablation), every query pays."""
-        mqo = getattr(getattr(self, "config", None), "mqo", True)
-        if not mqo:
+        if not self.config.mqo:
             return sum(self.query_cost(q, marking, txn) for q in queries)
         best: dict[tuple, float] = {}
         for query in queries:

@@ -22,7 +22,6 @@ from typing import Iterable
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -138,7 +137,7 @@ class PageIOCostModel(CostModel):
         children = [self._memo.find(c) for c in op.child_ids]
         if isinstance(template, Scan):
             return INF  # leaves are handled at the group level
-        if isinstance(template, (Select, DuplicateElim)):
+        if isinstance(template, Select):
             return self.per_key_cost(children[0], key_columns, marking)
         if isinstance(template, Project):
             mapping = {}

@@ -12,7 +12,6 @@ from typing import Iterator
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -41,8 +40,6 @@ def _signature(template: RelExpr) -> tuple:
         return ("join", template.residual, template.allow_cartesian)
     if isinstance(template, GroupAggregate):
         return ("agg", template.group_by, template.aggregates)
-    if isinstance(template, DuplicateElim):
-        return ("dedup",)
     if isinstance(template, Union):
         return ("union",)
     if isinstance(template, Difference):

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -87,8 +86,25 @@ def derive_queries(
     children = [memo.find(c) for c in op.child_ids]
     deltas = [estimator.delta(c, txn) for c in children]
 
-    if isinstance(template, (Select, Project)) and not getattr(template, "dedup", False):
+    if isinstance(template, Select):
         return []
+
+    if isinstance(template, Project):
+        (delta,) = deltas
+        if not template.dedup or delta is None or delta.is_empty:
+            return []
+        child_info = estimator.info(children[0])
+        cols = child_info.reduce(memo.group(children[0]).schema.names)
+        return [
+            MaintenanceQuery(
+                target=children[0],
+                key_columns=cols,
+                n_keys=delta.rows,
+                op_id=op.id,
+                side="input",
+                purpose="count-fetch",
+            )
+        ]
 
     if isinstance(template, Join):
         queries = []
@@ -139,25 +155,6 @@ def derive_queries(
                 op_id=op.id,
                 side="input",
                 purpose="group-fetch",
-            )
-        ]
-
-    if isinstance(template, (DuplicateElim,)) or (
-        isinstance(template, Project) and template.dedup
-    ):
-        (delta,) = deltas
-        if delta is None or delta.is_empty:
-            return []
-        child_info = estimator.info(children[0])
-        cols = child_info.reduce(memo.group(children[0]).schema.names)
-        return [
-            MaintenanceQuery(
-                target=children[0],
-                key_columns=cols,
-                n_keys=delta.rows,
-                op_id=op.id,
-                side="input",
-                purpose="count-fetch",
             )
         ]
 

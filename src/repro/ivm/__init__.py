@@ -12,7 +12,6 @@ from repro.ivm.propagate import (
     propagate_aggregate_full_groups,
     propagate_aggregate_recompute,
     propagate_aggregate_self,
-    propagate_dedup,
     propagate_difference,
     propagate_join,
     propagate_project,
@@ -45,7 +44,6 @@ __all__ = [
     "propagate_aggregate_full_groups",
     "propagate_aggregate_recompute",
     "propagate_aggregate_self",
-    "propagate_dedup",
     "propagate_difference",
     "propagate_join",
     "propagate_project",

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.compile import (
     PlanCache,
-    apply_dedup,
     apply_group_aggregate,
     apply_join,
     apply_project,
@@ -45,7 +44,6 @@ from repro.algebra.evaluate import evaluate
 from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -68,7 +66,6 @@ from repro.ivm.propagate import (
     propagate_aggregate_full_groups,
     propagate_aggregate_recompute,
     propagate_aggregate_self,
-    propagate_dedup,
     propagate_difference,
     propagate_join,
     propagate_project,
@@ -413,8 +410,6 @@ class ViewMaintainer:
             rows = self.fetch(children[0], columns, keys)
             aggregated = apply_group_aggregate(template, rows)
             return self._filter_by_keys(aggregated, template.schema.names, columns, keys)
-        if isinstance(template, DuplicateElim):
-            return apply_dedup(self.fetch(children[0], columns, keys))
         if isinstance(template, Union):
             out = self.fetch(children[0], columns, keys)
             out.update(self.fetch(children[1], columns, keys))
@@ -811,10 +806,6 @@ class ViewMaintainer:
             return self._propagate_aggregate(
                 gid, template, children[0], child_deltas[0] or Delta(), txn_type, tracer
             )
-        if isinstance(template, DuplicateElim):
-            delta = child_deltas[0] or Delta()
-            old = self._old_rows_for(children[0], delta)
-            return propagate_dedup(template, delta, old)
         if isinstance(template, Union):
             return propagate_union(child_deltas[0], child_deltas[1])
         if isinstance(template, Difference):
@@ -840,7 +831,7 @@ class ViewMaintainer:
         return lambda rows: self.fetch(child, frozenset(columns), {key_of(r) for r in rows})
 
     def _old_rows_for(self, gid: int, delta: Delta, extra: Delta | None = None) -> Multiset:
-        """Old contents of the rows a delta touches (dedup / difference)."""
+        """Old contents of the rows a delta touches (difference)."""
         schema = self.memo.group(gid).schema
         cols = self.estimator.info(gid).reduce(schema.names)
         ordered = sorted(cols)
@@ -876,7 +867,7 @@ class ViewMaintainer:
             return propagate_aggregate_full_groups(template, delta)
         if (
             gid in self._agg_specs
-            and getattr(self.cost_model.config, "self_maintenance", True)
+            and self.cost_model.config.self_maintenance
             and can_self_maintain_delta(template, delta)
         ):
             self._self_maintained.add(gid)

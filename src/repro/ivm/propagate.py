@@ -36,7 +36,6 @@ from repro.algebra.compile import (
 from repro.algebra.multiset import Multiset, Row
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -176,14 +175,6 @@ def propagate_project(
         if old_p != new_p:
             out.modifies.append((old_p, new_p))
     return out
-
-
-def propagate_dedup(
-    expr: DuplicateElim, delta: Delta, old_input: Multiset
-) -> Delta:
-    """δ emits an insert when a row's count rises from zero and a delete
-    when it falls to zero."""
-    return _dedup_from_counts(old_input, delta)
 
 
 def _dedup_from_counts(old_counts: Multiset, delta: Delta) -> Delta:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.memoize import SearchCache
 from repro.core.report import describe_marking
-from repro.dag.queries import derive_queries
 from repro.obs.trace import Tracer
 from repro.storage.pager import IOStats
 from repro.workload.transactions import Transaction, TransactionType
@@ -90,10 +90,13 @@ def _render(
     lines.append("")
     lines.append(f"update track ({len(track)} ops):{'':<14}{col_header}")
 
+    # The optimizer's own query derivation, so the plan shown is the plan
+    # it priced (under the cost model's switches).
+    cache = SearchCache(memo, cost_model, estimator)
     all_queries = []
     for gid in sorted(track):
         op = track[gid]
-        queries = derive_queries(memo, op, txn_type, marking, estimator)
+        queries = cache.queries(op, txn_type, memo.find(op.group_id) in marking)
         all_queries.extend(queries)
         est_op = float(sum(cost_model.query_cost(q, marking, txn_type) for q in queries))
         label = f"  N{memo.find(op.group_id)} ← {op.label()}"

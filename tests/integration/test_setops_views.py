@@ -11,7 +11,6 @@ import pytest
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     Union,
     project_columns,
 )
@@ -117,12 +116,6 @@ class TestSetOperatorViews:
         maintainer = build_maintainer(db, view, mark_all)
         run_stream(db, rng, maintainer)
 
-    def test_duplicate_elim_view(self, mark_all):
-        db, rng = small_db(2)
-        view = DuplicateElim(project_columns(emp_scan(), ["DName"]))
-        maintainer = build_maintainer(db, view, mark_all)
-        run_stream(db, rng, maintainer)
-
     def test_union_all_view(self, mark_all):
         db, rng = small_db(3)
         view = Union(
@@ -144,11 +137,13 @@ class TestSetOperatorViews:
 
     def test_distinct_union_composition(self, mark_all):
         db, rng = small_db(5)
-        view = DuplicateElim(
+        view = project_columns(
             Union(
                 project_columns(emp_scan(), ["DName"]),
                 project_columns(dept_scan(), ["DName"]),
-            )
+            ),
+            ["DName"],
+            dedup=True,
         )
         maintainer = build_maintainer(db, view, mark_all)
         run_stream(db, rng, maintainer)

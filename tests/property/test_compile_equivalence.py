@@ -25,7 +25,6 @@ from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -114,7 +113,7 @@ def rel_exprs(draw, depth=3):
     if kind == "select":
         return Select(inner, draw(predicates(names)))
     if kind == "dedup":
-        return DuplicateElim(inner)
+        return Project(inner, tuple((n, Col(n)) for n in names), dedup=True)
     if kind == "project":
         kept = draw(
             st.lists(st.sampled_from(list(names)), min_size=1, unique=True)

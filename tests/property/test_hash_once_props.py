@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.algebra.compile import PlanCache
 from repro.algebra.operators import (
     AggSpec,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -86,7 +85,7 @@ def _tree(seed):
             aggs = (AggSpec("sum", _scalar(rng, ints), "s"), AggSpec("count", None, "n"))
             return GroupAggregate(child, (group,), aggs)
         if roll == 5:
-            return DuplicateElim(child)
+            return Project(child, tuple((n, Col(n)) for n in child.schema.names), dedup=True)
         if roll == 6:
             return Union(child, child)
         return child

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.algebra.operators import (
     Difference,
-    DuplicateElim,
     Union,
     project_columns,
 )
@@ -44,7 +43,9 @@ POOL = [f"d{i}" for i in range(4)]
 def _views():
     return {
         "distinct": project_columns(emp_scan(), ["DName"], dedup=True),
-        "dedup": DuplicateElim(project_columns(emp_scan(), ["DName"])),
+        "dedup": project_columns(
+            project_columns(emp_scan(), ["DName"]), ["DName"], dedup=True
+        ),
         "union": Union(
             project_columns(emp_scan(), ["DName"]),
             project_columns(dept_scan(), ["DName"]),

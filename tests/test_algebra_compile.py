@@ -11,7 +11,6 @@ from repro.algebra.compile import (
     BACKENDS,
     PlanCache,
     PlanCacheStats,
-    apply_dedup,
     apply_group_aggregate,
     apply_join,
     apply_project,
@@ -280,9 +279,10 @@ class TestKernels:
     def test_dedup_and_aggregate_reject_negative_counts(self):
         negative = Multiset({(1, 10, 0): -1})
         agg = GroupAggregate(R, ("c",), (AggSpec("count", None, "n"),))
-        for fn, arg in ((apply_dedup, negative), (eval_dedup, negative)):
-            with pytest.raises(ValueError):
-                fn(arg)
+        with pytest.raises(ValueError):
+            apply_project(Project(R, (("b", Col("b")),), dedup=True), negative)
+        with pytest.raises(ValueError):
+            eval_dedup(negative)
         for fn in (apply_group_aggregate, eval_group_aggregate):
             with pytest.raises(ValueError):
                 fn(agg, negative)

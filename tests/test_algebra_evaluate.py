@@ -7,7 +7,6 @@ from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -159,7 +158,7 @@ class TestSetOps:
         assert evaluate(d, DB).count(("alice", "toys", 50)) == 1
 
     def test_dedup(self):
-        d = DuplicateElim(Union(emp_scan(), emp_scan()))
+        d = project_columns(Union(emp_scan(), emp_scan()), emp_scan().schema.names, dedup=True)
         assert evaluate(d, DB).count(("alice", "toys", 50)) == 1
 
 

@@ -6,7 +6,6 @@ from repro.algebra.operators import (
     AggSpec,
     AlgebraError,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -180,7 +179,7 @@ class TestSetOperators:
         assert d.schema.has_key(["EName"])
 
     def test_dedup_full_row_key(self):
-        d = DuplicateElim(project_columns(emp_scan(), ["DName"]))
+        d = project_columns(project_columns(emp_scan(), ["DName"]), ["DName"], dedup=True)
         assert d.schema.has_key(["DName"])
 
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.algebra.operators import Select, Union, project_columns
+from repro.algebra.predicates import Compare
+from repro.algebra.scalar import col, lit
 from repro.core.heuristics import (
     enumerate_trees,
     greedy_view_set,
@@ -13,6 +16,8 @@ from repro.core.heuristics import (
     tree_update_depth_penalty,
 )
 from repro.core.optimizer import optimal_view_set
+from repro.dag.builder import build_dag
+from repro.workload.paperdb import dept_scan, emp_scan
 
 
 class TestTreeEnumeration:
@@ -88,6 +93,33 @@ class TestStructuralMarking:
         for gid, op in tree.items():
             if isinstance(op.template, (Join, GroupAggregate)):
                 assert gid in marked
+
+    def test_distinct_marks_its_input(self):
+        """SQL DISTINCT over a UNION ALL: the union group feeds the DISTINCT
+        projection, so heuristic 2 marks it beside the root."""
+        view = project_columns(
+            Union(
+                project_columns(emp_scan(), ["DName"]),
+                project_columns(dept_scan(), ["DName"]),
+            ),
+            ["DName"],
+            dedup=True,
+        )
+        dag = build_dag(view)
+        memo = dag.memo
+        (union,) = [
+            g.id for g in memo.groups() if any(isinstance(op.template, Union) for op in g.ops)
+        ]
+        (tree,) = enumerate_trees(memo, dag.root)
+        marked = structural_marking(memo, tree, dag.root)
+        assert sorted(marked) == sorted({memo.find(union), memo.find(dag.root)})
+
+    def test_distinct_over_a_selection_marks_only_the_root(self):
+        pred = Compare(">", col("Salary"), lit(10))
+        view = project_columns(Select(emp_scan(), pred), ["DName"], dedup=True)
+        dag = build_dag(view)
+        (tree,) = enumerate_trees(dag.memo, dag.root)
+        assert structural_marking(dag.memo, tree, dag.root) == {dag.memo.find(dag.root)}
 
     def test_single_view_set_never_worse_than_nothing(
         self, paper_dag, paper_txns, paper_cost_model, paper_estimator

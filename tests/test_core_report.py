@@ -89,7 +89,7 @@ class TestBaseIndexRecommendations:
             paper_dag, paper_txns, paper_cost_model, paper_estimator
         )
         needed = recommend_base_indexes(
-            paper_dag, result, paper_txns, paper_estimator
+            paper_dag, result, paper_txns, paper_cost_model, paper_estimator
         )
         # The {SumOfSals} plan probes Dept by DName (Q2Re) and the SumOfSals
         # view (not a base relation) by DName; no Emp probe is needed.

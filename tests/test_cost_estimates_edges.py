@@ -6,7 +6,6 @@ import pytest
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -40,11 +39,6 @@ class TestInfoEdges:
             project_columns(dept_scan(), ["DName"]),
             project_columns(emp_scan(), ["DName"]),
         )
-        dag, est = _est(view)
-        assert est.info(dag.root).rows == 1000.0
-
-    def test_dedup_distinct_rows(self):
-        view = DuplicateElim(project_columns(emp_scan(), ["DName"]))
         dag, est = _est(view)
         assert est.info(dag.root).rows == 1000.0
 

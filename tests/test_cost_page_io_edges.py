@@ -9,7 +9,6 @@ import pytest
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Project,
     Union,
@@ -33,7 +32,7 @@ def _model(view, catalog=None):
 
 class TestUnaryOperators:
     def test_dedup_lookup_delegates_to_child(self):
-        view = DuplicateElim(project_columns(emp_scan(), ["DName"]))
+        view = project_columns(project_columns(emp_scan(), ["DName"]), ["DName"], dedup=True)
         dag, est, cm = _model(view)
         cost = cm.lookup_cost(dag.root, ["DName"], 1, frozenset())
         # Probe Emp by DName: 1 + 10 (dedup itself is free CPU).

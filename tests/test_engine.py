@@ -36,10 +36,12 @@ CREATE ASSERTION DeptConstraint CHECK (NOT EXISTS (
 """
 
 
-def build_maintainer(db):
+def build_maintainer(db, **config):
     dag = build_dag(problem_dept_tree())
     estimator = DagEstimator(dag.memo, Catalog.from_database(db))
-    cost_model = PageIOCostModel(dag.memo, estimator, CostConfig(root_group=dag.root))
+    cost_model = PageIOCostModel(
+        dag.memo, estimator, CostConfig(root_group=dag.root, **config)
+    )
     txns = paper_transactions()
     sumofsals = next(
         g.id for g in dag.memo.groups() if set(g.schema.names) == {"DName", "SalSum"}

@@ -11,7 +11,6 @@ from repro.algebra.multiset import Multiset
 from repro.algebra.operators import (
     AggSpec,
     Difference,
-    DuplicateElim,
     GroupAggregate,
     Join,
     Project,
@@ -26,7 +25,6 @@ from repro.ivm.propagate import (
     PropagationError,
     propagate_aggregate_full_groups,
     propagate_aggregate_recompute,
-    propagate_dedup,
     propagate_difference,
     propagate_join,
     propagate_project,
@@ -299,18 +297,22 @@ class TestUnionDifference:
 
 
 class TestDedup:
+    """DISTINCT as an identity projection with ``dedup=True`` over π_DName(Emp)."""
+
+    EXPR = project_columns(project_columns(emp_scan(), ["DName"]), ["DName"], dedup=True)
+
     def test_transitions_only(self):
-        expr = DuplicateElim(project_columns(emp_scan(), ["DName"]))
         old = Multiset([("toys",), ("toys",), ("books",)])
         delta = Delta(deletes=Multiset([("books",)]), inserts=Multiset([("games",)]))
-        out = propagate_dedup(expr, delta, old)
+        out = propagate_project(self.EXPR, delta, lambda touched: old)
         assert out.deletes.count(("books",)) == 1
         assert out.inserts.count(("games",)) == 1
 
     def test_negative_count_detected(self):
-        expr = DuplicateElim(project_columns(emp_scan(), ["DName"]))
         with pytest.raises(PropagationError):
-            propagate_dedup(expr, Delta.deletion([("toys",)]), Multiset())
+            propagate_project(
+                self.EXPR, Delta.deletion([("toys",)]), lambda touched: Multiset()
+            )
 
 
 class TestRepairModifications:

@@ -8,6 +8,9 @@ tie out *bit-exactly* to commit attribution — no sampling, no estimates.
 import pytest
 
 from repro.constraints.assertions import AssertionViolation
+from repro.core.optimizer import evaluate_view_set
+from repro.core.plan import OptimizationResult
+from repro.core.report import recommend_base_indexes, render_report
 from repro.engine import Engine
 from repro.ivm.delta import Delta
 from repro.obs.explain import explain, explain_analyze
@@ -420,3 +423,47 @@ class TestExplain:
         text, result = explain_analyze(engine, txn)
         assert "EXPLAIN ANALYZE __shell" in text
         assert f"commit I/O: {result.io}" in text
+
+
+class TestRenderersFollowCostSwitches:
+    """Under ``CostConfig(self_maintenance=False)`` the materialized
+    SumOfSals recomputes its groups, so ``>Emp`` poses a group fetch on Emp
+    by DName. Every renderer must show the plan the optimizer priced."""
+
+    @pytest.fixture
+    def ablated(self, small_paper_db):
+        maintainer = build_maintainer(small_paper_db, self_maintenance=False)
+        evaluation = evaluate_view_set(
+            maintainer.memo,
+            maintainer.marking,
+            list(maintainer.txn_types.values()),
+            maintainer.cost_model,
+            maintainer.estimator,
+        )
+        result = OptimizationResult(
+            best=evaluation,
+            evaluated=[evaluation],
+            root=maintainer.dag.root,
+            candidates=tuple(sorted(maintainer.marking)),
+        )
+        return maintainer, result
+
+    def test_explain_total_is_the_priced_total(self, ablated):
+        maintainer, result = ablated
+        plan = result.best.per_txn[">Emp"]
+        assert (plan.query_cost, plan.update_cost) == (8.0, 3.0)
+        text = explain(maintainer, ">Emp")
+        total = next(l for l in text.splitlines() if "total (MQO" in l)
+        assert float(total.split()[-1]) == plan.total
+        assert "[group-fetch]" in text
+
+    def test_report_lists_the_group_fetch(self, ablated):
+        maintainer, result = ablated
+        txns = list(maintainer.txn_types.values())
+        args = (maintainer.cost_model, maintainer.estimator)
+        report = render_report(maintainer.dag, result, txns, *args)
+        assert "query 8.00 + update 3.00 = 11.00" in report
+        assert "[group-fetch]" in report
+        assert "Emp: hash index on (DName)" in report
+        needed = recommend_base_indexes(maintainer.dag, result, txns, *args)
+        assert ("DName",) in needed["Emp"]
